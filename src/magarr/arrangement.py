@@ -16,13 +16,7 @@ from fractions import Fraction
 import itertools
 
 from .errors import ParseError, CheckFailedError
-from .linalg import (
-    clear_denominators,
-    in_row_space,
-    nullspace,
-    rref,
-    strict_feasible,
-)
+from .linalg import clear_denominators, in_row_space, nullspace, primitive, rref
 
 # Candidate symmetry search enumerates signed coordinate permutations,
 # which is 2^d * d! maps.  Above this cap only the antipodal map and
@@ -40,12 +34,6 @@ def _sign(x):
     if x < 0:
         return -1
     return 0
-
-
-def _primitive_row(row):
-    """Scale a rational row by a positive factor to primitive integers."""
-    cleared = clear_denominators([Fraction(x) for x in row])
-    return cleared
 
 
 def _sign_canonical(row):
@@ -105,7 +93,7 @@ def parse_arrangement(rows, labels=None, name=None):
             raise ParseError(f"row {i}: length {len(vals)} != {dim}")
         if not any(vals):
             raise ParseError(f"row {i}: zero normal does not define a hyperplane")
-    normals = tuple(_primitive_row(v) for v in parsed)
+    normals = tuple(clear_denominators(v) for v in parsed)
     seen = {}
     for i, nr in enumerate(normals):
         key, _ = _sign_canonical(nr)
@@ -282,39 +270,24 @@ CATALOG_NAMES = (
 
 
 def sign_feasible(arrangement, signs):
-    """Exact witness for a sign vector, or None when infeasible.
+    """Integer point with the given sign vector, or None when no face has it.
 
     ``signs`` is a sequence over {+1, 0, -1}, one entry per hyperplane.
-    Zero entries pin the point to the hyperplane; the rest must hold
-    strictly.  The witness is an integer point, verified before return.
+    Such points lie in the flat cut out by the zero entries and fill one
+    chamber of the restriction to that flat, so each restricted chamber
+    witness is lifted back and the one whose full sign vector matches is
+    returned.  A test oracle for the face structure.
     """
-    d = arrangement.dimension
     if len(signs) != arrangement.n:
         raise ValueError("sign vector length mismatch")
-    zero_rows = [arrangement.normals[i] for i, s in enumerate(signs) if s == 0]
-    if zero_rows:
-        basis = nullspace(zero_rows, d)
-    else:
-        basis = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
-    strict = [(i, s) for i, s in enumerate(signs) if s != 0]
-    if not strict:
-        return (0,) * d
-    if not basis:
-        return None
-    rows = []
-    for i, s in strict:
-        row = tuple(s * _dot(arrangement.normals[i], b) for b in basis)
-        if not any(row):
-            return None
-        rows.append(row)
-    y = strict_feasible(rows)
-    if y is None:
-        return None
-    point = tuple(sum(y[b] * basis[b][j] for b in range(len(basis))) for j in range(d))
-    for i, s in enumerate(signs):
-        if _sign(_dot(arrangement.normals[i], point)) != s:
-            raise CheckFailedError("witness does not match requested signs")
-    return point
+    zeros = [h for h, s in enumerate(signs) if s == 0]
+    sub, basis = _restrict_with_basis(arrangement, zeros)
+    want = tuple(signs)
+    for p in _chamber_witnesses(sub).values():
+        point = _lift(p, basis, arrangement.dimension)
+        if tuple(_sign(_dot(a, point)) for a in arrangement.normals) == want:
+            return point
+    return None
 
 
 class TopeGraph:
@@ -330,6 +303,31 @@ class TopeGraph:
 
     def __len__(self):
         return len(self.masks)
+
+    def check_witnesses(self):
+        """Raise unless the masks strictly increase and each witness lies
+        strictly inside the chamber its mask names (integer dot products)."""
+        arr = self.arrangement
+        if len(self.masks) != len(self.witnesses):
+            raise CheckFailedError("mask and witness counts differ")
+        prev = -1
+        for k, (mask, w) in enumerate(zip(self.masks, self.witnesses)):
+            if mask <= prev:
+                raise CheckFailedError(f"chamber {k}: masks not strictly increasing")
+            prev = mask
+            if len(w) != arr.dimension:
+                raise CheckFailedError(f"chamber {k}: witness has length {len(w)}")
+            signs = 0
+            for h, a in enumerate(arr.normals):
+                v = _dot(a, w)
+                if v == 0:
+                    raise CheckFailedError(f"chamber {k}: witness lies on hyperplane {h}")
+                if v > 0:
+                    signs |= 1 << h
+            if signs != mask:
+                raise CheckFailedError(
+                    f"chamber {k}: witness signs {signs:b} != mask {mask:b}"
+                )
 
     def dist(self, i, j):
         return (self.masks[i] ^ self.masks[j]).bit_count()
@@ -378,41 +376,56 @@ class TopeGraph:
         return dist
 
 
-def enumerate_chambers(arrangement):
-    """All chambers, by inserting hyperplanes one at a time.
+def _lift(p, basis, d):
+    """Point of R^d with coordinates p in the given basis."""
+    return tuple(sum(pk * b[j] for pk, b in zip(p, basis)) for j in range(d))
 
-    After inserting hyperplane i, each partial chamber carries a strict
-    witness.  A chamber splits exactly when the opposite side is also
-    strictly feasible, decided by an exact LP.
+
+def _chamber_witnesses(arrangement):
+    """{mask: integer witness} over all chambers, by deletion-restriction.
+
+    Hyperplanes are inserted in order.  The chambers of A_<i that H_i
+    splits are those of the restriction of A_<=i to H_i (Zaslavsky), found
+    recursively one dimension down.  A restricted witness lifts to a point
+    x of H_i strictly off every earlier hyperplane, and with
+    M = 1 + max_h |a_h . a_i| the points M x +- a_i keep the signs of x
+    on every a_h (|a_h . x| >= 1) and take both signs on a_i.  A chamber
+    H_i does not split keeps its witness.
     """
     d = arrangement.dimension
     normals = arrangement.normals
-    current = [(0, (0,) * d)]
+    current = {0: (0,) * d}
     for i, a in enumerate(normals):
-        nxt = []
-        for mask, w in current:
-            s = _sign(_dot(a, w))
-            for target in (1, -1):
-                if s == target:
-                    wit = w
-                else:
-                    rows = []
-                    for h in range(i):
-                        sgn = 1 if mask >> h & 1 else -1
-                        rows.append(tuple(sgn * x for x in normals[h]))
-                    rows.append(tuple(target * x for x in a))
-                    wit = strict_feasible(rows)
-                    if wit is None:
-                        continue
-                new_mask = mask | (1 << i) if target == 1 else mask
-                nxt.append((new_mask, wit))
+        prefix = Arrangement(d, normals[: i + 1], arrangement.labels[: i + 1])
+        sub, basis = _restrict_with_basis(prefix, (i,))
+        scale = 1 + max((abs(_dot(normals[h], a)) for h in range(i)), default=0)
+        split = {}
+        for p in _chamber_witnesses(sub).values():
+            x = _lift(p, basis, d)
+            split[sum(1 << h for h in range(i) if _dot(normals[h], x) > 0)] = x
+        nxt = {}
+        for mask, w in current.items():
+            x = split.get(mask)
+            if x is None:
+                nxt[mask | (1 << i) if _dot(a, w) > 0 else mask] = w
+            else:
+                nxt[mask | (1 << i)] = tuple(scale * xj + aj for xj, aj in zip(x, a))
+                nxt[mask] = tuple(scale * xj - aj for xj, aj in zip(x, a))
         current = nxt
-    current.sort(key=lambda t: t[0])
-    masks = [m for m, _ in current]
-    witnesses = [w for _, w in current]
-    if len(set(masks)) != len(masks):
-        raise CheckFailedError("duplicate chamber masks")
-    return TopeGraph(arrangement, masks, witnesses)
+    return current
+
+
+def enumerate_chambers(arrangement):
+    """All chambers with integer witnesses, found by deletion-restriction.
+
+    The chambers come sorted by mask, and every witness is checked to lie
+    strictly inside the chamber its mask names.
+    """
+    found = _chamber_witnesses(arrangement)
+    masks = sorted(found)
+    graph = TopeGraph(arrangement, masks, [found[m] for m in masks])
+    graph.check_witnesses()
+    return graph
 
 
 def tits_product(f, g):
@@ -554,12 +567,11 @@ def intersection_lattice(arrangement, graph=None):
         return closed, len(pivots)
 
     flat_sets = {}
-    bottom, rank0 = closure(())
+    bottom, _ = closure(())
     if bottom:
         raise CheckFailedError("a nonzero normal lies in the empty span")
     flat_sets[()] = 0
     frontier = [()]
-    ranks = {(): 0}
     while frontier:
         nxt = []
         for s in frontier:
@@ -572,7 +584,6 @@ def intersection_lattice(arrangement, graph=None):
                     flat_sets[closed] = rk
                     nxt.append(closed)
         frontier = nxt
-        ranks.update({s: flat_sets[s] for s in nxt})
 
     ordered = sorted(flat_sets, key=lambda s: (flat_sets[s], s))
     idx = {s: i for i, s in enumerate(ordered)}
@@ -654,7 +665,7 @@ def _restrict_with_basis(arrangement, hyperplanes):
         row = tuple(_dot(arrangement.normals[h], b) for b in basis)
         if not any(row):
             continue
-        prim = _primitive_row(row)
+        prim = primitive(row)
         key, _ = _sign_canonical(prim)
         if key in seen:
             continue
@@ -678,33 +689,24 @@ def restrict(arrangement, hyperplanes):
 def essentialize(arrangement):
     """Quotient by the common intersection subspace.
 
-    Rewrites each normal in coordinates dual to a basis of the row span,
-    so sign vectors of points correspond exactly before and after.
+    With the reduced rows R_k of the normals (pivot columns c_k, pivot
+    entries p_k > 0) as coordinates y_k = R_k . x / p_k, a normal
+    a = sum_k (a[c_k] / p_k) R_k becomes the integer row (a[c_k])_k, so
+    a . x = sum_k a[c_k] y_k and sign vectors correspond exactly.
     """
-    reduced, pivots = rref(list(arrangement.normals))
-    r = len(pivots)
-    if r == arrangement.dimension:
+    reduced, pivots = rref(arrangement.normals)
+    if len(pivots) == arrangement.dimension:
         return arrangement
-    basis_rows = [clear_denominators(row) for row in reduced]
     new_rows = []
     for a in arrangement.normals:
-        v = [Fraction(x) for x in a]
-        coeffs = []
-        for row, piv in zip(reduced, pivots):
-            c = v[piv]
-            coeffs.append(c)
-            if c:
-                v = [x - c * y for x, y in zip(v, row)]
-        if any(v):
+        if not in_row_space(reduced, pivots, a):
             raise CheckFailedError("normal outside its own row space")
-        new_rows.append(clear_denominators(coeffs))
-    ess = Arrangement(
-        dimension=r,
+        new_rows.append(primitive([a[c] for c in pivots]))
+    return Arrangement(
+        dimension=len(pivots),
         normals=tuple(new_rows),
         labels=arrangement.labels,
     )
-    del basis_rows
-    return ess
 
 
 def direct_sum(a, b):
@@ -761,7 +763,7 @@ def tope_symmetries(graph):
             t = [0] * d
             for k in range(d):
                 t[pi[k]] = a[k] * signs[k]
-            prim = _primitive_row(t)
+            prim = primitive(t)
             key, eps = _sign_canonical(prim)
             hit = canon.get(key)
             if hit is None:

@@ -19,13 +19,10 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 
 from .arrangement import (
     CATALOG_NAMES,
-    FaceLattice,
-    Flat,
     TopeGraph,
     _sign_canonical,
     catalog,
@@ -52,7 +49,8 @@ from .magnitude import chamber_orbits, magnitude_direct, varchenko_det_check
 from .polyq import series_expand
 
 TASKS = ("mag", "homology", "lattice", "verify", "conjectures")
-SCHEMA_VERSION = 1
+REPORT_SCHEMA = 1
+SCHEMA_VERSION = 2  # cache payload
 DET_CHECK_AUTO_LIMIT = 60
 GEODESIC_CHECK_LIMIT = 60
 FOUR_CUT_LIMIT = 60
@@ -67,7 +65,6 @@ class JobSpec:
     lmax: int = None
     det_check: bool = None  # None: run when the graph is small enough
     face_check: bool = True
-    geodesic_check: bool = True
     json_path: str = None
     cache_dir: str = None
 
@@ -103,7 +100,10 @@ def load_arrangement(source):
             rows = data.get("normals")
             if not rows:
                 raise ParseError(f"{source}: missing 'normals'")
-            arr = parse_arrangement(rows, labels=data.get("labels"), name=name)
+            try:
+                arr = parse_arrangement(rows, labels=data.get("labels"), name=name)
+            except TypeError as exc:
+                raise ParseError(f"{source}: {exc}") from None
             want_d = data.get("dimension")
             if want_d is not None and want_d != arr.dimension:
                 raise ParseError(
@@ -141,46 +141,34 @@ def cache_key(arrangement):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _rat(text):
-    f = Fraction(text)
-    return int(f) if f.denominator == 1 else f
-
-
-def _geometry_payload(arrangement, graph, lattice):
+def _geometry_payload(arrangement, graph):
     return {
         "version": SCHEMA_VERSION,
         "dimension": arrangement.dimension,
-        "rows": [[str(x) for x in row] for row in arrangement.normals],
+        "rows": [list(row) for row in arrangement.normals],
         "masks": list(graph.masks),
-        "witnesses": [[str(x) for x in w] for w in graph.witnesses],
-        "flats": [
-            {"hyperplanes": list(f.hyperplanes), "rank": f.rank, "mobius": f.mobius}
-            for f in lattice.flats
-        ],
-        "mobius": [[i, j, v] for (i, j), v in sorted(lattice.mobius_table.items())],
-        "chambers": lattice.chamber_count,
+        "witnesses": [list(w) for w in graph.witnesses],
     }
 
 
 def _geometry_from_payload(arrangement, data):
+    """Rebuild and re-check the geometry of a cache entry.
+
+    Each witness must lie strictly inside its mask's chamber and the
+    masks must strictly increase, so every mask is a distinct chamber;
+    the lattice is rebuilt, and its Zaslavsky count then says that no
+    chamber is missing.
+    """
     if data.get("version") != SCHEMA_VERSION:
         raise ParseError("cache schema version mismatch")
-    if data["rows"] != [[str(x) for x in row] for row in arrangement.normals]:
+    if data["rows"] != [list(row) for row in arrangement.normals]:
         # same canonical key, different presentation: not reusable
         raise ParseError("cache entry stored for a different row presentation")
     masks = [int(m) for m in data["masks"]]
-    if len(masks) != data["chambers"]:
-        raise ParseError("cache entry is inconsistent")
-    witnesses = [tuple(_rat(x) for x in w) for w in data["witnesses"]]
+    witnesses = [tuple(int(x) for x in w) for w in data["witnesses"]]
     graph = TopeGraph(arrangement, masks, witnesses)
-    flats = tuple(
-        Flat(index=i, hyperplanes=tuple(f["hyperplanes"]), rank=f["rank"],
-             mobius=f["mobius"])
-        for i, f in enumerate(data["flats"])
-    )
-    table = {(i, j): v for i, j, v in data["mobius"]}
-    lattice = FaceLattice(arrangement, flats, table, data["chambers"])
-    return graph, lattice
+    graph.check_witnesses()
+    return graph, intersection_lattice(arrangement, graph)
 
 
 def get_geometry(arrangement, cache_dir):
@@ -203,8 +191,7 @@ def get_geometry(arrangement, cache_dir):
     fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(_geometry_payload(arrangement, graph, lattice), fh,
-                      sort_keys=True)
+            json.dump(_geometry_payload(arrangement, graph), fh, sort_keys=True)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -379,7 +366,7 @@ def _verify_task(job, arrangement, name, is_file, graph, lattice, perms):
     if hom is not None:
         for key, val in hom.checks.items():
             checks[f"hom:{key}"] = val
-        if job.geodesic_check and len(graph) <= GEODESIC_CHECK_LIMIT:
+        if len(graph) <= GEODESIC_CHECK_LIMIT:
             direct, gtor = geodesic_homology_direct(graph, lmax, perms)
             formula = geodesic_betti_formula(lattice)
             checks["hom:geodesic_two_routes"] = not gtor and {
@@ -454,7 +441,7 @@ def run(job):
         print(f"cache: {cache_note}", file=sys.stderr)
     _, _, perms = chamber_orbits(graph)
     bundle = {
-        "schema": SCHEMA_VERSION,
+        "schema": REPORT_SCHEMA,
         "source": job.source,
         "arrangement": {
             "name": name,

@@ -23,7 +23,7 @@ from .arrangement import (
 )
 from .errors import BudgetExceededError, CheckFailedError
 from .linalg import complex_homology, matrix_rank
-from .magnitude import chamber_orbits
+from .magnitude import alternating_violation, chamber_orbits, profile_uniform
 
 DEFAULT_LENGTH_BUDGET = 5_000_000
 
@@ -706,18 +706,12 @@ def conjecture_probes(arrangement, graph, lattice, mag_result, hom_result):
     missing cyclotomic factor.  The corner probe applies to
     arrangements the weight heuristic deems indecomposable.
     """
-    from .magnitude import profile_uniform  # local import avoids a cycle
-
     probes = {}
     probes["torsion_free"] = {
         "observed": not any(hom_result.torsion.values()),
         "detail": {f"{k},{l}": list(v) for (k, l), v in hom_result.torsion.items()},
     }
-    violation = None
-    for i, c in enumerate(mag_result.series):
-        if c and (c > 0) != (i % 2 == 0):
-            violation = i
-            break
+    violation = alternating_violation(mag_result.series)
     probes["euler_signs_alternate"] = {
         "observed": violation is None,
         "first_violation": violation,

@@ -1,8 +1,8 @@
-"""Exact linear algebra helpers: rational elimination, a small simplex for
-strict sign feasibility, and Smith normal form over the integers.
+"""Exact integer linear algebra: fraction-free row reduction, kernels,
+Smith normal form, and chain-complex homology over the integers.
 
-Rationals use gmpy2.mpq when available (same values, faster), falling back
-to fractions.Fraction.
+Every function takes and returns Python ints; ``clear_denominators`` is
+the one entry point for rational input, used when rows are parsed.
 """
 
 from __future__ import annotations
@@ -12,19 +12,22 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as RAT
-except ImportError:  # pragma: no cover - gmpy2 is normally present
-    RAT = Fraction
+
+def primitive(vec):
+    """Divide an integer vector by the gcd of its entries (signs kept)."""
+    g = math.gcd(*vec)
+    return tuple(x // g for x in vec) if g > 1 else tuple(vec)
 
 
 def rref(rows):
-    """Reduced row echelon form over Q.
+    """Fraction-free reduced row echelon form over the integers.
 
-    Returns (reduced nonzero rows, pivot column indices). Input rows are
-    sequences of ints or rationals; the input is not modified.
+    Returns (reduced nonzero rows, pivot column indices).  Each reduced
+    row is primitive with a positive pivot entry and zeros in the other
+    rows' pivot columns, so it is a positive multiple of the row that
+    reduction over Q would give.  The input is not modified.
     """
-    mat = [[RAT(x) for x in row] for row in rows]
+    mat = [list(row) for row in rows]
     ncols = len(mat[0]) if mat else 0
     pivots = []
     r = 0
@@ -37,17 +40,20 @@ def rref(rows):
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
+        pivot_row = primitive(mat[r])
+        if pivot_row[c] < 0:
+            pivot_row = tuple(-x for x in pivot_row)
+        mat[r] = pivot_row
+        pv = pivot_row[c]
         for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+            f = mat[i][c]
+            if i != r and f != 0:
+                mat[i] = primitive([pv * a - f * b for a, b in zip(mat[i], pivot_row)])
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    return mat[:r], pivots
+    return [tuple(row) for row in mat[:r]], pivots
 
 
 def matrix_rank(rows) -> int:
@@ -55,132 +61,40 @@ def matrix_rank(rows) -> int:
 
 
 def in_row_space(reduced, pivots, vec) -> bool:
-    """Membership of vec in the span of already-reduced rows."""
-    v = [RAT(x) for x in vec]
+    """Membership of an integer vector in the span of already-reduced rows."""
+    v = list(vec)
     for row, c in zip(reduced, pivots):
         f = v[c]
         if f != 0:
-            v = [a - f * b for a, b in zip(v, row)]
-    return all(x == 0 for x in v)
+            pv = row[c]
+            v = [pv * a - f * b for a, b in zip(v, row)]
+    return not any(v)
+
 
 def nullspace(rows, ncols):
-    """Basis of the right kernel, as integer vectors with content 1."""
+    """Basis of the right kernel, as integer vectors with content 1.
+
+    The vector for free column c has a positive entry at c and zeros at
+    the other free columns.
+    """
     reduced, pivots = rref(rows) if rows else ([], [])
     free = [c for c in range(ncols) if c not in pivots]
+    scale = math.lcm(*(row[pc] for row, pc in zip(reduced, pivots)))
     basis = []
     for fc in free:
-        v = [RAT(0)] * ncols
-        v[fc] = RAT(1)
+        v = [0] * ncols
+        v[fc] = scale
         for row, pc in zip(reduced, pivots):
-            v[pc] = -row[fc]
-        basis.append(clear_denominators(v))
+            v[pc] = -row[fc] * (scale // row[pc])
+        basis.append(primitive(v))
     return basis
 
 
 def clear_denominators(vec):
     """Scale a rational vector to a primitive integer vector (same direction)."""
-    fr = [Fraction(int(x.numerator), int(x.denominator)) if not isinstance(x, Fraction) else x
-          for x in vec]
-    lcm = 1
-    for f in fr:
-        lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
-    ints = [int(f * lcm) for f in fr]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
-
-
-def strict_feasible(rows):
-    """Exact strict feasibility of {x : a.x > 0 for every row a}.
-
-    Maximizes a margin t subject to a.x >= t and the box -1 <= x_k <= 1
-    (regions are cones, so the box loses nothing); the system is strictly
-    feasible iff the optimum is positive.  Single-phase primal simplex with
-    Bland's rule; x is split into nonnegative parts.  Returns a primitive
-    integer witness vector, or None.
-    """
-    if not rows:
-        return (0,) * 0
-    d = len(rows[0])
-    m = len(rows)
-    nvars = 2 * d + 1  # x+, x-, t
-    nslack = m + 2 * d + 1
-    ncols = nvars + nslack + 1  # + rhs
-    tab = []
-    for a in rows:
-        row = [RAT(0)] * ncols
-        for k in range(d):
-            row[k] = RAT(-a[k])
-            row[d + k] = RAT(a[k])
-        row[2 * d] = RAT(1)
-        tab.append(row)
-    for k in range(2 * d):  # x+_k <= 1, x-_k <= 1
-        row = [RAT(0)] * ncols
-        row[k] = RAT(1)
-        row[-1] = RAT(1)
-        tab.append(row)
-    row = [RAT(0)] * ncols
-    row[2 * d] = RAT(1)
-    row[-1] = RAT(1)
-    tab.append(row)
-    for i in range(nslack):
-        tab[i][nvars + i] = RAT(1)
-    obj = [RAT(0)] * ncols
-    obj[2 * d] = RAT(-1)  # maximize t: keep -t, stop when it goes negative
-    basis = [nvars + i for i in range(nslack)]
-
-    def solution_t():
-        # pivot updates accumulate the objective value in the rhs slot
-        return obj[-1]
-
-    while True:
-        if solution_t() > 0:
-            break
-        enter = None
-        for j in range(nvars + nslack):
-            if obj[j] < 0:
-                enter = j
-                break
-        if enter is None:
-            break
-        leave = None
-        best = None
-        for i in range(nslack):
-            a = tab[i][enter]
-            if a > 0:
-                ratio = tab[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave is None:
-            raise ArithmeticError("unbounded feasibility program")
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
-        for i in range(nslack):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leave])]
-        if obj[enter] != 0:
-            f = obj[enter]
-            obj = [a - f * b for a, b in zip(obj, tab[leave])]
-        basis[leave] = enter
-
-    if solution_t() <= 0:
-        return None
-    vals = {}
-    for i, b in enumerate(basis):
-        vals[b] = tab[i][-1]
-    x = [Fraction(int((vals.get(k, RAT(0)) - vals.get(d + k, RAT(0))).numerator),
-                  int((vals.get(k, RAT(0)) - vals.get(d + k, RAT(0))).denominator))
-         for k in range(d)]
-    witness = clear_denominators(x)
-    for a in rows:
-        if sum(ai * wi for ai, wi in zip(a, witness)) <= 0:
-            raise AssertionError("simplex returned an invalid witness")
-    return witness
+    fr = [Fraction(x) for x in vec]
+    lcm = math.lcm(*(f.denominator for f in fr))
+    return primitive([int(f * lcm) for f in fr])
 
 
 def snf_diagonal(entries, nrows, ncols):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from itertools import product
+import hashlib
+from itertools import permutations, product
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -88,6 +90,54 @@ def test_catalog_names_cover_fixture_list():
         catalog("boolean:0")
     with pytest.raises(ParseError):
         catalog("no-such-name")
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_boolean_chambers_are_all_masks(d):
+    # only the enumeration: the lattice of boolean:12 has 3^12 comparable pairs
+    graph = enumerate_chambers(catalog(f"boolean:{d}"))
+    assert graph.masks == tuple(range(1 << d))
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_braid_chambers_are_the_orderings(m):
+    arr = catalog(f"braid:{m}")
+    pairs = [tuple(v.index(s) for s in (1, -1)) for v in arr.normals]
+    want = set()
+    for order in permutations(range(m)):  # order[k] is the value of x_k
+        want.add(sum(1 << h for h, (i, j) in enumerate(pairs)
+                     if order[i] > order[j]))
+    assert len(want) == factorial(m)
+    assert enumerate_chambers(arr).masks == tuple(sorted(want))
+
+
+# sha256 of the comma-joined sorted masks, as produced by the exact-LP
+# insertion enumeration that deletion-restriction replaced
+MASK_DIGESTS = {
+    "boolean:1": "83b97b859aa5f81b2f0f86ba2a675efaf515ad2d5e2b8652cf2de7e1c2267350",
+    "boolean:2": "84deff01f1994516ca1e83d3a07d9ef1a8499dea8dbb783f2a17f56cefa330cf",
+    "boolean:3": "1eacc8c10d0cdd8e4fef3d60fc25e5f32b3e29675e63ec3cbe4d9f244d1bfb40",
+    "boolean:4": "b9ad7606160a067ebb4fb2935c415d51dc1dea3fb8aba28a42f5734a2f88e14a",
+    "braid:3": "4e6d1ff0d6eb74062e518385f542af341380c870fff072cdadb2c424581f3ee9",
+    "braid:4": "4adfcfc9789266184387e0ff05859cb9699938047ff9257b5d151331cfa74435",
+    "braid:5": "862ae87cc056b8a13e72522417a08a4307b92c42f662fea38a412ec3706994c8",
+    "coxeter:B2": "c17a1ab597b3a9883048a231820882d08a0cb8fe32ec87a439c26903a22c41e7",
+    "coxeter:B3": "b10108004ded57c8cba827fb34128a255339c881dd86917821714ba5cc6ca60f",
+    "u34": "6648d102121600644981289a7e98a4ab36658967277d6e167be8872502abdaae",
+    "u45": "c1660c578a6010f632bd9789dcdd730377f7474c44d91de076ba06c097345260",
+    "k4me": "65e2316f5a11bcec114287506db35a6363016ec0106fce5e8d325bf89918f6cc",
+    "k5me": "d228e8e3f3c7c52ce5837c7b817f8d9c4a3ce5cd58292e84818a85f6bb309dc9",
+    "bracelet": "52ce2e28f5ec4559e79169be3760086e3c4cef171bf021e0ababe46cafb52659",
+    "nearpencil:4": "015506970ddc9aa0d54ddd3b1c419f81867185bb3bc8cf1702694b50708d59ba",
+    "nearpencil:5": "e3cd230bd0dda7a326cc26f36affb270da4cffb19467912b4962145785daa34c",
+}
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_catalog_masks_match_frozen_digest(name):
+    masks = enumerate_chambers(catalog(name)).masks
+    text = ",".join(str(m) for m in masks)
+    assert hashlib.sha256(text.encode()).hexdigest() == MASK_DIGESTS[name]
 
 
 def test_characteristic_polynomials():

@@ -129,6 +129,19 @@ def test_bad_file_is_a_parse_error(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("doc", [
+    {"normals": 5},
+    {"normals": [[1, 0], [0, 1]], "labels": 3},
+])
+def test_malformed_json_source_is_a_parse_error(capsys, tmp_path, doc):
+    src = tmp_path / "arr.json"
+    src.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["lattice", str(src)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_negative_lmax_rejected(capsys):
     code, _, err = _run(capsys, ["homology", "boolean:2", "--lmax", "-1"])
     assert code == 2
@@ -221,11 +234,40 @@ def test_cache_rejects_wrong_presentation(capsys, tmp_path):
     cache.mkdir()
     arr = catalog("boolean:2")
     key = cache_key(arr)
-    doctored = {"version": 1, "dimension": 2, "rows": [["9", "9"]], "masks": []}
+    doctored = {"version": cli.SCHEMA_VERSION, "dimension": 2,
+                "rows": [[9, 9]], "masks": [], "witnesses": []}
     (cache / f"{key}.json").write_text(json.dumps(doctored))
     code, out, err = _run(capsys, ["mag", "boolean:2", "--cache", str(cache)])
     assert code == 0
     assert "series: 4, -8, 12" in out
+
+
+def _duplicate_first_mask(entry):
+    entry["masks"][1] = entry["masks"][0]
+    entry["witnesses"][1] = entry["witnesses"][0]
+
+
+def _move_first_witness(entry):
+    entry["witnesses"][0] = entry["witnesses"][-1]
+
+
+@pytest.mark.parametrize("corrupt", [_duplicate_first_mask, _move_first_witness])
+def test_cache_entry_is_checked_on_load(capsys, tmp_path, corrupt):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    args = ["lattice", "u34", "--cache", str(cache)]
+    _, plain, _ = _run(capsys, ["lattice", "u34"])
+    _run(capsys, args)
+    (path,) = list(cache.iterdir())
+    entry = json.loads(path.read_text())
+    corrupt(entry)
+    path.write_text(json.dumps(entry))
+    code, out, err = _run(capsys, args)
+    assert code == 0
+    assert out == plain
+    assert "cache: discarding" in err and "cache: miss" in err
+    code, out, err = _run(capsys, args)  # the rewritten entry is good
+    assert out == plain and "cache: hit" in err
 
 
 def test_cache_key_ignores_row_order_and_scaling():

@@ -13,7 +13,6 @@ from magarr.linalg import (
     rref,
     snf_diagonal,
     snf_summary,
-    strict_feasible,
 )
 
 
@@ -21,6 +20,11 @@ def test_rref_and_rank():
     rows = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
     reduced, pivots = rref(rows)
     assert pivots == [0, 1]
+    assert reduced == [(1, 0, 1), (0, 1, 1)]
+    # integer rows, primitive, positive pivot, cleared above and below
+    reduced, pivots = rref([[0, 2, 4, 3], [3, -6, 0, 1]])
+    assert pivots == [0, 1]
+    assert reduced == [(3, 0, 12, 10), (0, 2, 4, 3)]
     assert matrix_rank(rows) == 2
     assert matrix_rank([[1, 0], [0, 1]]) == 2
     assert matrix_rank([[0, 0]]) == 0
@@ -51,19 +55,6 @@ def test_clear_denominators_is_primitive():
     from math import gcd
 
     assert gcd(gcd(cleared[0], cleared[1]), cleared[2]) == 1
-
-
-def test_strict_feasibility_witness():
-    rows = [(1, 0), (0, 1), (1, 1)]
-    w = strict_feasible(rows)
-    assert w is not None
-    for a in rows:
-        assert sum(x * y for x, y in zip(a, w)) > 0
-
-
-def test_strict_infeasible_opposite_rows():
-    assert strict_feasible([(1, 0), (-1, 0)]) is None
-    assert strict_feasible([(1, -1), (-1, 1)]) is None
 
 
 def test_snf_known_matrix():
