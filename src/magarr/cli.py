@@ -90,8 +90,11 @@ def load_arrangement(source):
     """
     if os.path.exists(source):
         name = os.path.splitext(os.path.basename(source))[0]
-        with open(source) as fh:
-            text = fh.read()
+        try:
+            with open(source, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"{source}: cannot read ({exc})") from None
         if text.lstrip().startswith("{"):
             try:
                 data = json.loads(text)

@@ -5,11 +5,15 @@ Magnitude is the sum of the entries of its inverse applied to the all-
 ones vector.  Symmetries of the arrangement act on chambers and commute
 with the matrix, so the solution is constant on orbits; the computation
 collapses to one row per orbit.  At q = 0 the collapsed matrix is the
-identity, so fraction-free elimination never needs to pivot and every
-exact division is by a polynomial with unit constant term.
+identity, so fraction-free elimination never needs to pivot.  The
+elimination runs on big integers by Kronecker substitution: every entry
+is evaluated at q = 2**b, with b chosen from a Hadamard bound on the
+coefficients of every minor, so each minor is read back exactly from
+the base-2**b digits of its integer value.
 """
 
 from dataclasses import dataclass, field
+from math import isqrt
 
 from .arrangement import (
     enumerate_chambers,
@@ -37,6 +41,17 @@ from .polyq import (
 SERIES_ORDER = 10
 
 
+def _kronecker_decode(value, bits):
+    """The IntPoly p with p(2**bits) == value and every coefficient of
+    absolute value below 2**(bits - 1): value's signed base-2**bits digits."""
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
+    coeffs = []
+    while value:
+        coeffs.append(((value + half) & mask) - half)
+        value = (value - coeffs[-1]) >> bits
+    return IntPoly(coeffs)
+
+
 def _bareiss_minors(matrix):
     """Leading principal minors by fraction-free forward elimination.
 
@@ -45,26 +60,42 @@ def _bareiss_minors(matrix):
     leading principal minor except possibly the last to be nonzero,
     which holds here because the systems solved have constant term
     equal to an identity matrix.
+
+    The elimination runs on the integers M(2**b); each minor is decoded
+    by ``_kronecker_decode``.  Let H = prod_i max(1, sqrt(sum_j |m_ij|_1^2)).
+    On |q| = 1, |m_ij(q)| <= |m_ij|_1, so by Hadamard every minor of M,
+    bordered ones included, has modulus at most H there; a coefficient
+    is at most the maximum modulus on |q| = 1, so it is at most H < 2**(b-1)
+    and the decoding is exact (a minor is 0 iff its integer is).  Bareiss
+    intermediates are minors of M(2**b), so every division is exact.
     """
-    a = [list(row) for row in matrix]
+    bound = 1
+    for row in matrix:
+        norms = sum(sum(abs(c) for c in p.coeffs) ** 2 for p in row)
+        bound *= max(1, norms)
+    bits = (isqrt(bound) + 1).bit_length() + 1
+    x = 1 << bits
+    a = [[p.evaluate(x) for p in row] for row in matrix]
     n = len(a)
-    prev = ONE
+    prev = 1
     minors = []
     for k in range(n):
-        pk = a[k][k]
+        row_k = a[k]
+        pk = row_k[k]
         if not pk and k < n - 1:
             raise CheckFailedError("zero pivot in fraction-free elimination")
         for i in range(k + 1, n):
-            aik = a[i][k]
             row_i = a[i]
-            row_k = a[k]
+            aik = row_i[k]
             for j in range(k + 1, len(row_i)):
-                num = pk * row_i[j] - aik * row_k[j]
-                row_i[j] = num.divexact_unit(prev)
-            row_i[k] = ZERO
+                row_i[j], rem = divmod(pk * row_i[j] - aik * row_k[j], prev)
+                if rem:
+                    raise CheckFailedError(
+                        "inexact division in fraction-free elimination")
+            row_i[k] = 0
         minors.append(pk)
         prev = pk
-    return minors
+    return [_kronecker_decode(m, bits) for m in minors]
 
 
 def chamber_orbits(graph, perms=None):
@@ -313,15 +344,6 @@ def alternating_violation(series):
 
 # ---------------------------------------------------------------------------
 # determinant of the full similarity matrix
-
-
-def varchenko_matrix(graph):
-    """Full chamber-by-chamber matrix of q powers (small inputs only)."""
-    size = len(graph)
-    return [
-        [IntPoly.monomial(graph.dist(i, j)) for j in range(size)]
-        for i in range(size)
-    ]
 
 
 def varchenko_det(graph):

@@ -170,60 +170,32 @@ class IntPoly:
                 return i
         return 0
 
-    def divexact_unit(self, d: "IntPoly") -> "IntPoly":
-        """Exact division by d when d has constant term +1 or -1.
-
-        Works from the low end so every step stays in Z; raises if the
-        division is not exact.
-        """
-        if d.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        d0 = d.coeffs[0]
-        if d0 not in (1, -1):
-            return self.divexact(d)
-        if self.is_zero():
-            return IntPoly()
-        nq = self.degree - d.degree
-        if nq < 0:
-            raise ArithmeticError("inexact polynomial division")
-        rem = list(self.coeffs) + [0] * max(0, d.degree + nq + 1 - len(self.coeffs))
-        dc = d.coeffs
-        out = [0] * (nq + 1)
-        for i in range(nq + 1):
-            c = rem[i]
-            if c:
-                t = c * d0  # d0 is +-1
-                out[i] = t
-                for j, dj in enumerate(dc):
-                    rem[i + j] -= t * dj
-        if any(rem):
-            raise ArithmeticError("inexact polynomial division")
-        return IntPoly(out)
-
     def divexact(self, d: "IntPoly") -> "IntPoly":
-        """Exact division over Z; raises ArithmeticError when not exact."""
+        """Exact division over Z, top-down by d's leading coefficient;
+        raises ArithmeticError when not exact."""
         if d.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
             return IntPoly()
-        rem = [Fraction(c) for c in self.coeffs]
+        rem = list(self.coeffs)
         dc = d.coeffs
         dn = len(dc)
-        lead = Fraction(dc[-1])
+        lead = dc[-1]
         nq = len(rem) - dn
         if nq < 0:
             raise ArithmeticError("inexact polynomial division")
-        out = [Fraction(0)] * (nq + 1)
+        out = [0] * (nq + 1)
         for i in range(nq, -1, -1):
-            c = rem[i + dn - 1]
-            if c:
-                t = c / lead
+            t, r = divmod(rem[i + dn - 1], lead)
+            if r:
+                raise ArithmeticError("inexact polynomial division")
+            if t:
                 out[i] = t
                 for j in range(dn):
                     rem[i + j] -= t * dc[j]
-        if any(rem) or any(f.denominator != 1 for f in out):
+        if any(rem):
             raise ArithmeticError("inexact polynomial division")
-        return IntPoly(tuple(int(f) for f in out))
+        return IntPoly(out)
 
     def __repr__(self):
         return f"IntPoly({list(self.coeffs)!r})"

@@ -142,6 +142,19 @@ def test_malformed_json_source_is_a_parse_error(capsys, tmp_path, doc):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_source_is_a_parse_error(capsys, tmp_path, kind):
+    src = tmp_path / "arr"
+    if kind == "directory":
+        src.mkdir()
+    else:
+        src.write_bytes(b"\xff\xfe1 0\n0 1\n")
+    code, out, err = _run(capsys, ["lattice", str(src)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_negative_lmax_rejected(capsys):
     code, _, err = _run(capsys, ["homology", "boolean:2", "--lmax", "-1"])
     assert code == 2

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,9 +24,16 @@ from magarr.magnitude import (
     varchenko_det,
     varchenko_det_check,
     varchenko_det_product,
-    varchenko_matrix,
 )
-from magarr.polyq import ONE, IntPoly, cyclotomic, reduce_fraction, series_expand
+from magarr.errors import CheckFailedError
+from magarr.polyq import (
+    ONE,
+    ZERO,
+    IntPoly,
+    cyclotomic,
+    reduce_fraction,
+    series_expand,
+)
 
 QUICK = [
     "boolean:1",
@@ -138,7 +147,9 @@ def test_alternating_violation_none_for_coordinate_case():
     assert alternating_violation((0, -1, 2)) is None
 
 
-@pytest.mark.parametrize("name", ["boolean:2", "boolean:3", "braid:3", "u34", "braid:4"])
+@pytest.mark.parametrize(
+    "name", ["boolean:2", "boolean:3", "braid:3", "u34", "braid:4", "coxeter:B3"]
+)
 def test_determinant_two_routes(name):
     _, graph, lattice, _ = geometry(name)
     ok, direct, predicted = varchenko_det_check(graph, lattice)
@@ -161,12 +172,103 @@ def test_bareiss_minors_are_leading_minors():
     assert _bareiss_minors(rows) == [IntPoly.const(2), IntPoly.const(3)]
 
 
+def varchenko_matrix(graph):
+    """Full chamber-by-chamber matrix of q powers (small inputs only)."""
+    size = len(graph)
+    return [
+        [IntPoly.monomial(graph.dist(i, j)) for j in range(size)]
+        for i in range(size)
+    ]
+
+
 def test_varchenko_matrix_det_matches_split_route():
     _, graph, _, _ = geometry("boolean:2")
     m = varchenko_matrix(graph)
     # 4x4 cofactor expansion by hand through the minors helper
     det = _bareiss_minors(m)[-1]
     assert det == varchenko_det(graph)
+
+
+def leibniz_det(rows):
+    """Determinant as the signed sum over permutations (ints or IntPolys)."""
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(
+            perm[i] > perm[j]
+            for i in range(len(perm)) for j in range(i + 1, len(perm))
+        )
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
+
+
+def leading_minors(rows):
+    return [leibniz_det([r[:k] for r in rows[:k]]) for k in range(1, len(rows) + 1)]
+
+
+def test_bareiss_minors_match_leibniz_on_random_matrices():
+    rng = random.Random(20240611)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        rows = [
+            [IntPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, 4))])
+             for _ in range(n)]
+            for _ in range(n)
+        ]
+        want = leading_minors(rows)
+        if not all(want[:-1]):
+            with pytest.raises(CheckFailedError):
+                _bareiss_minors(rows)
+        else:
+            assert _bareiss_minors(rows) == want
+
+
+def sylvester_hadamard(order):
+    h = [[1]]
+    while len(h) < order:
+        h = [r + r for r in h] + [r + [-x for x in r] for r in h]
+    return h
+
+
+@pytest.mark.parametrize("order", [4, 8])
+def test_bareiss_minors_at_the_hadamard_bound(order):
+    # entries +-q^j: the k-th minor is det(H_k) q^(0+...+k-1), and the
+    # last one's coefficient meets the bound prod_i sqrt(sum_j |m_ij|_1^2)
+    h = sylvester_hadamard(order)
+    rows = [[IntPoly.monomial(j, s) for j, s in enumerate(r)] for r in h]
+    want = [
+        IntPoly.monomial(k * (k - 1) // 2, leibniz_det([r[:k] for r in h[:k]]))
+        for k in range(1, order + 1)
+    ]
+    minors = _bareiss_minors(rows)
+    assert minors == want
+    assert minors[-1].leading() == order ** (order // 2)
+
+
+def test_bareiss_minors_singular_last_minor_is_zero():
+    q = IntPoly.monomial(1)
+    rows = [
+        [ONE, q, ONE + q],
+        [q, ONE, ONE + q],
+        [ONE - q, q - ONE, ZERO],
+    ]
+    minors = _bareiss_minors(rows)
+    assert minors == leading_minors(rows)
+    assert minors[-1] == ZERO and minors[-2] == ONE - q * q
+
+
+def test_bareiss_minors_zero_middle_pivot_raises():
+    q = IntPoly.monomial(1)
+    rows = [
+        [ONE, q, ONE],
+        [q, q * q, ONE],
+        [ONE, ONE, ONE],
+    ]
+    assert leading_minors(rows)[1] == ZERO
+    with pytest.raises(CheckFailedError):
+        _bareiss_minors(rows)
 
 
 def test_magnitude_fraction_orbit_reduction_consistent():
