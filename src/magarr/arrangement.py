@@ -61,9 +61,6 @@ class Arrangement:
     def n(self):
         return len(self.normals)
 
-    def label_of(self, h):
-        return self.labels[h]
-
     def __repr__(self):
         return f"Arrangement(d={self.dimension}, n={self.n})"
 
@@ -80,7 +77,7 @@ def parse_arrangement(rows, labels=None, name=None):
     for i, row in enumerate(rows):
         try:
             vals = [Fraction(x) for x in row]
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
+        except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
             raise ParseError(f"row {i}: cannot read entries ({exc})") from None
         parsed.append(vals)
     if not parsed:
@@ -332,10 +329,6 @@ class TopeGraph:
     def dist(self, i, j):
         return (self.masks[i] ^ self.masks[j]).bit_count()
 
-    def separation(self, i, j):
-        """Bitmask of hyperplanes separating chambers i and j."""
-        return self.masks[i] ^ self.masks[j]
-
     def antipode(self, i):
         full = (1 << self.n) - 1
         return self.index[self.masks[i] ^ full]
@@ -469,15 +462,9 @@ class FaceLattice:
         self.chamber_count = chamber_count
         self.rank = max(f.rank for f in flats)
         self._restriction_counts = {}
-        self._faces = {}
 
     def __len__(self):
         return len(self.flats)
-
-    def leq(self, i, j):
-        a = self.flats[i].hyperplanes
-        b = self.flats[j].hyperplanes
-        return set(a) <= set(b)
 
     def mobius(self, i, j):
         """Moebius function of the interval [i, j]; zero off-interval."""
@@ -487,10 +474,6 @@ class FaceLattice:
         """Indices of flats below or equal to flat j."""
         top = set(self.flats[j].hyperplanes)
         return [f.index for f in self.flats if set(f.hyperplanes) <= top]
-
-    def upper(self, i):
-        bot = set(self.flats[i].hyperplanes)
-        return [f.index for f in self.flats if bot <= set(f.hyperplanes)]
 
     def interval(self, i, j):
         bot = set(self.flats[i].hyperplanes)
@@ -684,38 +667,6 @@ def restrict(arrangement, hyperplanes):
     """Arrangement induced on the flat cut out by the given hyperplanes."""
     sub, _ = _restrict_with_basis(arrangement, hyperplanes)
     return sub
-
-
-def essentialize(arrangement):
-    """Quotient by the common intersection subspace.
-
-    With the reduced rows R_k of the normals (pivot columns c_k, pivot
-    entries p_k > 0) as coordinates y_k = R_k . x / p_k, a normal
-    a = sum_k (a[c_k] / p_k) R_k becomes the integer row (a[c_k])_k, so
-    a . x = sum_k a[c_k] y_k and sign vectors correspond exactly.
-    """
-    reduced, pivots = rref(arrangement.normals)
-    if len(pivots) == arrangement.dimension:
-        return arrangement
-    new_rows = []
-    for a in arrangement.normals:
-        if not in_row_space(reduced, pivots, a):
-            raise CheckFailedError("normal outside its own row space")
-        new_rows.append(primitive([a[c] for c in pivots]))
-    return Arrangement(
-        dimension=len(pivots),
-        normals=tuple(new_rows),
-        labels=arrangement.labels,
-    )
-
-
-def direct_sum(a, b):
-    """Arrangement in the product space with the two factor normal sets."""
-    d1, d2 = a.dimension, b.dimension
-    rows = [tuple(r) + (0,) * d2 for r in a.normals]
-    rows += [(0,) * d1 + tuple(r) for r in b.normals]
-    labels = tuple(f"L.{x}" for x in a.labels) + tuple(f"R.{x}" for x in b.labels)
-    return Arrangement(dimension=d1 + d2, normals=rows and tuple(rows), labels=labels)
 
 
 # ---------------------------------------------------------------------------

@@ -39,41 +39,40 @@ from .homology import (
     face_decomposition_check,
     four_cut_minimum,
     geodesic_betti_formula,
-    geodesic_homology_direct,
     interior_diagonal_boolean,
     magnitude_homology,
     reciprocity_check,
     small_length_identities,
 )
-from .magnitude import chamber_orbits, magnitude_direct, varchenko_det_check
-from .polyq import series_expand
+from .magnitude import (
+    chamber_orbits,
+    magnitude_direct,
+    magnitude_fraction,
+    varchenko_det_check,
+)
 
 TASKS = ("mag", "homology", "lattice", "verify", "conjectures")
 REPORT_SCHEMA = 1
 SCHEMA_VERSION = 2  # cache payload
 DET_CHECK_AUTO_LIMIT = 60
-GEODESIC_CHECK_LIMIT = 60
 FOUR_CUT_LIMIT = 60
 
 
 @dataclass
 class JobSpec:
-    """One batch request; the CLI builds exactly one per invocation."""
+    """One request; the CLI builds exactly one per invocation."""
 
     source: str
-    tasks: tuple
+    task: str
     lmax: int = None
-    det_check: bool = None  # None: run when the graph is small enough
+    det_check: bool = False  # also run on graphs above DET_CHECK_AUTO_LIMIT
     face_check: bool = True
     json_path: str = None
     cache_dir: str = None
 
     def __post_init__(self):
-        if not self.tasks:
-            raise ParseError("a job needs at least one task")
-        for t in self.tasks:
-            if t not in TASKS:
-                raise ParseError(f"unknown task {t!r}")
+        if self.task not in TASKS:
+            raise ParseError(f"unknown task {self.task!r}")
         if self.lmax is not None and self.lmax < 0:
             raise ParseError("--lmax must be nonnegative")
 
@@ -179,7 +178,11 @@ def get_geometry(arrangement, cache_dir):
     if not cache_dir:
         graph = enumerate_chambers(arrangement)
         return graph, intersection_lattice(arrangement, graph), "off"
-    os.makedirs(cache_dir, exist_ok=True)
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+    except OSError as exc:
+        raise ParseError(
+            f"--cache {cache_dir}: not a usable directory ({exc})") from None
     path = os.path.join(cache_dir, cache_key(arrangement) + ".json")
     if os.path.exists(path):
         try:
@@ -246,8 +249,6 @@ def _torsion_out(table):
 
 
 def _maybe_det(job, graph, lattice):
-    if job.det_check is False:
-        return None
     if job.det_check or len(graph) <= DET_CHECK_AUTO_LIMIT:
         ok, _, _ = varchenko_det_check(graph, lattice)
         return ok
@@ -272,16 +273,13 @@ def _mag_task(job, arrangement, graph, lattice, perms):
     det = _maybe_det(job, graph, lattice)
     if det is not None:
         out["checks"]["varchenko_det_product"] = det
-    return out, res
+    return out
 
 
-def _homology_task(job, arrangement, graph, lattice, perms, mag_res):
+def _homology_task(job, arrangement, graph, perms):
     lmax = job.lmax if job.lmax is not None else default_length_cap(graph)
-    expected = mag_res.series
-    if lmax >= len(expected):
-        expected = series_expand(mag_res.magnitude, lmax)
     res = magnitude_homology(arrangement, graph, lmax=lmax, perms=perms,
-                             expected_euler=expected)
+                             magnitude=magnitude_fraction(graph, perms))
     out = {
         "lmax": res.lmax,
         "betti": _cells_out(res.betti),
@@ -292,7 +290,7 @@ def _homology_task(job, arrangement, graph, lattice, perms, mag_res):
     }
     if len(graph) <= FOUR_CUT_LIMIT:
         out["four_cut_min"] = four_cut_minimum(graph, perms=perms)
-    return out, res
+    return out
 
 
 def _lattice_task(lattice):
@@ -312,11 +310,13 @@ def _lattice_task(lattice):
     }
 
 
-def _conjectures_task(job, arrangement, graph, lattice, perms, mag_res):
+def _conjectures_task(job, arrangement, graph, lattice, perms):
     lmax = job.lmax if job.lmax is not None else default_length_cap(graph)
+    mag = magnitude_direct(arrangement, graph, perms=perms, lattice=lattice,
+                           face_check=False)
     hom = magnitude_homology(arrangement, graph, lmax=lmax, perms=perms,
                              verify_d2=False)
-    return conjecture_probes(arrangement, graph, lattice, mag_res, hom)
+    return conjecture_probes(arrangement, graph, lattice, mag, hom)
 
 
 def _verify_task(job, arrangement, name, is_file, graph, lattice, perms):
@@ -356,25 +356,20 @@ def _verify_task(job, arrangement, name, is_file, graph, lattice, perms):
         lmax = fixture["lmax"]
     else:
         lmax = default_length_cap(graph)
-    expected = mag.series
-    if lmax >= len(expected):
-        expected = series_expand(mag.magnitude, lmax)
     hom = None
     try:
         hom = magnitude_homology(arrangement, graph, lmax=lmax, perms=perms,
-                                 verify_d2=True, expected_euler=expected)
+                                 verify_d2=True, magnitude=mag.magnitude)
         checks["hom:boundary_squares_to_zero"] = True
     except CheckFailedError:
         checks["hom:boundary_squares_to_zero"] = False
     if hom is not None:
         for key, val in hom.checks.items():
             checks[f"hom:{key}"] = val
-        if len(graph) <= GEODESIC_CHECK_LIMIT:
-            direct, gtor = geodesic_homology_direct(graph, lmax, perms)
-            formula = geodesic_betti_formula(lattice)
-            checks["hom:geodesic_two_routes"] = not gtor and {
-                k: v for k, v in direct.items() if v
-            } == {k: v for k, v in formula.items() if v and k[1] <= lmax}
+        formula = geodesic_betti_formula(lattice)
+        checks["hom:geodesic_two_routes"] = not hom.geodesic_torsion and {
+            k: v for k, v in hom.geodesic_betti.items() if v
+        } == {k: v for k, v in formula.items() if v and k[1] <= lmax}
         for key, val in small_length_identities(hom, lattice).items():
             checks[f"hom:{key}"] = val
         diag = diagonal_betti_formula(lattice, lmax)
@@ -457,40 +452,25 @@ def run(job):
                 lattice.characteristic_polynomial()
             ),
         },
-        "tasks": {},
     }
-    failures = []
-    mag_res = None
-
-    def note_failures(task, out):
-        for key, val in out.get("checks", {}).items():
-            if not val:
-                failures.append(f"{task}:{key}")
-
-    for task in job.tasks:
-        t0 = time.time()
-        if task == "mag":
-            out, mag_res = _mag_task(job, arrangement, graph, lattice, perms)
-            note_failures(task, out)
-        elif task == "homology":
-            if mag_res is None:
-                _, mag_res = _mag_task(job, arrangement, graph, lattice, perms)
-            out, _ = _homology_task(job, arrangement, graph, lattice, perms,
-                                    mag_res)
-            note_failures(task, out)
-        elif task == "lattice":
-            out = _lattice_task(lattice)
-        elif task == "conjectures":
-            if mag_res is None:
-                _, mag_res = _mag_task(job, arrangement, graph, lattice, perms)
-            out = _conjectures_task(job, arrangement, graph, lattice, perms,
-                                    mag_res)
-        else:
-            out = _verify_task(job, arrangement, name, is_file, graph,
-                               lattice, perms)
-            note_failures(task, out)
-        bundle["tasks"][task] = out
-        print(f"{task}: {time.time() - t0:.2f}s", file=sys.stderr)
+    task = job.task
+    t0 = time.time()
+    if task == "mag":
+        out = _mag_task(job, arrangement, graph, lattice, perms)
+    elif task == "homology":
+        out = _homology_task(job, arrangement, graph, perms)
+    elif task == "lattice":
+        out = _lattice_task(lattice)
+    elif task == "conjectures":
+        out = _conjectures_task(job, arrangement, graph, lattice, perms)
+    else:
+        out = _verify_task(job, arrangement, name, is_file, graph, lattice,
+                           perms)
+    bundle["tasks"] = {task: out}
+    print(f"{task}: {time.time() - t0:.2f}s", file=sys.stderr)
+    failures = [
+        f"{task}:{key}" for key, val in out.get("checks", {}).items() if not val
+    ]
     return bundle, failures
 
 
@@ -548,67 +528,64 @@ def render(bundle):
         f"{a['name']}: dimension {a['dimension']}, {a['hyperplanes']} "
         f"hyperplanes, rank {a['rank']}, {a['chambers']} chambers"
     ]
-    for task in TASKS:
-        out = bundle["tasks"].get(task)
-        if out is None:
-            continue
-        if task == "mag":
-            lines.append(
-                "magnitude = (%s) / (%s)"
-                % (_poly_text(out["magnitude"]["num"]),
-                   _poly_text(out["magnitude"]["den"]))
+    ((task, out),) = bundle["tasks"].items()
+    if task == "mag":
+        lines.append(
+            "magnitude = (%s) / (%s)"
+            % (_poly_text(out["magnitude"]["num"]),
+               _poly_text(out["magnitude"]["den"]))
+        )
+        lines.append("series: " + _series_text(out["series"]))
+        lines.append(
+            "interior = (%s) / (%s)"
+            % (_poly_text(out["interior"]["num"]),
+               _poly_text(out["interior"]["den"]))
+        )
+        factors = " ".join(
+            f"Phi_{k}^{m}" if m > 1 else f"Phi_{k}"
+            for k, m in out["cyclotomic_denominator"]
+        )
+        lines.append(f"denominator factors: {factors or '1'}")
+        lines.append(
+            f"chamber orbits: {out['orbit_count']}, symmetry order: "
+            f"{out['symmetry_order']}"
+        )
+        lines.append(_checks_text(out["checks"]))
+    elif task == "homology":
+        lines.append(f"betti table to length {out['lmax']}:")
+        lines.extend(_betti_tsv(out["betti"], out["lmax"]))
+        if out["torsion"]:
+            items = "; ".join(
+                f"({key}): {vals}" for key, vals in out["torsion"].items()
             )
-            lines.append("series: " + _series_text(out["series"]))
-            lines.append(
-                "interior = (%s) / (%s)"
-                % (_poly_text(out["interior"]["num"]),
-                   _poly_text(out["interior"]["den"]))
-            )
-            factors = " ".join(
-                f"Phi_{k}^{m}" if m > 1 else f"Phi_{k}"
-                for k, m in out["cyclotomic_denominator"]
-            )
-            lines.append(f"denominator factors: {factors or '1'}")
-            lines.append(
-                f"chamber orbits: {out['orbit_count']}, symmetry order: "
-                f"{out['symmetry_order']}"
-            )
-            lines.append(_checks_text(out["checks"]))
-        elif task == "homology":
-            lines.append(f"betti table to length {out['lmax']}:")
-            lines.extend(_betti_tsv(out["betti"], out["lmax"]))
-            if out["torsion"]:
-                items = "; ".join(
-                    f"({key}): {vals}" for key, vals in out["torsion"].items()
-                )
-                lines.append(f"torsion: {items}")
-            else:
-                lines.append("torsion: none")
-            if out.get("four_cut_min") is not None:
-                lines.append(f"shortest non-geodesic 3-chain: {out['four_cut_min']}")
-            lines.append(_checks_text(out["checks"]))
-        elif task == "lattice":
-            lines.append(
-                "characteristic polynomial coefficients (ascending): "
-                + ", ".join(str(c) for c in out["characteristic_polynomial"])
-            )
-            by_rank = {}
-            for f in out["flats"]:
-                by_rank.setdefault(f["rank"], []).append(f)
-            for r in sorted(by_rank):
-                lines.append(f"rank {r}: {len(by_rank[r])} flats")
-            lines.append(f"chambers: {out['chambers']}")
-        elif task == "verify":
-            for key in sorted(out["checks"]):
-                status = "PASS" if out["checks"][key] else "FAIL"
-                lines.append(f"{status} {key}")
-            good = sum(1 for v in out["checks"].values() if v)
-            lines.append(
-                f"verify: {good}/{len(out['checks'])} checks passed "
-                f"(lmax={out['lmax']})"
-            )
+            lines.append(f"torsion: {items}")
         else:
-            lines.append(json.dumps(out, indent=1, sort_keys=True))
+            lines.append("torsion: none")
+        if out.get("four_cut_min") is not None:
+            lines.append(f"shortest non-geodesic 3-chain: {out['four_cut_min']}")
+        lines.append(_checks_text(out["checks"]))
+    elif task == "lattice":
+        lines.append(
+            "characteristic polynomial coefficients (ascending): "
+            + ", ".join(str(c) for c in out["characteristic_polynomial"])
+        )
+        by_rank = {}
+        for f in out["flats"]:
+            by_rank.setdefault(f["rank"], []).append(f)
+        for r in sorted(by_rank):
+            lines.append(f"rank {r}: {len(by_rank[r])} flats")
+        lines.append(f"chambers: {out['chambers']}")
+    elif task == "verify":
+        for key in sorted(out["checks"]):
+            status = "PASS" if out["checks"][key] else "FAIL"
+            lines.append(f"{status} {key}")
+        good = sum(1 for v in out["checks"].values() if v)
+        lines.append(
+            f"verify: {good}/{len(out['checks'])} checks passed "
+            f"(lmax={out['lmax']})"
+        )
+    else:
+        lines.append(json.dumps(out, indent=1, sort_keys=True))
     return lines
 
 
@@ -641,9 +618,9 @@ def main(argv=None):
     try:
         job = JobSpec(
             source=args.source,
-            tasks=(args.task,),
+            task=args.task,
             lmax=args.lmax,
-            det_check=True if args.det_check else None,
+            det_check=args.det_check,
             face_check=not args.no_face_check,
             json_path=args.json,
             cache_dir=args.cache or os.environ.get("MAGARR_CACHE"),
@@ -658,12 +635,17 @@ def main(argv=None):
     except MagarrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if job.json_path:
+        try:
+            with open(job.json_path, "w") as fh:
+                json.dump(bundle, fh, sort_keys=True, indent=1)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"error: --json {job.json_path}: cannot write ({exc})",
+                  file=sys.stderr)
+            return 2
     for line in render(bundle):
         print(line)
-    if job.json_path:
-        with open(job.json_path, "w") as fh:
-            json.dump(bundle, fh, sort_keys=True, indent=1)
-            fh.write("\n")
     if failures:
         print("failed checks: " + ", ".join(sorted(failures)), file=sys.stderr)
         return 1

@@ -8,6 +8,13 @@ times each hyperplane is crossed are all preserved, so the complex
 splits into finite blocks which are resolved independently over the
 integers.  Chamber symmetries act freely on blocks by relabelling the
 start, so only one start per orbit is enumerated.
+
+A block whose length equals the distance from its start to its end is
+geodesic: its chains run through the interval between the two chambers,
+and the block is the order complex of that interval (Kaneta-Yoshinaga),
+shifted up by two degrees.  The main run tallies these blocks as the
+geodesic part, which ``geodesic_betti_formula`` predicts from the flat
+poset alone; the two are the two routes of the geodesic check.
 """
 
 from collections import defaultdict
@@ -17,13 +24,13 @@ import math
 from .arrangement import (
     enumerate_chambers,
     flat_orbits,
-    intersection_lattice,
     localize,
     orbits_of_permutations,
 )
 from .errors import BudgetExceededError, CheckFailedError
 from .linalg import complex_homology, matrix_rank
 from .magnitude import alternating_violation, chamber_orbits, profile_uniform
+from .polyq import series_expand
 
 DEFAULT_LENGTH_BUDGET = 5_000_000
 
@@ -104,7 +111,7 @@ def _start_blocks(graph, start, lmax, per_length_counts, per_length_budget,
     return blocks
 
 
-def _block_homology(block, masks, want_torsion=True, verify_d2=True):
+def _block_homology(block, masks, verify_d2=True):
     """Betti numbers and torsion of one block, graded by degree.
 
     Returns {degree: (betti, torsion factors, chain count)}.
@@ -140,7 +147,7 @@ def _block_homology(block, masks, want_torsion=True, verify_d2=True):
     if verify_d2:
         _assert_d2_zero(boundaries)
     dims = {k: len(block[k]) for k in degrees}
-    hom = complex_homology(dims, boundaries, want_torsion)
+    hom = complex_homology(dims, boundaries)
     return {
         k: (hom[k][0], hom[k][1], dims[k])
         for k in degrees
@@ -222,7 +229,11 @@ def chain_count_table(graph, lmax, orbit_data=None):
 
 @dataclass
 class HomologyResult:
-    """Betti table with torsion and consistency data."""
+    """Betti table with torsion and consistency data.
+
+    ``geodesic_betti`` and ``geodesic_torsion`` are the part of the
+    table carried by the geodesic blocks (length = d(start, end)).
+    """
 
     lmax: int
     betti: dict
@@ -230,6 +241,8 @@ class HomologyResult:
     chain_dims: dict
     interior_betti: dict
     interior_torsion: dict
+    geodesic_betti: dict
+    geodesic_torsion: dict
     chamber_count: int
     checks: dict = field(default_factory=dict)
 
@@ -240,31 +253,16 @@ class HomologyResult:
     def betti_at(self, k, length):
         return self.betti.get((k, length), 0)
 
-    def torsion_free(self):
-        return not any(self.torsion.values())
-
-    def rows(self):
-        """Matrix of ranks: row per degree, column per length."""
-        if not self.betti:
-            return []
-        kmax = max(k for k, _ in self.betti)
-        out = []
-        for k in range(kmax + 1):
-            out.append([self.betti.get((k, l), 0) for l in range(self.lmax + 1)])
-        return out
-
 
 def magnitude_homology(arrangement, graph=None, lmax=None, perms=None,
                        per_length_budget=DEFAULT_LENGTH_BUDGET,
-                       interior_only=False, verify_d2=True,
-                       expected_euler=None):
+                       interior_only=False, verify_d2=True, magnitude=None):
     """Bigraded Betti table through total length ``lmax``.
 
     ``interior_only`` restricts the complex to chains crossing every
     hyperplane, which is the summand entering the face decomposition.
-    When ``expected_euler`` maps lengths to integers (normally the
-    magnitude series), the per-length Euler characteristics of the
-    chain spaces are checked against it.
+    When ``magnitude`` (a RatFunc) is given, the per-length Euler
+    characteristics of the chain spaces are checked against its series.
     """
     if graph is None:
         graph = enumerate_chambers(arrangement)
@@ -277,6 +275,8 @@ def magnitude_homology(arrangement, graph=None, lmax=None, perms=None,
     dims = defaultdict(int)
     int_betti = defaultdict(int)
     int_torsion = defaultdict(list)
+    geo_betti = defaultdict(int)
+    geo_torsion = defaultdict(list)
     per_length_counts = {}
     for orbit in orbits:
         rep = orbit[0]
@@ -285,20 +285,20 @@ def magnitude_homology(arrangement, graph=None, lmax=None, perms=None,
             graph, rep, lmax, per_length_counts, per_length_budget,
             full_support_only=interior_only,
         )
-        for (length, _end, profile), block in blocks.items():
+        for (length, end, profile), block in blocks.items():
             summary = _block_homology(block, masks, verify_d2=verify_d2)
-            interior = 0 not in profile
+            parts = [(betti, torsion)]
+            if 0 not in profile:
+                parts.append((int_betti, int_torsion))
+            if length == graph.dist(rep, end):
+                parts.append((geo_betti, geo_torsion))
             for k, (b, tor, dim) in summary.items():
-                if b:
-                    betti[(k, length)] += weight * b
-                if tor:
-                    torsion[(k, length)].extend(tor * weight)
                 dims[(k, length)] += weight * dim
-                if interior:
+                for part_betti, part_torsion in parts:
                     if b:
-                        int_betti[(k, length)] += weight * b
+                        part_betti[(k, length)] += weight * b
                     if tor:
-                        int_torsion[(k, length)].extend(tor * weight)
+                        part_torsion[(k, length)].extend(tor * weight)
 
     checks = {}
     if not interior_only:
@@ -307,9 +307,10 @@ def magnitude_homology(arrangement, graph=None, lmax=None, perms=None,
         euler_enum = _euler_by_length(dims, lmax)
         euler_homology = _euler_by_length(betti, lmax)
         checks["euler_of_homology_matches_chains"] = euler_enum == euler_homology
-        if expected_euler is not None:
+        if magnitude is not None:
+            series = series_expand(magnitude, lmax)
             checks["euler_matches_series"] = all(
-                euler_enum.get(l, 0) == expected_euler[l] for l in range(lmax + 1)
+                euler_enum.get(l, 0) == series[l] for l in range(lmax + 1)
             )
     result = HomologyResult(
         lmax=lmax,
@@ -318,6 +319,8 @@ def magnitude_homology(arrangement, graph=None, lmax=None, perms=None,
         chain_dims=dict(dims),
         interior_betti=dict(int_betti),
         interior_torsion=_tidy_torsion(int_torsion),
+        geodesic_betti=dict(geo_betti),
+        geodesic_torsion=_tidy_torsion(geo_torsion),
         chamber_count=len(graph),
         checks=checks,
     )
@@ -337,7 +340,7 @@ def _tidy_torsion(torsion):
 
 
 # ---------------------------------------------------------------------------
-# geodesic part, two routes
+# geodesic part from the flat poset
 
 
 def geodesic_betti_formula(lattice):
@@ -347,7 +350,8 @@ def geodesic_betti_formula(lattice):
     only sees the hyperplanes separating a from b, whose closure is a
     flat X; summing the order-complex homology over all such pairs
     collapses to c^X (restriction chambers) times c_X (chambers meeting
-    the flat) at bidegree (rank X, #A_X).
+    the flat) at bidegree (rank X, #A_X).  ``magnitude_homology``
+    tallies the same blocks directly as its geodesic part.
     """
     out = {}
     for f in lattice.flats:
@@ -356,121 +360,6 @@ def geodesic_betti_formula(lattice):
         key = (f.rank, f.size)
         out[key] = out.get(key, 0) + c_upper * c_lower
     return out
-
-
-def _pair_orbits(graph, perms):
-    size = len(graph)
-    seen = [False] * size * size
-    out = []
-    for a in range(size):
-        for b in range(size):
-            pos = a * size + b
-            if seen[pos]:
-                continue
-            members = 0
-            stack = [(a, b)]
-            seen[pos] = True
-            while stack:
-                u, v = stack.pop()
-                members += 1
-                for p in perms:
-                    w = (p[u], p[v])
-                    wpos = w[0] * size + w[1]
-                    if not seen[wpos]:
-                        seen[wpos] = True
-                        stack.append(w)
-            out.append(((a, b), members))
-    return out
-
-
-def _interval_poset(graph, a, b):
-    """Chambers strictly between a and b, with the betweenness order."""
-    sep_ab = graph.masks[a] ^ graph.masks[b]
-    points = []
-    for u in range(len(graph)):
-        if u == a or u == b:
-            continue
-        su = graph.masks[a] ^ graph.masks[u]
-        if su | sep_ab == sep_ab:
-            points.append(u)
-    below = {}
-    for u in points:
-        su = graph.masks[a] ^ graph.masks[u]
-        below[u] = su
-    less = {u: [] for u in points}
-    for u in points:
-        for v in points:
-            if u != v and below[u] | below[v] == below[v]:
-                less[u].append(v)
-    return points, less
-
-
-def _order_complex_reduced_betti(points, less):
-    """Reduced Betti numbers and torsion of the order complex.
-
-    The empty simplex is kept in dimension -1, so a poset with no
-    points reports one class there.
-    """
-    simplices = {-1: [()]}
-    stack = [(u,) for u in points]
-    while stack:
-        chain = stack.pop()
-        simplices.setdefault(len(chain) - 1, []).append(chain)
-        for v in less[chain[-1]]:
-            stack.append(chain + (v,))
-    degrees = sorted(simplices)
-    index = {d: {s: i for i, s in enumerate(simplices[d])} for d in degrees}
-    boundaries = {}
-    for d in degrees:
-        if d < 0:
-            continue
-        lower = index[d - 1]
-        cols = {}
-        for col, s in enumerate(simplices[d]):
-            colmap = {}
-            for j in range(d + 1):
-                face = s[:j] + s[j + 1 :]
-                row = lower[face]
-                sign = -1 if j % 2 else 1
-                coeff = colmap.get(row, 0) + sign
-                if coeff:
-                    colmap[row] = coeff
-                else:
-                    del colmap[row]
-            if colmap:
-                cols[col] = colmap
-        if cols:
-            boundaries[d] = cols
-    dims = {d: len(simplices[d]) for d in degrees}
-    return complex_homology(dims, boundaries)
-
-
-def geodesic_homology_direct(graph, lmax, perms=None):
-    """Geodesic ranks from interval order complexes, pair by pair.
-
-    A chain between a and b of total length exactly d(a, b) is a chain
-    in the open interval poset, so those blocks are order complexes and
-    their homology appears in bidegree (j + 2, d(a, b)) for reduced
-    homology in dimension j, with (0, 0) counting the chambers.
-    """
-    if perms is None:
-        _, _, perms = chamber_orbits(graph)
-    table = defaultdict(int)
-    torsion = defaultdict(list)
-    for (a, b), weight in _pair_orbits(graph, perms):
-        d = graph.dist(a, b)
-        if d > lmax:
-            continue
-        if a == b:
-            table[(0, 0)] += weight
-            continue
-        points, less = _interval_poset(graph, a, b)
-        for j, (betti, tor) in _order_complex_reduced_betti(points, less).items():
-            if betti:
-                table[(j + 2, d)] += weight * betti
-            if tor:
-                torsion[(j + 2, d)].extend(tor * weight)
-    return dict(table), _tidy_torsion(torsion)
 
 
 # ---------------------------------------------------------------------------
@@ -602,15 +491,14 @@ def face_decomposition_check(arrangement, graph, lattice, result, perms,
     return got == want, got
 
 
-def four_cut_minimum(graph, cap=None, perms=None):
+def four_cut_minimum(graph, perms=None):
     """Shortest degree-3 chain whose halves are geodesic but which is not.
 
     Crossing sets s1, s2, s3 of the three steps must satisfy s1 and s2
     disjoint, s2 and s3 disjoint, s1 meeting s3.  Returns the minimal
-    total length, or None when none exists up to ``cap``.
+    total length, or None when none exists up to n + 2.
     """
-    if cap is None:
-        cap = graph.n + 2
+    cap = graph.n + 2
     if perms is None:
         _, _, perms = chamber_orbits(graph)
     _, orbits = orbits_of_permutations(len(graph), perms)

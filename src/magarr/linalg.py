@@ -97,7 +97,7 @@ def clear_denominators(vec):
     return primitive([int(f * lcm) for f in fr])
 
 
-def snf_diagonal(entries, nrows, ncols):
+def snf_diagonal(entries):
     """Diagonal entries of the Smith normal form of a sparse integer matrix.
 
     ``entries`` maps (i, j) to a nonzero int.  Returns the positive diagonal
@@ -204,16 +204,10 @@ def snf_diagonal(entries, nrows, ncols):
     return tuple(sorted(diag))
 
 
-def snf_summary(entries, nrows, ncols):
-    """(rank, invariant factors greater than 1) of a sparse integer matrix."""
-    diag = snf_diagonal(entries, nrows, ncols)
-    return len(diag), tuple(d for d in diag if d > 1)
-
-
 _DEGREE_SHIFT = 48
 
 
-def complex_homology(dims, boundaries, want_torsion=True):
+def complex_homology(dims, boundaries):
     """Integral homology of a finite free chain complex.
 
     ``dims`` maps degree to basis size; ``boundaries`` maps degree k to
@@ -327,11 +321,11 @@ def complex_homology(dims, boundaries, want_torsion=True):
                     row_count[k] += 1
                 core[k][(i, j)] = v
         for k, entries in core.items():
-            diag = snf_diagonal(entries, row_count[k], col_count[k])
+            diag = snf_diagonal(entries)
             ranks[k] = len(diag)
             tors[k] = tuple(x for x in diag if x > 1)
     out = {}
     for k in dims:
         betti = alive.get(k, 0) - ranks.get(k, 0) - ranks.get(k + 1, 0)
-        out[k] = (betti, tors.get(k + 1, ()) if want_torsion else ())
+        out[k] = (betti, tors.get(k + 1, ()))
     return out

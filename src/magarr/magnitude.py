@@ -239,7 +239,7 @@ def _flat_interior_term(lattice, y, mag_y):
     return shift * mag_y
 
 
-def magnitude_by_face_decomposition(lattice, enumerated_top=True):
+def magnitude_by_face_decomposition(lattice):
     """Magnitude via the recursion over localizations at flats.
 
     Every face of the arrangement is a chamber of the restriction to
@@ -250,8 +250,8 @@ def magnitude_by_face_decomposition(lattice, enumerated_top=True):
     where c^Y[Y,X] counts chambers of the restriction of A_X to Y.
     Solving for the X term gives the recursion used here.  For flats
     below the top, c^Y[Y,X] is the interval Moebius sum; at the top
-    level the counts are taken from actual restriction enumerations
-    when ``enumerated_top`` is set, which crosses the two routes.
+    level the counts are taken from actual restriction enumerations,
+    which crosses the two routes.
     """
     flats = lattice.flats
     top = flats[-1]
@@ -262,7 +262,7 @@ def magnitude_by_face_decomposition(lattice, enumerated_top=True):
         raise CheckFailedError("first flat is not the bottom")
     for f in flats[1:]:
         x = f.index
-        use_enum = enumerated_top and f.index == top.index
+        use_enum = f.index == top.index
         acc = RAT_ZERO
         for y in lattice.lower(x):
             if y == x:
@@ -309,11 +309,6 @@ class Rank3Stats:
             chambers=lattice.chamber_count,
             line_weights=weights,
         )
-
-
-# 18 lines, 216 chambers, 30 ordinary and 92 triple points: statistics of
-# a line arrangement whose series coefficients stop alternating in sign.
-EIGHTEEN_LINES = Rank3Stats(n=18, chambers=216, line_weights={2: 30, 3: 92})
 
 
 def rank3_magnitude(stats):

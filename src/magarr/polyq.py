@@ -147,9 +147,6 @@ class IntPoly:
             g = -g
         return IntPoly(tuple(c // g for c in self.coeffs))
 
-    def derivative(self) -> "IntPoly":
-        return IntPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i >= 1))
-
     def evaluate(self, x):
         acc = 0
         for c in reversed(self.coeffs):
@@ -162,13 +159,6 @@ class IntPoly:
 
     def is_palindromic(self) -> bool:
         return bool(self.coeffs) and self.coeffs == tuple(reversed(self.coeffs))
-
-    def valuation(self) -> int:
-        """Exponent of the lowest nonzero term (0 for the zero polynomial)."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return 0
 
     def divexact(self, d: "IntPoly") -> "IntPoly":
         """Exact division over Z, top-down by d's leading coefficient;
@@ -225,7 +215,6 @@ class IntPoly:
 
 ZERO = IntPoly()
 ONE = IntPoly((1,))
-Q = IntPoly((0, 1))
 
 
 def _prem(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -475,25 +464,6 @@ def is_denominator_cyclotomic(den: IntPoly):
     ok = rem.degree == 0 and abs(rem.constant()) == 1
     no_phi1 = all(k != 1 for k, _ in factors)
     return ok and no_phi1, factors
-
-
-def q_number(n: int) -> IntPoly:
-    """[n]_q = 1 + q + ... + q**(n-1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return IntPoly((1,) * n)
-
-
-def q_factorial_products(ns) -> IntPoly:
-    """Product of q-integers [n]_q over the given exponents."""
-    out = ONE
-    for n in ns:
-        out = out * q_number(n)
-    return out
-
-
-def check_palindromic(p: IntPoly) -> bool:
-    return p.is_palindromic()
 
 
 def reverse_substitute(f: RatFunc) -> RatFunc:

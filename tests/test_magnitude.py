@@ -8,10 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import geometry, magnitude_of
+from conftest import EIGHTEEN_LINES, geometry, magnitude_of
 from magarr.cli import golden_magnitude
 from magarr.magnitude import (
-    EIGHTEEN_LINES,
     Rank3Stats,
     _bareiss_minors,
     alternating_violation,
