@@ -13,15 +13,10 @@ of their masks.
 
 from dataclasses import dataclass
 from fractions import Fraction
-import itertools
+from math import factorial
 
 from .errors import ParseError, CheckFailedError
 from .linalg import clear_denominators, in_row_space, nullspace, primitive, rref
-
-# Candidate symmetry search enumerates signed coordinate permutations,
-# which is 2^d * d! maps.  Above this cap only the antipodal map and
-# pure sign flips are tried.
-_SYMMETRY_SEARCH_CAP = 50000
 
 
 def _dot(a, b):
@@ -37,16 +32,12 @@ def _sign(x):
 
 
 def _sign_canonical(row):
-    """Flip a primitive row so its first nonzero entry is positive.
-
-    Returns (canonical_row, sign) with row == sign * canonical_row.
-    """
+    """The one of the tuples row and -row whose first nonzero entry is
+    positive (row itself when it is zero)."""
     for x in row:
         if x:
-            if x < 0:
-                return tuple(-v for v in row), -1
-            return tuple(row), 1
-    raise ValueError("zero row has no canonical sign")
+            return row if x > 0 else tuple(-v for v in row)
+    return row
 
 
 @dataclass(frozen=True)
@@ -93,7 +84,7 @@ def parse_arrangement(rows, labels=None, name=None):
     normals = tuple(clear_denominators(v) for v in parsed)
     seen = {}
     for i, nr in enumerate(normals):
-        key, _ = _sign_canonical(nr)
+        key = _sign_canonical(nr)
         if key in seen:
             raise ParseError(f"rows {seen[key]} and {i} define the same hyperplane")
         seen[key] = i
@@ -649,7 +640,7 @@ def _restrict_with_basis(arrangement, hyperplanes):
         if not any(row):
             continue
         prim = primitive(row)
-        key, _ = _sign_canonical(prim)
+        key = _sign_canonical(prim)
         if key in seen:
             continue
         seen.add(key)
@@ -673,90 +664,177 @@ def restrict(arrangement, hyperplanes):
 # symmetries
 
 
-def tope_symmetries(graph):
+@dataclass(frozen=True)
+class SymmetryGroup:
     """Chamber permutations induced by signed coordinate symmetries.
 
-    Searches every map x_k -> s_k x_{pi(k)} that permutes the hyperplane
-    set, plus the antipodal map (always present for a central
-    arrangement).  Returns a sorted tuple of distinct permutation
-    tuples on chamber indices, always containing the identity.
+    ``generators`` are permutation tuples on chamber indices, and
+    ``hyperplane_perms[i]`` is the hyperplane relabelling of generator i:
+    chambers adjacent across h go to chambers adjacent across
+    ``hyperplane_perms[i][h]``.  ``order`` is the order of the group they
+    generate, which ``len()`` returns too.
+    """
+
+    generators: tuple
+    hyperplane_perms: tuple
+    order: int
+
+    def __len__(self):
+        return self.order
+
+
+def _signed_orbit(point, maps):
+    """Orbit of a signed basis vector (j, s) = s * e_j under signed maps."""
+    seen = {point}
+    stack = [point]
+    while stack:
+        j, s = stack.pop()
+        for m in maps:
+            t, e = m[j]
+            image = (t, s * e)
+            if image not in seen:
+                seen.add(image)
+                stack.append(image)
+    return seen
+
+
+def _permutes_normals(normals, prefix):
+    """Whether a partial signed map can extend to one permuting the
+    hyperplanes: the normals' images on the assigned target coordinates
+    must equal, up to sign and order, the normals on those coordinates,
+    since each image is exactly +- a normal (normals are primitive)."""
+    have = [tuple(s * a[k] for k, (_, s) in enumerate(prefix)) for a in normals]
+    want = [tuple(a[t] for t, _ in prefix) for a in normals]
+    return (sorted(map(_sign_canonical, have))
+            == sorted(map(_sign_canonical, want)))
+
+
+def _complete(normals, prefix, columns):
+    """A signed map extending ``prefix`` whose every prefix passes
+    ``_permutes_normals``, or None, by backtracking one coordinate at a
+    time.  As a quick first test, coordinate k can only go to a
+    coordinate t whose column has the same sorted absolute values
+    (``columns``)."""
+    k = len(prefix)
+    if columns[prefix[-1][0]] != columns[k - 1]:
+        return None
+    if not _permutes_normals(normals, prefix):
+        return None
+    if k == len(columns):
+        return prefix
+    used = {t for t, _ in prefix}
+    for t in range(len(columns)):
+        if t in used:
+            continue
+        for s in (1, -1):
+            found = _complete(normals, prefix + ((t, s),), columns)
+            if found is not None:
+                return found
+    return None
+
+
+def _signed_map_group(normals, d):
+    """Generators and order of the group of signed coordinate maps of R^d
+    that permute the normals up to sign.
+
+    A map is a tuple of (target, sign) pairs sending e_k to
+    sign * e_target, so a covector a goes to the covector with entry
+    sign * a[k] at target.  Level k of the stabilizer chain fixes
+    e_0, ..., e_{k-1}; the levels are filled from the last one up, so the
+    generators found so far generate the stabilizer of level k + 1 and
+    part of level k.  An image of e_k in their orbit is reached; any
+    other is searched for by backtracking over the free coordinates, and
+    a map found joins the generators, while a failed search rules out
+    the whole orbit of that image.  The order is the product of the orbit
+    lengths of e_k over the levels (Seress, *Permutation Group
+    Algorithms*, 2003, ch. 9).
+    """
+    columns = [sorted(abs(a[k]) for a in normals) for k in range(d)]
+    maps = []
+    order = 1
+    for k in reversed(range(d)):
+        prefix = tuple((i, 1) for i in range(k))
+        orbit = _signed_orbit((k, 1), maps)
+        dead = set()
+        for image in ((t, s) for t in range(k, d) for s in (1, -1)):
+            if image in orbit or image in dead:
+                continue
+            found = _complete(normals, prefix + (image,), columns)
+            if found is None:
+                dead |= _signed_orbit(image, maps)
+            else:
+                maps.append(found)
+                orbit = _signed_orbit((k, 1), maps)
+        order *= len(orbit)
+    return maps, order
+
+
+def _kernel_order(normals, d):
+    """Order of the group of signed coordinate maps fixing every normal.
+
+    Such a map sends coordinate k to s * coordinate t only when column t
+    of the normals is s times column k.  So it permutes the zero columns
+    with any signs, and each class of nonzero columns equal up to sign
+    among itself, the signs then forced.
+    """
+    classes = {}
+    for k in range(d):
+        column = tuple(a[k] for a in normals)
+        key = _sign_canonical(column) if any(column) else None
+        classes[key] = classes.get(key, 0) + 1
+    zero = classes.pop(None, 0)
+    order = factorial(zero) << zero
+    for size in classes.values():
+        order *= factorial(size)
+    return order
+
+
+def tope_symmetries(graph):
+    """The group of chamber permutations induced by the signed coordinate
+    maps x_k -> s_k x_pi(k) that permute the hyperplanes.
+
+    The signed maps are searched down a stabilizer chain, pruned after
+    each assigned coordinate by ``_permutes_normals``.  The maps that fix
+    every normal are the ones acting trivially on chambers, so the order
+    of the chamber group is the quotient of the two orders.  -I, which
+    sends each chamber to its antipode, always lies in the group.
     """
     arr = graph.arrangement
-    d = arr.dimension
-    n = arr.n
+    normals = arr.normals
+    maps, order = _signed_map_group(normals, arr.dimension)
 
-    canon = {}
-    for h, a in enumerate(arr.normals):
-        key, sgn = _sign_canonical(a)
-        canon[key] = (h, sgn)
-
-    def chamber_perm(hyper_map):
-        # hyper_map[h] = (g, eps): sign on h of the image chamber equals
-        # eps times the sign on g of the source chamber.
-        perm = []
-        for mask in graph.masks:
-            out = 0
-            for h in range(n):
-                g, eps = hyper_map[h]
-                bit = mask >> g & 1
-                if eps < 0:
-                    bit ^= 1
-                out |= bit << h
-            j = graph.index.get(out)
-            if j is None:
-                return None
-            perm.append(j)
-        return tuple(perm)
-
-    def map_from_signed_perm(pi, signs):
-        hyper_map = []
-        for a in arr.normals:
-            t = [0] * d
-            for k in range(d):
-                t[pi[k]] = a[k] * signs[k]
-            prim = primitive(t)
-            key, eps = _sign_canonical(prim)
-            hit = canon.get(key)
-            if hit is None:
-                return None
-            g, sgn = hit
-            hyper_map.append((g, eps * sgn))
-        return hyper_map
-
-    candidates = []
-    if (1 << d) * _factorial(d) <= _SYMMETRY_SEARCH_CAP:
-        perms = list(itertools.permutations(range(d)))
-        sign_choices = list(itertools.product((1, -1), repeat=d))
-        for pi in perms:
-            for signs in sign_choices:
-                candidates.append((pi, signs))
-    else:
-        ident = tuple(range(d))
-        candidates.append((ident, (1,) * d))
-        candidates.append((ident, (-1,) * d))
-
-    found = set()
-    for pi, signs in candidates:
-        hyper_map = map_from_signed_perm(pi, signs)
-        if hyper_map is None:
+    hyperplane_of = {_sign_canonical(a): h for h, a in enumerate(normals)}
+    identity = tuple(range(len(graph)))
+    generators = []
+    hyperplane_perms = []
+    for m in maps:
+        # The image of normal h is +-normal g; bit h of the image chamber
+        # is bit g of the source chamber, flipped for a minus sign.
+        flip = 0
+        source = []
+        for h, a in enumerate(normals):
+            image = [0] * arr.dimension
+            for k, (t, s) in enumerate(m):
+                image[t] = s * a[k]
+            image = tuple(image)
+            g = hyperplane_of[_sign_canonical(image)]
+            source.append(g)
+            if image != normals[g]:
+                flip |= 1 << h
+        perm = tuple(
+            graph.index[flip ^ sum((mask >> g & 1) << h
+                                   for h, g in enumerate(source))]
+            for mask in graph.masks
+        )
+        if perm == identity or perm in generators:
             continue
-        perm = chamber_perm(hyper_map)
-        if perm is not None:
-            found.add(perm)
-
-    # The antipodal chamber map is a symmetry of the metric even when
-    # -I was pruned by the cap above.
-    full = (1 << n) - 1
-    found.add(tuple(graph.index[m ^ full] for m in graph.masks))
-    found.add(tuple(range(len(graph))))
-    return tuple(sorted(found))
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
+        inverse = [0] * arr.n
+        for h, g in enumerate(source):
+            inverse[g] = h
+        generators.append(perm)
+        hyperplane_perms.append(tuple(inverse))
+    return SymmetryGroup(tuple(generators), tuple(hyperplane_perms),
+                         order // _kernel_order(normals, arr.dimension))
 
 
 def orbits_of_permutations(count, perms):
@@ -786,58 +864,15 @@ def orbits_of_permutations(count, perms):
     return tuple(orbit_id), tuple(orbits)
 
 
-def flat_orbits(lattice, perms, graph):
-    """Orbit partition of flats under chamber symmetries.
+def flat_orbits(lattice, group):
+    """Orbit partition of flats under a chamber symmetry group.
 
-    Each chamber permutation comes from a hyperplane relabelling; the
-    induced map on flats permutes hyperplane subsets.  Recovered here by
-    matching separation masks: hyperplane h maps to g when the set of
-    chamber pairs separated by h maps to the pairs separated by g.
+    Each generator relabels the hyperplanes, and so permutes the flats,
+    which are sets of hyperplanes.
     """
-    n = graph.n
-    hyper_perms = []
-    for p in perms:
-        hp = _hyperplane_perm_of(graph, p)
-        if hp is not None:
-            hyper_perms.append(hp)
-    flats = lattice.flats
-    index_of = {f.hyperplanes: f.index for f in flats}
-    fperms = []
-    for hp in hyper_perms:
-        fp = []
-        ok = True
-        for f in flats:
-            image = tuple(sorted(hp[h] for h in f.hyperplanes))
-            j = index_of.get(image)
-            if j is None:
-                ok = False
-                break
-            fp.append(j)
-        if ok:
-            fperms.append(tuple(fp))
-    return orbits_of_permutations(len(flats), fperms)
-
-
-def _hyperplane_perm_of(graph, perm):
-    """Hyperplane relabelling realizing a chamber permutation, if any.
-
-    For adjacent chambers across hyperplane h, the image chambers are
-    adjacent across a single hyperplane g; the map h -> g must be a
-    permutation consistent across all edges.
-    """
-    n = graph.n
-    hmap = [-1] * n
-    for i, j in graph.edges():
-        sep = graph.masks[i] ^ graph.masks[j]
-        h = sep.bit_length() - 1
-        isep = graph.masks[perm[i]] ^ graph.masks[perm[j]]
-        if isep.bit_count() != 1:
-            return None
-        g = isep.bit_length() - 1
-        if hmap[h] == -1:
-            hmap[h] = g
-        elif hmap[h] != g:
-            return None
-    if -1 in hmap or len(set(hmap)) != n:
-        return None
-    return tuple(hmap)
+    fperms = [
+        tuple(lattice.by_set[tuple(sorted(hp[h] for h in f.hyperplanes))]
+              for f in lattice.flats)
+        for hp in group.hyperplane_perms
+    ]
+    return orbits_of_permutations(len(lattice.flats), fperms)

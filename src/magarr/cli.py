@@ -14,11 +14,13 @@ are rendered as "p/q" strings.
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
 import time
 from dataclasses import dataclass
+from fractions import Fraction
 from importlib import resources
 
 from .arrangement import (
@@ -80,6 +82,14 @@ class JobSpec:
 # ---------------------------------------------------------------------------
 # sources
 
+def _exact_number(text):
+    """A JSON number with a fraction or exponent, read exactly from its
+    text (0.1 is 1/10).  One too large for a float stays the float
+    infinity, which ``parse_arrangement`` rejects."""
+    value = float(text)
+    return value if math.isinf(value) else Fraction(text)
+
+
 def load_arrangement(source):
     """Resolve a catalog name, or read a normals file.
 
@@ -96,7 +106,7 @@ def load_arrangement(source):
             raise ParseError(f"{source}: cannot read ({exc})") from None
         if text.lstrip().startswith("{"):
             try:
-                data = json.loads(text)
+                data = json.loads(text, parse_float=_exact_number)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{source}: bad JSON ({exc})") from None
             rows = data.get("normals")
@@ -107,10 +117,14 @@ def load_arrangement(source):
             except TypeError as exc:
                 raise ParseError(f"{source}: {exc}") from None
             want_d = data.get("dimension")
-            if want_d is not None and want_d != arr.dimension:
-                raise ParseError(
-                    f"{source}: dimension {want_d} != row length {arr.dimension}"
-                )
+            if want_d is not None:
+                if type(want_d) is not int:  # bool is a subclass of int
+                    raise ParseError(f"{source}: 'dimension' must be an integer")
+                if want_d != arr.dimension:
+                    raise ParseError(
+                        f"{source}: dimension {want_d} != row length "
+                        f"{arr.dimension}"
+                    )
         else:
             rows = []
             for line in text.splitlines():
@@ -136,7 +150,7 @@ def cache_key(arrangement):
     Rows are reduced to primitive sign-canonical integer vectors and
     sorted before hashing.
     """
-    rows = sorted(_sign_canonical(r)[0] for r in arrangement.normals)
+    rows = sorted(_sign_canonical(r) for r in arrangement.normals)
     text = f"d={arrangement.dimension};" + ";".join(
         ",".join(str(x) for x in row) for row in rows
     )
@@ -255,8 +269,8 @@ def _maybe_det(job, graph, lattice):
     return None
 
 
-def _mag_task(job, arrangement, graph, lattice, perms):
-    res = magnitude_direct(arrangement, graph, perms=perms, lattice=lattice,
+def _mag_task(job, arrangement, graph, lattice, group):
+    res = magnitude_direct(arrangement, graph, group=group, lattice=lattice,
                            face_check=job.face_check)
     out = {
         "magnitude": {"num": list(res.magnitude.num.coeffs),
@@ -276,10 +290,10 @@ def _mag_task(job, arrangement, graph, lattice, perms):
     return out
 
 
-def _homology_task(job, arrangement, graph, perms):
+def _homology_task(job, arrangement, graph, group):
     lmax = job.lmax if job.lmax is not None else default_length_cap(graph)
-    res = magnitude_homology(arrangement, graph, lmax=lmax, perms=perms,
-                             magnitude=magnitude_fraction(graph, perms))
+    res = magnitude_homology(arrangement, graph, lmax=lmax, group=group,
+                             magnitude=magnitude_fraction(graph, group))
     out = {
         "lmax": res.lmax,
         "betti": _cells_out(res.betti),
@@ -289,7 +303,7 @@ def _homology_task(job, arrangement, graph, perms):
         "checks": dict(res.checks),
     }
     if len(graph) <= FOUR_CUT_LIMIT:
-        out["four_cut_min"] = four_cut_minimum(graph, perms=perms)
+        out["four_cut_min"] = four_cut_minimum(graph, group=group)
     return out
 
 
@@ -310,20 +324,20 @@ def _lattice_task(lattice):
     }
 
 
-def _conjectures_task(job, arrangement, graph, lattice, perms):
+def _conjectures_task(job, arrangement, graph, lattice, group):
     lmax = job.lmax if job.lmax is not None else default_length_cap(graph)
-    mag = magnitude_direct(arrangement, graph, perms=perms, lattice=lattice,
+    mag = magnitude_direct(arrangement, graph, group=group, lattice=lattice,
                            face_check=False)
-    hom = magnitude_homology(arrangement, graph, lmax=lmax, perms=perms,
+    hom = magnitude_homology(arrangement, graph, lmax=lmax, group=group,
                              verify_d2=False)
     return conjecture_probes(arrangement, graph, lattice, mag, hom)
 
 
-def _verify_task(job, arrangement, name, is_file, graph, lattice, perms):
+def _verify_task(job, arrangement, name, is_file, graph, lattice, group):
     """Full structural suite plus golden diffs for the source."""
     checks = {}
     golden = {}
-    mag = magnitude_direct(arrangement, graph, perms=perms, lattice=lattice,
+    mag = magnitude_direct(arrangement, graph, group=group, lattice=lattice,
                            face_check=job.face_check)
     for key, val in mag.checks.items():
         checks[f"mag:{key}"] = val
@@ -358,7 +372,7 @@ def _verify_task(job, arrangement, name, is_file, graph, lattice, perms):
         lmax = default_length_cap(graph)
     hom = None
     try:
-        hom = magnitude_homology(arrangement, graph, lmax=lmax, perms=perms,
+        hom = magnitude_homology(arrangement, graph, lmax=lmax, group=group,
                                  verify_d2=True, magnitude=mag.magnitude)
         checks["hom:boundary_squares_to_zero"] = True
     except CheckFailedError:
@@ -395,9 +409,7 @@ def _verify_task(job, arrangement, name, is_file, graph, lattice, perms):
             hom, hom.interior_betti, rank, n
         )
         if job.face_check:
-            ok, _ = face_decomposition_check(
-                arrangement, graph, lattice, hom, perms
-            )
+            ok, _ = face_decomposition_check(arrangement, lattice, hom, group)
             checks["hom:face_decomposition"] = ok
         if fixture is not None:
             cap = min(lmax, fixture["lmax"])
@@ -437,7 +449,8 @@ def run(job):
     graph, lattice, cache_note = get_geometry(arrangement, job.cache_dir)
     if job.cache_dir:
         print(f"cache: {cache_note}", file=sys.stderr)
-    _, _, perms = chamber_orbits(graph)
+    # every task but lattice reads the symmetry group
+    group = None if job.task == "lattice" else chamber_orbits(graph)[2]
     bundle = {
         "schema": REPORT_SCHEMA,
         "source": job.source,
@@ -456,16 +469,16 @@ def run(job):
     task = job.task
     t0 = time.time()
     if task == "mag":
-        out = _mag_task(job, arrangement, graph, lattice, perms)
+        out = _mag_task(job, arrangement, graph, lattice, group)
     elif task == "homology":
-        out = _homology_task(job, arrangement, graph, perms)
+        out = _homology_task(job, arrangement, graph, group)
     elif task == "lattice":
         out = _lattice_task(lattice)
     elif task == "conjectures":
-        out = _conjectures_task(job, arrangement, graph, lattice, perms)
+        out = _conjectures_task(job, arrangement, graph, lattice, group)
     else:
         out = _verify_task(job, arrangement, name, is_file, graph, lattice,
-                           perms)
+                           group)
     bundle["tasks"] = {task: out}
     print(f"{task}: {time.time() - t0:.2f}s", file=sys.stderr)
     failures = [

@@ -25,7 +25,6 @@ from .arrangement import (
     enumerate_chambers,
     flat_orbits,
     localize,
-    orbits_of_permutations,
 )
 from .errors import BudgetExceededError, CheckFailedError
 from .linalg import complex_homology, matrix_rank
@@ -254,7 +253,7 @@ class HomologyResult:
         return self.betti.get((k, length), 0)
 
 
-def magnitude_homology(arrangement, graph=None, lmax=None, perms=None,
+def magnitude_homology(arrangement, graph=None, lmax=None, group=None,
                        per_length_budget=DEFAULT_LENGTH_BUDGET,
                        interior_only=False, verify_d2=True, magnitude=None):
     """Bigraded Betti table through total length ``lmax``.
@@ -266,7 +265,7 @@ def magnitude_homology(arrangement, graph=None, lmax=None, perms=None,
     """
     if graph is None:
         graph = enumerate_chambers(arrangement)
-    orbit_id, orbits, perms = chamber_orbits(graph, perms)
+    orbit_id, orbits, group = chamber_orbits(graph, group)
     if lmax is None:
         lmax = default_length_cap(graph)
     masks = graph.masks
@@ -450,7 +449,7 @@ def reciprocity_check(result, interior_result, rank, n):
     return ok
 
 
-def face_decomposition_check(arrangement, graph, lattice, result, perms,
+def face_decomposition_check(arrangement, lattice, result, group,
                              per_length_budget=DEFAULT_LENGTH_BUDGET):
     """Betti table equals the flat-indexed sum of interior tables.
 
@@ -462,7 +461,7 @@ def face_decomposition_check(arrangement, graph, lattice, result, perms,
     Proper flats are recomputed independently (one representative per
     symmetry orbit); the top term is the interior part of the main run.
     """
-    _oid, forbits = flat_orbits(lattice, perms, graph)
+    _oid, forbits = flat_orbits(lattice, group)
     top = lattice.flats[-1]
     total = defaultdict(int)
     for orbit in forbits:
@@ -491,7 +490,7 @@ def face_decomposition_check(arrangement, graph, lattice, result, perms,
     return got == want, got
 
 
-def four_cut_minimum(graph, perms=None):
+def four_cut_minimum(graph, group=None):
     """Shortest degree-3 chain whose halves are geodesic but which is not.
 
     Crossing sets s1, s2, s3 of the three steps must satisfy s1 and s2
@@ -499,9 +498,7 @@ def four_cut_minimum(graph, perms=None):
     total length, or None when none exists up to n + 2.
     """
     cap = graph.n + 2
-    if perms is None:
-        _, _, perms = chamber_orbits(graph)
-    _, orbits = orbits_of_permutations(len(graph), perms)
+    _, orbits, _ = chamber_orbits(graph, group)
     masks = graph.masks
     size = len(graph)
     best = None

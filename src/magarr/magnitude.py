@@ -98,12 +98,12 @@ def _bareiss_minors(matrix):
     return [_kronecker_decode(m, bits) for m in minors]
 
 
-def chamber_orbits(graph, perms=None):
-    """Orbit ids, orbit member lists, and the symmetry list used."""
-    if perms is None:
-        perms = tope_symmetries(graph)
-    orbit_id, orbits = orbits_of_permutations(len(graph), perms)
-    return orbit_id, orbits, perms
+def chamber_orbits(graph, group=None):
+    """Orbit ids, orbit member lists, and the symmetry group used."""
+    if group is None:
+        group = tope_symmetries(graph)
+    orbit_id, orbits = orbits_of_permutations(len(graph), group.generators)
+    return orbit_id, orbits, group
 
 
 def _orbit_matrix(graph, orbits):
@@ -124,14 +124,14 @@ def _orbit_matrix(graph, orbits):
     return m
 
 
-def magnitude_fraction(graph, perms=None):
+def magnitude_fraction(graph, group=None):
     """Magnitude as a reduced fraction of integer polynomials.
 
     Solves the collapsed system with a single bordered fraction-free
     elimination: the next-to-last minor is the system determinant and
     the last is (minus) the weighted solution sum times it.
     """
-    orbit_id, orbits, perms = chamber_orbits(graph, perms)
+    orbit_id, orbits, group = chamber_orbits(graph, group)
     m = _orbit_matrix(graph, orbits)
     k = len(orbits)
     for i in range(k):
@@ -172,7 +172,7 @@ def interior_magnitude(mag, rank, n):
     return reduce_fraction(num, mag.den)
 
 
-def magnitude_direct(arrangement, graph=None, perms=None, lattice=None,
+def magnitude_direct(arrangement, graph=None, group=None, lattice=None,
                      face_check=True):
     """Magnitude with structural checks, computed from the chamber metric.
 
@@ -182,8 +182,8 @@ def magnitude_direct(arrangement, graph=None, perms=None, lattice=None,
     """
     if graph is None:
         graph = enumerate_chambers(arrangement)
-    orbit_id, orbits, perms = chamber_orbits(graph, perms)
-    mag = magnitude_fraction(graph, perms)
+    orbit_id, orbits, group = chamber_orbits(graph, group)
+    mag = magnitude_fraction(graph, group)
     n = arrangement.n
     rank = matrix_rank(arrangement.normals)
     interior = interior_magnitude(mag, rank, n)
@@ -223,7 +223,7 @@ def magnitude_direct(arrangement, graph=None, perms=None, lattice=None,
         interior_series=tuple(interior_series),
         cyclotomic_den=cyc_factors,
         orbit_count=len(orbits),
-        symmetry_order=len(perms),
+        symmetry_order=group.order,
         checks=checks,
     )
 

@@ -24,21 +24,22 @@ _HOMOLOGY = {}
 
 
 def geometry(name):
-    """(arrangement, tope graph, flat poset, symmetries) for a catalog name."""
+    """(arrangement, tope graph, flat poset, symmetry group) for a catalog
+    name."""
     if name not in _GEOMETRY:
         arr = catalog(name)
         graph = enumerate_chambers(arr)
         lattice = intersection_lattice(arr, graph)
-        _, _, perms = chamber_orbits(graph)
-        _GEOMETRY[name] = (arr, graph, lattice, perms)
+        _, _, group = chamber_orbits(graph)
+        _GEOMETRY[name] = (arr, graph, lattice, group)
     return _GEOMETRY[name]
 
 
 def magnitude_of(name, face_check=True):
     if name not in _MAGNITUDE:
-        arr, graph, lattice, perms = geometry(name)
+        arr, graph, lattice, group = geometry(name)
         _MAGNITUDE[name] = magnitude_direct(
-            arr, graph, perms=perms, lattice=lattice, face_check=face_check
+            arr, graph, group=group, lattice=lattice, face_check=face_check
         )
     return _MAGNITUDE[name]
 
@@ -48,9 +49,9 @@ def homology_of(name, lmax):
     checks always enabled."""
     key = (name, lmax)
     if key not in _HOMOLOGY:
-        arr, graph, lattice, perms = geometry(name)
+        arr, graph, lattice, group = geometry(name)
         _HOMOLOGY[key] = magnitude_homology(
-            arr, graph, lmax=lmax, perms=perms, verify_d2=True,
+            arr, graph, lmax=lmax, group=group, verify_d2=True,
             magnitude=magnitude_of(name).magnitude,
         )
     return _HOMOLOGY[key]

@@ -174,7 +174,7 @@ def test_06_homology_identity_suite():
     """Boundary square, Euler, geodesic, diagonal, interior, and
     reciprocity identities on the five reference fixtures."""
     for name, lmax in IDENTITY_FIXTURES.items():
-        arr, graph, lattice, perms = geometry(name)
+        arr, graph, lattice, group = geometry(name)
         res = homology_of(name, lmax)  # raises if any boundary square fails
         assert res.checks["chain_counts_match_recursion"], name
         assert res.checks["euler_of_homology_matches_chains"], name
@@ -204,9 +204,7 @@ def test_06_homology_identity_suite():
             verdict = boolean_diagonality(res, lattice)
             assert verdict["corner_class_present"], name
 
-        ok, assembled = face_decomposition_check(
-            arr, graph, lattice, res, perms
-        )
+        ok, assembled = face_decomposition_check(arr, lattice, res, group)
         assert ok, name
         assert assembled == _cells(res.betti), name
 

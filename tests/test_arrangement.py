@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import hashlib
+import random
+import time
 from itertools import permutations, product
 from math import factorial
 
@@ -274,33 +276,175 @@ def test_direct_sum_multiplies_chambers():
     assert len(enumerate_chambers(ds)) == 2 * 6
 
 
+# ---------------------------------------------------------------------------
+# symmetry group
+
+
+def _edge_relabelling(graph, perm):
+    """Hyperplane relabelling of a chamber permutation, read off the edges:
+    chambers adjacent across h must go to chambers adjacent across one g."""
+    hmap = [None] * graph.n
+    for i, j in graph.edges():
+        h = (graph.masks[i] ^ graph.masks[j]).bit_length() - 1
+        image = graph.masks[perm[i]] ^ graph.masks[perm[j]]
+        assert image.bit_count() == 1
+        g = image.bit_length() - 1
+        assert hmap[h] in (None, g)
+        hmap[h] = g
+    return tuple(hmap)
+
+
+def _enumerated_symmetries(graph):
+    """{chamber permutation: hyperplane relabelling} over all 2^d * d!
+    signed coordinate permutations, tried one by one."""
+    arr = graph.arrangement
+    d = arr.dimension
+    signed = {}
+    for h, a in enumerate(arr.normals):
+        signed[a] = (h, 1)
+        signed[tuple(-x for x in a)] = (h, -1)
+    found = {}
+    for pi in permutations(range(d)):
+        for signs in product((1, -1), repeat=d):
+            hyper_map = []
+            for a in arr.normals:
+                image = [0] * d
+                for k in range(d):
+                    image[pi[k]] = signs[k] * a[k]
+                hit = signed.get(tuple(image))
+                if hit is None:
+                    break
+                hyper_map.append(hit)
+            else:
+                # sign on h of the image chamber = eps * sign on g
+                perm = tuple(
+                    graph.index[sum(((mask >> g & 1) ^ (eps < 0)) << h
+                                    for h, (g, eps) in enumerate(hyper_map))]
+                    for mask in graph.masks
+                )
+                found[perm] = _edge_relabelling(graph, perm)
+    return found
+
+
+def _assert_group_matches_enumeration(graph, lattice):
+    group = tope_symmetries(graph)
+    every = _enumerated_symmetries(graph)
+    assert group.order == len(group) == len(every)
+    assert len(group.generators) == len(group.hyperplane_perms)
+    for perm, relabelling in zip(group.generators, group.hyperplane_perms):
+        assert every[perm] == relabelling
+    size = len(graph)
+    assert orbits_of_permutations(size, group.generators) == \
+        orbits_of_permutations(size, list(every))
+    flat_perms = [
+        tuple(lattice.by_set[tuple(sorted(hp[h] for h in f.hyperplanes))]
+              for f in lattice.flats)
+        for hp in every.values()
+    ]
+    assert flat_orbits(lattice, group) == \
+        orbits_of_permutations(len(lattice.flats), flat_perms)
+
+
+@pytest.mark.parametrize(
+    "name", CATALOG_NAMES + ("boolean:5", "braid:2", "nearpencil:3"))
+def test_symmetry_group_matches_enumeration(name):
+    arr = catalog(name)
+    graph = enumerate_chambers(arr)
+    _assert_group_matches_enumeration(graph, intersection_lattice(arr, graph))
+
+
+def _random_symmetric_arrangements(count, seed):
+    """Arrangements with entries in {-1, 0, 1} in R^2..R^4, which often
+    have symmetries; about 30% get a zero coordinate, so they are not
+    essential and some signed maps fix every normal."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = rng.randint(2, 4)
+        rows = [[rng.randint(-1, 1) for _ in range(d)]
+                for _ in range(rng.randint(2, 5))]
+        if rng.random() < 0.3:
+            dead = rng.randrange(d)
+            for row in rows:
+                row[dead] = 0
+        try:
+            out.append(parse_arrangement(rows))
+        except ParseError:
+            continue
+    return out
+
+
+def test_symmetry_group_matches_enumeration_on_random_arrangements():
+    arrangements = _random_symmetric_arrangements(220, seed=5)
+    essential = 0
+    for arr in arrangements:
+        graph = enumerate_chambers(arr)
+        lattice = intersection_lattice(arr, graph)
+        essential += lattice.rank == arr.dimension
+        _assert_group_matches_enumeration(graph, lattice)
+    assert 0 < essential < len(arrangements)
+
+
 KNOWN_SYMMETRY_ORDERS = {
-    "boolean:2": 8,
-    "braid:3": 12,
+    **{f"boolean:{d}": 2 ** d * factorial(d) for d in range(1, 13)},
+    "braid:2": 2,  # the swap composed with -I fixes x1 - x2
+    **{f"braid:{m}": 2 * factorial(m) for m in range(3, 7)},
     "u34": 12,
     "coxeter:B2": 8,
     "nearpencil:5": 4,
 }
 
 
-@pytest.mark.parametrize("name", sorted(KNOWN_SYMMETRY_ORDERS))
+@pytest.mark.parametrize("name", list(KNOWN_SYMMETRY_ORDERS))
 def test_tope_symmetry_orders(name):
-    _, graph, _, _ = geometry(name)
-    perms = tope_symmetries(graph)
-    assert len(perms) == KNOWN_SYMMETRY_ORDERS[name]
-    for p in perms:
+    graph = enumerate_chambers(catalog(name))
+    group = tope_symmetries(graph)
+    assert group.order == len(group) == KNOWN_SYMMETRY_ORDERS[name]
+    for p in group.generators:
         assert sorted(p) == list(range(len(graph)))
         for a in range(len(graph)):
             for b in graph.neighbours(a):
                 assert graph.dist(p[a], p[b]) == 1
 
 
+def _group_closure_size(perms):
+    seen = {tuple(range(len(perms[0])))}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for p in perms:
+                y = tuple(p[i] for i in x)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return len(seen)
+
+
+def test_dense_symmetry_search_is_pruned():
+    # 10 distinct +-1 normals in R^8: without the prune on partial images
+    # the backtrack tries most of the 2^8 * 8! signed maps
+    rng = random.Random(0)
+    rows = []
+    while len(rows) < 10:
+        row = [rng.choice((1, -1)) for _ in range(8)]
+        if row not in rows and [-x for x in row] not in rows:
+            rows.append(row)
+    graph = enumerate_chambers(parse_arrangement(rows))
+    start = time.perf_counter()
+    group = tope_symmetries(graph)
+    assert time.perf_counter() - start < 5
+    # an exhaustive run over all 2^8 * 8! signed maps finds 4 of them
+    assert group.order == _group_closure_size(group.generators) == 4
+
+
 def test_orbit_partitions():
-    _, graph, lattice, perms = geometry("braid:3")
-    orbit_id, orbits = orbits_of_permutations(len(graph), perms)
+    _, graph, lattice, group = geometry("braid:3")
+    orbit_id, orbits = orbits_of_permutations(len(graph), group.generators)
     assert sorted(x for o in orbits for x in o) == list(range(len(graph)))
     assert len(orbits) == 1  # reflection group acts transitively
-    _, forbits = flat_orbits(lattice, perms, graph)
+    _, forbits = flat_orbits(lattice, group)
     sizes = sorted(len(o) for o in forbits)
     assert sizes == [1, 1, 3]
 

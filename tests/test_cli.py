@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+from math import comb
 
 import pytest
 
@@ -63,6 +65,68 @@ def test_json_bundle_schema(capsys, tmp_path):
     assert len(mag["series"]) == 11
     # exact rationals serialize as strings, never floats
     assert all(isinstance(c, int) for c in mag["series"])
+
+
+# sha256 of the stdout of `mag <name>`, recorded when the symmetry group
+# was still found by trying all 2^d * d! signed coordinate permutations
+MAG_STDOUT_DIGESTS = {
+    "boolean:1":
+        "e1e5a8f251a8ab94d5e0d42c31c7130e9ba9b89ec257de52626e29ec8ee2e47a",
+    "boolean:2":
+        "87455f161e1e5a9c4f7f2febf200126795040b51aa245b3ef0f9849421b5d628",
+    "boolean:3":
+        "199c63d8006fa8118b8a9a18faeb3359a79821d3ed8a03d0e8e6988f29da8733",
+    "boolean:4":
+        "8d88fa1bed3ee54dfa013d6f8acb9e280211458e086127e2bc6fd009f260b5fe",
+    "braid:3":
+        "6a1f3ba8f877b3ef4ee53809fe49575db9bafe4fe06ed9c6e03eb69f1b4d759e",
+    "braid:4":
+        "c48afb1bf3c9c4fca9056ce45cc389eb9b79ccecfd490ff72476a61dbb827ba9",
+    "braid:5":
+        "92c040279062d26efea3e15a853b40f8f355c497c7f243d07af631ce045a08a9",
+    "coxeter:B2":
+        "b538bc69f9d5e6af1f3b12f6f239fd5fa4e4d30624cf5a4f29a5fafdb6b02457",
+    "coxeter:B3":
+        "5ee389d08bf0ff16c7887f1fcd9d19b50c0c5e35bbd94ca9715969a9b1fc9269",
+    "u34":
+        "d9f60480b272830bf8cbb1b2c0a17c543665e4789a9764f87dc2038039ae706b",
+    "u45":
+        "cb96860db066397c0c004a95d94d181a45766d6219e853ce6d4b9bd6bbaa0068",
+    "k4me":
+        "5de583e87a8b045b6f59578ac6067aec10cf296a94e3eaec8e6281d3540a276e",
+    "k5me":
+        "527b25d4f8ee21eade17e00d27bab01b51354e388ccfc2b11cf79c1a557de4f2",
+    "bracelet":
+        "2ccab1a0797a7efc48c969cb7ed77f65cbc30934c725306eeef971c15737375a",
+    "nearpencil:4":
+        "7ae5f53bc0446bbf4308437c43827f928ae965ddc26b698282556be54cf6eebe",
+    "nearpencil:5":
+        "b944f382669d5932aae8c2094f4ec0686fce80b501ed8a7f635b0044f5cdae9c",
+    "boolean:5":
+        "e06d98c02344a08b50d0e6502e132d7b04896fd10f1a4928d52b2154485dce24",
+    "boolean:6":
+        "a0da24b811dcf3ec81fec9404e5191d5570e6468489f11c98303465e783992c4",
+    "braid:6":
+        "90fd3f07da8931c419a59c5ec0d206013b748f35a4eb984511fe5bdeb8820d06",
+}
+
+
+@pytest.mark.parametrize("name", list(MAG_STDOUT_DIGESTS))
+def test_mag_stdout_matches_frozen_digest(capsys, name):
+    code, out, _ = _run(capsys, ["mag", name])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MAG_STDOUT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("d, order", [(7, 645120), (8, 10321920)])
+def test_mag_boolean_order_above_six(capsys, tmp_path, d, order):
+    bundle = tmp_path / "out.json"
+    code, out, _ = _run(capsys, ["mag", f"boolean:{d}", "--json", str(bundle)])
+    assert code == 0
+    assert f"chamber orbits: 1, symmetry order: {order}" in out.splitlines()
+    # the magnitude of boolean:d is (2 / (1 + q))^d
+    mag = json.loads(bundle.read_text())["tasks"]["mag"]["magnitude"]
+    assert mag == {"num": [2 ** d], "den": [comb(d, k) for k in range(d + 1)]}
 
 
 def test_homology_tsv_shape(capsys):
@@ -150,6 +214,42 @@ def test_malformed_json_source_is_a_parse_error(capsys, tmp_path, doc):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("normals", [
+    [[0.1, 0.3, 0], [1, 3, 0], [0, 0, 1]],
+    [["0.1", "0.3", 0], [1, 3, 0], [0, 0, 1]],
+])
+def test_json_decimals_are_read_exactly(capsys, tmp_path, normals):
+    # 0.1 and 0.3 are 1/10 and 3/10, so row 0 is row 1 scaled
+    src = tmp_path / "arr.json"
+    src.write_text(json.dumps({"normals": normals}))
+    code, out, err = _run(capsys, ["lattice", str(src)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: rows 0 and 1 define the same hyperplane\n"
+
+
+def test_json_decimal_rows_match_integer_rows(capsys, tmp_path):
+    outs = []
+    for normals in ([[0.5, 1], [0, 1]], [[1, 2], [0, 1]]):
+        src = tmp_path / "arr.json"
+        src.write_text(json.dumps({"normals": normals}))
+        code, out, _ = _run(capsys, ["lattice", str(src)])
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("dimension", ["2", True, 2.5])
+def test_json_dimension_must_be_an_integer(capsys, tmp_path, dimension):
+    src = tmp_path / "arr.json"
+    src.write_text(json.dumps({"normals": [[1, 0], [0, 1]],
+                               "dimension": dimension}))
+    code, out, err = _run(capsys, ["lattice", str(src)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {src}: 'dimension' must be an integer\n"
 
 
 @pytest.mark.parametrize("kind", ["directory", "not-utf8"])

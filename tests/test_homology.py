@@ -77,8 +77,8 @@ GEODESIC_CAPS = {"boolean:2": 2, "braid:3": 3, "u34": 4, "k5me": 3}
 def test_geodesic_two_routes(name):
     # the geodesic blocks of the main run against the flat-poset formula
     lmax = GEODESIC_CAPS[name]
-    arr, graph, lattice, perms = geometry(name)
-    res = magnitude_homology(arr, graph, lmax=lmax, perms=perms)
+    arr, graph, lattice, group = geometry(name)
+    res = magnitude_homology(arr, graph, lmax=lmax, group=group)
     formula = geodesic_betti_formula(lattice)
     assert not res.geodesic_torsion
     assert _cells(res.geodesic_betti) == {
@@ -150,9 +150,9 @@ def test_reciprocity(name):
 
 @pytest.mark.parametrize("name", ["boolean:2", "braid:3"])
 def test_face_decomposition_of_tables(name):
-    arr, graph, lattice, perms = geometry(name)
+    arr, graph, lattice, group = geometry(name)
     res = homology_of(name, 5)
-    ok, assembled = face_decomposition_check(arr, graph, lattice, res, perms)
+    ok, assembled = face_decomposition_check(arr, lattice, res, group)
     assert ok
     assert assembled == _cells(res.betti)
 
@@ -160,8 +160,8 @@ def test_face_decomposition_of_tables(name):
 def test_four_cut_minima():
     values = {"boolean:2": 3, "braid:3": 4, "u34": 3, "coxeter:B2": 5}
     for name, want in values.items():
-        _, graph, _, perms = geometry(name)
-        assert four_cut_minimum(graph, perms=perms) == want
+        _, graph, _, group = geometry(name)
+        assert four_cut_minimum(graph, group=group) == want
 
 
 def test_budget_is_enforced():
@@ -209,9 +209,9 @@ def test_torsion_free_on_quick_fixtures():
 
 
 def test_interior_only_run_matches_full_interior_part():
-    arr, graph, _, perms = geometry("braid:3")
+    arr, graph, _, group = geometry("braid:3")
     full = homology_of("braid:3", 4)
     inner = magnitude_homology(
-        arr, graph, lmax=4, perms=perms, interior_only=True, verify_d2=False
+        arr, graph, lmax=4, group=group, interior_only=True, verify_d2=False
     )
     assert _cells(inner.betti) == _cells(full.interior_betti)

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import EIGHTEEN_LINES, geometry, magnitude_of
+from magarr.arrangement import SymmetryGroup
 from magarr.cli import golden_magnitude
 from magarr.magnitude import (
     Rank3Stats,
@@ -275,7 +276,7 @@ def test_magnitude_fraction_orbit_reduction_consistent():
     # the symmetry group
     _, graph, _, _ = geometry("braid:3")
     with_sym = magnitude_fraction(graph)
-    without = magnitude_fraction(graph, perms=[tuple(range(len(graph)))])
+    without = magnitude_fraction(graph, group=SymmetryGroup((), (), 1))
     assert with_sym == without
 
 
