@@ -23,14 +23,6 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def _sign(x):
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
-
-
 def _sign_canonical(row):
     """The one of the tuples row and -row whose first nonzero entry is
     positive (row itself when it is zero)."""
@@ -257,27 +249,6 @@ CATALOG_NAMES = (
 # chambers and the tope graph
 
 
-def sign_feasible(arrangement, signs):
-    """Integer point with the given sign vector, or None when no face has it.
-
-    ``signs`` is a sequence over {+1, 0, -1}, one entry per hyperplane.
-    Such points lie in the flat cut out by the zero entries and fill one
-    chamber of the restriction to that flat, so each restricted chamber
-    witness is lifted back and the one whose full sign vector matches is
-    returned.  A test oracle for the face structure.
-    """
-    if len(signs) != arrangement.n:
-        raise ValueError("sign vector length mismatch")
-    zeros = [h for h, s in enumerate(signs) if s == 0]
-    sub, basis = _restrict_with_basis(arrangement, zeros)
-    want = tuple(signs)
-    for p in _chamber_witnesses(sub).values():
-        point = _lift(p, basis, arrangement.dimension)
-        if tuple(_sign(_dot(a, point)) for a in arrangement.normals) == want:
-            return point
-    return None
-
-
 class TopeGraph:
     """Chambers of an arrangement with the separation metric."""
 
@@ -336,29 +307,6 @@ class TopeGraph:
             self._edges = tuple(out)
         return self._edges
 
-    def neighbours(self, i):
-        m = self.masks[i]
-        out = []
-        for h in range(self.n):
-            j = self.index.get(m ^ (1 << h))
-            if j is not None:
-                out.append(j)
-        return out
-
-    def bfs_distances(self, i):
-        """Graph distances from chamber i, walking edges only."""
-        dist = {i: 0}
-        frontier = [i]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in self.neighbours(u):
-                    if v not in dist:
-                        dist[v] = dist[u] + 1
-                        nxt.append(v)
-            frontier = nxt
-        return dist
-
 
 def _lift(p, basis, d):
     """Point of R^d with coordinates p in the given basis."""
@@ -410,13 +358,6 @@ def enumerate_chambers(arrangement):
     graph = TopeGraph(arrangement, masks, [found[m] for m in masks])
     graph.check_witnesses()
     return graph
-
-
-def tits_product(f, g):
-    """Composition of sign vectors: entries of f, with zeros filled from g."""
-    if len(f) != len(g):
-        raise ValueError("sign vector length mismatch")
-    return tuple(fi if fi != 0 else gi for fi, gi in zip(f, g))
 
 
 # ---------------------------------------------------------------------------

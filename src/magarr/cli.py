@@ -34,17 +34,11 @@ from .arrangement import (
 )
 from .errors import BudgetExceededError, CheckFailedError, MagarrError, ParseError
 from .homology import (
-    boolean_diagonality,
     conjecture_probes,
     default_length_cap,
-    diagonal_betti_formula,
-    face_decomposition_check,
     four_cut_minimum,
-    geodesic_betti_formula,
-    interior_diagonal_boolean,
     magnitude_homology,
-    reciprocity_check,
-    small_length_identities,
+    structural_checks,
 )
 from .magnitude import (
     chamber_orbits,
@@ -107,7 +101,7 @@ def load_arrangement(source):
         if text.lstrip().startswith("{"):
             try:
                 data = json.loads(text, parse_float=_exact_number)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an overlong int
                 raise ParseError(f"{source}: bad JSON ({exc})") from None
             rows = data.get("normals")
             if not rows:
@@ -208,15 +202,17 @@ def get_geometry(arrangement, cache_dir):
             print(f"cache: discarding {path}: {exc}", file=sys.stderr)
     graph = enumerate_chambers(arrangement)
     lattice = intersection_lattice(arrangement, graph)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             json.dump(_geometry_payload(arrangement, graph), fh, sort_keys=True)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ParseError(f"--cache {cache_dir}: cannot write ({exc})") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
     return graph, lattice, "miss"
 
 
@@ -378,39 +374,9 @@ def _verify_task(job, arrangement, name, is_file, graph, lattice, group):
     except CheckFailedError:
         checks["hom:boundary_squares_to_zero"] = False
     if hom is not None:
-        for key, val in hom.checks.items():
+        for key, val in structural_checks(arrangement, lattice, group, hom,
+                                          job.face_check).items():
             checks[f"hom:{key}"] = val
-        formula = geodesic_betti_formula(lattice)
-        checks["hom:geodesic_two_routes"] = not hom.geodesic_torsion and {
-            k: v for k, v in hom.geodesic_betti.items() if v
-        } == {k: v for k, v in formula.items() if v and k[1] <= lmax}
-        for key, val in small_length_identities(hom, lattice).items():
-            checks[f"hom:{key}"] = val
-        diag = diagonal_betti_formula(lattice, lmax)
-        checks["hom:diagonal_formula"] = all(
-            hom.betti_at(l, l) == diag.get(l, 0) for l in range(lmax + 1)
-        )
-        for key, val in boolean_diagonality(hom, lattice).items():
-            checks[f"hom:{key}"] = val
-        n = arrangement.n
-        rank = lattice.rank
-        if rank == n:
-            want = interior_diagonal_boolean(rank, lmax)
-            checks["hom:interior_diagonal_boolean"] = all(
-                hom.interior_betti.get((l, l), 0) == want.get(l, 0)
-                for l in range(1, lmax + 1)
-            )
-        else:
-            checks["hom:interior_diagonal_vanishes"] = all(
-                hom.interior_betti.get((l, l), 0) == 0
-                for l in range(1, lmax + 1)
-            )
-        checks["hom:reciprocity"] = reciprocity_check(
-            hom, hom.interior_betti, rank, n
-        )
-        if job.face_check:
-            ok, _ = face_decomposition_check(arrangement, lattice, hom, group)
-            checks["hom:face_decomposition"] = ok
         if fixture is not None:
             cap = min(lmax, fixture["lmax"])
             want = {

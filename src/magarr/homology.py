@@ -362,7 +362,7 @@ def geodesic_betti_formula(lattice):
 
 
 # ---------------------------------------------------------------------------
-# structural formulas and identities
+# structural formulas and the named checks
 
 
 def diagonal_betti_formula(lattice, lmax):
@@ -384,69 +384,73 @@ def diagonal_betti_formula(lattice, lmax):
     return out
 
 
-def interior_diagonal_boolean(d, lmax):
-    """Interior diagonal ranks of the coordinate arrangement in rank d."""
-    return {
-        length: (1 << d) * math.comb(length - 1, d - 1)
-        for length in range(lmax + 1)
-        if length >= 1
-    }
+def structural_checks(arrangement, lattice, group, result, face_check=True):
+    """Every homology-level check of ``result``, by name.
 
-
-def small_length_identities(result, lattice):
-    """Closed forms for the first few lengths against the computed table."""
-    edge_sum = sum(
-        lattice.restriction_chamber_count(f.index)
-        for f in lattice.flats_of_rank(1)
-    )
-    pair_sum = sum(
-        lattice.restriction_chamber_count(f.index)
-        for f in lattice.flats_of_rank(2)
-        if f.size == 2
-    )
-    checks = {
-        "b00_chambers": result.betti_at(0, 0) == lattice.chamber_count,
-    }
-    if result.lmax >= 1:
-        checks["b11_walls"] = result.betti_at(1, 1) == 2 * edge_sum
-    if result.lmax >= 2:
-        checks["b12_vanishes"] = result.betti_at(1, 2) == 0
-        checks["b22_recursion"] = result.betti_at(2, 2) == result.betti_at(
-            1, 1
-        ) + 4 * pair_sum
-    return checks
-
-
-def boolean_diagonality(result, lattice):
-    """Diagonal concentration for coordinate-like arrangements, and the
-    guaranteed off-diagonal corner class otherwise (needs lmax >= n)."""
-    n = lattice.arrangement.n
+    The run's own checks, then the paper's identities against the flat
+    poset: the geodesic part, the closed forms at lengths 0 to 2, the
+    diagonal ranks, diagonal concentration for coordinate-like
+    arrangements and the corner class otherwise (needs lmax >= n), the
+    interior diagonal, reciprocity (interior Euler characteristics
+    vanish below length n and repeat the plain ones shifted by n), and
+    the face decomposition.
+    """
+    lmax = result.lmax
+    n = arrangement.n
     rank = lattice.rank
-    out = {}
+    betti_at = result.betti_at
+    restricted = lattice.restriction_chamber_count
+    checks = dict(result.checks)
+    geodesic = geodesic_betti_formula(lattice)
+    checks["geodesic_two_routes"] = not result.geodesic_torsion and {
+        k: v for k, v in result.geodesic_betti.items() if v
+    } == {k: v for k, v in geodesic.items() if v and k[1] <= lmax}
+
+    checks["b00_chambers"] = betti_at(0, 0) == lattice.chamber_count
+    if lmax >= 1:
+        edge_sum = sum(restricted(f.index) for f in lattice.flats_of_rank(1))
+        checks["b11_walls"] = betti_at(1, 1) == 2 * edge_sum
+    if lmax >= 2:
+        pair_sum = sum(
+            restricted(f.index) for f in lattice.flats_of_rank(2) if f.size == 2
+        )
+        checks["b12_vanishes"] = betti_at(1, 2) == 0
+        checks["b22_recursion"] = betti_at(2, 2) == betti_at(1, 1) + 4 * pair_sum
+
+    diag = diagonal_betti_formula(lattice, lmax)
+    checks["diagonal_formula"] = all(
+        betti_at(l, l) == diag[l] for l in range(lmax + 1)
+    )
+    interior_diag = [
+        result.interior_betti.get((l, l), 0) for l in range(1, lmax + 1)
+    ]
     if rank == n:
-        out["diagonal_only"] = all(
+        checks["diagonal_only"] = all(
             k == length for (k, length), v in result.betti.items() if v
         )
-    elif result.lmax >= n:
-        out["corner_class_present"] = result.betti_at(rank, n) >= lattice.chamber_count
-    return out
+        checks["interior_diagonal_boolean"] = interior_diag == [
+            (1 << n) * math.comb(l - 1, n - 1) for l in range(1, lmax + 1)
+        ]
+    else:
+        if lmax >= n:
+            checks["corner_class_present"] = (
+                betti_at(rank, n) >= lattice.chamber_count
+            )
+        checks["interior_diagonal_vanishes"] = not any(interior_diag)
 
-
-def reciprocity_check(result, interior_result, rank, n):
-    """Interior Euler characteristics repeat the plain ones shifted by n
-    and vanish below length n."""
-    plain = _euler_by_length(result.betti, result.lmax)
-    interior = _euler_by_length(interior_result, result.lmax)
+    plain = _euler_by_length(result.betti, lmax)
+    interior = _euler_by_length(result.interior_betti, lmax)
     sign = -1 if rank % 2 else 1
-    ok = True
-    for length in range(min(n, result.lmax + 1)):
-        if interior.get(length, 0) != 0:
-            ok = False
-    for length in range(result.lmax + 1 - n):
-        want = sign * plain.get(length, 0)
-        if interior.get(length + n, 0) != want:
-            ok = False
-    return ok
+    checks["reciprocity"] = not any(
+        interior.get(l, 0) for l in range(min(n, lmax + 1))
+    ) and all(
+        interior.get(l + n, 0) == sign * plain.get(l, 0)
+        for l in range(lmax + 1 - n)
+    )
+    if face_check:
+        checks["face_decomposition"] = face_decomposition_check(
+            arrangement, lattice, result, group)[0]
+    return checks
 
 
 def face_decomposition_check(arrangement, lattice, result, group,

@@ -1,17 +1,24 @@
 """Shared fixtures: geometry is expensive, so catalog arrangements are
-enumerated once per run and reused across test modules."""
+enumerated once per run and reused across test modules.  Also the
+oracles only tests use: face sign vectors, their product, and distances
+found by walking edges."""
 
 from __future__ import annotations
 
 import random
+from itertools import product
 
 from magarr.arrangement import (
+    _chamber_witnesses,
+    _dot,
+    _lift,
+    _restrict_with_basis,
     catalog,
     enumerate_chambers,
     intersection_lattice,
     parse_arrangement,
 )
-from magarr.homology import magnitude_homology
+from magarr.homology import magnitude_homology, structural_checks
 from magarr.magnitude import Rank3Stats, chamber_orbits, magnitude_direct
 
 # 18 lines, 216 chambers, 30 ordinary and 92 triple points: statistics of
@@ -57,6 +64,72 @@ def homology_of(name, lmax):
     return _HOMOLOGY[key]
 
 
+# ---------------------------------------------------------------------------
+# oracles: independent descriptions of the face structure and the metric
+
+
+def _sign(x):
+    if x > 0:
+        return 1
+    if x < 0:
+        return -1
+    return 0
+
+
+def sign_feasible(arrangement, signs):
+    """Integer point with the given sign vector, or None when no face has it.
+
+    ``signs`` is a sequence over {+1, 0, -1}, one entry per hyperplane.
+    Such points lie in the flat cut out by the zero entries and fill one
+    chamber of the restriction to that flat, so each restricted chamber
+    witness is lifted back and the one whose full sign vector matches is
+    returned.
+    """
+    if len(signs) != arrangement.n:
+        raise ValueError("sign vector length mismatch")
+    zeros = [h for h, s in enumerate(signs) if s == 0]
+    sub, basis = _restrict_with_basis(arrangement, zeros)
+    want = tuple(signs)
+    for p in _chamber_witnesses(sub).values():
+        point = _lift(p, basis, arrangement.dimension)
+        if tuple(_sign(_dot(a, point)) for a in arrangement.normals) == want:
+            return point
+    return None
+
+
+def tits_product(f, g):
+    """Composition of sign vectors: entries of f, with zeros filled from g."""
+    if len(f) != len(g):
+        raise ValueError("sign vector length mismatch")
+    return tuple(fi if fi != 0 else gi for fi, gi in zip(f, g))
+
+
+def neighbours(graph, i):
+    """Chambers one wall away from chamber i."""
+    m = graph.masks[i]
+    out = []
+    for h in range(graph.n):
+        j = graph.index.get(m ^ (1 << h))
+        if j is not None:
+            out.append(j)
+    return out
+
+
+def bfs_distances(graph, i):
+    """Graph distances from chamber i, walking edges only."""
+    dist = {i: 0}
+    frontier = [i]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in neighbours(graph, u):
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
 def random_arrangements(count, seed, nmin=3, nmax=5, dim=3, span=2):
     """Deduplicated random integer arrangements for the property suite."""
     rng = random.Random(seed)
@@ -76,13 +149,9 @@ def random_arrangements(count, seed, nmin=3, nmax=5, dim=3, span=2):
 
 def check_instance_laws(arr):
     """Invariants every central arrangement must satisfy, end to end."""
-    from itertools import product as iproduct
-
-    from magarr.arrangement import sign_feasible, tits_product
-    from magarr.homology import magnitude_homology
-
     graph = enumerate_chambers(arr)
     lattice = intersection_lattice(arr, graph)
+    _, _, group = chamber_orbits(graph)
     size = len(graph)
 
     # sign enumeration agrees with the alternating Moebius count
@@ -91,7 +160,7 @@ def check_instance_laws(arr):
 
     # edge metric is the separation metric, antipodes exist
     for a in range(size):
-        bfs = graph.bfs_distances(a)
+        bfs = bfs_distances(graph, a)
         for b in range(size):
             assert bfs[b] == graph.dist(a, b)
         anti = graph.antipode(a)
@@ -100,7 +169,7 @@ def check_instance_laws(arr):
 
     # gate property of the projection onto each face
     faces = [
-        s for s in iproduct((-1, 0, 1), repeat=arr.n) if sign_feasible(arr, s)
+        s for s in product((-1, 0, 1), repeat=arr.n) if sign_feasible(arr, s)
     ]
     chamber_signs = [
         tuple(1 if graph.masks[i] >> h & 1 else -1 for h in range(arr.n))
@@ -120,11 +189,14 @@ def check_instance_laws(arr):
             for d in above:
                 assert graph.dist(d, c) == graph.dist(d, gate) + graph.dist(gate, c)
 
-    # series, chain counts, and homology agree coefficient by coefficient
-    mag = magnitude_direct(arr, graph, lattice=lattice)
+    # series, chain counts, homology and every structural identity agree
+    mag = magnitude_direct(arr, graph, group=group, lattice=lattice)
     assert mag.ok, {k: v for k, v in mag.checks.items() if not v}
     hom = magnitude_homology(
-        arr, graph, lmax=5, verify_d2=False, magnitude=mag.magnitude
+        arr, graph, lmax=5, group=group, verify_d2=False,
+        magnitude=mag.magnitude,
     )
-    assert hom.ok, {k: v for k, v in hom.checks.items() if not v}
+    checks = structural_checks(arr, lattice, group, hom)
+    assert set(hom.checks) < set(checks)
+    assert all(checks.values()), {k: v for k, v in checks.items() if not v}
     return size

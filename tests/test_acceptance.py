@@ -20,17 +20,11 @@ from conftest import (
     random_arrangements,
 )
 from magarr.arrangement import CATALOG_NAMES
-from magarr.cli import golden_betti, golden_magnitude
+from magarr.cli import golden_betti, golden_magnitude, main
 from magarr.homology import (
-    boolean_diagonality,
     conjecture_probes,
     default_length_cap,
-    diagonal_betti_formula,
-    face_decomposition_check,
-    geodesic_betti_formula,
-    interior_diagonal_boolean,
-    reciprocity_check,
-    small_length_identities,
+    structural_checks,
 )
 from magarr.magnitude import (
     Rank3Stats,
@@ -58,12 +52,21 @@ CLOSED_FORMS = {
     "coxeter:B3": (48, ((2, 3), (3, 1), (4, 1), (6, 1))),
 }
 
-IDENTITY_FIXTURES = {
-    "braid:3": 8,
-    "boolean:2": 8,
-    "boolean:3": 6,
-    "u34": 8,
-    "braid:4": 8,
+# named homology checks made at every cap; the closed forms at lengths
+# 0, 1 and 2 join as the cap reaches them
+ALWAYS_CHECKED = (
+    "chain_counts_match_recursion",
+    "euler_of_homology_matches_chains",
+    "euler_matches_series",
+    "geodesic_two_routes",
+    "diagonal_formula",
+    "reciprocity",
+    "face_decomposition",
+)
+SMALL_LENGTH_CHECKED = {
+    0: ("b00_chambers",),
+    1: ("b11_walls",),
+    2: ("b12_vanishes", "b22_recursion"),
 }
 
 
@@ -170,47 +173,47 @@ def test_05_betti_tables_cell_for_cell():
     print("PASS 5: eight betti tables reproduced")
 
 
-def test_06_homology_identity_suite():
-    """Boundary square, Euler, geodesic, diagonal, interior, and
-    reciprocity identities on the five reference fixtures."""
-    for name, lmax in IDENTITY_FIXTURES.items():
-        arr, graph, lattice, group = geometry(name)
+def test_06_homology_identity_suite(capsys):
+    """Every named homology check passes on every catalog arrangement at
+    its default cap and on the eight frozen tables at their own cap, and
+    verify prints exactly these checks."""
+    runs = [(name, default_length_cap(geometry(name)[1]))
+            for name in CATALOG_NAMES]
+    runs += [(name, fixture["lmax"])
+             for name, fixture in sorted(golden_betti().items())]
+    named = {}
+    for name, lmax in runs:
+        arr, _, lattice, group = geometry(name)
         res = homology_of(name, lmax)  # raises if any boundary square fails
-        assert res.checks["chain_counts_match_recursion"], name
-        assert res.checks["euler_of_homology_matches_chains"], name
-        assert res.checks["euler_matches_series"], name
-
-        # lmax >= n on every fixture here, so every geodesic block is in
-        assert not res.geodesic_torsion, name
-        assert _cells(res.geodesic_betti) == _cells(
-            geodesic_betti_formula(lattice)), name
-
-        small = small_length_identities(res, lattice)
-        assert small and all(small.values()), (name, small)
-
-        diag = diagonal_betti_formula(lattice, lmax)
-        for length in range(lmax + 1):
-            assert res.betti_at(length, length) == diag[length], name
-
+        checks = named[name, lmax] = structural_checks(arr, lattice, group, res)
+        bad = sorted(k for k, v in checks.items() if not v)
+        assert not bad, (name, lmax, bad)
+        # a check that is dropped, or skipped where it applies, fails here
+        want = set(ALWAYS_CHECKED)
+        for length, names in SMALL_LENGTH_CHECKED.items():
+            if lmax >= length:
+                want.update(names)
         if lattice.rank == arr.n:
-            want = interior_diagonal_boolean(lattice.rank, lmax)
-            for length in range(1, lmax + 1):
-                got = res.interior_betti.get((length, length), 0)
-                assert got == want[length], name
-            assert boolean_diagonality(res, lattice) == {"diagonal_only": True}
+            want |= {"diagonal_only", "interior_diagonal_boolean"}
         else:
-            for length in range(1, lmax + 1):
-                assert res.interior_betti.get((length, length), 0) == 0, name
-            verdict = boolean_diagonality(res, lattice)
-            assert verdict["corner_class_present"], name
+            want.add("interior_diagonal_vanishes")
+            if lmax >= arr.n:
+                want.add("corner_class_present")
+        assert set(checks) == want, (name, lmax)
 
-        ok, assembled = face_decomposition_check(arr, lattice, res, group)
-        assert ok, name
-        assert assembled == _cells(res.betti), name
-
-        assert reciprocity_check(
-            res, res.interior_betti, lattice.rank, arr.n
-        ), name
+    # verify braid:4 prints the magnitude checks, the boundary square,
+    # the checks above and the golden diffs, and nothing else
+    lmax = golden_betti()["braid:4"]["lmax"]
+    want = {f"mag:{key}" for key in magnitude_of("braid:4").checks}
+    want |= {"mag:varchenko_det_product", "hom:boundary_squares_to_zero"}
+    want |= {f"hom:{key}" for key in named["braid:4", lmax]}
+    want |= {"golden:magnitude", "golden:betti"}
+    assert main(["verify", "braid:4"]) == 0
+    printed = {
+        line.split(" ", 1)[1] for line in capsys.readouterr().out.splitlines()
+        if line.startswith(("PASS ", "FAIL "))
+    }
+    assert printed == want
     print("PASS 6: homology identity suite")
 
 

@@ -12,7 +12,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import geometry
+from conftest import (
+    bfs_distances,
+    geometry,
+    neighbours,
+    sign_feasible,
+    tits_product,
+)
 from magarr.arrangement import (
     CATALOG_NAMES,
     catalog,
@@ -23,8 +29,6 @@ from magarr.arrangement import (
     orbits_of_permutations,
     parse_arrangement,
     restrict,
-    sign_feasible,
-    tits_product,
     tope_symmetries,
 )
 from magarr.errors import ParseError
@@ -156,7 +160,7 @@ def test_characteristic_polynomials():
 def test_tope_graph_is_partial_cube(name):
     _, graph, _, _ = geometry(name)
     for a in range(len(graph)):
-        byfs = graph.bfs_distances(a)
+        byfs = bfs_distances(graph, a)
         for b in range(len(graph)):
             assert byfs[b] == graph.dist(a, b)
             assert graph.dist(a, b) == (graph.masks[a] ^ graph.masks[b]).bit_count()
@@ -176,7 +180,7 @@ def test_edges_cross_one_hyperplane():
     for a, b in graph.edges():
         assert graph.dist(a, b) == 1
     for a in range(len(graph)):
-        for b in graph.neighbours(a):
+        for b in neighbours(graph, a):
             assert (graph.masks[a] ^ graph.masks[b]).bit_count() == 1
 
 
@@ -403,7 +407,7 @@ def test_tope_symmetry_orders(name):
     for p in group.generators:
         assert sorted(p) == list(range(len(graph)))
         for a in range(len(graph)):
-            for b in graph.neighbours(a):
+            for b in neighbours(graph, a):
                 assert graph.dist(p[a], p[b]) == 1
 
 

@@ -206,6 +206,8 @@ def test_bad_file_is_a_parse_error(capsys, tmp_path):
     {"normals": [[1, 0], [0, 1]], "labels": 3},
     {"normals": [[float("inf"), 1], [0, 1]]},  # written as Infinity
     '{"normals": [[1e400, 1], [0, 1]]}',  # a literal that overflows a float
+    pytest.param('{"normals": [[1%s, 1], [0, 1]]}' % ("0" * 5000),
+                 id="int_over_digit_cap"),
 ])
 def test_malformed_json_source_is_a_parse_error(capsys, tmp_path, doc):
     src = tmp_path / "arr.json"
@@ -403,6 +405,19 @@ def test_cache_entry_is_checked_on_load(capsys, tmp_path, corrupt):
     assert "cache: discarding" in err and "cache: miss" in err
     code, out, err = _run(capsys, args)  # the rewritten entry is good
     assert out == plain and "cache: hit" in err
+
+
+def test_unwritable_cache_entry_is_a_parse_error(capsys, tmp_path):
+    cache = tmp_path / "cache"
+    entry = cache / f"{cache_key(catalog('u34'))}.json"
+    entry.mkdir(parents=True)  # os.replace onto it fails
+    code, out, err = _run(capsys, ["lattice", "u34", "--cache", str(cache)])
+    assert code == 2
+    assert out == ""
+    errors = [l for l in err.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: --cache")
+    assert "Traceback" not in err
+    assert list(cache.iterdir()) == [entry]  # no temporary file left
 
 
 def test_cache_key_ignores_row_order_and_scaling():

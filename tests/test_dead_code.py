@@ -8,14 +8,8 @@ from pathlib import Path
 
 import magarr
 
-# Kept on purpose: the package version, and the oracles the tests check
-# the face structure and the metric with.
-ALLOWED = {
-    "__version__",
-    "sign_feasible",
-    "tits_product",
-    "TopeGraph.bfs_distances",
-}
+# Kept on purpose: the package version.
+ALLOWED = {"__version__"}
 
 
 def _loads(*nodes):

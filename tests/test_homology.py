@@ -2,28 +2,38 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from conftest import geometry, homology_of, magnitude_of
 from magarr.cli import golden_betti
 from magarr.errors import BudgetExceededError, CheckFailedError
 from magarr.homology import (
-    boolean_diagonality,
     chain_count_table,
     default_length_cap,
     diagonal_betti_formula,
     face_decomposition_check,
     four_cut_minimum,
     geodesic_betti_formula,
-    interior_diagonal_boolean,
     magnitude_homology,
-    reciprocity_check,
-    small_length_identities,
+    structural_checks,
 )
 
 
 def _cells(table):
     return {k: v for k, v in table.items() if v}
+
+
+def _structural(name, lmax, result=None):
+    """The named checks of a catalog table, without the face check."""
+    arr, _, lattice, group = geometry(name)
+    if result is None:
+        result = homology_of(name, lmax)
+    return structural_checks(arr, lattice, group, result, face_check=False)
+
+
+SMALL_LENGTH = {"b00_chambers", "b11_walls", "b12_vanishes", "b22_recursion"}
 
 
 QUICK_GOLDEN = ["boolean:2", "braid:3", "coxeter:B2"]
@@ -98,10 +108,13 @@ def test_diagonal_formula(name):
 
 
 def test_interior_diagonal_coordinate_case():
+    # 2^2 * C(l - 1, 1) classes on the interior diagonal of the square
     res = homology_of("boolean:2", 6)
-    want = interior_diagonal_boolean(2, 6)
     for length in range(1, 7):
-        assert res.interior_betti.get((length, length), 0) == want[length]
+        assert res.interior_betti.get((length, length), 0) == 4 * (length - 1)
+    checks = _structural("boolean:2", 6)
+    assert checks["interior_diagonal_boolean"]
+    assert "interior_diagonal_vanishes" not in checks
 
 
 @pytest.mark.parametrize("name", ["braid:3", "u34", "nearpencil:4"])
@@ -113,39 +126,44 @@ def test_interior_diagonal_vanishes_otherwise(name):
 
 @pytest.mark.parametrize("name", ["boolean:2", "braid:3", "u34", "coxeter:B2"])
 def test_small_length_identities(name):
-    _, _, lattice, _ = geometry(name)
-    res = homology_of(name, 4)
-    checks = small_length_identities(res, lattice)
-    assert checks and all(checks.values()), checks
+    checks = _structural(name, 4)
+    assert SMALL_LENGTH <= set(checks)
+    assert all(checks[key] for key in SMALL_LENGTH), checks
 
 
 def test_small_length_identities_respect_cap():
-    _, _, lattice, _ = geometry("boolean:2")
-    res = homology_of("boolean:2", 0)
-    checks = small_length_identities(res, lattice)
-    assert set(checks) == {"b00_chambers"}
+    checks = _structural("boolean:2", 0)
+    assert SMALL_LENGTH & set(checks) == {"b00_chambers"}
+    assert checks["b00_chambers"]
 
 
 @pytest.mark.parametrize("name", ["boolean:2", "boolean:3"])
 def test_boolean_tables_are_diagonal(name):
-    _, _, lattice, _ = geometry(name)
-    res = homology_of(name, 5)
-    verdict = boolean_diagonality(res, lattice)
-    assert verdict == {"diagonal_only": True}
+    checks = _structural(name, 5)
+    assert checks["diagonal_only"]
+    assert "corner_class_present" not in checks
 
 
 def test_nonboolean_corner_class():
-    _, _, lattice, _ = geometry("braid:3")
-    res = homology_of("braid:3", 5)
-    verdict = boolean_diagonality(res, lattice)
-    assert verdict["corner_class_present"]
+    checks = _structural("braid:3", 5)
+    assert checks["corner_class_present"]
+    assert "diagonal_only" not in checks
 
 
 @pytest.mark.parametrize("name", ["boolean:2", "braid:3", "u34"])
 def test_reciprocity(name):
-    arr, _, lattice, _ = geometry(name)
-    res = homology_of(name, arr.n + 2)
-    assert reciprocity_check(res, res.interior_betti, lattice.rank, arr.n)
+    arr, _, _, _ = geometry(name)
+    assert _structural(name, arr.n + 2)["reciprocity"]
+
+
+def test_structural_checks_catch_a_wrong_table():
+    # one extra class at (1, 1) breaks the wall count and the diagonal
+    res = homology_of("braid:3", 4)
+    betti = dict(res.betti)
+    betti[(1, 1)] += 1
+    checks = _structural("braid:3", 4, replace(res, betti=betti))
+    assert not checks["b11_walls"] and not checks["diagonal_formula"]
+    assert checks["b00_chambers"] and checks["geodesic_two_routes"]
 
 
 @pytest.mark.parametrize("name", ["boolean:2", "braid:3"])

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import check_instance_laws, random_arrangements
-from magarr.arrangement import parse_arrangement, tits_product
+from conftest import check_instance_laws, random_arrangements, tits_product
+from magarr.arrangement import parse_arrangement
 from magarr.errors import ParseError
 
 SAMPLE = random_arrangements(12, seed=414243)
