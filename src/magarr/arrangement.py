@@ -51,7 +51,8 @@ class Arrangement:
 def parse_arrangement(rows, labels=None, name=None):
     """Validate raw rows and build an :class:`Arrangement`.
 
-    Rows may contain ints, strings of ints/fractions, or Fractions.
+    Rows may contain ints, strings of ints/fractions, or Fractions, but
+    not booleans.
     Each row is scaled by a positive rational to a primitive integer
     covector; the caller's choice of orientation is preserved.  Zero
     rows and proportional duplicates are rejected.
@@ -59,6 +60,8 @@ def parse_arrangement(rows, labels=None, name=None):
     parsed = []
     for i, row in enumerate(rows):
         try:
+            if any(isinstance(x, bool) for x in row):
+                raise TypeError("a boolean is not a number")
             vals = [Fraction(x) for x in row]
         except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
             raise ParseError(f"row {i}: cannot read entries ({exc})") from None
@@ -364,18 +367,43 @@ def enumerate_chambers(arrangement):
 # intersection poset
 
 
+def _members(mask):
+    """The set bits of ``mask``, ascending."""
+    return tuple(h for h in range(mask.bit_length()) if mask >> h & 1)
+
+
 @dataclass(frozen=True)
 class Flat:
-    """An intersection subspace, identified by the hyperplanes containing it."""
+    """An intersection subspace, identified by the hyperplanes containing
+    it: bit h of ``mask`` is set when hyperplane h contains the flat."""
 
     index: int
-    hyperplanes: tuple
+    mask: int
     rank: int
     mobius: int
 
     @property
+    def hyperplanes(self):
+        return _members(self.mask)
+
+    @property
     def size(self):
-        return len(self.hyperplanes)
+        return self.mask.bit_count()
+
+
+def _mobius_row(masks, bottom):
+    """mu(Y, Z) for every flat Z >= Y as {mask of Z: mu}, where ``bottom``
+    is the mask of Y and ``masks`` lists every flat's mask in rank order.
+
+    Z >= Y iff the mask of Y is inside that of Z; mu(Y, Y) = 1 and
+    mu(Y, Z) = -(sum of mu(Y, W) over Y <= W < Z).
+    """
+    row = {bottom: 1}
+    for top in masks:
+        if top & bottom == bottom and top != bottom:
+            outside = ~top
+            row[top] = -sum(m for w, m in row.items() if not w & outside)
+    return row
 
 
 class FaceLattice:
@@ -383,38 +411,35 @@ class FaceLattice:
 
     Rank of a flat is the codimension of the subspace, i.e. the rank of
     the normals of the hyperplanes through it.  The bottom flat is the
-    empty intersection (the whole space).
+    empty intersection (the whole space).  Y <= X iff the mask of Y is
+    inside that of X, and ``index`` maps a mask to its flat's index.
     """
 
-    def __init__(self, arrangement, flats, mobius_table, chamber_count):
+    def __init__(self, arrangement, flats, chamber_count):
         self.arrangement = arrangement
         self.flats = flats
-        self.by_set = {f.hyperplanes: f.index for f in flats}
-        self.mobius_table = mobius_table
+        self.index = {f.mask: f.index for f in flats}
         self.chamber_count = chamber_count
         self.rank = max(f.rank for f in flats)
+        self._mobius_rows = {0: {f.mask: f.mobius for f in flats}}
         self._restriction_counts = {}
 
     def __len__(self):
         return len(self.flats)
 
-    def mobius(self, i, j):
-        """Moebius function of the interval [i, j]; zero off-interval."""
-        return self.mobius_table.get((i, j), 0)
+    def mobius_row(self, i):
+        """{mask of Z: mu(i, Z)} over the flats Z >= flat i, computed on
+        first request."""
+        row = self._mobius_rows.get(i)
+        if row is None:
+            row = _mobius_row([f.mask for f in self.flats], self.flats[i].mask)
+            self._mobius_rows[i] = row
+        return row
 
     def lower(self, j):
-        """Indices of flats below or equal to flat j."""
-        top = set(self.flats[j].hyperplanes)
-        return [f.index for f in self.flats if set(f.hyperplanes) <= top]
-
-    def interval(self, i, j):
-        bot = set(self.flats[i].hyperplanes)
-        top = set(self.flats[j].hyperplanes)
-        return [
-            f.index
-            for f in self.flats
-            if bot <= set(f.hyperplanes) <= top
-        ]
+        """Indices of flats below or equal to flat j, ascending."""
+        top = self.flats[j].mask
+        return [f.index for f in self.flats if not f.mask & ~top]
 
     def flats_of_rank(self, r):
         return [f for f in self.flats if f.rank == r]
@@ -445,9 +470,11 @@ class FaceLattice:
 
         Equals the sum of |mu(i, Y)| over Y in the interval.
         """
-        return sum(abs(self.mobius(i, y)) for y in self.interval(i, j))
+        outside = ~self.flats[j].mask
+        return sum(abs(m) for y, m in self.mobius_row(i).items()
+                   if not y & outside)
 
-    def restriction_chamber_count(self, j, graph=None):
+    def restriction_chamber_count(self, j):
         """Chambers of the arrangement restricted to flat j, by enumeration."""
         if j in self._restriction_counts:
             return self._restriction_counts[j]
@@ -469,68 +496,44 @@ class FaceLattice:
 
 
 def intersection_lattice(arrangement, graph=None):
-    """Build the poset of flats with its full Moebius table."""
-    n = arrangement.n
+    """Build the poset of flats with mu(0, X) for every flat X.
+
+    Flats are found rank by rank, keyed on their hyperplane masks: the
+    flats covering X are the closures of X plus one hyperplane outside
+    it, and each closure is read off an echelon basis of X's normals
+    extended by that hyperplane's.  Flats are ordered by rank, then by
+    their sorted hyperplanes.
+    """
     normals = arrangement.normals
-
-    def closure(subset):
-        rows = [normals[h] for h in subset]
-        reduced, pivots = rref(rows)
-        closed = tuple(
-            h for h in range(n) if in_row_space(reduced, pivots, normals[h])
-        )
-        return closed, len(pivots)
-
-    flat_sets = {}
-    bottom, _ = closure(())
-    if bottom:
-        raise CheckFailedError("a nonzero normal lies in the empty span")
-    flat_sets[()] = 0
-    frontier = [()]
+    if not all(map(any, normals)):
+        raise CheckFailedError("a zero normal lies in every flat")
+    rank_of = {0: 0}
+    frontier = [(0, [])]  # (flat mask, echelon basis of its normals)
+    rank = 0
     while frontier:
+        rank += 1
         nxt = []
-        for s in frontier:
-            have = set(s)
-            for h in range(n):
-                if h in have:
-                    continue
-                closed, rk = closure(s + (h,))
-                if closed not in flat_sets:
-                    flat_sets[closed] = rk
-                    nxt.append(closed)
+        for mask, basis in frontier:
+            outside = [g for g in range(arrangement.n) if not mask >> g & 1]
+            todo = outside
+            while todo:
+                reduced, pivots = rref(basis + [normals[todo[0]]])
+                closed = mask | sum(
+                    1 << g for g in outside
+                    if in_row_space(reduced, pivots, normals[g]))
+                todo = [g for g in todo if not closed >> g & 1]
+                if closed not in rank_of:
+                    rank_of[closed] = rank
+                    nxt.append((closed, reduced))
         frontier = nxt
 
-    ordered = sorted(flat_sets, key=lambda s: (flat_sets[s], s))
-    idx = {s: i for i, s in enumerate(ordered)}
-    sets = [set(s) for s in ordered]
-
-    # Moebius over every comparable pair, by rank-increasing recursion.
-    mobius_table = {}
-    for i, si in enumerate(sets):
-        above = [j for j in range(len(ordered)) if si <= sets[j]]
-        above.sort(key=lambda j: flat_sets[ordered[j]])
-        for j in above:
-            if i == j:
-                mobius_table[(i, j)] = 1
-                continue
-            acc = 0
-            for k in above:
-                if k != j and sets[k] <= sets[j]:
-                    acc += mobius_table[(i, k)]
-            mobius_table[(i, j)] = -acc
-
-    flats = tuple(
-        Flat(
-            index=i,
-            hyperplanes=ordered[i],
-            rank=flat_sets[ordered[i]],
-            mobius=mobius_table[(0, i)],
-        )
-        for i in range(len(ordered))
-    )
+    masks = sorted(rank_of, key=lambda m: (rank_of[m], _members(m)))
+    mobius = _mobius_row(masks, 0)
+    flats = tuple(Flat(index=i, mask=m, rank=rank_of[m], mobius=mobius[m])
+                  for i, m in enumerate(masks))
     if graph is None:
         graph = enumerate_chambers(arrangement)
-    lattice = FaceLattice(arrangement, flats, mobius_table, len(graph))
+    lattice = FaceLattice(arrangement, flats, len(graph))
 
     # Zaslavsky count must match the enumeration.
     total = sum(abs(f.mobius) for f in flats)
@@ -563,8 +566,10 @@ def _restrict_with_basis(arrangement, hyperplanes):
     Distinct hyperplanes may cut the flat in the same subspace; they are
     merged, keeping first-occurrence order.
     """
-    hs = sorted(set(hyperplanes))
-    rows = [arrangement.normals[h] for h in hs]
+    inside = 0
+    for h in hyperplanes:
+        inside |= 1 << h
+    rows = [arrangement.normals[h] for h in _members(inside)]
     if rows:
         basis = nullspace(rows, arrangement.dimension)
     else:
@@ -573,9 +578,8 @@ def _restrict_with_basis(arrangement, hyperplanes):
     new_rows = []
     new_labels = []
     seen = set()
-    in_flat = set(hs)
     for h in range(arrangement.n):
-        if h in in_flat:
+        if inside >> h & 1:
             continue
         row = tuple(_dot(arrangement.normals[h], b) for b in basis)
         if not any(row):
@@ -809,10 +813,10 @@ def flat_orbits(lattice, group):
     """Orbit partition of flats under a chamber symmetry group.
 
     Each generator relabels the hyperplanes, and so permutes the flats,
-    which are sets of hyperplanes.
+    which are hyperplane masks.
     """
     fperms = [
-        tuple(lattice.by_set[tuple(sorted(hp[h] for h in f.hyperplanes))]
+        tuple(lattice.index[sum(1 << hp[h] for h in f.hyperplanes)]
               for f in lattice.flats)
         for hp in group.hyperplane_perms
     ]

@@ -46,6 +46,7 @@ from .magnitude import (
     magnitude_fraction,
     varchenko_det_check,
 )
+from .polyq import IntPoly
 
 TASKS = ("mag", "homology", "lattice", "verify", "conjectures")
 REPORT_SCHEMA = 1
@@ -456,26 +457,6 @@ def run(job):
 # ---------------------------------------------------------------------------
 # rendering
 
-def _poly_text(coeffs):
-    if not any(coeffs):
-        return "0"
-    parts = []
-    for i, c in enumerate(coeffs):
-        if not c:
-            continue
-        size = abs(c)
-        if i == 0:
-            term = str(size)
-        else:
-            base = "q" if i == 1 else f"q^{i}"
-            term = base if size == 1 else f"{size}{base}"
-        if not parts:
-            parts.append(f"-{term}" if c < 0 else term)
-        else:
-            parts.append(f"- {term}" if c < 0 else f"+ {term}")
-    return " ".join(parts)
-
-
 def _series_text(series):
     return ", ".join(str(c) for c in series)
 
@@ -511,14 +492,14 @@ def render(bundle):
     if task == "mag":
         lines.append(
             "magnitude = (%s) / (%s)"
-            % (_poly_text(out["magnitude"]["num"]),
-               _poly_text(out["magnitude"]["den"]))
+            % (IntPoly(out["magnitude"]["num"]),
+               IntPoly(out["magnitude"]["den"]))
         )
         lines.append("series: " + _series_text(out["series"]))
         lines.append(
             "interior = (%s) / (%s)"
-            % (_poly_text(out["interior"]["num"]),
-               _poly_text(out["interior"]["den"]))
+            % (IntPoly(out["interior"]["num"]),
+               IntPoly(out["interior"]["den"]))
         )
         factors = " ".join(
             f"Phi_{k}^{m}" if m > 1 else f"Phi_{k}"

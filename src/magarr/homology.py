@@ -245,10 +245,6 @@ class HomologyResult:
     chamber_count: int
     checks: dict = field(default_factory=dict)
 
-    @property
-    def ok(self):
-        return all(self.checks.values())
-
     def betti_at(self, k, length):
         return self.betti.get((k, length), 0)
 
@@ -543,7 +539,9 @@ def four_cut_minimum(graph, group=None):
 
 def components_by_weight(arrangement, lattice):
     """Partition of hyperplanes: join H and K when at least three pass
-    through their common flat."""
+    through their common flat.  Two distinct hyperplanes lie in exactly
+    one rank-2 flat, so this joins the hyperplanes of every rank-2 flat
+    with at least three of them."""
     n = arrangement.n
     parent = list(range(n))
 
@@ -553,16 +551,11 @@ def components_by_weight(arrangement, lattice):
             x = parent[x]
         return x
 
-    flats_sorted = sorted(lattice.flats, key=lambda f: f.rank)
-    for h in range(n):
-        for k in range(h + 1, n):
-            closure = None
-            for f in flats_sorted:
-                if h in f.hyperplanes and k in f.hyperplanes:
-                    closure = f
-                    break
-            if closure is not None and closure.size >= 3:
-                ra, rb = find(h), find(k)
+    for f in lattice.flats_of_rank(2):
+        if f.size >= 3:
+            first, *rest = f.hyperplanes
+            for h in rest:
+                ra, rb = find(first), find(h)
                 if ra != rb:
                     parent[ra] = rb
     groups = defaultdict(list)

@@ -26,7 +26,6 @@ from .linalg import matrix_rank
 from .polyq import (
     ONE,
     RAT_ONE,
-    RAT_ZERO,
     IntPoly,
     RatFunc,
     ZERO,
@@ -160,10 +159,6 @@ class MagnitudeResult:
     symmetry_order: int
     checks: dict = field(default_factory=dict)
 
-    @property
-    def ok(self):
-        return all(self.checks.values())
-
 
 def interior_magnitude(mag, rank, n):
     """Sign-and-shift companion of magnitude: (-1)^rank q^n times it."""
@@ -232,13 +227,6 @@ def magnitude_direct(arrangement, graph=None, group=None, lattice=None,
 # face decomposition route
 
 
-def _flat_interior_term(lattice, y, mag_y):
-    f = lattice.flats[y]
-    sign = -1 if f.rank % 2 else 1
-    shift = RatFunc.of(IntPoly.monomial(f.size, sign))
-    return shift * mag_y
-
-
 def magnitude_by_face_decomposition(lattice):
     """Magnitude via the recursion over localizations at flats.
 
@@ -251,32 +239,36 @@ def magnitude_by_face_decomposition(lattice):
     Solving for the X term gives the recursion used here.  For flats
     below the top, c^Y[Y,X] is the interval Moebius sum; at the top
     level the counts are taken from actual restriction enumerations,
-    which crosses the two routes.
+    which crosses the two routes.  The terms for X are summed as
+    numerators over each distinct denominator of Mag(A_Y), and the sum
+    is reduced once.
     """
     flats = lattice.flats
     top = flats[-1]
     if top.size != lattice.arrangement.n:
         raise CheckFailedError("top flat misses some hyperplanes")
-    mag_of = {0: RAT_ONE}
     if flats[0].rank != 0:
         raise CheckFailedError("first flat is not the bottom")
-    for f in flats[1:]:
-        x = f.index
-        use_enum = f.index == top.index
-        acc = RAT_ZERO
-        for y in lattice.lower(x):
-            if y == x:
-                continue
-            if use_enum:
+    mag_of = [RAT_ONE]  # Mag(A_X) by flat index
+    for x in flats[1:]:
+        groups = {}  # denominator of Mag(A_Y) -> sum of the term numerators
+        for y in lattice.lower(x.index)[:-1]:  # the last one is x itself
+            if x is top:
                 c = lattice.restriction_chamber_count(y)
             else:
-                c = lattice.interval_chamber_count(y, x)
-            acc = acc + _flat_interior_term(lattice, y, mag_of[y]) * c
-        sign = -1 if f.rank % 2 else 1
-        den = RatFunc.of(ONE - IntPoly.monomial(f.size, sign))
-        mag_of[x] = acc / den
-    mag = mag_of[top.index]
-    return reduce_fraction(mag.num, mag.den)
+                c = lattice.interval_chamber_count(y, x.index)
+            f = flats[y]
+            sign = -1 if f.rank % 2 else 1
+            term = mag_of[y].num.shift(f.size) * (sign * c)
+            den = mag_of[y].den
+            groups[den] = groups.get(den, ZERO) + term
+        num, den = ZERO, ONE
+        for d, p in groups.items():
+            num, den = num * d + p * den, den * d
+        sign = -1 if x.rank % 2 else 1
+        mag_of.append(
+            reduce_fraction(num, den * (ONE - IntPoly.monomial(x.size, sign))))
+    return mag_of[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -322,7 +322,6 @@ class RatFunc:
         return f"({self.num}) / ({self.den})"
 
 
-RAT_ZERO = RatFunc(ZERO, ONE)
 RAT_ONE = RatFunc(ONE, ONE)
 
 

@@ -191,7 +191,7 @@ def check_instance_laws(arr):
 
     # series, chain counts, homology and every structural identity agree
     mag = magnitude_direct(arr, graph, group=group, lattice=lattice)
-    assert mag.ok, {k: v for k, v in mag.checks.items() if not v}
+    assert all(mag.checks.values()), {k: v for k, v in mag.checks.items() if not v}
     hom = magnitude_homology(
         arr, graph, lmax=5, group=group, verify_d2=False,
         magnitude=mag.magnitude,

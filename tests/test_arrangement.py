@@ -341,7 +341,7 @@ def _assert_group_matches_enumeration(graph, lattice):
     assert orbits_of_permutations(size, group.generators) == \
         orbits_of_permutations(size, list(every))
     flat_perms = [
-        tuple(lattice.by_set[tuple(sorted(hp[h] for h in f.hyperplanes))]
+        tuple(lattice.index[sum(1 << hp[h] for h in f.hyperplanes)]
               for f in lattice.flats)
         for hp in every.values()
     ]

@@ -10,7 +10,7 @@ from math import comb
 import pytest
 
 import magarr.cli as cli
-from magarr.arrangement import catalog
+from magarr.arrangement import CATALOG_NAMES, catalog
 from magarr.cli import (
     JobSpec,
     cache_key,
@@ -184,6 +184,53 @@ def test_lattice_task_lists_flats(capsys):
     assert "chambers: 6" in out
 
 
+# sha256 of the `lattice <name> --json` bundle, which lists every flat's
+# hyperplanes, rank, mu(0, X) and restriction count in flat order
+LATTICE_JSON_DIGESTS = {
+    "boolean:1":
+        "409df88f6a5df895e33d0df6ec74295f05a5bf8e4324f30560538d76980fac67",
+    "boolean:2":
+        "8bc1d98f61815aaf376822711b41096024e2da999bb7ec99969e68000d86e771",
+    "boolean:3":
+        "5c3bf4cc71e9f32a63596e02ae535a534bbd0fbc8a3c9cc371809bcc4f5fe238",
+    "boolean:4":
+        "06c879edf2342d54651842b5c2eaa7186b9adc24ffe190c53205659b611f03b1",
+    "braid:3":
+        "9a61bb8ce93bb9d1f3d782f0400aca00c2b786695e461af42474ef2933f5b279",
+    "braid:4":
+        "98ad854ccb1e71777cbd811deaceff52b78f6a72c731aa18fc738a03cef6aad5",
+    "braid:5":
+        "f5146ab6782370a5958cbf10780b8de0a9cd5b623022f230d8f6cec408c8bb52",
+    "coxeter:B2":
+        "8285a57c696102c3db5e30f8efbc5a27732182db6f376b4fecf0ae6828634f4f",
+    "coxeter:B3":
+        "5bbf35883eb6d775293e32a5259fa8a9da6da4fecdab173506f8b348f7f40d58",
+    "u34":
+        "fd977497a9a3df179627eb262c6245d038ed89cf2231deb10d3b487810c80551",
+    "u45":
+        "d6b30e90257501d1ca32c6bc95f5d840218f0c6bb4fbcc588957ecfaa3bb215c",
+    "k4me":
+        "42df82fa4bd18cfa0b709c093e62ac114cb39c09f4a668849271e1c8f9b4f5bc",
+    "k5me":
+        "6e84b3d037edd9d47a2a1d46e525c8b9aeabd8bb8eceafdc8f8ee2ead65a95ce",
+    "bracelet":
+        "44231e604defb23aa7941ebaf9017b695f8bcaa3664f723566d2c91288700e3c",
+    "nearpencil:4":
+        "016f602b138cbc08441cd2c41733275cbbd455856c56d68463c92b5267b76022",
+    "nearpencil:5":
+        "d13a0088c02da05d6c7c3b600656a4eec4d6cba04c8c6cc34ac86bab143154ee",
+}
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_lattice_json_matches_frozen_digest(capsys, tmp_path, name):
+    path = tmp_path / "lattice.json"
+    code, _, _ = _run(capsys, ["lattice", name, "--json", str(path)])
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        LATTICE_JSON_DIGESTS[name]
+
+
 def test_unknown_name_is_a_parse_error(capsys):
     code, _, err = _run(capsys, ["mag", "no-such-arrangement"])
     assert code == 2
@@ -208,6 +255,7 @@ def test_bad_file_is_a_parse_error(capsys, tmp_path):
     '{"normals": [[1e400, 1], [0, 1]]}',  # a literal that overflows a float
     pytest.param('{"normals": [[1%s, 1], [0, 1]]}' % ("0" * 5000),
                  id="int_over_digit_cap"),
+    {"normals": [[True, 0], [0, 1]]},  # a boolean is not a number
 ])
 def test_malformed_json_source_is_a_parse_error(capsys, tmp_path, doc):
     src = tmp_path / "arr.json"

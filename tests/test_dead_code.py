@@ -13,15 +13,15 @@ ALLOWED = {"__version__"}
 
 
 def _loads(*nodes):
-    """Names and attribute names read anywhere under the nodes."""
-    out = set()
+    """(bare names, attribute names) read anywhere under the nodes."""
+    names, attrs = set(), set()
     for node in nodes:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                out.add(sub.id)
+                names.add(sub.id)
             elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
-                out.add(sub.attr)
-    return out
+                attrs.add(sub.attr)
+    return names, attrs
 
 
 def _units(tree):
@@ -44,7 +44,7 @@ def _units(tree):
             targets = getattr(node, "targets", [getattr(node, "target", None)])
             names = [t.id for t in targets if isinstance(t, ast.Name)]
             name = names[0] if len(names) == 1 else None
-            yield name, name, _loads(node.value) if node.value else set()
+            yield name, name, _loads(node.value) if node.value else _loads()
         else:
             yield None, None, _loads(node)
 
@@ -66,8 +66,11 @@ def test_every_definition_is_used_inside_the_package():
     defined, unit_loads = _definitions_and_loads()
     dead = []
     for qual, (fname, bare, own) in sorted(defined.items()):
-        # a load inside the definition itself (recursion) does not count
-        used = any(bare in loads for i, loads in enumerate(unit_loads) if i != own)
+        # a load inside the definition itself (recursion) does not count,
+        # and a method or property is used only when loaded as an attribute
+        method = "." in qual
+        used = any(bare in attrs or (bare in names and not method)
+                   for i, (names, attrs) in enumerate(unit_loads) if i != own)
         if not used and qual not in ALLOWED:
             dead.append(f"{fname}: {qual}")
     assert not dead, "defined but never loaded in src/magarr: " + ", ".join(dead)

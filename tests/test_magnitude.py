@@ -87,7 +87,7 @@ def test_generic_and_graphic_fixture_forms():
 @pytest.mark.parametrize("name", QUICK + ["k4me", "braid:4"])
 def test_structural_checks_all_pass(name):
     mag = magnitude_of(name)
-    assert mag.ok, {k: v for k, v in mag.checks.items() if not v}
+    assert all(mag.checks.values()), {k: v for k, v in mag.checks.items() if not v}
     assert mag.checks["one_point_property"]
     assert mag.checks["degree_gap_is_n"]
     assert mag.checks["palindromic_num"] and mag.checks["palindromic_den"]
