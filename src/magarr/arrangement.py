@@ -452,10 +452,6 @@ class FaceLattice:
             coeffs[d - f.rank] += f.mobius
         return tuple(coeffs)
 
-    def whitney_sum(self, j):
-        """Sum of |mu(0, Y)| over Y <= flat j (chambers meeting the flat)."""
-        return sum(abs(self.flats[y].mobius) for y in self.lower(j))
-
     def beta_invariant(self, j):
         """|chi'(1)| of the subarrangement of hyperplanes through flat j."""
         d = self.arrangement.dimension
@@ -495,7 +491,7 @@ class FaceLattice:
         return out
 
 
-def intersection_lattice(arrangement, graph=None):
+def intersection_lattice(arrangement, graph):
     """Build the poset of flats with mu(0, X) for every flat X.
 
     Flats are found rank by rank, keyed on their hyperplane masks: the
@@ -531,8 +527,6 @@ def intersection_lattice(arrangement, graph=None):
     mobius = _mobius_row(masks, 0)
     flats = tuple(Flat(index=i, mask=m, rank=rank_of[m], mobius=mobius[m])
                   for i, m in enumerate(masks))
-    if graph is None:
-        graph = enumerate_chambers(arrangement)
     lattice = FaceLattice(arrangement, flats, len(graph))
 
     # Zaslavsky count must match the enumeration.

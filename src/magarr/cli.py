@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
+from . import homology, magnitude
 from .arrangement import (
     CATALOG_NAMES,
     TopeGraph,
@@ -38,20 +39,13 @@ from .homology import (
     default_length_cap,
     four_cut_minimum,
     magnitude_homology,
-    structural_checks,
 )
-from .magnitude import (
-    chamber_orbits,
-    magnitude_direct,
-    magnitude_fraction,
-    varchenko_det_check,
-)
+from .magnitude import chamber_orbits, magnitude_direct, magnitude_fraction
 from .polyq import IntPoly
 
 TASKS = ("mag", "homology", "lattice", "verify", "conjectures")
 REPORT_SCHEMA = 1
 SCHEMA_VERSION = 2  # cache payload
-DET_CHECK_AUTO_LIMIT = 60
 FOUR_CUT_LIMIT = 60
 
 
@@ -259,17 +253,9 @@ def _torsion_out(table):
     return {f"{k},{l}": list(v) for (k, l), v in sorted(table.items())}
 
 
-def _maybe_det(job, graph, lattice):
-    if job.det_check or len(graph) <= DET_CHECK_AUTO_LIMIT:
-        ok, _, _ = varchenko_det_check(graph, lattice)
-        return ok
-    return None
-
-
 def _mag_task(job, arrangement, graph, lattice, group):
-    res = magnitude_direct(arrangement, graph, group=group, lattice=lattice,
-                           face_check=job.face_check)
-    out = {
+    res = magnitude_direct(arrangement, graph, group)
+    return {
         "magnitude": {"num": list(res.magnitude.num.coeffs),
                       "den": list(res.magnitude.den.coeffs)},
         "interior": {"num": list(res.interior.num.coeffs),
@@ -279,12 +265,9 @@ def _mag_task(job, arrangement, graph, lattice, group):
         "cyclotomic_denominator": [[k, m] for k, m in res.cyclotomic_den],
         "orbit_count": res.orbit_count,
         "symmetry_order": res.symmetry_order,
-        "checks": dict(res.checks),
+        "checks": magnitude.structural_checks(
+            graph, lattice, res, job.face_check, job.det_check),
     }
-    det = _maybe_det(job, graph, lattice)
-    if det is not None:
-        out["checks"]["varchenko_det_product"] = det
-    return out
 
 
 def _homology_task(job, arrangement, graph, group):
@@ -323,10 +306,8 @@ def _lattice_task(lattice):
 
 def _conjectures_task(job, arrangement, graph, lattice, group):
     lmax = job.lmax if job.lmax is not None else default_length_cap(graph)
-    mag = magnitude_direct(arrangement, graph, group=group, lattice=lattice,
-                           face_check=False)
-    hom = magnitude_homology(arrangement, graph, lmax=lmax, group=group,
-                             verify_d2=False)
+    mag = magnitude_direct(arrangement, graph, group)
+    hom = magnitude_homology(arrangement, graph, lmax=lmax, group=group)
     return conjecture_probes(arrangement, graph, lattice, mag, hom)
 
 
@@ -334,13 +315,9 @@ def _verify_task(job, arrangement, name, is_file, graph, lattice, group):
     """Full structural suite plus golden diffs for the source."""
     checks = {}
     golden = {}
-    mag = magnitude_direct(arrangement, graph, group=group, lattice=lattice,
-                           face_check=job.face_check)
-    for key, val in mag.checks.items():
-        checks[f"mag:{key}"] = val
-    det = _maybe_det(job, graph, lattice)
-    if det is not None:
-        checks["mag:varchenko_det_product"] = det
+    mag = magnitude_direct(arrangement, graph, group)
+    registries = {"mag": magnitude.structural_checks(
+        graph, lattice, mag, job.face_check, job.det_check)}
 
     gm = None if is_file else golden_magnitude().get(name)
     if gm is not None:
@@ -370,14 +347,13 @@ def _verify_task(job, arrangement, name, is_file, graph, lattice, group):
     hom = None
     try:
         hom = magnitude_homology(arrangement, graph, lmax=lmax, group=group,
-                                 verify_d2=True, magnitude=mag.magnitude)
+                                 magnitude=mag.magnitude)
         checks["hom:boundary_squares_to_zero"] = True
     except CheckFailedError:
         checks["hom:boundary_squares_to_zero"] = False
     if hom is not None:
-        for key, val in structural_checks(arrangement, lattice, group, hom,
-                                          job.face_check).items():
-            checks[f"hom:{key}"] = val
+        registries["hom"] = homology.structural_checks(
+            arrangement, lattice, group, hom, job.face_check)
         if fixture is not None:
             cap = min(lmax, fixture["lmax"])
             want = {
@@ -405,6 +381,9 @@ def _verify_task(job, arrangement, name, is_file, graph, lattice, group):
             golden["betti_cells_checked"] = len(want)
             if bad:
                 golden["betti_diff"] = bad
+    for prefix, named in registries.items():
+        for key, val in named.items():
+            checks[f"{prefix}:{key}"] = val
     out = {"lmax": lmax, "checks": checks, "golden": golden,
            "ok": all(checks.values())}
     return out

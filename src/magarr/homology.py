@@ -31,7 +31,9 @@ from .linalg import complex_homology, matrix_rank
 from .magnitude import alternating_violation, chamber_orbits, profile_uniform
 from .polyq import series_expand
 
-DEFAULT_LENGTH_BUDGET = 5_000_000
+# chain and profile entries one homology run may store; 3.4 times what
+# u45 at lmax 7 stores
+DEFAULT_CHAIN_BUDGET = 60_000_000
 
 
 def default_length_cap(graph):
@@ -49,17 +51,18 @@ def default_length_cap(graph):
 # chain enumeration
 
 
-def _start_blocks(graph, start, lmax, per_length_counts, per_length_budget,
-                  full_support_only=False):
+def _start_blocks(graph, start, lmax, spent, budget, full_support_only):
     """All proper chains from one start, grouped into boundary blocks.
 
-    Returns {(length, end, profile): {degree: [chains]}} where profile
-    counts the crossings of each hyperplane along the chain.  Deleting
-    a chamber at a smooth point merges two disjoint crossing sets, so
-    the whole profile survives the differential, not just its support;
-    keying blocks on it keeps them small.  Chains are tuples of chamber
-    indices.  ``per_length_counts`` tallies chains per total length
-    across calls and trips the budget error.
+    Returns ({(length, end, profile): {degree: [chains]}}, spent) where
+    profile counts the crossings of each hyperplane along the chain.
+    Deleting a chamber at a smooth point merges two disjoint crossing
+    sets, so the whole profile survives the differential, not just its
+    support; keying blocks on it keeps them small.  Chains are tuples of
+    chamber indices.  ``spent`` counts the chain and profile entries
+    stored so far in the run; going past ``budget`` raises
+    BudgetExceededError, which bounds memory however deep a large
+    ``lmax`` lets the search go.
     """
     masks = graph.masks
     size = len(masks)
@@ -75,12 +78,6 @@ def _start_blocks(graph, start, lmax, per_length_counts, per_length_budget,
             if per_degree is None:
                 per_degree = blocks[key] = {}
             per_degree.setdefault(len(chain) - 1, []).append(chain)
-        cnt = per_length_counts.get(length, 0) + 1
-        per_length_counts[length] = cnt
-        if cnt > per_length_budget:
-            raise BudgetExceededError(
-                f"chains of length {length}", per_length_budget, cnt
-            )
         remaining = lmax - length
         if remaining < 1:
             continue
@@ -106,11 +103,15 @@ def _start_blocks(graph, start, lmax, per_length_counts, per_length_budget,
                 nprofile[h] += 1
             if full_support_only and nmissing > remaining - d:
                 continue
+            spent += len(chain) + 1 + n
+            if spent > budget:
+                raise BudgetExceededError(
+                    "stored chain entries", budget, spent)
             stack.append((chain + (j,), length + d, tuple(nprofile), nmissing))
-    return blocks
+    return blocks, spent
 
 
-def _block_homology(block, masks, verify_d2=True):
+def _block_homology(block, masks):
     """Betti numbers and torsion of one block, graded by degree.
 
     Returns {degree: (betti, torsion factors, chain count)}.
@@ -143,8 +144,7 @@ def _block_homology(block, masks, verify_d2=True):
                 cols[col] = colmap
         if cols:
             boundaries[k] = cols
-    if verify_d2:
-        _assert_d2_zero(boundaries)
+    _assert_d2_zero(boundaries)
     dims = {k: len(block[k]) for k in degrees}
     hom = complex_homology(dims, boundaries)
     return {
@@ -249,21 +249,22 @@ class HomologyResult:
         return self.betti.get((k, length), 0)
 
 
-def magnitude_homology(arrangement, graph=None, lmax=None, group=None,
-                       per_length_budget=DEFAULT_LENGTH_BUDGET,
-                       interior_only=False, verify_d2=True, magnitude=None):
+def magnitude_homology(arrangement, graph=None, *, lmax, group=None,
+                       chain_budget=DEFAULT_CHAIN_BUDGET, interior_only=False,
+                       magnitude=None):
     """Bigraded Betti table through total length ``lmax``.
 
     ``interior_only`` restricts the complex to chains crossing every
     hyperplane, which is the summand entering the face decomposition.
     When ``magnitude`` (a RatFunc) is given, the per-length Euler
     characteristics of the chain spaces are checked against its series.
+    Every block's boundary is checked to square to zero, and a run that
+    would store more than ``chain_budget`` chain and profile entries
+    stops with BudgetExceededError.
     """
     if graph is None:
         graph = enumerate_chambers(arrangement)
     orbit_id, orbits, group = chamber_orbits(graph, group)
-    if lmax is None:
-        lmax = default_length_cap(graph)
     masks = graph.masks
     betti = defaultdict(int)
     torsion = defaultdict(list)
@@ -272,16 +273,14 @@ def magnitude_homology(arrangement, graph=None, lmax=None, group=None,
     int_torsion = defaultdict(list)
     geo_betti = defaultdict(int)
     geo_torsion = defaultdict(list)
-    per_length_counts = {}
+    spent = 0
     for orbit in orbits:
         rep = orbit[0]
         weight = len(orbit)
-        blocks = _start_blocks(
-            graph, rep, lmax, per_length_counts, per_length_budget,
-            full_support_only=interior_only,
-        )
+        blocks, spent = _start_blocks(
+            graph, rep, lmax, spent, chain_budget, interior_only)
         for (length, end, profile), block in blocks.items():
-            summary = _block_homology(block, masks, verify_d2=verify_d2)
+            summary = _block_homology(block, masks)
             parts = [(betti, torsion)]
             if 0 not in profile:
                 parts.append((int_betti, int_torsion))
@@ -351,7 +350,7 @@ def geodesic_betti_formula(lattice):
     out = {}
     for f in lattice.flats:
         c_upper = lattice.restriction_chamber_count(f.index)
-        c_lower = lattice.whitney_sum(f.index)
+        c_lower = lattice.interval_chamber_count(0, f.index)
         key = (f.rank, f.size)
         out[key] = out.get(key, 0) + c_upper * c_lower
     return out
@@ -449,8 +448,7 @@ def structural_checks(arrangement, lattice, group, result, face_check=True):
     return checks
 
 
-def face_decomposition_check(arrangement, lattice, result, group,
-                             per_length_budget=DEFAULT_LENGTH_BUDGET):
+def face_decomposition_check(arrangement, lattice, result, group):
     """Betti table equals the flat-indexed sum of interior tables.
 
     Every chain crosses the hyperplanes of some flat's localization and
@@ -479,10 +477,7 @@ def face_decomposition_check(arrangement, lattice, result, group,
             total[(0, 0)] += weight * c
             continue
         sub = localize(arrangement, rep.hyperplanes)
-        sub_res = magnitude_homology(
-            sub, lmax=result.lmax, interior_only=True,
-            per_length_budget=per_length_budget, verify_d2=False,
-        )
+        sub_res = magnitude_homology(sub, lmax=result.lmax, interior_only=True)
         for key, v in sub_res.betti.items():
             total[key] += weight * c * v
     want = {k: v for k, v in result.betti.items() if v}
@@ -490,7 +485,7 @@ def face_decomposition_check(arrangement, lattice, result, group,
     return got == want, got
 
 
-def four_cut_minimum(graph, group=None):
+def four_cut_minimum(graph, group):
     """Shortest degree-3 chain whose halves are geodesic but which is not.
 
     Crossing sets s1, s2, s3 of the three steps must satisfy s1 and s2

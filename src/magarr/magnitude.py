@@ -12,15 +12,10 @@ coefficients of every minor, so each minor is read back exactly from
 the base-2**b digits of its integer value.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isqrt
 
-from .arrangement import (
-    enumerate_chambers,
-    intersection_lattice,
-    orbits_of_permutations,
-    tope_symmetries,
-)
+from .arrangement import orbits_of_permutations, tope_symmetries
 from .errors import CheckFailedError
 from .linalg import matrix_rank
 from .polyq import (
@@ -29,6 +24,7 @@ from .polyq import (
     IntPoly,
     RatFunc,
     ZERO,
+    PowerSeriesPrefix,
     cyclotomic_factor,
     is_denominator_cyclotomic,
     reduce_fraction,
@@ -38,6 +34,8 @@ from .polyq import (
 
 # magnitude series are reported through this power of q (11 coefficients)
 SERIES_ORDER = 10
+# the determinant check runs unasked on graphs with at most this many chambers
+DET_CHECK_AUTO_LIMIT = 60
 
 
 def _kronecker_decode(value, bits):
@@ -145,19 +143,18 @@ def magnitude_fraction(graph, group=None):
 
 @dataclass
 class MagnitudeResult:
-    """Magnitude with its alternate-route values and structural checks."""
+    """Magnitude with the values derived from it."""
 
     chamber_count: int
     n: int
     rank: int
     magnitude: RatFunc
     interior: RatFunc
-    series: tuple
-    interior_series: tuple
+    series: PowerSeriesPrefix
+    interior_series: PowerSeriesPrefix
     cyclotomic_den: tuple
     orbit_count: int
     symmetry_order: int
-    checks: dict = field(default_factory=dict)
 
 
 def interior_magnitude(mag, rank, n):
@@ -167,60 +164,66 @@ def interior_magnitude(mag, rank, n):
     return reduce_fraction(num, mag.den)
 
 
-def magnitude_direct(arrangement, graph=None, group=None, lattice=None,
-                     face_check=True):
-    """Magnitude with structural checks, computed from the chamber metric.
-
-    When ``face_check`` is set, the value is recomputed independently
-    through the face decomposition over the flat poset (and, for rank
-    three, the closed form) and compared entry by entry.
-    """
-    if graph is None:
-        graph = enumerate_chambers(arrangement)
+def magnitude_direct(arrangement, graph, group):
+    """Magnitude and its derived values, from the chamber metric."""
     orbit_id, orbits, group = chamber_orbits(graph, group)
     mag = magnitude_fraction(graph, group)
     n = arrangement.n
     rank = matrix_rank(arrangement.normals)
     interior = interior_magnitude(mag, rank, n)
-    series = series_expand(mag, SERIES_ORDER)
-    interior_series = series_expand(interior, SERIES_ORDER)
-    cyc_ok, cyc_factors = is_denominator_cyclotomic(mag.den)
-
-    checks = {}
-    checks["series_integral"] = series.integral and interior_series.integral
-    checks["one_point_property"] = mag.evaluate(1) == 1
-    checks["degree_gap_is_n"] = mag.degree_gap() == n
-    checks["palindromic_num"] = mag.num.is_palindromic()
-    checks["palindromic_den"] = mag.den.is_palindromic()
-    checks["cyclotomic_denominator"] = cyc_ok
-    shifted = reduce_fraction(mag.num.shift(n), mag.den)
-    checks["inversion_symmetry"] = reverse_substitute(mag) == shifted
-    checks["series_chamber_count"] = series[0] == len(graph)
-    checks["series_edge_count"] = series[1] == -2 * len(graph.edges())
-    checks["interior_at_one"] = interior.evaluate(1) == (-1) ** rank
-
-    if face_check:
-        if lattice is None:
-            lattice = intersection_lattice(arrangement, graph)
-        via_faces = magnitude_by_face_decomposition(lattice)
-        checks["face_decomposition_route"] = via_faces == mag
-        if lattice.rank == 3:
-            stats = Rank3Stats.from_lattice(lattice)
-            checks["rank3_closed_form"] = rank3_magnitude(stats) == mag
-
     return MagnitudeResult(
         chamber_count=len(graph),
         n=n,
         rank=rank,
         magnitude=mag,
         interior=interior,
-        series=tuple(series),
-        interior_series=tuple(interior_series),
-        cyclotomic_den=cyc_factors,
+        series=series_expand(mag, SERIES_ORDER),
+        interior_series=series_expand(interior, SERIES_ORDER),
+        cyclotomic_den=cyclotomic_factor(mag.den)[0],
         orbit_count=len(orbits),
         symmetry_order=group.order,
-        checks=checks,
     )
+
+
+def structural_checks(graph, lattice, result, face_check=True,
+                      det_check=False):
+    """Every magnitude-level check of ``result``, by name.
+
+    The paper's identities on the value itself (integral series, the
+    one-point property, the degree gap, palindromic numerator and
+    denominator, a cyclotomic denominator without Phi_1, inversion
+    symmetry, the first two series coefficients, the interior at one);
+    with ``face_check``, the face decomposition route over the flat
+    poset and, in rank three, the closed form; and the determinant
+    against its product formula when ``det_check`` is set or the graph
+    has at most DET_CHECK_AUTO_LIMIT chambers.
+    """
+    mag, n, series = result.magnitude, result.n, result.series
+    checks = {}
+    checks["series_integral"] = (
+        series.integral and result.interior_series.integral)
+    checks["one_point_property"] = mag.evaluate(1) == 1
+    checks["degree_gap_is_n"] = mag.degree_gap() == n
+    checks["palindromic_num"] = mag.num.is_palindromic()
+    checks["palindromic_den"] = mag.den.is_palindromic()
+    checks["cyclotomic_denominator"] = is_denominator_cyclotomic(mag.den)[0]
+    shifted = reduce_fraction(mag.num.shift(n), mag.den)
+    checks["inversion_symmetry"] = reverse_substitute(mag) == shifted
+    checks["series_chamber_count"] = series[0] == len(graph)
+    checks["series_edge_count"] = series[1] == -2 * len(graph.edges())
+    checks["interior_at_one"] = (
+        result.interior.evaluate(1) == (-1) ** result.rank)
+
+    if face_check:
+        via_faces = magnitude_by_face_decomposition(lattice)
+        checks["face_decomposition_route"] = via_faces == mag
+        if lattice.rank == 3:
+            stats = Rank3Stats.from_lattice(lattice)
+            checks["rank3_closed_form"] = rank3_magnitude(stats) == mag
+    if det_check or len(graph) <= DET_CHECK_AUTO_LIMIT:
+        checks["varchenko_det_product"] = (
+            varchenko_det(graph) == varchenko_det_product(lattice))
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +380,6 @@ def varchenko_det_product(lattice):
         base = ONE - IntPoly.monomial(2 * f.size)
         out = out * base ** (c * beta)
     return out
-
-
-def varchenko_det_check(graph, lattice):
-    """Compare the eliminated determinant with the product formula."""
-    direct = varchenko_det(graph)
-    predicted = varchenko_det_product(lattice)
-    return direct == predicted, direct, predicted
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from magarr.arrangement import (
 )
 from magarr.homology import magnitude_homology, structural_checks
 from magarr.magnitude import Rank3Stats, chamber_orbits, magnitude_direct
+from magarr.magnitude import structural_checks as magnitude_checks
 
 # 18 lines, 216 chambers, 30 ordinary and 92 triple points: statistics of
 # a line arrangement whose series coefficients stop alternating in sign.
@@ -27,6 +28,7 @@ EIGHTEEN_LINES = Rank3Stats(n=18, chambers=216, line_weights={2: 30, 3: 92})
 
 _GEOMETRY = {}
 _MAGNITUDE = {}
+_MAGNITUDE_CHECKS = {}
 _HOMOLOGY = {}
 
 
@@ -42,23 +44,31 @@ def geometry(name):
     return _GEOMETRY[name]
 
 
-def magnitude_of(name, face_check=True):
+def magnitude_of(name):
     if name not in _MAGNITUDE:
-        arr, graph, lattice, group = geometry(name)
-        _MAGNITUDE[name] = magnitude_direct(
-            arr, graph, group=group, lattice=lattice, face_check=face_check
-        )
+        arr, graph, _, group = geometry(name)
+        _MAGNITUDE[name] = magnitude_direct(arr, graph, group)
     return _MAGNITUDE[name]
 
 
+def magnitude_checks_of(name):
+    """The named magnitude checks of a catalog name, as ``mag`` makes
+    them by default."""
+    if name not in _MAGNITUDE_CHECKS:
+        _, graph, lattice, _ = geometry(name)
+        _MAGNITUDE_CHECKS[name] = magnitude_checks(
+            graph, lattice, magnitude_of(name))
+    return _MAGNITUDE_CHECKS[name]
+
+
 def homology_of(name, lmax):
-    """Betti data at the given cap, with the boundary-square and Euler
-    checks always enabled."""
+    """Betti data at the given cap, with the Euler check against the
+    magnitude series."""
     key = (name, lmax)
     if key not in _HOMOLOGY:
         arr, graph, lattice, group = geometry(name)
         _HOMOLOGY[key] = magnitude_homology(
-            arr, graph, lmax=lmax, group=group, verify_d2=True,
+            arr, graph, lmax=lmax, group=group,
             magnitude=magnitude_of(name).magnitude,
         )
     return _HOMOLOGY[key]
@@ -190,11 +200,11 @@ def check_instance_laws(arr):
                 assert graph.dist(d, c) == graph.dist(d, gate) + graph.dist(gate, c)
 
     # series, chain counts, homology and every structural identity agree
-    mag = magnitude_direct(arr, graph, group=group, lattice=lattice)
-    assert all(mag.checks.values()), {k: v for k, v in mag.checks.items() if not v}
+    mag = magnitude_direct(arr, graph, group)
+    checks = magnitude_checks(graph, lattice, mag)
+    assert all(checks.values()), {k: v for k, v in checks.items() if not v}
     hom = magnitude_homology(
-        arr, graph, lmax=5, group=group, verify_d2=False,
-        magnitude=mag.magnitude,
+        arr, graph, lmax=5, group=group, magnitude=mag.magnitude,
     )
     checks = structural_checks(arr, lattice, group, hom)
     assert set(hom.checks) < set(checks)

@@ -5,7 +5,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import resource
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -335,13 +339,35 @@ def test_negative_lmax_rejected(capsys):
 
 def test_budget_exhaustion_exit_code(capsys, monkeypatch):
     def tight(*args, **kwargs):
-        kwargs["per_length_budget"] = 3
+        kwargs["chain_budget"] = 3
         return magnitude_homology(*args, **kwargs)
 
     monkeypatch.setattr(cli, "magnitude_homology", tight)
     code, _, err = _run(capsys, ["homology", "braid:3", "--lmax", "4"])
     assert code == 3
     assert "lower --lmax" in err
+
+
+def test_huge_lmax_stops_on_the_chain_budget():
+    # the search goes lmax deep and stores chains of every length on the
+    # way, so without a budget this run fills any memory; under a 1 GiB
+    # address-space cap it must stop on the budget, not on MemoryError
+    def cap_memory():
+        limit = 1 << 30
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "magarr.cli", "homology", "u34",
+         "--lmax", "100000"],
+        capture_output=True, text=True, timeout=120, preexec_fn=cap_memory,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert proc.stdout == ""
+    errors = [l for l in proc.stderr.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1 and errors[0].endswith("; lower --lmax")
+    assert "Traceback" not in proc.stderr
 
 
 def test_failed_golden_check_sets_exit_code(capsys, monkeypatch):

@@ -79,3 +79,91 @@ def test_every_definition_is_used_inside_the_package():
 def test_allowlist_names_exist():
     defined, _ = _definitions_and_loads()
     assert ALLOWED <= set(defined)
+
+
+# ---------------------------------------------------------------------------
+# parameter defaults that every call overrides
+
+
+def _trees():
+    """(is library code, parsed module) for the package and the tests."""
+    src = Path(magarr.__file__).parent
+    for is_src, folder in ((True, src), (False, Path(__file__).parent)):
+        for path in sorted(folder.glob("*.py")):
+            yield is_src, ast.parse(path.read_text(), filename=str(path))
+
+
+def _functions(tree):
+    """(called name, implicit leading arguments, def) per function; an
+    ``__init__`` is called by its class's name, other dunders never by
+    name."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, 0, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in item.decorator_list)
+                if item.name == "__init__":
+                    yield node.name, 1, item
+                elif not item.name.startswith("__"):
+                    yield item.name, 0 if static else 1, item
+
+
+def _called_name(call):
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def _passes(call, position, name):
+    """Whether the call gives the parameter at ``position`` (None for a
+    keyword-only one) named ``name``; a call with *args or **kwargs is
+    taken to give every parameter."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg is None or k.arg == name for k in call.keywords):
+        return True
+    return position is not None and position < len(call.args)
+
+
+def _dead_defaults():
+    """Each default in the package that no call in the package or the
+    tests leaves out, as "function(parameter)"."""
+    defs, calls = [], {}
+    for is_src, tree in _trees():
+        if is_src:
+            defs.extend(_functions(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_called_name(node), []).append(node)
+    defined = {}
+    for called, _, _ in defs:
+        defined[called] = defined.get(called, 0) + 1
+    dead = []
+    for called, implicit, fn in defs:
+        if defined[called] > 1:  # calls cannot be told apart by name
+            continue
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        with_defaults = [
+            (i - implicit, a.arg) for i, a in enumerate(positional)
+            if i >= len(positional) - len(args.defaults)
+        ] + [
+            (None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None
+        ]
+        for position, name in with_defaults:
+            if all(_passes(c, position, name) for c in calls.get(called, [])):
+                dead.append(f"{called}({name})")
+    return sorted(dead)
+
+
+def test_every_default_is_left_out_by_some_call():
+    dead = _dead_defaults()
+    assert not dead, "defaults that every call overrides: " + ", ".join(dead)

@@ -185,7 +185,7 @@ def test_four_cut_minima():
 def test_budget_is_enforced():
     arr, graph, _, _ = geometry("braid:3")
     with pytest.raises(BudgetExceededError) as info:
-        magnitude_homology(arr, graph, lmax=4, per_length_budget=5)
+        magnitude_homology(arr, graph, lmax=4, chain_budget=5)
     assert info.value.limit == 5
     assert info.value.observed > 5
 
@@ -230,6 +230,6 @@ def test_interior_only_run_matches_full_interior_part():
     arr, graph, _, group = geometry("braid:3")
     full = homology_of("braid:3", 4)
     inner = magnitude_homology(
-        arr, graph, lmax=4, group=group, interior_only=True, verify_d2=False
+        arr, graph, lmax=4, group=group, interior_only=True
     )
     assert _cells(inner.betti) == _cells(full.interior_betti)

@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from conftest import EIGHTEEN_LINES, geometry, magnitude_of
+from conftest import (
+    EIGHTEEN_LINES,
+    geometry,
+    magnitude_checks_of,
+    magnitude_of,
+)
 from magarr.arrangement import SymmetryGroup
 from magarr.cli import golden_magnitude
 from magarr.magnitude import (
@@ -21,8 +27,8 @@ from magarr.magnitude import (
     magnitude_fraction,
     profile_uniform,
     rank3_magnitude,
+    structural_checks,
     varchenko_det,
-    varchenko_det_check,
     varchenko_det_product,
 )
 from magarr.errors import CheckFailedError
@@ -87,15 +93,35 @@ def test_generic_and_graphic_fixture_forms():
 @pytest.mark.parametrize("name", QUICK + ["k4me", "braid:4"])
 def test_structural_checks_all_pass(name):
     mag = magnitude_of(name)
-    assert all(mag.checks.values()), {k: v for k, v in mag.checks.items() if not v}
-    assert mag.checks["one_point_property"]
-    assert mag.checks["degree_gap_is_n"]
-    assert mag.checks["palindromic_num"] and mag.checks["palindromic_den"]
-    assert mag.checks["cyclotomic_denominator"]
-    assert mag.checks["inversion_symmetry"]
-    assert mag.checks["face_decomposition_route"]
+    checks = magnitude_checks_of(name)
+    assert all(checks.values()), {k: v for k, v in checks.items() if not v}
+    assert checks["one_point_property"]
+    assert checks["degree_gap_is_n"]
+    assert checks["palindromic_num"] and checks["palindromic_den"]
+    assert checks["cyclotomic_denominator"]
+    assert checks["inversion_symmetry"]
+    assert checks["face_decomposition_route"]
+    assert checks["varchenko_det_product"]
     assert mag.magnitude.evaluate(1) == Fraction(1)
     assert all(k != 1 for k, _ in mag.cyclotomic_den)
+
+
+def test_magnitude_checks_catch_a_wrong_value():
+    # 15 - 20q + 14q^2 over the true denominator of u34: not palindromic,
+    # not 1 at q = 1, and off both independent routes; the series and the
+    # determinant are left as they were, so their checks still pass
+    _, graph, lattice, _ = geometry("u34")
+    mag = magnitude_of("u34")
+    wrong = reduce_fraction(mag.magnitude.num + ONE, mag.magnitude.den)
+    checks = structural_checks(graph, lattice, replace(mag, magnitude=wrong))
+    assert set(checks) == set(magnitude_checks_of("u34"))
+    assert sorted(k for k, v in checks.items() if not v) == [
+        "face_decomposition_route",
+        "inversion_symmetry",
+        "one_point_property",
+        "palindromic_num",
+        "rank3_closed_form",
+    ]
 
 
 def test_series_leading_terms_count_chambers_and_edges():
@@ -152,8 +178,8 @@ def test_alternating_violation_none_for_coordinate_case():
 )
 def test_determinant_two_routes(name):
     _, graph, lattice, _ = geometry(name)
-    ok, direct, predicted = varchenko_det_check(graph, lattice)
-    assert ok and direct == predicted
+    direct = varchenko_det(graph)
+    assert direct == varchenko_det_product(lattice)
     assert direct.constant() == 1
 
 
