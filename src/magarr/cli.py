@@ -266,7 +266,7 @@ def _mag_task(job, arrangement, graph, lattice, group):
         "orbit_count": res.orbit_count,
         "symmetry_order": res.symmetry_order,
         "checks": magnitude.structural_checks(
-            graph, lattice, res, job.face_check, job.det_check),
+            graph, lattice, group, res, job.face_check, job.det_check),
     }
 
 
@@ -317,7 +317,7 @@ def _verify_task(job, arrangement, name, is_file, graph, lattice, group):
     golden = {}
     mag = magnitude_direct(arrangement, graph, group)
     registries = {"mag": magnitude.structural_checks(
-        graph, lattice, mag, job.face_check, job.det_check)}
+        graph, lattice, group, mag, job.face_check, job.det_check)}
 
     gm = None if is_file else golden_magnitude().get(name)
     if gm is not None:
@@ -569,7 +569,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:
-        print(f"error: {exc}; lower --lmax", file=sys.stderr)
+        print(f"error: {exc}; {exc.hint}", file=sys.stderr)
         return 3
     except MagarrError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,12 +10,14 @@ class ParseError(MagarrError):
 
 
 class BudgetExceededError(MagarrError):
-    """A computation exceeded its configured size budget."""
+    """A computation exceeded its configured size budget; ``hint`` says
+    how to ask for less."""
 
-    def __init__(self, stage, limit, observed):
+    def __init__(self, stage, limit, observed, hint):
         self.stage = stage
         self.limit = limit
         self.observed = observed
+        self.hint = hint
         super().__init__(f"{stage}: budget {limit} exceeded (observed {observed})")
 
 

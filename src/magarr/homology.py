@@ -106,7 +106,7 @@ def _start_blocks(graph, start, lmax, spent, budget, full_support_only):
             spent += len(chain) + 1 + n
             if spent > budget:
                 raise BudgetExceededError(
-                    "stored chain entries", budget, spent)
+                    "stored chain entries", budget, spent, "lower --lmax")
             stack.append((chain + (j,), length + d, tuple(nprofile), nmissing))
     return blocks, spent
 

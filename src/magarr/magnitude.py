@@ -10,13 +10,21 @@ elimination runs on big integers by Kronecker substitution: every entry
 is evaluated at q = 2**b, with b chosen from a Hadamard bound on the
 coefficients of every minor, so each minor is read back exactly from
 the base-2**b digits of its integer value.
+
+The determinant of the full matrix is split the same way, by a free
+elementary abelian 2-subgroup E of the symmetries: its characters are
++-1, so the symmetry-adapted basis is integral and the matrix falls into
+|E| blocks of order (chambers / |E|), one per character, each again the
+identity at q = 0.  A size budget on the largest block stops the
+elimination before it starts.
 """
 
+from collections import deque
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 
 from .arrangement import orbits_of_permutations, tope_symmetries
-from .errors import CheckFailedError
+from .errors import BudgetExceededError, CheckFailedError
 from .linalg import matrix_rank
 from .polyq import (
     ONE,
@@ -36,6 +44,12 @@ from .polyq import (
 SERIES_ORDER = 10
 # the determinant check runs unasked on graphs with at most this many chambers
 DET_CHECK_AUTO_LIMIT = 60
+# the largest determinant block's order times its Hadamard bit bound may be
+# at most this: braid:5 needs 4050 and bracelet 10047, and no graph with at
+# most DET_CHECK_AUTO_LIMIT chambers needs more than 30 x 105
+DET_BUDGET = 6000
+# the search for a free involution basis visits at most this many elements
+INVOLUTION_WALK_LIMIT = 4096
 
 
 def _kronecker_decode(value, bits):
@@ -49,6 +63,16 @@ def _kronecker_decode(value, bits):
     return IntPoly(coeffs)
 
 
+def _hadamard_bits(matrix):
+    """The b of ``_bareiss_minors``: 2**(b - 1) exceeds the Hadamard bound
+    H = prod_i max(1, sqrt(sum_j |m_ij|_1^2)) on every minor's coefficients."""
+    bound = 1
+    for row in matrix:
+        norms = sum(sum(abs(c) for c in p.coeffs) ** 2 for p in row)
+        bound *= max(1, norms)
+    return (isqrt(bound) + 1).bit_length() + 1
+
+
 def _bareiss_minors(matrix):
     """Leading principal minors by fraction-free forward elimination.
 
@@ -58,19 +82,15 @@ def _bareiss_minors(matrix):
     which holds here because the systems solved have constant term
     equal to an identity matrix.
 
-    The elimination runs on the integers M(2**b); each minor is decoded
-    by ``_kronecker_decode``.  Let H = prod_i max(1, sqrt(sum_j |m_ij|_1^2)).
+    The elimination runs on the integers M(2**b), with b from
+    ``_hadamard_bits``; each minor is decoded by ``_kronecker_decode``.
     On |q| = 1, |m_ij(q)| <= |m_ij|_1, so by Hadamard every minor of M,
     bordered ones included, has modulus at most H there; a coefficient
     is at most the maximum modulus on |q| = 1, so it is at most H < 2**(b-1)
     and the decoding is exact (a minor is 0 iff its integer is).  Bareiss
     intermediates are minors of M(2**b), so every division is exact.
     """
-    bound = 1
-    for row in matrix:
-        norms = sum(sum(abs(c) for c in p.coeffs) ** 2 for p in row)
-        bound *= max(1, norms)
-    bits = (isqrt(bound) + 1).bit_length() + 1
+    bits = _hadamard_bits(matrix)
     x = 1 << bits
     a = [[p.evaluate(x) for p in row] for row in matrix]
     n = len(a)
@@ -185,7 +205,7 @@ def magnitude_direct(arrangement, graph, group):
     )
 
 
-def structural_checks(graph, lattice, result, face_check=True,
+def structural_checks(graph, lattice, group, result, face_check=True,
                       det_check=False):
     """Every magnitude-level check of ``result``, by name.
 
@@ -194,9 +214,10 @@ def structural_checks(graph, lattice, result, face_check=True,
     denominator, a cyclotomic denominator without Phi_1, inversion
     symmetry, the first two series coefficients, the interior at one);
     with ``face_check``, the face decomposition route over the flat
-    poset and, in rank three, the closed form; and the determinant
-    against its product formula when ``det_check`` is set or the graph
-    has at most DET_CHECK_AUTO_LIMIT chambers.
+    poset and, in rank three, the closed form; and the determinant,
+    split over a free involution subgroup of ``group``, against its
+    product formula when ``det_check`` is set or the graph has at most
+    DET_CHECK_AUTO_LIMIT chambers.
     """
     mag, n, series = result.magnitude, result.n, result.series
     checks = {}
@@ -221,8 +242,9 @@ def structural_checks(graph, lattice, result, face_check=True,
             stats = Rank3Stats.from_lattice(lattice)
             checks["rank3_closed_form"] = rank3_magnitude(stats) == mag
     if det_check or len(graph) <= DET_CHECK_AUTO_LIMIT:
+        basis = free_involution_basis(graph, group)
         checks["varchenko_det_product"] = (
-            varchenko_det(graph) == varchenko_det_product(lattice))
+            varchenko_det(graph, basis) == varchenko_det_product(lattice))
     return checks
 
 
@@ -336,35 +358,111 @@ def alternating_violation(series):
 # determinant of the full similarity matrix
 
 
-def varchenko_det(graph):
-    """Exact determinant, split over the antipodal pairing.
+def _compose(g, h):
+    """The chamber permutation g after h."""
+    return tuple(g[i] for i in h)
 
-    The antipodal map is a fixed-point-free involution commuting with
-    the metric, so in a paired basis the matrix is [[A, B], [B, A]] and
-    the determinant factors as det(A+B) det(A-B).  Both factors are
-    identity at q = 0, so fraction-free elimination runs pivot-free.
+
+def _fixes_a_chamber(perm):
+    return any(i == p for i, p in enumerate(perm))
+
+
+def free_involution_basis(graph, group):
+    """Basis of a free elementary abelian 2-subgroup E of the symmetry
+    group, as chamber permutations, starting from the antipode.
+
+    A breadth-first walk over the group from its generators greedily
+    adds every involution that commutes with the basis so far and keeps
+    each element of E fixed-point-free.  A free E has order dividing the
+    chamber count, so the walk stops once |E| is the largest power of two
+    dividing both that count and the group order, when the group is
+    exhausted, or after INVOLUTION_WALK_LIMIT elements: any free E gives
+    ``varchenko_det`` the same determinant.
     """
     size = len(graph)
-    n = graph.n
-    reps = [i for i in range(size) if graph.masks[i] < graph.masks[graph.antipode(i)]]
-    if 2 * len(reps) != size:
-        raise CheckFailedError("antipodal map has a fixed chamber")
-    plus = []
-    minus = []
-    for i in reps:
-        row_p = []
-        row_m = []
-        for j in reps:
-            d = graph.dist(i, j)
-            near = IntPoly.monomial(d)
-            far = IntPoly.monomial(n - d)
-            row_p.append(near + far)
-            row_m.append(near - far)
-        plus.append(row_p)
-        minus.append(row_m)
-    det_p = _bareiss_minors(plus)[-1] if plus else ONE
-    det_m = _bareiss_minors(minus)[-1] if minus else ONE
-    return det_p * det_m
+    identity = tuple(range(size))
+    common = gcd(size, group.order)
+    target = common & -common
+    basis = [tuple(graph.antipode(i) for i in range(size))]
+    members = [identity, basis[0]]
+    seen = {identity}
+    queue = deque([identity])
+    while queue and len(members) < target and len(seen) < INVOLUTION_WALK_LIMIT:
+        g = queue.popleft()
+        for h in group.generators:
+            x = _compose(h, g)
+            if x in seen:
+                continue
+            seen.add(x)
+            queue.append(x)
+            if (_compose(x, x) == identity
+                    and all(_compose(x, b) == _compose(b, x) for b in basis)
+                    and not any(_fixes_a_chamber(_compose(x, e))
+                                for e in members)):
+                basis.append(x)
+                members += [_compose(x, e) for e in members]
+    return tuple(basis)
+
+
+def varchenko_det(graph, basis):
+    """Exact determinant, split by the characters of a free elementary
+    abelian 2-subgroup E of chamber isometries.
+
+    ``basis`` holds k commuting involutions that generate E, |E| = 2**k
+    (``free_involution_basis`` finds one); E must act freely.  Over the
+    chambers e*r, for e in E and r an E-orbit representative, the matrix
+    is a group matrix of E with blocks indexed by representatives.  The
+    characters of E are the 2**k sign vectors s, chi_s(e) = +-1, so the
+    symmetry-adapted basis is integral (Faessler-Stiefel) and
+
+        det = prod over s of det M_s,
+        M_s[i, j] = sum over e in E of chi_s(e) q^d(r_i, e r_j).
+
+    Every M_s is the identity at q = 0 (only e = 1, i = j has distance
+    0), so fraction-free elimination runs pivot-free.  E = {1, -I} is the
+    antipodal split det(A + B) det(A - B).  Before eliminating, raises
+    BudgetExceededError when the largest block's order times its
+    Hadamard bit bound passes DET_BUDGET.
+    """
+    size = len(graph)
+    identity = tuple(range(size))
+    members = [identity]  # members[S] composes the basis elements in S
+    for b in basis:
+        if _compose(b, b) != identity or any(
+                _compose(b, c) != _compose(c, b) for c in basis):
+            raise CheckFailedError("basis is not commuting involutions")
+        members += [_compose(b, e) for e in members]
+    if any(_fixes_a_chamber(e) for e in members[1:]):
+        raise CheckFailedError("involution group fixes a chamber")
+    reps, covered = [], set()
+    for c in range(size):
+        if c not in covered:
+            reps.append(c)
+            covered.update(e[c] for e in members)
+    dists = [[[graph.dist(i, e[j]) for e in members] for j in reps]
+             for i in reps]
+    blocks = []
+    for s in range(len(members)):
+        chi = [-1 if (s & t).bit_count() % 2 else 1
+               for t in range(len(members))]
+        block = []
+        for row in dists:
+            out = []
+            for ds in row:
+                coeffs = [0] * (graph.n + 1)
+                for d, sign in zip(ds, chi):
+                    coeffs[d] += sign
+                out.append(IntPoly(coeffs))
+            block.append(out)
+        blocks.append(block)
+    cost = len(reps) * max(_hadamard_bits(block) for block in blocks)
+    if cost > DET_BUDGET:
+        raise BudgetExceededError("determinant block order x bits",
+                                  DET_BUDGET, cost, "drop --det-check")
+    det = ONE
+    for block in blocks:
+        det = det * _bareiss_minors(block)[-1]
+    return det
 
 
 def varchenko_det_product(lattice):

@@ -55,9 +55,9 @@ def magnitude_checks_of(name):
     """The named magnitude checks of a catalog name, as ``mag`` makes
     them by default."""
     if name not in _MAGNITUDE_CHECKS:
-        _, graph, lattice, _ = geometry(name)
+        _, graph, lattice, group = geometry(name)
         _MAGNITUDE_CHECKS[name] = magnitude_checks(
-            graph, lattice, magnitude_of(name))
+            graph, lattice, group, magnitude_of(name))
     return _MAGNITUDE_CHECKS[name]
 
 
@@ -201,7 +201,7 @@ def check_instance_laws(arr):
 
     # series, chain counts, homology and every structural identity agree
     mag = magnitude_direct(arr, graph, group)
-    checks = magnitude_checks(graph, lattice, mag)
+    checks = magnitude_checks(graph, lattice, group, mag)
     assert all(checks.values()), {k: v for k, v in checks.items() if not v}
     hom = magnitude_homology(
         arr, graph, lmax=5, group=group, magnitude=mag.magnitude,

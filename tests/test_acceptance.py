@@ -30,6 +30,7 @@ from magarr.homology import (
 from magarr.magnitude import (
     Rank3Stats,
     alternating_violation,
+    free_involution_basis,
     rank3_magnitude,
     varchenko_det,
     varchenko_det_product,
@@ -130,9 +131,11 @@ def test_01_magnitude_fixture_values():
 def test_02_varchenko_determinant_product_formula():
     """Eliminated determinant equals the flat product, under 60s total."""
     t0 = time.monotonic()
-    for name in ("boolean:2", "boolean:3", "braid:3", "u34", "braid:4"):
-        _, graph, lattice, _ = geometry(name)
-        assert varchenko_det(graph) == varchenko_det_product(lattice), name
+    for name in ("boolean:2", "boolean:3", "boolean:5", "braid:3", "u34",
+                 "braid:4", "coxeter:B3"):
+        _, graph, lattice, group = geometry(name)
+        basis = free_involution_basis(graph, group)
+        assert varchenko_det(graph, basis) == varchenko_det_product(lattice), name
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, elapsed
     print("PASS 2: determinant two-route agreement")

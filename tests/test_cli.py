@@ -370,6 +370,24 @@ def test_huge_lmax_stops_on_the_chain_budget():
     assert "Traceback" not in proc.stderr
 
 
+def test_det_check_stops_on_the_determinant_budget():
+    # bracelet's group has no free involution but the antipode, so its
+    # determinant splits into two 51 x 51 blocks of 197 bits, which took
+    # minutes to eliminate; the budget stops it before the elimination
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "magarr.cli", "mag", "bracelet",
+         "--det-check"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert proc.stdout == ""
+    errors = [l for l in proc.stderr.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1 and errors[0].endswith("; drop --det-check")
+    assert "Traceback" not in proc.stderr
+
+
 def test_failed_golden_check_sets_exit_code(capsys, monkeypatch):
     doctored = {"braid:3": {"num": [999], "den": [1], "series": [999] * 11}}
     monkeypatch.setattr(cli, "golden_magnitude", lambda: doctored)

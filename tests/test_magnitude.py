@@ -15,13 +15,17 @@ from conftest import (
     magnitude_checks_of,
     magnitude_of,
 )
-from magarr.arrangement import SymmetryGroup
+from magarr.arrangement import CATALOG_NAMES, SymmetryGroup
 from magarr.cli import golden_magnitude
 from magarr.magnitude import (
+    DET_BUDGET,
+    DET_CHECK_AUTO_LIMIT,
     Rank3Stats,
     _bareiss_minors,
+    _hadamard_bits,
     alternating_violation,
     distance_profile,
+    free_involution_basis,
     interior_magnitude,
     magnitude_by_face_decomposition,
     magnitude_fraction,
@@ -31,7 +35,7 @@ from magarr.magnitude import (
     varchenko_det,
     varchenko_det_product,
 )
-from magarr.errors import CheckFailedError
+from magarr.errors import BudgetExceededError, CheckFailedError
 from magarr.polyq import (
     ONE,
     ZERO,
@@ -110,10 +114,11 @@ def test_magnitude_checks_catch_a_wrong_value():
     # 15 - 20q + 14q^2 over the true denominator of u34: not palindromic,
     # not 1 at q = 1, and off both independent routes; the series and the
     # determinant are left as they were, so their checks still pass
-    _, graph, lattice, _ = geometry("u34")
+    _, graph, lattice, group = geometry("u34")
     mag = magnitude_of("u34")
     wrong = reduce_fraction(mag.magnitude.num + ONE, mag.magnitude.den)
-    checks = structural_checks(graph, lattice, replace(mag, magnitude=wrong))
+    checks = structural_checks(graph, lattice, group,
+                               replace(mag, magnitude=wrong))
     assert set(checks) == set(magnitude_checks_of("u34"))
     assert sorted(k for k, v in checks.items() if not v) == [
         "face_decomposition_route",
@@ -177,17 +182,109 @@ def test_alternating_violation_none_for_coordinate_case():
     "name", ["boolean:2", "boolean:3", "braid:3", "u34", "braid:4", "coxeter:B3"]
 )
 def test_determinant_two_routes(name):
-    _, graph, lattice, _ = geometry(name)
-    direct = varchenko_det(graph)
+    _, graph, lattice, group = geometry(name)
+    direct = varchenko_det(graph, free_involution_basis(graph, group))
     assert direct == varchenko_det_product(lattice)
     assert direct.constant() == 1
 
 
 def test_determinant_boolean2_value():
-    _, graph, lattice, _ = geometry("boolean:2")
+    _, graph, lattice, group = geometry("boolean:2")
     want = (ONE - IntPoly.monomial(2)) ** 4
-    assert varchenko_det(graph) == want
+    assert varchenko_det(graph, free_involution_basis(graph, group)) == want
+    assert varchenko_det(graph, ()) == want
     assert varchenko_det_product(lattice) == want
+
+
+def antipode_of(graph):
+    return tuple(graph.antipode(i) for i in range(len(graph)))
+
+
+def compose(g, h):
+    return tuple(g[i] for i in h)
+
+
+def group_of(basis, size):
+    """Every element of the group the basis generates, by closure."""
+    out = {tuple(range(size))}
+    while True:
+        more = {compose(b, e) for b in basis for e in out} - out
+        if not more:
+            return out
+        out |= more
+
+
+def test_split_determinant_is_the_same_for_every_E():
+    # on every catalog name with at most 48 chambers: E = {+-I}, the E
+    # the basis search finds, and E trivial (the whole matrix) below 48
+    # chambers, where it would take seconds
+    for name in CATALOG_NAMES:
+        _, graph, lattice, group = geometry(name)
+        if len(graph) > 48:
+            continue
+        want = varchenko_det_product(lattice)
+        bases = [(antipode_of(graph),), free_involution_basis(graph, group)]
+        if len(graph) < 48:
+            bases.append(())
+        for basis in bases:
+            assert varchenko_det(graph, basis) == want, (name, len(basis))
+
+
+@pytest.mark.parametrize("name,order", [
+    *((f"boolean:{d}", 2 ** d) for d in range(1, 7)),
+    ("coxeter:B3", 8),
+    ("braid:4", 4),
+    ("u45", 2),
+])
+def test_free_involution_basis_orders(name, order):
+    _, graph, _, group = geometry(name)
+    basis = free_involution_basis(graph, group)
+    size = len(graph)
+    identity = tuple(range(size))
+    assert basis[0] == antipode_of(graph)
+    members = group_of(basis, size)
+    assert len(members) == 2 ** len(basis) == order
+    assert size % order == 0 and group.order % order == 0
+    for e in members - {identity}:
+        assert compose(e, e) == identity
+        assert all(e[c] != c for c in range(size))
+        assert all(compose(e, f) == compose(f, e) for f in members)
+
+
+def test_varchenko_det_rejects_a_group_that_is_not_free():
+    _, graph, _, _ = geometry("boolean:2")
+    anti = antipode_of(graph)
+    swap = (1, 0) + tuple(range(2, len(graph)))  # fixes chambers 2 and 3
+    for basis in [(anti, anti), (swap,), (anti, swap)]:
+        with pytest.raises(CheckFailedError):
+            varchenko_det(graph, basis)
+    _, graph, _, _ = geometry("braid:3")
+    rotate = tuple((i + 1) % len(graph) for i in range(len(graph)))
+    with pytest.raises(CheckFailedError):  # fixed-point-free, not involutive
+        varchenko_det(graph, (rotate,))
+
+
+def test_det_budget_covers_the_automatic_check():
+    # E always holds the antipode, so a graph of N <= 60 chambers splits
+    # into blocks of order N / 2**k, k >= 1, whose entries have
+    # coefficient sum at most 2**k in absolute value; at that extreme
+    # (30 x 105 bits for N = 60, k = 1) the budget must still hold
+    for size in range(2, DET_CHECK_AUTO_LIMIT + 1, 2):
+        k = 1
+        while size % 2 ** k == 0:
+            order = size // 2 ** k
+            block = [[IntPoly.const(2 ** k)] * order for _ in range(order)]
+            assert order * _hadamard_bits(block) <= DET_BUDGET, (size, k)
+            k += 1
+    block = [[IntPoly.const(2)] * 30 for _ in range(30)]
+    assert 30 * _hadamard_bits(block) == 30 * 105
+
+
+def test_det_budget_stops_a_large_block_before_eliminating():
+    _, graph, _, _ = geometry("coxeter:B3")
+    with pytest.raises(BudgetExceededError) as info:
+        varchenko_det(graph, ())  # one 48 x 48 block: 48 x 136 bits
+    assert info.value.observed > info.value.limit == DET_BUDGET
 
 
 def test_bareiss_minors_are_leading_minors():
@@ -208,11 +305,11 @@ def varchenko_matrix(graph):
 
 
 def test_varchenko_matrix_det_matches_split_route():
-    _, graph, _, _ = geometry("boolean:2")
+    _, graph, _, group = geometry("boolean:2")
     m = varchenko_matrix(graph)
     # 4x4 cofactor expansion by hand through the minors helper
     det = _bareiss_minors(m)[-1]
-    assert det == varchenko_det(graph)
+    assert det == varchenko_det(graph, free_involution_basis(graph, group))
 
 
 def leibniz_det(rows):
