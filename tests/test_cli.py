@@ -372,8 +372,8 @@ def test_huge_lmax_stops_on_the_chain_budget():
 
 def test_det_check_stops_on_the_determinant_budget():
     # bracelet's group has no free involution but the antipode, so its
-    # determinant splits into two 51 x 51 blocks of 197 bits, which took
-    # minutes to eliminate; the budget stops it before the elimination
+    # determinant splits into two 51 x 51 blocks of 197 bits, which would
+    # take minutes to eliminate; the budget stops it before the elimination
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-m", "magarr.cli", "mag", "bracelet",
