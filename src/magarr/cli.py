@@ -101,10 +101,14 @@ def load_arrangement(source):
             rows = data.get("normals")
             if not rows:
                 raise ParseError(f"{source}: missing 'normals'")
-            try:
-                arr = parse_arrangement(rows, labels=data.get("labels"), name=name)
-            except TypeError as exc:
-                raise ParseError(f"{source}: {exc}") from None
+            if type(rows) is not list or any(type(r) is not list for r in rows):
+                raise ParseError(f"{source}: 'normals' must be a list of lists")
+            labels = data.get("labels")
+            if labels is not None and (
+                    type(labels) is not list
+                    or any(type(x) is not str for x in labels)):
+                raise ParseError(f"{source}: 'labels' must be a list of strings")
+            arr = parse_arrangement(rows, labels=labels, name=name)
             want_d = data.get("dimension")
             if want_d is not None:
                 if type(want_d) is not int:  # bool is a subclass of int

@@ -7,7 +7,9 @@ chamber when the two adjacent steps cross disjoint hyperplane sets
 times each hyperplane is crossed are all preserved, so the complex
 splits into finite blocks which are resolved independently over the
 integers.  Chamber symmetries act freely on blocks by relabelling the
-start, so only one start per orbit is enumerated.
+start, so only one start per orbit is enumerated; the stabilizer of that
+start still permutes its blocks, so only the first block of each
+stabilizer orbit is stored and reduced, weighted by the orbit size.
 
 A block whose length equals the distance from its start to its end is
 geodesic: its chains run through the interval between the two chambers,
@@ -31,8 +33,8 @@ from .linalg import complex_homology, matrix_rank
 from .magnitude import alternating_violation, chamber_orbits, profile_uniform
 from .polyq import series_expand
 
-# chain and profile entries one homology run may store; 3.4 times what
-# u45 at lmax 7 stores
+# chain and profile entries one homology run may push, stored or not;
+# 3.4 times what u45 at lmax 7 pushes (17.7 million)
 DEFAULT_CHAIN_BUDGET = 60_000_000
 
 
@@ -48,36 +50,151 @@ def default_length_cap(graph):
 
 
 # ---------------------------------------------------------------------------
+# stabilizers
+
+
+def _inverse(perm):
+    inv = [0] * len(perm)
+    for h, g in enumerate(perm):
+        inv[g] = h
+    return inv
+
+
+def _stabilizer_perms(group, start, orbit_size):
+    """Hyperplane relabellings generating the stabilizer of ``start``.
+
+    An element fixing a chamber is determined by its hyperplane
+    relabelling (it sends mask m to flip ^ perm(m), and fixing the start
+    pins flip), so the stabilizer is handled as permutations of the n
+    hyperplanes.  Its Schreier generators u_{s(c)}^-1 s u_c come from a
+    transversal u of the start's orbit (Schreier's lemma) and pass
+    through Sims' filter, which keeps at most one generator per (first
+    moved point i, image of i), so at most n(n-1)/2 remain (Seress,
+    *Permutation Group Algorithms*, 2003, ch. 4).  The kept generators
+    fixing 0..i-1 lie in the pointwise stabilizer of those points, so
+    the orbit of i under them is part of an orbit of that stabilizer,
+    and the group generated has order at least the product of these
+    orbit lengths; once that product is the stabilizer's order,
+    order / orbit_size, the remaining Schreier generators are skipped.
+    Empty when the stabilizer is trivial.
+    """
+    target = group.order // orbit_size
+    if target == 1:
+        return ()
+    n = len(group.hyperplane_perms[0])
+    identity = tuple(range(n))
+    moves = list(zip(group.generators, group.hyperplane_perms))
+    transversal = {start: identity}
+    frontier = [start]
+    while frontier:
+        c = frontier.pop()
+        u = transversal[c]
+        for chamber_perm, perm in moves:
+            image = chamber_perm[c]
+            if image not in transversal:
+                transversal[image] = tuple(perm[h] for h in u)
+                frontier.append(image)
+    table = {}
+    for c, u in transversal.items():
+        for chamber_perm, perm in moves:
+            back = _inverse(transversal[chamber_perm[c]])
+            g = tuple(back[perm[h]] for h in u)
+            # sift: strip the kept generator with the same first moved
+            # point and image until g is new there or the identity
+            while g != identity:
+                i = next(h for h in range(n) if g[h] != h)
+                kept = table.get((i, g[i]))
+                if kept is None:
+                    table[(i, g[i])] = (g, _inverse(g))
+                    if _order_bound(table, n) == target:
+                        return tuple(g for g, _inv in table.values())
+                    break
+                g = tuple(kept[1][x] for x in g)
+    return tuple(g for g, _inv in table.values())
+
+
+def _order_bound(table, n):
+    """Product over i of the orbit length of i under the kept generators
+    whose first moved point is at least i."""
+    bound = 1
+    gens = []
+    for i in reversed(range(n)):
+        gens += [g for (first, _), (g, _inv) in table.items() if first == i]
+        orbit = {i}
+        stack = [i]
+        while stack:
+            x = stack.pop()
+            for g in gens:
+                if g[x] not in orbit:
+                    orbit.add(g[x])
+                    stack.append(g[x])
+        bound *= len(orbit)
+    return bound
+
+
+def _profile_orbit(profile, perms):
+    """Orbit of a crossing profile under the group the hyperplane
+    relabellings ``perms`` generate.  Each step gives hyperplane h the
+    count of hyperplane ``perm[h]``, which is the action of the
+    generator's inverse and so ranges over the same group."""
+    orbit = {profile}
+    stack = [profile]
+    while stack:
+        p = stack.pop()
+        for perm in perms:
+            image = tuple(map(p.__getitem__, perm))
+            if image not in orbit:
+                orbit.add(image)
+                stack.append(image)
+    return orbit
+
+
+# ---------------------------------------------------------------------------
 # chain enumeration
 
 
-def _start_blocks(graph, start, lmax, spent, budget, full_support_only):
-    """All proper chains from one start, grouped into boundary blocks.
+def _start_blocks(graph, start, lmax, spent, budget, full_support_only,
+                  perms):
+    """Proper chains from one start, grouped into boundary blocks, one
+    block per orbit of the start's stabilizer.
 
-    Returns ({(length, end, profile): {degree: [chains]}}, spent) where
-    profile counts the crossings of each hyperplane along the chain.
-    Deleting a chamber at a smooth point merges two disjoint crossing
-    sets, so the whole profile survives the differential, not just its
-    support; keying blocks on it keeps them small.  Chains are tuples of
-    chamber indices.  ``spent`` counts the chain and profile entries
-    stored so far in the run; going past ``budget`` raises
-    BudgetExceededError, which bounds memory however deep a large
-    ``lmax`` lets the search go.
+    Returns ({(length, end, profile): (orbit size, {degree: [chains]})},
+    spent) where profile counts the crossings of each hyperplane along
+    the chain.  Deleting a chamber at a smooth point merges two disjoint
+    crossing sets, so the whole profile survives the differential, not
+    just its support; keying blocks on it keeps them small.  The profile
+    fixes the rest of the key (length is its sum, and end is the start
+    with the oddly crossed hyperplanes flipped), so the stabilizer,
+    generated by the hyperplane relabellings ``perms``, acts on keys
+    through profiles; chains are stored only for the first key met in
+    each orbit, whose block is isomorphic to every other block there.
+    Chains are tuples of chamber indices.  ``spent`` counts the chain
+    and profile entries pushed so far in the run, stored or not; going
+    past ``budget`` raises BudgetExceededError, which bounds memory
+    however deep a large ``lmax`` lets the search go.
     """
     masks = graph.masks
+    index = graph.index
+    start_mask = masks[start]
     size = len(masks)
     n = graph.n
-    blocks = {}
+    blocks = {}  # key -> (orbit size, {degree: chains}), None off-orbit
     bits_of = {}
     stack = [((start,), 0, (0,) * n, n)]
     while stack:
         chain, length, profile, missing = stack.pop()
         if not full_support_only or missing == 0:
             key = (length, chain[-1], profile)
-            per_degree = blocks.get(key)
-            if per_degree is None:
-                per_degree = blocks[key] = {}
-            per_degree.setdefault(len(chain) - 1, []).append(chain)
+            entry = blocks.get(key, False)
+            if entry is False:
+                orbit = _profile_orbit(profile, perms) if perms else (profile,)
+                entry = blocks[key] = (len(orbit), {})
+                for other in orbit:
+                    if other != profile:
+                        odd = sum(1 << h for h, c in enumerate(other) if c & 1)
+                        blocks[(length, index[start_mask ^ odd], other)] = None
+            if entry is not None:
+                entry[1].setdefault(len(chain) - 1, []).append(chain)
         remaining = lmax - length
         if remaining < 1:
             continue
@@ -106,9 +223,9 @@ def _start_blocks(graph, start, lmax, spent, budget, full_support_only):
             spent += len(chain) + 1 + n
             if spent > budget:
                 raise BudgetExceededError(
-                    "stored chain entries", budget, spent, "lower --lmax")
+                    "pushed chain entries", budget, spent, "lower --lmax")
             stack.append((chain + (j,), length + d, tuple(nprofile), nmissing))
-    return blocks, spent
+    return {key: entry for key, entry in blocks.items() if entry}, spent
 
 
 def _block_homology(block, masks):
@@ -177,46 +294,59 @@ def chain_count_table(graph, lmax, orbit_data=None):
     """Number of generating chains per (degree, length), all starts.
 
     Pure counting recursion over (end chamber, length) per degree; used
-    to cross-check the enumeration and the Euler characteristics.
+    to cross-check the enumeration and the Euler characteristics.  The
+    chambers within ``lmax`` of a chamber are found from the masks, by
+    distance, the first time a count reaches it.
     """
     if orbit_data is None:
         orbit_id, orbits, _ = chamber_orbits(graph)
     else:
         orbit_id, orbits = orbit_data
-    size = len(graph)
-    dist = [[graph.dist(i, j) for j in range(size)] for i in range(size)]
+    masks = graph.masks
+    size = len(masks)
+    chambers = list(range(size))  # shared ints keep the rows small
+    near = {}  # chamber -> [chambers at distance d] for d <= lmax
+
+    def around(u):
+        row = near.get(u)
+        if row is None:
+            row = near[u] = [[] for _ in range(lmax + 1)]
+            mu = masks[u]
+            for v, m in zip(chambers, masks):
+                d = (mu ^ m).bit_count()
+                if d <= lmax:
+                    row[d].append(v)
+        return row
+
     totals = defaultdict(int)
     for orbit in orbits:
         rep = orbit[0]
         weight = len(orbit)
-        cur = [[0] * (lmax + 1) for _ in range(size)]
-        cur[rep][0] = 1
+        cur = {rep: [1] + [0] * lmax}
         k = 0
-        while True:
-            level = sum(sum(row) for row in cur)
-            if level == 0:
-                break
-            for v in range(size):
-                row = cur[v]
-                for length in range(lmax + 1):
-                    if row[length]:
-                        totals[(k, length)] += weight * row[length]
+        while cur:
+            for row in cur.values():
+                for length, c in enumerate(row):
+                    if c:
+                        totals[(k, length)] += weight * c
             if k == lmax:
                 break
-            nxt = [[0] * (lmax + 1) for _ in range(size)]
-            for u in range(size):
-                row = cur[u]
-                du = dist[u]
-                for length in range(lmax + 1):
+            nxt = {}
+            for u, row in cur.items():
+                if not any(row[:lmax]):
+                    continue  # every count here has used up lmax
+                by_distance = around(u)
+                for length in range(lmax):
                     c = row[length]
                     if not c:
                         continue
-                    for v in range(size):
-                        if v == u:
-                            continue
-                        nl = length + du[v]
-                        if nl <= lmax:
-                            nxt[v][nl] += c
+                    for d in range(1, lmax - length + 1):
+                        nl = length + d
+                        for v in by_distance[d]:
+                            counts = nxt.get(v)
+                            if counts is None:
+                                counts = nxt[v] = [0] * (lmax + 1)
+                            counts[nl] += c
             cur = nxt
             k += 1
     return dict(totals)
@@ -258,9 +388,10 @@ def magnitude_homology(arrangement, graph=None, *, lmax, group=None,
     hyperplane, which is the summand entering the face decomposition.
     When ``magnitude`` (a RatFunc) is given, the per-length Euler
     characteristics of the chain spaces are checked against its series.
-    Every block's boundary is checked to square to zero, and a run that
-    would store more than ``chain_budget`` chain and profile entries
-    stops with BudgetExceededError.
+    Every block that is reduced has its boundary checked to square to
+    zero, and a run that would push more than ``chain_budget`` chain and
+    profile entries onto its searches, stored or not, stops with
+    BudgetExceededError.
     """
     if graph is None:
         graph = enumerate_chambers(arrangement)
@@ -276,10 +407,11 @@ def magnitude_homology(arrangement, graph=None, *, lmax, group=None,
     spent = 0
     for orbit in orbits:
         rep = orbit[0]
-        weight = len(orbit)
+        perms = _stabilizer_perms(group, rep, len(orbit))
         blocks, spent = _start_blocks(
-            graph, rep, lmax, spent, chain_budget, interior_only)
-        for (length, end, profile), block in blocks.items():
+            graph, rep, lmax, spent, chain_budget, interior_only, perms)
+        for (length, end, profile), (key_orbit, block) in blocks.items():
+            weight = len(orbit) * key_orbit
             summary = _block_homology(block, masks)
             parts = [(betti, torsion)]
             if 0 not in profile:

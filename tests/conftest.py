@@ -140,6 +140,57 @@ def bfs_distances(graph, i):
     return dist
 
 
+def stabilizer_by_closure(graph, group, start):
+    """Hyperplane relabellings of every element fixing chamber ``start``.
+
+    The group is closed on chambers from its chamber generators, so it
+    must be small; its size is checked against ``group.order``.  Each
+    relabelling is read off the chamber action: an edge across h goes to
+    an edge across the image of h.
+    """
+    identity = tuple(range(len(graph)))
+    elements = {identity}
+    frontier = [identity]
+    while frontier:
+        x = frontier.pop()
+        for g in group.generators:
+            y = tuple(g[c] for c in x)
+            if y not in elements:
+                elements.add(y)
+                frontier.append(y)
+    assert len(elements) == group.order
+    wall = {}
+    for i, j in graph.edges():
+        wall.setdefault((graph.masks[i] ^ graph.masks[j]).bit_length() - 1,
+                        (i, j))
+    assert len(wall) == graph.n
+    out = []
+    for x in elements:
+        if x[start] != start:
+            continue
+        perm = [0] * graph.n
+        for h, (i, j) in wall.items():
+            perm[h] = (graph.masks[x[i]] ^ graph.masks[x[j]]).bit_length() - 1
+        out.append(tuple(perm))
+    return out
+
+
+def key_orbit_by_closure(stabilizer, start_mask, graph, key):
+    """Orbit of a block key (length, end, profile) under the relabellings
+    of ``stabilizer_by_closure``: the profile's counts move with the
+    hyperplanes, and the end is the start with the oddly crossed
+    hyperplanes flipped."""
+    length, _end, profile = key
+    orbit = set()
+    for perm in stabilizer:
+        image = [0] * len(profile)
+        for h, c in enumerate(profile):
+            image[perm[h]] = c
+        odd = sum(1 << h for h, c in enumerate(image) if c % 2)
+        orbit.add((length, graph.index[start_mask ^ odd], tuple(image)))
+    return orbit
+
+
 def random_arrangements(count, seed, nmin=3, nmax=5, dim=3, span=2):
     """Deduplicated random integer arrangements for the property suite."""
     rng = random.Random(seed)

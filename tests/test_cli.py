@@ -270,6 +270,28 @@ def test_malformed_json_source_is_a_parse_error(capsys, tmp_path, doc):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("doc, field", [
+    pytest.param({"normals": [[1, 0], [0, 1]], "labels": "ab"}, "labels",
+                 id="labels_string"),
+    pytest.param({"normals": [[1, 0], [0, 1]], "labels": 5}, "labels",
+                 id="labels_int"),
+    pytest.param({"normals": [[1, 0], [0, 1]], "labels": [1, 2]}, "labels",
+                 id="labels_not_strings"),
+    pytest.param({"normals": {"a": 1}}, "normals", id="normals_object"),
+    pytest.param({"normals": ["10", "01"]}, "normals", id="rows_strings"),
+    pytest.param({"normals": [[1, 0], 5]}, "normals", id="row_int"),
+])
+def test_json_field_shapes_are_checked(capsys, tmp_path, doc, field):
+    # "ab" is not read as the labels a, b, nor "10" as the row (1, 0)
+    src = tmp_path / "arr.json"
+    src.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["lattice", str(src)])
+    assert code == 2
+    assert out == ""
+    kind = "strings" if field == "labels" else "lists"
+    assert err == f"error: {src}: '{field}' must be a list of {kind}\n"
+
+
 @pytest.mark.parametrize("normals", [
     [[0.1, 0.3, 0], [1, 3, 0], [0, 0, 1]],
     [["0.1", "0.3", 0], [1, 3, 0], [0, 0, 1]],

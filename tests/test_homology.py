@@ -6,10 +6,19 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import geometry, homology_of, magnitude_of
+from conftest import (
+    geometry,
+    homology_of,
+    key_orbit_by_closure,
+    magnitude_of,
+    stabilizer_by_closure,
+)
+from magarr.arrangement import CATALOG_NAMES, SymmetryGroup
 from magarr.cli import golden_betti
 from magarr.errors import BudgetExceededError, CheckFailedError
 from magarr.homology import (
+    _stabilizer_perms,
+    _start_blocks,
     chain_count_table,
     default_length_cap,
     diagonal_betti_formula,
@@ -19,6 +28,7 @@ from magarr.homology import (
     magnitude_homology,
     structural_checks,
 )
+from magarr.magnitude import chamber_orbits
 
 
 def _cells(table):
@@ -233,3 +243,73 @@ def test_interior_only_run_matches_full_interior_part():
         arr, graph, lmax=4, group=group, interior_only=True
     )
     assert _cells(inner.betti) == _cells(full.interior_betti)
+
+
+TRIVIAL_GROUP = SymmetryGroup((), (), 1)
+
+
+@pytest.mark.parametrize("name, lmax, interior_only", [
+    ("braid:4", 5, False),
+    ("u45", 4, False),
+    ("k5me", 3, False),
+    ("boolean:4", 4, False),
+    ("coxeter:B3", 4, False),
+    ("braid:4", 6, True),
+])
+def test_stabilizer_collapse_matches_trivial_group(name, lmax, interior_only):
+    # one block per stabilizer orbit, weighted, against every block of
+    # every start: each field of the result, the checks included
+    arr, graph, _, group = geometry(name)
+    kwargs = dict(lmax=lmax, interior_only=interior_only,
+                  magnitude=magnitude_of(name).magnitude)
+    collapsed = magnitude_homology(arr, graph, group=group, **kwargs)
+    plain = magnitude_homology(arr, graph, group=TRIVIAL_GROUP, **kwargs)
+    assert collapsed == plain
+    assert collapsed.betti and all(collapsed.checks.values())
+
+
+def _relabel(mask, perm):
+    return sum((mask >> h & 1) << perm[h] for h in range(len(perm)))
+
+
+@pytest.mark.parametrize("name", [*CATALOG_NAMES, "boolean:8"])
+def test_stabilizer_generators_are_sims_filtered(name):
+    # at most one kept generator per (first moved point, its image), and
+    # each, with the sign flip that pins the start, permutes the chambers
+    _, graph, _, group = geometry(name)
+    n = graph.n
+    for orbit in chamber_orbits(graph, group)[1]:
+        start = graph.masks[orbit[0]]
+        perms = _stabilizer_perms(group, orbit[0], len(orbit))
+        assert len(perms) <= n * (n - 1) // 2
+        firsts = set()
+        for perm in perms:
+            i = next(h for h in range(n) if perm[h] != h)
+            firsts.add((i, perm[i]))
+            flip = start ^ _relabel(start, perm)
+            assert {flip ^ _relabel(m, perm) for m in graph.masks} == set(
+                graph.masks)
+        assert len(firsts) == len(perms)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_key_orbits_match_brute_force_stabilizer(name):
+    # the stored keys' orbit sizes are those under the whole stabilizer,
+    # and their orbits partition every key of the start
+    _, graph, _, group = geometry(name)
+    assert len(group) <= 384
+    for orbit in chamber_orbits(graph, group)[1]:
+        start = orbit[0]
+        perms = _stabilizer_perms(group, start, len(orbit))
+        stored, _ = _start_blocks(graph, start, 3, 0, 10**9, False, perms)
+        every, _ = _start_blocks(graph, start, 3, 0, 10**9, False, ())
+        stabilizer = stabilizer_by_closure(graph, group, start)
+        assert len(stabilizer) * len(orbit) == len(group)
+        covered = set()
+        for key, (size, _block) in stored.items():
+            key_orbit = key_orbit_by_closure(
+                stabilizer, graph.masks[start], graph, key)
+            assert size == len(key_orbit), (name, start, key)
+            assert not covered & key_orbit
+            covered |= key_orbit
+        assert covered == set(every)
