@@ -10,6 +10,10 @@ integers.  Chamber symmetries act freely on blocks by relabelling the
 start, so only one start per orbit is enumerated; the stabilizer of that
 start still permutes its blocks, so only the first block of each
 stabilizer orbit is stored and reduced, weighted by the orbit size.
+Blocks no symmetry relates are still often the same complex: a block's
+chains cross only the hyperplanes of its profile's support S, so it is
+fixed by the profile on S and the sign vectors on S of the chambers
+agreeing with its start off S.  One block per such memo key is reduced.
 
 A block whose length equals the distance from its start to its end is
 geodesic: its chains run through the interval between the two chambers,
@@ -153,33 +157,67 @@ def _profile_orbit(profile, perms):
 # chain enumeration
 
 
+def _near_lists(graph, lmax):
+    """``around(u)[d]`` is ([v], [hyperplanes crossed]) over the chambers v
+    at distance d from u, 1 <= d <= min(lmax, n); each chamber's lists
+    are built the first time it is asked for."""
+    masks = graph.masks
+    n = graph.n
+    chambers = list(range(len(masks)))  # shared ints keep the rows small
+    near, bits_of = {}, {}
+
+    def around(u):
+        row = near.get(u)
+        if row is None:
+            row = near[u] = [([], []) for _ in range(min(lmax, n) + 1)]
+            mu = masks[u]
+            for v, m in zip(chambers, masks):
+                sep = mu ^ m
+                d = sep.bit_count()
+                if 0 < d <= lmax:
+                    bits = bits_of.get(sep)
+                    if bits is None:
+                        bits = bits_of[sep] = tuple(
+                            h for h in range(n) if sep >> h & 1)
+                    row[d][0].append(v)
+                    row[d][1].append(bits)
+        return row
+
+    return around
+
+
 def _start_blocks(graph, start, lmax, spent, budget, full_support_only,
-                  perms):
+                  perms, around, memo):
     """Proper chains from one start, grouped into boundary blocks, one
     block per orbit of the start's stabilizer.
 
-    Returns ({(length, end, profile): (orbit size, {degree: [chains]})},
-    spent) where profile counts the crossings of each hyperplane along
-    the chain.  Deleting a chamber at a smooth point merges two disjoint
-    crossing sets, so the whole profile survives the differential, not
-    just its support; keying blocks on it keeps them small.  The profile
-    fixes the rest of the key (length is its sum, and end is the start
-    with the oddly crossed hyperplanes flipped), so the stabilizer,
-    generated by the hyperplane relabellings ``perms``, acts on keys
-    through profiles; chains are stored only for the first key met in
-    each orbit, whose block is isomorphic to every other block there.
-    Chains are tuples of chamber indices.  ``spent`` counts the chain
-    and profile entries pushed so far in the run, stored or not; going
-    past ``budget`` raises BudgetExceededError, which bounds memory
-    however deep a large ``lmax`` lets the search go.
+    Returns ({(length, end, profile): (orbit size, memo key, {degree:
+    [chains]} or None)}, spent) where profile counts the crossings of
+    each hyperplane along the chain, which the differential preserves.
+    The profile fixes the rest of the key (length is its sum, and end is
+    the start with the oddly crossed hyperplanes flipped), so the
+    stabilizer, generated by the hyperplane relabellings ``perms``, acts
+    on keys through profiles; chains are stored only for the first key
+    met in each orbit, whose block is isomorphic to every other block
+    there.
+
+    The chains of a block cross only the profile's support S, so their
+    chambers x have x ^ start inside S, and distances and smoothness
+    read only S.  The memo key, the profile on S and the set of all such
+    x ^ start, both packed to S's bits, therefore fixes the complex.  A
+    key already in the run's ``memo`` stores no chains; a new one is
+    entered with None for the caller to fill in; ``memo`` None stores
+    every block.  ``spent`` counts the chain and profile entries pushed
+    so far in the run, stored or not; past ``budget`` it raises
+    BudgetExceededError, which bounds memory however deep the search
+    goes.  ``around`` is the run's ``_near_lists``.
     """
     masks = graph.masks
     index = graph.index
     start_mask = masks[start]
-    size = len(masks)
     n = graph.n
-    blocks = {}  # key -> (orbit size, {degree: chains}), None off-orbit
-    bits_of = {}
+    blocks = {}  # key -> (orbit size, memo key, chains), None off-orbit
+    local = {}  # support -> packed x of the chambers agreeing off it
     stack = [((start,), 0, (0,) * n, n)]
     while stack:
         chain, length, profile, missing = stack.pop()
@@ -188,43 +226,46 @@ def _start_blocks(graph, start, lmax, spent, budget, full_support_only,
             entry = blocks.get(key, False)
             if entry is False:
                 orbit = _profile_orbit(profile, perms) if perms else (profile,)
-                entry = blocks[key] = (len(orbit), {})
+                support = tuple(h for h, c in enumerate(profile) if c)
+                if support not in local:
+                    off = ~sum(1 << h for h in support)
+                    local[support] = frozenset(
+                        sum(1 << i for i, h in enumerate(support)
+                            if x >> h & 1)
+                        for x in (m ^ start_mask for m in masks)
+                        if not x & off)
+                memo_key = (tuple(profile[h] for h in support),
+                            local[support])
+                chains = {} if memo is None or memo_key not in memo else None
+                if memo is not None:
+                    memo.setdefault(memo_key, None)
+                entry = blocks[key] = (len(orbit), memo_key, chains)
                 for other in orbit:
                     if other != profile:
                         odd = sum(1 << h for h, c in enumerate(other) if c & 1)
                         blocks[(length, index[start_mask ^ odd], other)] = None
-            if entry is not None:
-                entry[1].setdefault(len(chain) - 1, []).append(chain)
+            if entry is not None and entry[2] is not None:
+                entry[2].setdefault(len(chain) - 1, []).append(chain)
         remaining = lmax - length
         if remaining < 1:
             continue
-        end = chain[-1]
-        end_mask = masks[end]
-        for j in range(size):
-            if j == end:
-                continue
-            sep = end_mask ^ masks[j]
-            d = sep.bit_count()
-            if d > remaining:
-                continue
-            bits = bits_of.get(sep)
-            if bits is None:
-                bits = bits_of[sep] = tuple(
-                    h for h in range(n) if sep >> h & 1
-                )
-            nprofile = list(profile)
-            nmissing = missing
-            for h in bits:
-                if nprofile[h] == 0:
-                    nmissing -= 1
-                nprofile[h] += 1
-            if full_support_only and nmissing > remaining - d:
-                continue
-            spent += len(chain) + 1 + n
-            if spent > budget:
-                raise BudgetExceededError(
-                    "pushed chain entries", budget, spent, "lower --lmax")
-            stack.append((chain + (j,), length + d, tuple(nprofile), nmissing))
+        near = around(chain[-1])[1 : remaining + 1]
+        for d, (ends, crossed) in enumerate(near, 1):
+            for j, bits in zip(ends, crossed):
+                nprofile = list(profile)
+                nmissing = missing
+                for h in bits:
+                    if nprofile[h] == 0:
+                        nmissing -= 1
+                    nprofile[h] += 1
+                if full_support_only and nmissing > remaining - d:
+                    continue
+                spent += len(chain) + 1 + n
+                if spent > budget:
+                    raise BudgetExceededError(
+                        "pushed chain entries", budget, spent, "lower --lmax")
+                stack.append(
+                    (chain + (j,), length + d, tuple(nprofile), nmissing))
     return {key: entry for key, entry in blocks.items() if entry}, spent
 
 
@@ -248,9 +289,10 @@ def _block_homology(block, masks):
                 if (masks[a] ^ masks[u]) & (masks[u] ^ masks[b]):
                     continue
                 target = chain[:i] + chain[i + 1 :]
-                if lower is None:
-                    raise CheckFailedError("boundary target outside block")
-                row = lower[target]
+                row = lower.get(target) if lower else None
+                if row is None:
+                    raise CheckFailedError(
+                        f"boundary target {target} outside block")
                 sign = -1 if i % 2 else 1
                 coeff = colmap.get(row, 0) + sign
                 if coeff:
@@ -261,63 +303,42 @@ def _block_homology(block, masks):
                 cols[col] = colmap
         if cols:
             boundaries[k] = cols
-    _assert_d2_zero(boundaries)
+    _assert_d2_zero(block, boundaries)
     dims = {k: len(block[k]) for k in degrees}
     hom = complex_homology(dims, boundaries)
-    return {
-        k: (hom[k][0], hom[k][1], dims[k])
-        for k in degrees
-    }
+    return {k: (hom[k][0], hom[k][1], dims[k]) for k in degrees}
 
 
-def _assert_d2_zero(boundaries):
+def _assert_d2_zero(block, boundaries):
     for k, upper in boundaries.items():
         lower = boundaries.get(k - 1)
         if not lower:
             continue
-        for colmap in upper.values():
+        for col, colmap in upper.items():
             acc = defaultdict(int)
             for mid, v in colmap.items():
                 for row, w in lower.get(mid, {}).items():
                     acc[row] += v * w
             if any(acc.values()):
                 raise CheckFailedError(
-                    "boundary composed with itself is nonzero"
-                )
+                    f"boundary composed with itself is nonzero in degree "
+                    f"{k} at chain {block[k][col]}")
 
 
 # ---------------------------------------------------------------------------
 # dynamic chain counting (no enumeration)
 
 
-def chain_count_table(graph, lmax, orbit_data=None):
+def chain_count_table(graph, lmax, orbits=None, around=None):
     """Number of generating chains per (degree, length), all starts.
 
     Pure counting recursion over (end chamber, length) per degree; used
-    to cross-check the enumeration and the Euler characteristics.  The
-    chambers within ``lmax`` of a chamber are found from the masks, by
-    distance, the first time a count reaches it.
+    to cross-check the enumeration and the Euler characteristics.
+    ``around`` is a ``_near_lists`` of the graph to reuse.
     """
-    if orbit_data is None:
-        orbit_id, orbits, _ = chamber_orbits(graph)
-    else:
-        orbit_id, orbits = orbit_data
-    masks = graph.masks
-    size = len(masks)
-    chambers = list(range(size))  # shared ints keep the rows small
-    near = {}  # chamber -> [chambers at distance d] for d <= lmax
-
-    def around(u):
-        row = near.get(u)
-        if row is None:
-            row = near[u] = [[] for _ in range(lmax + 1)]
-            mu = masks[u]
-            for v, m in zip(chambers, masks):
-                d = (mu ^ m).bit_count()
-                if d <= lmax:
-                    row[d].append(v)
-        return row
-
+    if orbits is None:
+        orbits = chamber_orbits(graph)[1]
+    around = around or _near_lists(graph, lmax)
     totals = defaultdict(int)
     for orbit in orbits:
         rep = orbit[0]
@@ -340,9 +361,10 @@ def chain_count_table(graph, lmax, orbit_data=None):
                     c = row[length]
                     if not c:
                         continue
-                    for d in range(1, lmax - length + 1):
+                    near = by_distance[1 : lmax - length + 1]
+                    for d, (ends, _crossed) in enumerate(near, 1):
                         nl = length + d
-                        for v in by_distance[d]:
+                        for v in ends:
                             counts = nxt.get(v)
                             if counts is None:
                                 counts = nxt[v] = [0] * (lmax + 1)
@@ -395,62 +417,62 @@ def magnitude_homology(arrangement, graph=None, *, lmax, group=None,
     """
     if graph is None:
         graph = enumerate_chambers(arrangement)
-    orbit_id, orbits, group = chamber_orbits(graph, group)
+    _, orbits, group = chamber_orbits(graph, group)
     masks = graph.masks
-    betti = defaultdict(int)
-    torsion = defaultdict(list)
+    betti = {part: defaultdict(int) for part in ("all", "inner", "geodesic")}
+    torsion = {part: defaultdict(list) for part in betti}
     dims = defaultdict(int)
-    int_betti = defaultdict(int)
-    int_torsion = defaultdict(list)
-    geo_betti = defaultdict(int)
-    geo_torsion = defaultdict(list)
     spent = 0
+    around = _near_lists(graph, lmax)
+    memo = {}  # memo key -> summary of the first block with that key
     for orbit in orbits:
         rep = orbit[0]
         perms = _stabilizer_perms(group, rep, len(orbit))
-        blocks, spent = _start_blocks(
-            graph, rep, lmax, spent, chain_budget, interior_only, perms)
-        for (length, end, profile), (key_orbit, block) in blocks.items():
+        blocks, spent = _start_blocks(graph, rep, lmax, spent, chain_budget,
+                                      interior_only, perms, around, memo)
+        for key, (key_orbit, memo_key, block) in blocks.items():
+            length, end, profile = key
             weight = len(orbit) * key_orbit
-            summary = _block_homology(block, masks)
-            parts = [(betti, torsion)]
+            if block is not None:
+                memo[memo_key] = _block_homology(block, masks)
+            parts = ["all"]
             if 0 not in profile:
-                parts.append((int_betti, int_torsion))
+                parts.append("inner")
             if length == graph.dist(rep, end):
-                parts.append((geo_betti, geo_torsion))
-            for k, (b, tor, dim) in summary.items():
+                parts.append("geodesic")
+            for k, (b, tor, dim) in memo[memo_key].items():
                 dims[(k, length)] += weight * dim
-                for part_betti, part_torsion in parts:
+                for part in parts:
                     if b:
-                        part_betti[(k, length)] += weight * b
+                        betti[part][(k, length)] += weight * b
                     if tor:
-                        part_torsion[(k, length)].extend(tor * weight)
+                        torsion[part][(k, length)].extend(tor * weight)
 
     checks = {}
     if not interior_only:
-        counted = chain_count_table(graph, lmax, (orbit_id, orbits))
+        counted = chain_count_table(graph, lmax, orbits, around)
         checks["chain_counts_match_recursion"] = counted == dict(dims)
         euler_enum = _euler_by_length(dims, lmax)
-        euler_homology = _euler_by_length(betti, lmax)
-        checks["euler_of_homology_matches_chains"] = euler_enum == euler_homology
+        checks["euler_of_homology_matches_chains"] = (
+            euler_enum == _euler_by_length(betti["all"], lmax))
         if magnitude is not None:
             series = series_expand(magnitude, lmax)
             checks["euler_matches_series"] = all(
                 euler_enum.get(l, 0) == series[l] for l in range(lmax + 1)
             )
-    result = HomologyResult(
+    main = "inner" if interior_only else "all"
+    return HomologyResult(
         lmax=lmax,
-        betti=dict(int_betti) if interior_only else dict(betti),
-        torsion=_tidy_torsion(int_torsion if interior_only else torsion),
+        betti=dict(betti[main]),
+        torsion=_tidy_torsion(torsion[main]),
         chain_dims=dict(dims),
-        interior_betti=dict(int_betti),
-        interior_torsion=_tidy_torsion(int_torsion),
-        geodesic_betti=dict(geo_betti),
-        geodesic_torsion=_tidy_torsion(geo_torsion),
+        interior_betti=dict(betti["inner"]),
+        interior_torsion=_tidy_torsion(torsion["inner"]),
+        geodesic_betti=dict(betti["geodesic"]),
+        geodesic_torsion=_tidy_torsion(torsion["geodesic"]),
         chamber_count=len(graph),
         checks=checks,
     )
-    return result
 
 
 def _euler_by_length(table, lmax):
@@ -503,10 +525,8 @@ def diagonal_betti_formula(lattice, lmax):
             c = lattice.restriction_chamber_count(f.index)
             if f.rank == 0:
                 total += c if length == 0 else 0
-                continue
-            if length < 1:
-                continue
-            total += c * (1 << f.rank) * math.comb(length - 1, f.rank - 1)
+            elif length:
+                total += c * (1 << f.rank) * math.comb(length - 1, f.rank - 1)
         out[length] = total
     return out
 

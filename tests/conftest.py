@@ -1,11 +1,12 @@
 """Shared fixtures: geometry is expensive, so catalog arrangements are
 enumerated once per run and reused across test modules.  Also the
-oracles only tests use: face sign vectors, their product, and distances
-found by walking edges."""
+oracles only tests use: face sign vectors, their product, distances
+found by walking edges, and the Betti table reduced block by block."""
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from itertools import product
 
 from magarr.arrangement import (
@@ -18,7 +19,17 @@ from magarr.arrangement import (
     intersection_lattice,
     parse_arrangement,
 )
-from magarr.homology import magnitude_homology, structural_checks
+from magarr.homology import (
+    HomologyResult,
+    _block_homology,
+    _near_lists,
+    _start_blocks,
+    _tidy_torsion,
+    chain_count_table,
+    magnitude_homology,
+    structural_checks,
+)
+from magarr.polyq import series_expand
 from magarr.magnitude import Rank3Stats, chamber_orbits, magnitude_direct
 from magarr.magnitude import structural_checks as magnitude_checks
 
@@ -261,3 +272,73 @@ def check_instance_laws(arr):
     assert set(hom.checks) < set(checks)
     assert all(checks.values()), {k: v for k, v in checks.items() if not v}
     return size
+
+
+# ---------------------------------------------------------------------------
+# oracle: the homology run with nothing collapsed
+
+
+def every_block(graph, lmax, interior_only=False):
+    """(start, block key, memo key, summary) for every block of every
+    start: ``_start_blocks`` with no stabilizer and no memo, and each
+    block reduced on its own."""
+    around = _near_lists(graph, lmax)
+    for start in range(len(graph)):
+        blocks, _ = _start_blocks(
+            graph, start, lmax, 0, 10**12, interior_only, (), around, None)
+        for key, (_size, memo_key, block) in blocks.items():
+            yield start, key, memo_key, _block_homology(block, graph.masks)
+
+
+def _euler(table):
+    out = defaultdict(int)
+    for (k, length), v in table.items():
+        out[length] += -v if k % 2 else v
+    return dict(out)
+
+
+def betti_by_every_block(graph, lmax, interior_only=False, magnitude=None):
+    """What ``magnitude_homology`` returns, from ``every_block``: no
+    chamber orbits, no stabilizer orbits and no memo, every field and
+    check rebuilt here."""
+    parts = ("all", "interior", "geodesic")
+    betti = {part: defaultdict(int) for part in parts}
+    torsion = {part: defaultdict(list) for part in parts}
+    dims = defaultdict(int)
+    for start, (length, end, profile), _memo_key, summary in every_block(
+            graph, lmax, interior_only):
+        tallied = ["all"]
+        if 0 not in profile:
+            tallied.append("interior")
+        if length == graph.dist(start, end):
+            tallied.append("geodesic")
+        for k, (b, tor, dim) in summary.items():
+            dims[(k, length)] += dim
+            for part in tallied:
+                if b:
+                    betti[part][(k, length)] += b
+                torsion[part][(k, length)].extend(tor)
+    checks = {}
+    if not interior_only:
+        checks["chain_counts_match_recursion"] = (
+            chain_count_table(graph, lmax) == dict(dims))
+        euler = _euler(dims)
+        checks["euler_of_homology_matches_chains"] = euler == _euler(
+            betti["all"])
+        if magnitude is not None:
+            series = series_expand(magnitude, lmax)
+            checks["euler_matches_series"] = all(
+                euler.get(l, 0) == series[l] for l in range(lmax + 1))
+    main = "interior" if interior_only else "all"
+    return HomologyResult(
+        lmax=lmax,
+        betti=dict(betti[main]),
+        torsion=_tidy_torsion(torsion[main]),
+        chain_dims=dict(dims),
+        interior_betti=dict(betti["interior"]),
+        interior_torsion=_tidy_torsion(torsion["interior"]),
+        geodesic_betti=dict(betti["geodesic"]),
+        geodesic_torsion=_tidy_torsion(torsion["geodesic"]),
+        chamber_count=len(graph),
+        checks=checks,
+    )

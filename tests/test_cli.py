@@ -12,6 +12,8 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import magarr.cli as cli
 from magarr.arrangement import CATALOG_NAMES, catalog
@@ -339,6 +341,47 @@ def test_unreadable_source_is_a_parse_error(capsys, tmp_path, kind):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+_TOKENS = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["1/2", "-2/3", "0.5", "1e3", "1/0", "nan", "inf", "x",
+                     "#", "0x1", "1_0", "\u00bd", "9" * 5000]),
+    st.text(max_size=3),
+)
+_TEXT_SOURCES = st.lists(
+    st.lists(_TOKENS, max_size=4).map(" ".join), max_size=5,
+).map("\n".join)
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+              st.sampled_from([0.5, 1e300, float("inf"), float("nan")]),
+              st.text(max_size=3)),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=12,
+)
+_JSON_SOURCES = st.one_of(
+    st.dictionaries(st.sampled_from(["normals", "labels", "dimension", "x"]),
+                    _JSON_VALUES, max_size=4).map(json.dumps),
+    _JSON_VALUES.map(lambda v: "{" + json.dumps(v)),
+)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(source=st.one_of(_TEXT_SOURCES, _JSON_SOURCES,
+                        st.binary(max_size=12)))
+def test_malformed_sources_exit_cleanly(capsys, tmp_path, source):
+    # whatever the file holds, lattice succeeds or gives one error line
+    src = tmp_path / "fuzz.txt"
+    if isinstance(source, bytes):
+        src.write_bytes(source)
+    else:
+        src.write_text(source, encoding="utf-8")
+    code, out, err = _run(capsys, ["lattice", str(src)])
+    assert code in (0, 2), (source, code, err)
+    if code == 2:
+        assert out == "" and err.startswith("error:")
+        assert len(err.splitlines()) == 1, err
 
 
 @pytest.mark.parametrize("flag", ["--cache", "--json"])

@@ -7,16 +7,22 @@ from dataclasses import replace
 import pytest
 
 from conftest import (
+    betti_by_every_block,
+    every_block,
     geometry,
     homology_of,
     key_orbit_by_closure,
     magnitude_of,
+    random_arrangements,
     stabilizer_by_closure,
 )
-from magarr.arrangement import CATALOG_NAMES, SymmetryGroup
+from magarr.arrangement import CATALOG_NAMES, SymmetryGroup, enumerate_chambers
 from magarr.cli import golden_betti
 from magarr.errors import BudgetExceededError, CheckFailedError
 from magarr.homology import (
+    _assert_d2_zero,
+    _block_homology,
+    _near_lists,
     _stabilizer_perms,
     _start_blocks,
     chain_count_table,
@@ -28,7 +34,7 @@ from magarr.homology import (
     magnitude_homology,
     structural_checks,
 )
-from magarr.magnitude import chamber_orbits
+from magarr.magnitude import chamber_orbits, magnitude_direct
 
 
 def _cells(table):
@@ -213,19 +219,30 @@ def test_default_caps_scale_down():
 
 
 def test_boundary_square_guard_catches_bad_signs():
-    # a sign error in a fabricated boundary must trip the guard
-    from magarr.homology import _assert_d2_zero
-
+    # a sign error in a fabricated boundary must trip the guard, which
+    # names the degree and the chain of the failing column
+    block = {0: [(0,), (1,), (2,)], 1: [(0, 1), (1, 2)], 2: [(0, 1, 2)]}
     good = {
         1: {0: {0: -1, 1: 1}},
     }
-    _assert_d2_zero(good)
+    _assert_d2_zero(block, good)
     bad = {
         1: {0: {0: 1, 1: 1}, 1: {1: 1, 2: 1}},
         2: {0: {0: 1, 1: 1}},
     }
-    with pytest.raises(CheckFailedError):
-        _assert_d2_zero(bad)
+    with pytest.raises(CheckFailedError, match=r"in degree 2 at chain "
+                       r"\(0, 1, 2\)$"):
+        _assert_d2_zero(block, bad)
+
+
+def test_boundary_target_outside_block_is_named():
+    # (0, 1, 3) is smooth at 1 on the square, so its boundary needs (0, 3)
+    _, graph, _, _ = geometry("boolean:2")
+    assert list(graph.masks) == [0, 1, 2, 3]
+    for block in ({2: [(0, 1, 3)]}, {1: [(0, 1)], 2: [(0, 1, 3)]}):
+        with pytest.raises(CheckFailedError,
+                           match=r"^boundary target \(0, 3\) outside block$"):
+            _block_homology(block, graph.masks)
 
 
 def test_torsion_free_on_quick_fixtures():
@@ -301,15 +318,69 @@ def test_key_orbits_match_brute_force_stabilizer(name):
     for orbit in chamber_orbits(graph, group)[1]:
         start = orbit[0]
         perms = _stabilizer_perms(group, start, len(orbit))
-        stored, _ = _start_blocks(graph, start, 3, 0, 10**9, False, perms)
-        every, _ = _start_blocks(graph, start, 3, 0, 10**9, False, ())
+        around = _near_lists(graph, 3)
+        stored, _ = _start_blocks(
+            graph, start, 3, 0, 10**9, False, perms, around, None)
+        every, _ = _start_blocks(
+            graph, start, 3, 0, 10**9, False, (), around, None)
         stabilizer = stabilizer_by_closure(graph, group, start)
         assert len(stabilizer) * len(orbit) == len(group)
         covered = set()
-        for key, (size, _block) in stored.items():
+        for key, (size, _memo_key, _block) in stored.items():
             key_orbit = key_orbit_by_closure(
                 stabilizer, graph.masks[start], graph, key)
             assert size == len(key_orbit), (name, start, key)
             assert not covered & key_orbit
             covered |= key_orbit
         assert covered == set(every)
+
+
+RANDOM_MEMO_CASES = random_arrangements(4, seed=20261018)
+MEMO_CASES = [
+    ("braid:4", 5, False),
+    ("u45", 4, False),
+    ("k5me", 3, False),
+    ("bracelet", 3, False),
+    ("boolean:4", 4, False),
+    *((i, 5, False) for i in range(len(RANDOM_MEMO_CASES))),
+    ("braid:4", 6, True),
+]
+
+
+def _memo_case(source):
+    """(arrangement, graph, group, magnitude) of a catalog name or of the
+    random instance with that index."""
+    if isinstance(source, str):
+        arr, graph, _, group = geometry(source)
+        return arr, graph, group, magnitude_of(source).magnitude
+    arr = RANDOM_MEMO_CASES[source]
+    graph = enumerate_chambers(arr)
+    _, _, group = chamber_orbits(graph)
+    return arr, graph, group, magnitude_direct(arr, graph, group).magnitude
+
+
+@pytest.mark.parametrize("source, lmax, interior_only", MEMO_CASES)
+def test_collapsed_run_matches_every_block(source, lmax, interior_only):
+    # chamber orbits, stabilizer orbits and the memo against every block
+    # of every start reduced on its own: each field, the checks included
+    arr, graph, group, magnitude = _memo_case(source)
+    collapsed = magnitude_homology(arr, graph, lmax=lmax, group=group,
+                                   interior_only=interior_only,
+                                   magnitude=magnitude)
+    assert collapsed == betti_by_every_block(graph, lmax, interior_only,
+                                             magnitude)
+    assert collapsed.betti and all(collapsed.checks.values())
+
+
+@pytest.mark.parametrize("source, lmax, interior_only", MEMO_CASES)
+def test_equal_memo_keys_have_equal_summaries(source, lmax, interior_only):
+    # the memo is used: some two blocks share a key on every input
+    _, graph, _, _ = _memo_case(source)
+    by_key = {}
+    shared = 0
+    for _start, _key, memo_key, summary in every_block(
+            graph, lmax, interior_only):
+        first = by_key.setdefault(memo_key, summary)
+        assert first == summary, memo_key
+        shared += first is not summary
+    assert shared
