@@ -622,19 +622,28 @@ class SymmetryGroup:
         return self.order
 
 
-def _signed_orbit(point, maps):
-    """Orbit of a signed basis vector (j, s) = s * e_j under signed maps."""
-    seen = {point}
+def orbit(point, moves):
+    """Every point reached from ``point`` by the functions ``moves``, as
+    {point: (the point it was first reached from, index of that move)},
+    with (None, None) at ``point``; each point comes after its source."""
+    reached = {point: (None, None)}
     stack = [point]
     while stack:
-        j, s = stack.pop()
-        for m in maps:
-            t, e = m[j]
-            image = (t, s * e)
-            if image not in seen:
-                seen.add(image)
-                stack.append(image)
-    return seen
+        x = stack.pop()
+        for i, move in enumerate(moves):
+            y = move(x)
+            if y not in reached:
+                reached[y] = (x, i)
+                stack.append(y)
+    return reached
+
+
+def inverse(perm):
+    """The inverse of a permutation tuple of 0..len(perm)-1."""
+    inv = [0] * len(perm)
+    for h, g in enumerate(perm):
+        inv[g] = h
+    return tuple(inv)
 
 
 def _permutes_normals(normals, prefix):
@@ -690,21 +699,27 @@ def _signed_map_group(normals, d):
     """
     columns = [sorted(abs(a[k]) for a in normals) for k in range(d)]
     maps = []
+
+    def signed_orbit(point):
+        # the orbit of s * e_j, written (j, s), under the maps so far
+        return orbit(point, [lambda p, m=m: (m[p[0]][0], p[1] * m[p[0]][1])
+                             for m in maps])
+
     order = 1
     for k in reversed(range(d)):
         prefix = tuple((i, 1) for i in range(k))
-        orbit = _signed_orbit((k, 1), maps)
+        images = signed_orbit((k, 1))
         dead = set()
         for image in ((t, s) for t in range(k, d) for s in (1, -1)):
-            if image in orbit or image in dead:
+            if image in images or image in dead:
                 continue
             found = _complete(normals, prefix + (image,), columns)
             if found is None:
-                dead |= _signed_orbit(image, maps)
+                dead.update(signed_orbit(image))
             else:
                 maps.append(found)
-                orbit = _signed_orbit((k, 1), maps)
-        order *= len(orbit)
+                images = signed_orbit((k, 1))
+        order *= len(images)
     return maps, order
 
 
@@ -767,11 +782,8 @@ def tope_symmetries(graph):
         )
         if perm == identity or perm in generators:
             continue
-        inverse = [0] * arr.n
-        for h, g in enumerate(source):
-            inverse[g] = h
         generators.append(perm)
-        hyperplane_perms.append(tuple(inverse))
+        hyperplane_perms.append(inverse(source))
     return SymmetryGroup(tuple(generators), tuple(hyperplane_perms),
                          order // _kernel_order(normals, arr.dimension))
 
@@ -784,22 +796,13 @@ def orbits_of_permutations(count, perms):
     """
     orbit_id = [-1] * count
     orbits = []
+    moves = [p.__getitem__ for p in perms]
     for start in range(count):
-        if orbit_id[start] >= 0:
-            continue
-        oid = len(orbits)
-        stack = [start]
-        members = []
-        orbit_id[start] = oid
-        while stack:
-            u = stack.pop()
-            members.append(u)
-            for p in perms:
-                v = p[u]
-                if orbit_id[v] < 0:
-                    orbit_id[v] = oid
-                    stack.append(v)
-        orbits.append(tuple(sorted(members)))
+        if orbit_id[start] < 0:
+            members = orbit(start, moves)
+            for u in members:
+                orbit_id[u] = len(orbits)
+            orbits.append(tuple(sorted(members)))
     return tuple(orbit_id), tuple(orbits)
 
 

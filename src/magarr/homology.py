@@ -30,7 +30,9 @@ import math
 from .arrangement import (
     enumerate_chambers,
     flat_orbits,
+    inverse,
     localize,
+    orbit,
 )
 from .errors import BudgetExceededError, CheckFailedError
 from .linalg import complex_homology, matrix_rank
@@ -57,14 +59,7 @@ def default_length_cap(graph):
 # stabilizers
 
 
-def _inverse(perm):
-    inv = [0] * len(perm)
-    for h, g in enumerate(perm):
-        inv[g] = h
-    return inv
-
-
-def _stabilizer_perms(group, start, orbit_size):
+def _stabilizer_perms(group, start):
     """Hyperplane relabellings generating the stabilizer of ``start``.
 
     An element fixing a chamber is determined by its hyperplane
@@ -79,29 +74,24 @@ def _stabilizer_perms(group, start, orbit_size):
     the orbit of i under them is part of an orbit of that stabilizer,
     and the group generated has order at least the product of these
     orbit lengths; once that product is the stabilizer's order,
-    order / orbit_size, the remaining Schreier generators are skipped.
+    order / orbit size, the remaining Schreier generators are skipped.
     Empty when the stabilizer is trivial.
     """
-    target = group.order // orbit_size
+    walk = orbit(start, [g.__getitem__ for g in group.generators])
+    target = group.order // len(walk)
     if target == 1:
         return ()
     n = len(group.hyperplane_perms[0])
     identity = tuple(range(n))
+    transversal = {}
+    for c, (source, i) in walk.items():
+        transversal[c] = identity if source is None else tuple(
+            group.hyperplane_perms[i][h] for h in transversal[source])
     moves = list(zip(group.generators, group.hyperplane_perms))
-    transversal = {start: identity}
-    frontier = [start]
-    while frontier:
-        c = frontier.pop()
-        u = transversal[c]
-        for chamber_perm, perm in moves:
-            image = chamber_perm[c]
-            if image not in transversal:
-                transversal[image] = tuple(perm[h] for h in u)
-                frontier.append(image)
     table = {}
     for c, u in transversal.items():
         for chamber_perm, perm in moves:
-            back = _inverse(transversal[chamber_perm[c]])
+            back = inverse(transversal[chamber_perm[c]])
             g = tuple(back[perm[h]] for h in u)
             # sift: strip the kept generator with the same first moved
             # point and image until g is new there or the identity
@@ -109,7 +99,7 @@ def _stabilizer_perms(group, start, orbit_size):
                 i = next(h for h in range(n) if g[h] != h)
                 kept = table.get((i, g[i]))
                 if kept is None:
-                    table[(i, g[i])] = (g, _inverse(g))
+                    table[(i, g[i])] = (g, inverse(g))
                     if _order_bound(table, n) == target:
                         return tuple(g for g, _inv in table.values())
                     break
@@ -121,36 +111,12 @@ def _order_bound(table, n):
     """Product over i of the orbit length of i under the kept generators
     whose first moved point is at least i."""
     bound = 1
-    gens = []
+    moves = []
     for i in reversed(range(n)):
-        gens += [g for (first, _), (g, _inv) in table.items() if first == i]
-        orbit = {i}
-        stack = [i]
-        while stack:
-            x = stack.pop()
-            for g in gens:
-                if g[x] not in orbit:
-                    orbit.add(g[x])
-                    stack.append(g[x])
-        bound *= len(orbit)
+        moves += [g.__getitem__ for (first, _), (g, _inv) in table.items()
+                  if first == i]
+        bound *= len(orbit(i, moves))
     return bound
-
-
-def _profile_orbit(profile, perms):
-    """Orbit of a crossing profile under the group the hyperplane
-    relabellings ``perms`` generate.  Each step gives hyperplane h the
-    count of hyperplane ``perm[h]``, which is the action of the
-    generator's inverse and so ranges over the same group."""
-    orbit = {profile}
-    stack = [profile]
-    while stack:
-        p = stack.pop()
-        for perm in perms:
-            image = tuple(map(p.__getitem__, perm))
-            if image not in orbit:
-                orbit.add(image)
-                stack.append(image)
-    return orbit
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +163,11 @@ def _start_blocks(graph, start, lmax, spent, budget, full_support_only,
     The profile fixes the rest of the key (length is its sum, and end is
     the start with the oddly crossed hyperplanes flipped), so the
     stabilizer, generated by the hyperplane relabellings ``perms``, acts
-    on keys through profiles; chains are stored only for the first key
-    met in each orbit, whose block is isomorphic to every other block
-    there.
+    on keys through profiles: a relabelling gives hyperplane h the count
+    of hyperplane perm[h], which is the action of its inverse and so
+    ranges over the same group.  Chains are stored only for the first
+    key met in each orbit, whose block is isomorphic to every other
+    block there.
 
     The chains of a block cross only the profile's support S, so their
     chambers x have x ^ start inside S, and distances and smoothness
@@ -216,6 +184,8 @@ def _start_blocks(graph, start, lmax, spent, budget, full_support_only,
     index = graph.index
     start_mask = masks[start]
     n = graph.n
+    moves = [lambda p, perm=perm: tuple(map(p.__getitem__, perm))
+             for perm in perms]
     blocks = {}  # key -> (orbit size, memo key, chains), None off-orbit
     local = {}  # support -> packed x of the chambers agreeing off it
     stack = [((start,), 0, (0,) * n, n)]
@@ -225,7 +195,7 @@ def _start_blocks(graph, start, lmax, spent, budget, full_support_only,
             key = (length, chain[-1], profile)
             entry = blocks.get(key, False)
             if entry is False:
-                orbit = _profile_orbit(profile, perms) if perms else (profile,)
+                images = orbit(profile, moves) if moves else (profile,)
                 support = tuple(h for h, c in enumerate(profile) if c)
                 if support not in local:
                     off = ~sum(1 << h for h in support)
@@ -239,8 +209,8 @@ def _start_blocks(graph, start, lmax, spent, budget, full_support_only,
                 chains = {} if memo is None or memo_key not in memo else None
                 if memo is not None:
                     memo.setdefault(memo_key, None)
-                entry = blocks[key] = (len(orbit), memo_key, chains)
-                for other in orbit:
+                entry = blocks[key] = (len(images), memo_key, chains)
+                for other in images:
                     if other != profile:
                         odd = sum(1 << h for h, c in enumerate(other) if c & 1)
                         blocks[(length, index[start_mask ^ odd], other)] = None
@@ -340,9 +310,9 @@ def chain_count_table(graph, lmax, orbits=None, around=None):
         orbits = chamber_orbits(graph)[1]
     around = around or _near_lists(graph, lmax)
     totals = defaultdict(int)
-    for orbit in orbits:
-        rep = orbit[0]
-        weight = len(orbit)
+    for members in orbits:
+        rep = members[0]
+        weight = len(members)
         cur = {rep: [1] + [0] * lmax}
         k = 0
         while cur:
@@ -425,14 +395,14 @@ def magnitude_homology(arrangement, graph=None, *, lmax, group=None,
     spent = 0
     around = _near_lists(graph, lmax)
     memo = {}  # memo key -> summary of the first block with that key
-    for orbit in orbits:
-        rep = orbit[0]
-        perms = _stabilizer_perms(group, rep, len(orbit))
+    for members in orbits:
+        rep = members[0]
+        perms = _stabilizer_perms(group, rep)
         blocks, spent = _start_blocks(graph, rep, lmax, spent, chain_budget,
                                       interior_only, perms, around, memo)
         for key, (key_orbit, memo_key, block) in blocks.items():
             length, end, profile = key
-            weight = len(orbit) * key_orbit
+            weight = len(members) * key_orbit
             if block is not None:
                 memo[memo_key] = _block_homology(block, masks)
             parts = ["all"]
@@ -614,11 +584,11 @@ def face_decomposition_check(arrangement, lattice, result, group):
     _oid, forbits = flat_orbits(lattice, group)
     top = lattice.flats[-1]
     total = defaultdict(int)
-    for orbit in forbits:
-        rep = lattice.flats[orbit[0]]
-        weight = len(orbit)
+    for members in forbits:
+        rep = lattice.flats[members[0]]
+        weight = len(members)
         c = lattice.restriction_chamber_count(rep.index)
-        for other in orbit[1:]:
+        for other in members[1:]:
             if lattice.restriction_chamber_count(other) != c:
                 raise CheckFailedError("restriction count varies inside an orbit")
         if rep.index == top.index:
@@ -649,8 +619,8 @@ def four_cut_minimum(graph, group):
     masks = graph.masks
     size = len(graph)
     best = None
-    for orbit in orbits:
-        x0 = orbit[0]
+    for members in orbits:
+        x0 = members[0]
         m0 = masks[x0]
         for x1 in range(size):
             if x1 == x0:

@@ -100,107 +100,46 @@ def clear_denominators(vec):
 def snf_diagonal(entries):
     """Diagonal entries of the Smith normal form of a sparse integer matrix.
 
-    ``entries`` maps (i, j) to a nonzero int.  Returns the positive diagonal
-    entries with the divisibility chain d1 | d2 | ... (no zeros, no padding),
-    so rank = len(result) and torsion corresponds to entries > 1.
+    ``entries`` maps (row key, column key), any hashables, to an int.
+    Returns the positive diagonal entries with the divisibility chain
+    d1 | d2 | ... (no zeros, no padding), so rank = len(result) and
+    torsion corresponds to entries > 1.  Only the residue of the unit
+    cancellation in ``complex_homology`` comes here, measured empty on
+    every benchmark and catalog job, so a dense elimination is enough.
     """
-    rows = {}
-    cols = {}
-    for (i, j), v in entries.items():
-        if v:
-            rows.setdefault(i, {})[j] = v
-            cols.setdefault(j, set()).add(i)
-
-    def drop(i, j):
-        r = rows.get(i)
-        if r and j in r:
-            del r[j]
-            if not r:
-                del rows[i]
-        c = cols.get(j)
-        if c:
-            c.discard(i)
-            if not c:
-                del cols[j]
-
-    def put(i, j, v):
-        if v:
-            rows.setdefault(i, {})[j] = v
-            cols.setdefault(j, set()).add(i)
-        else:
-            drop(i, j)
-
-    def add_row(src, dst, mult):
-        # row dst += mult * row src
-        for j, v in list(rows.get(src, {}).items()):
-            put(dst, j, rows.get(dst, {}).get(j, 0) + mult * v)
-
-    def add_col(src, dst, mult):
-        for i in list(cols.get(src, set())):
-            v = rows[i][src]
-            put(i, dst, rows.get(i, {}).get(dst, 0) + mult * v)
-
+    live = {key: v for key, v in entries.items() if v}
+    rows = {i: r for r, i in enumerate({i for i, _ in live})}
+    cols = {j: c for c, j in enumerate({j for _, j in live})}
+    a = [[0] * len(cols) for _ in rows]
+    for (i, j), v in live.items():
+        a[rows[i]][cols[j]] = v
     diag = []
-    while rows:
-        # pivot selection: unit entries first, then smallest magnitude,
-        # breaking ties by least fill (Markowitz) and then by index.
-        best = None
-        for i, r in rows.items():
-            rn = len(r)
-            for j, v in r.items():
-                av = abs(v)
-                key = (0 if av == 1 else 1, av, (rn - 1) * (len(cols[j]) - 1), i, j)
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-                    if key[0] == 0 and key[2] == 0:
-                        break
-            else:
-                continue
-            if best[0][0] == 0 and best[0][2] == 0:
-                break
-        _, pi, pj = best
-        # make the pivot divide everything in its row and column
-        while True:
-            pv = rows[pi][pj]
-            off = None
-            for i in list(cols[pj]):
-                if i != pi and rows[i][pj] % pv != 0:
-                    off = ("row", i)
-                    break
-            if off is None:
-                for j, v in list(rows[pi].items()):
-                    if j != pj and v % pv != 0:
-                        off = ("col", j)
-                        break
-            if off is None:
-                break
-            kind, idx = off
-            if kind == "row":
-                qv = rows[idx][pj] // pv
-                add_row(pi, idx, -qv)
-                # remainder is smaller than pivot: swap roles
-                if rows.get(idx, {}).get(pj):
-                    pi = idx
-            else:
-                qv = rows[pi][idx] // pv
-                add_col(pj, idx, -qv)
-                if rows.get(pi, {}).get(idx):
-                    pj = idx
-        pv = rows[pi][pj]
-        for i in list(cols[pj]):
-            if i != pi:
-                add_row(pi, i, -(rows[i][pj] // pv))
-        for j in list(rows[pi].keys()):
-            if j != pj:
-                add_col(pj, j, -(rows[pi][j] // pv))
-        drop(pi, pj)
-        diag.append(abs(pv))
+    while any(map(any, a)):
+        # an entry of least absolute value goes to the corner
+        _, r, c = min((abs(x), r, c) for r, row in enumerate(a)
+                      for c, x in enumerate(row) if x)
+        a[0], a[r] = a[r], a[0]
+        for row in a:
+            row[0], row[c] = row[c], row[0]
+        p = a[0][0]
+        for row in a[1:]:
+            q = row[0] // p
+            for k, x in enumerate(a[0]):
+                row[k] -= q * x
+        for k in range(1, len(a[0])):
+            q = a[0][k] // p
+            for row in a:
+                row[k] -= q * row[0]
+        # a nonzero remainder is smaller than |p|: the next pass's corner
+        if not any(a[0][1:]) and not any(row[0] for row in a[1:]):
+            diag.append(abs(p))
+            a = [row[1:] for row in a[1:]]
     # massage an arbitrary diagonal into the divisibility chain
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
-            a, b = diag[i], diag[j]
-            g = math.gcd(a, b)
-            diag[i], diag[j] = g, a // g * b
+            x, y = diag[i], diag[j]
+            g = math.gcd(x, y)
+            diag[i], diag[j] = g, x // g * y
     return tuple(sorted(diag))
 
 
@@ -214,9 +153,11 @@ def complex_homology(dims, boundaries):
     the sparse columns {col: {row: coefficient}} of the map into degree
     k - 1.  A unit incidence (b, c) spans an acyclic two-term summand
     after a change of basis, so both cells can be cancelled at the cost
-    of a Schur update on the other columns through b.  Pairs are
-    consumed cheapest first; whatever survives has no unit entries left
-    and is finished by Smith normal form.  Returns
+    of a Schur update on the other columns through b (a homotopy
+    equivalence: Skoldberg, Trans. AMS 358, 2006).  Pairs are consumed
+    cheapest first.  What survives has no unit entries; it was empty on
+    every workload measured, so the dense ``snf_diagonal`` finishes it,
+    one matrix per degree.  Returns
     {degree: (betti, torsion factors of the incoming map)}.
     """
     # cells get one integer id: degree in the high bits, index below
@@ -303,27 +244,15 @@ def complex_homology(dims, boundaries):
         kc = c >> _DEGREE_SHIFT
         alive[kc] -= 1
         alive[kc - 1] -= 1
-    ranks = {}
-    tors = {}
-    if bnd:
-        row_index = {}
-        row_count = defaultdict(int)
-        col_count = defaultdict(int)
-        core = defaultdict(dict)
-        for c in sorted(bnd):
-            k = c >> _DEGREE_SHIFT
-            j = col_count[k]
-            col_count[k] += 1
-            for b, v in bnd[c].items():
-                i = row_index.get(b)
-                if i is None:
-                    i = row_index[b] = row_count[k]
-                    row_count[k] += 1
-                core[k][(i, j)] = v
-        for k, entries in core.items():
-            diag = snf_diagonal(entries)
-            ranks[k] = len(diag)
-            tors[k] = tuple(x for x in diag if x > 1)
+    core = defaultdict(dict)
+    for c, col in bnd.items():
+        for b, v in col.items():
+            core[c >> _DEGREE_SHIFT][(b, c)] = v
+    ranks, tors = {}, {}
+    for k, entries in core.items():
+        diag = snf_diagonal(entries)
+        ranks[k] = len(diag)
+        tors[k] = tuple(x for x in diag if x > 1)
     out = {}
     for k in dims:
         betti = alive.get(k, 0) - ranks.get(k, 0) - ranks.get(k + 1, 0)

@@ -148,7 +148,7 @@ def magnitude_fraction(graph, group=None):
     elimination: the next-to-last minor is the system determinant and
     the last is (minus) the weighted solution sum times it.
     """
-    orbit_id, orbits, group = chamber_orbits(graph, group)
+    _, orbits, group = chamber_orbits(graph, group)
     m = _orbit_matrix(graph, orbits)
     k = len(orbits)
     for i in range(k):
@@ -186,7 +186,7 @@ def interior_magnitude(mag, rank, n):
 
 def magnitude_direct(arrangement, graph, group):
     """Magnitude and its derived values, from the chamber metric."""
-    orbit_id, orbits, group = chamber_orbits(graph, group)
+    _, orbits, group = chamber_orbits(graph, group)
     mag = magnitude_fraction(graph, group)
     n = arrangement.n
     rank = matrix_rank(arrangement.normals)

@@ -1,13 +1,15 @@
 """Shared fixtures: geometry is expensive, so catalog arrangements are
 enumerated once per run and reused across test modules.  Also the
 oracles only tests use: face sign vectors, their product, distances
-found by walking edges, and the Betti table reduced block by block."""
+found by walking edges, the Betti table reduced block by block, and
+invariant factors from minors."""
 
 from __future__ import annotations
 
 import random
 from collections import defaultdict
-from itertools import product
+from itertools import combinations, product
+from math import gcd
 
 from magarr.arrangement import (
     _chamber_witnesses,
@@ -342,3 +344,37 @@ def betti_by_every_block(graph, lmax, interior_only=False, magnitude=None):
         chamber_count=len(graph),
         checks=checks,
     )
+
+
+# ---------------------------------------------------------------------------
+# oracle: Smith normal form from determinantal divisors
+
+
+def _det(m):
+    """Exact integer determinant by expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * x * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j, x in enumerate(m[0]) if x)
+
+
+def smith_by_minors(entries):
+    """Invariant factors of a sparse integer matrix {(i, j): value}, as
+    ``snf_diagonal`` returns them: the product d1...dk is the gcd of all
+    k x k minors, so dk is the ratio of two consecutive gcds, up to the
+    rank, the largest k with a nonzero minor."""
+    rows = sorted({i for i, _ in entries})
+    cols = sorted({j for _, j in entries})
+    factors = []
+    previous = 1
+    for k in range(1, min(len(rows), len(cols)) + 1):
+        divisor = 0
+        for rs in combinations(rows, k):
+            for cs in combinations(cols, k):
+                minor = [[entries.get((i, j), 0) for j in cs] for i in rs]
+                divisor = gcd(divisor, _det(minor))
+        if divisor == 0:
+            break
+        factors.append(divisor // previous)
+        previous = divisor
+    return tuple(factors)

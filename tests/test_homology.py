@@ -297,7 +297,7 @@ def test_stabilizer_generators_are_sims_filtered(name):
     n = graph.n
     for orbit in chamber_orbits(graph, group)[1]:
         start = graph.masks[orbit[0]]
-        perms = _stabilizer_perms(group, orbit[0], len(orbit))
+        perms = _stabilizer_perms(group, orbit[0])
         assert len(perms) <= n * (n - 1) // 2
         firsts = set()
         for perm in perms:
@@ -317,7 +317,7 @@ def test_key_orbits_match_brute_force_stabilizer(name):
     assert len(group) <= 384
     for orbit in chamber_orbits(graph, group)[1]:
         start = orbit[0]
-        perms = _stabilizer_perms(group, start, len(orbit))
+        perms = _stabilizer_perms(group, start)
         around = _near_lists(graph, 3)
         stored, _ = _start_blocks(
             graph, start, 3, 0, 10**9, False, perms, around, None)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
+from conftest import smith_by_minors
+from magarr import linalg
 from magarr.linalg import (
     clear_denominators,
     complex_homology,
@@ -73,6 +76,93 @@ def test_snf_empty_and_identity():
     assert snf_diagonal({}) == ()
     eye = {(i, i): 1 for i in range(3)}
     assert snf_diagonal(eye) == (1, 1, 1)
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def _random_sparse_matrix(rng):
+    """Up to 5 x 5, entries up to +-30, on non-contiguous keys.  Some
+    entries are stored as zeros and some rows and columns are missing,
+    and a third of the matrices factor through a narrower inner
+    dimension, so most of those are rank-deficient."""
+    nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+    if rng.random() < 1 / 3:
+        inner = rng.randint(1, max(1, min(nrows, ncols) - 1))
+        left = [[rng.randint(-2, 2) for _ in range(inner)] for _ in range(nrows)]
+        right = [[rng.randint(-2, 2) for _ in range(ncols)] for _ in range(inner)]
+        matrix = _matmul(left, right)
+    else:
+        density = rng.random()
+        matrix = [[rng.randint(-30, 30) if rng.random() < density else 0
+                   for _ in range(ncols)] for _ in range(nrows)]
+    row_keys = rng.sample(range(-40, 40), nrows)
+    col_keys = rng.sample(range(10**6, 10**6 + 80), ncols)
+    return {(i, j): v
+            for i, row in zip(row_keys, matrix)
+            for j, v in zip(col_keys, row) if v or rng.random() < 0.2}
+
+
+def test_snf_matches_minors_oracle():
+    cases = [
+        {(0, 0): 2, (1, 1): 3},  # the gcd/lcm pass: (1, 6)
+        {(0, 0): 4, (0, 5): 0, (7, 5): 0, (3, 2): 6},  # zero row and column
+        {(0, 0): 2, (0, 1): 4, (1, 0): 3, (1, 1): 6},  # rank 1
+        {(10, -3): 6, (99, 7): 10, (10, 7): 4},  # non-contiguous keys
+        {(0, 0): 0},
+    ]
+    rng = random.Random(20)
+    cases += [_random_sparse_matrix(rng) for _ in range(600)]
+    for entries in cases:
+        assert snf_diagonal(entries) == smith_by_minors(entries), entries
+    assert [snf_diagonal(e) for e in cases[:5]] == [
+        (1, 6), (2, 12), (1,), (2, 30), ()]
+
+
+def _unimodular(size, rng):
+    """A seeded unimodular matrix and its inverse, built by row additions."""
+    u = [[int(i == j) for j in range(size)] for i in range(size)]
+    v = [row[:] for row in u]
+    for _ in range(4 * size):
+        i, j = rng.sample(range(size), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        u[i] = [a + c * b for a, b in zip(u[i], u[j])]  # u <- E u
+        for row in v:  # v <- v E^-1
+            row[j] -= c * row[i]
+    return u, v
+
+
+def test_homology_residue_in_two_degrees(monkeypatch):
+    # H1 = Z + Z/2 + Z/4 and H2 = Z/3 from diagonal boundaries, with
+    # every degree conjugated by a seeded unimodular change of basis, so
+    # unit cancellation leaves a non-unit residue in degrees 2 and 3
+    rng = random.Random(5)
+    dims = {0: 2, 1: 3, 2: 3, 3: 2}
+    diagonal = {2: [[2, 0, 0], [0, 4, 0], [0, 0, 0]],
+                3: [[0, 0], [0, 0], [3, 0]]}
+    bases = {k: _unimodular(size, rng) for k, size in dims.items()}
+    conjugated = {k: _matmul(_matmul(bases[k - 1][0], d), bases[k][1])
+                  for k, d in diagonal.items()}
+    assert _matmul(conjugated[2], conjugated[3]) == [[0, 0]] * 3
+    boundaries = {
+        k: {j: {i: row[j] for i, row in enumerate(m) if row[j]}
+            for j in range(dims[k])}
+        for k, m in conjugated.items()
+    }
+    for cols in boundaries.values():
+        assert any(len(col) > 1 for col in cols.values())
+    residues = []
+
+    def spy(entries):
+        residues.append(entries)
+        return snf_diagonal(entries)
+
+    monkeypatch.setattr(linalg, "snf_diagonal", spy)
+    hom = complex_homology(dims, boundaries)
+    assert hom == {0: (2, ()), 1: (1, (2, 4)), 2: (0, (3,)), 3: (1, ())}
+    assert len(residues) == 2
 
 
 def _simplicial_boundaries(simplices_by_dim):
