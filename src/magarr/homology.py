@@ -6,14 +6,16 @@ chamber when the two adjacent steps cross disjoint hyperplane sets
 (deletion then preserves the length).  Start, end, and the number of
 times each hyperplane is crossed are all preserved, so the complex
 splits into finite blocks which are resolved independently over the
-integers.  Chamber symmetries act freely on blocks by relabelling the
-start, so only one start per orbit is enumerated; the stabilizer of that
-start still permutes its blocks, so only the first block of each
-stabilizer orbit is stored and reduced, weighted by the orbit size.
-Blocks no symmetry relates are still often the same complex: a block's
-chains cross only the hyperplanes of its profile's support S, so it is
-fixed by the profile on S and the sign vectors on S of the chambers
-agreeing with its start off S.  One block per such memo key is reduced.
+integers.  The search from a start walks block keys, recording each
+key's in-edges, and builds chains, the in-edge paths back to the start,
+only for the blocks it reduces.  Chamber symmetries act freely on
+blocks by relabelling the start, so one start per orbit is searched, and
+only the first block of each orbit of its stabilizer is reduced,
+weighted by the orbit size.  Blocks no symmetry relates are still often
+the same complex: a block is fixed by its profile on its support S and
+the sign vectors on S of the chambers agreeing with its start off S, up
+to relabelling S, so one block per least relabelling of that memo key
+is reduced.
 
 A block whose length equals the distance from its start to its end is
 geodesic: its chains run through the interval between the two chambers,
@@ -25,6 +27,7 @@ poset alone; the two are the two routes of the geodesic check.
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import groupby, permutations, product
 import math
 
 from .arrangement import (
@@ -39,8 +42,8 @@ from .linalg import complex_homology, matrix_rank
 from .magnitude import alternating_violation, chamber_orbits, profile_uniform
 from .polyq import series_expand
 
-# chain and profile entries one homology run may push, stored or not;
-# 3.4 times what u45 at lmax 7 pushes (17.7 million)
+# entries one homology run may charge, for keys found and chains built;
+# 43 times what u45 at lmax 7 charges (1.39 million)
 DEFAULT_CHAIN_BUDGET = 60_000_000
 
 
@@ -153,90 +156,146 @@ def _near_lists(graph, lmax):
 
 
 def _start_blocks(graph, start, lmax, spent, budget, full_support_only,
-                  perms, around, memo):
-    """Proper chains from one start, grouped into boundary blocks, one
-    block per orbit of the start's stabilizer.
+                  perms, around, memo, canon):
+    """Boundary blocks of the proper chains from one start, one block per
+    orbit of the start's stabilizer.
 
     Returns ({(length, end, profile): (orbit size, memo key, {degree:
-    [chains]} or None)}, spent) where profile counts the crossings of
-    each hyperplane along the chain, which the differential preserves.
-    The profile fixes the rest of the key (length is its sum, and end is
-    the start with the oddly crossed hyperplanes flipped), so the
-    stabilizer, generated by the hyperplane relabellings ``perms``, acts
-    on keys through profiles: a relabelling gives hyperplane h the count
-    of hyperplane perm[h], which is the action of its inverse and so
-    ranges over the same group.  Chains are stored only for the first
-    key met in each orbit, whose block is isomorphic to every other
-    block there.
+    [chains]} or None)}, spent); profile counts the crossings of each
+    hyperplane, which the differential preserves, and fixes length (its
+    sum) and end (the start with the oddly crossed hyperplanes flipped).
+    The search walks keys: a step to chamber v takes (length, u, p) to
+    (length + d(u, v), v, p + the hyperplanes crossed), and the key
+    reached keeps the existing tuple it came from as an in-edge.  Two
+    keys fix the step between them, so a block's chains are the paths of
+    in-edges back to (0, start, 0...0).  ``full_support_only`` drops the
+    keys that cannot cross every hyperplane within ``lmax``.
 
-    The chains of a block cross only the profile's support S, so their
-    chambers x have x ^ start inside S, and distances and smoothness
-    read only S.  The memo key, the profile on S and the set of all such
-    x ^ start, both packed to S's bits, therefore fixes the complex.  A
-    key already in the run's ``memo`` stores no chains; a new one is
-    entered with None for the caller to fill in; ``memo`` None stores
-    every block.  ``spent`` counts the chain and profile entries pushed
-    so far in the run, stored or not; past ``budget`` it raises
-    BudgetExceededError, which bounds memory however deep the search
-    goes.  ``around`` is the run's ``_near_lists``.
+    The stabilizer, generated by the hyperplane relabellings ``perms``,
+    moves hyperplane perm[h]'s count to h (its inverse's action, so the
+    same group), and only the first key of each orbit is kept.  A
+    block's chains cross only the profile's support S, so their chambers
+    x have x ^ start inside S, and distances and smoothness read only S:
+    the memo key, ``canonical_key`` of the profile on S and the set of
+    all such x ^ start packed to S's bits (cached in ``canon``), fixes
+    the complex.  Chains are built only when the memo key is new to
+    ``memo``, which then maps it to None for the caller to fill in.
+    ``spent`` counts what the run has charged, length + 1 + n per key
+    found (the longest chain its block could hold, and its profile) and
+    len(chain) + 1 + n per chain built; past ``budget`` it raises
+    BudgetExceededError.  ``around`` is the run's ``_near_lists``.
     """
     masks = graph.masks
     index = graph.index
     start_mask = masks[start]
     n = graph.n
+    root = (0, start, (0,) * n)
+    into = {root: []}  # key -> the keys one step before it
+    stack = [root]
+    while stack:
+        state = stack.pop()
+        length, u, profile = state
+        remaining = lmax - length
+        if remaining < 1:
+            continue
+        near = around(u)[1 : remaining + 1]
+        for d, (ends, crossed) in enumerate(near, 1):
+            for v, bits in zip(ends, crossed):
+                nprofile = list(profile)
+                for h in bits:
+                    nprofile[h] += 1
+                if full_support_only and nprofile.count(0) > remaining - d:
+                    continue
+                key = (length + d, v, tuple(nprofile))
+                edges = into.get(key)
+                if edges is None:
+                    spent = _charge(spent, length + d + 1 + n, budget)
+                    into[key] = [state]
+                    stack.append(key)
+                else:
+                    edges.append(state)
+
     moves = [lambda p, perm=perm: tuple(map(p.__getitem__, perm))
              for perm in perms]
     blocks = {}  # key -> (orbit size, memo key, chains), None off-orbit
     local = {}  # support -> packed x of the chambers agreeing off it
-    stack = [((start,), 0, (0,) * n, n)]
-    while stack:
-        chain, length, profile, missing = stack.pop()
-        if not full_support_only or missing == 0:
-            key = (length, chain[-1], profile)
-            entry = blocks.get(key, False)
-            if entry is False:
-                images = orbit(profile, moves) if moves else (profile,)
-                support = tuple(h for h, c in enumerate(profile) if c)
-                if support not in local:
-                    off = ~sum(1 << h for h in support)
-                    local[support] = frozenset(
-                        sum(1 << i for i, h in enumerate(support)
-                            if x >> h & 1)
-                        for x in (m ^ start_mask for m in masks)
-                        if not x & off)
-                memo_key = (tuple(profile[h] for h in support),
-                            local[support])
-                chains = {} if memo is None or memo_key not in memo else None
-                if memo is not None:
-                    memo.setdefault(memo_key, None)
-                entry = blocks[key] = (len(images), memo_key, chains)
-                for other in images:
-                    if other != profile:
-                        odd = sum(1 << h for h, c in enumerate(other) if c & 1)
-                        blocks[(length, index[start_mask ^ odd], other)] = None
-            if entry is not None and entry[2] is not None:
-                entry[2].setdefault(len(chain) - 1, []).append(chain)
-        remaining = lmax - length
-        if remaining < 1:
+    for key in into:
+        length, _end, profile = key
+        if (full_support_only and 0 in profile) or key in blocks:
             continue
-        near = around(chain[-1])[1 : remaining + 1]
-        for d, (ends, crossed) in enumerate(near, 1):
-            for j, bits in zip(ends, crossed):
-                nprofile = list(profile)
-                nmissing = missing
-                for h in bits:
-                    if nprofile[h] == 0:
-                        nmissing -= 1
-                    nprofile[h] += 1
-                if full_support_only and nmissing > remaining - d:
-                    continue
-                spent += len(chain) + 1 + n
-                if spent > budget:
-                    raise BudgetExceededError(
-                        "pushed chain entries", budget, spent, "lower --lmax")
-                stack.append(
-                    (chain + (j,), length + d, tuple(nprofile), nmissing))
+        images = orbit(profile, moves) if moves else (profile,)
+        for other in images:
+            odd = sum(1 << h for h, c in enumerate(other) if c & 1)
+            blocks[(length, index[start_mask ^ odd], other)] = None
+        support = tuple(h for h, c in enumerate(profile) if c)
+        if support not in local:
+            off = ~sum(1 << h for h in support)
+            local[support] = frozenset(
+                sum(1 << i for i, h in enumerate(support) if x >> h & 1)
+                for x in (m ^ start_mask for m in masks)
+                if not x & off)
+        raw = (tuple(profile[h] for h in support), local[support])
+        if raw not in canon:
+            canon[raw] = canonical_key(*raw)
+        memo_key = canon[raw]
+        chains = None
+        if memo_key not in memo:
+            memo[memo_key] = None
+            chains = {}
+            paths = [(key, (key[1],))]
+            while paths:
+                state, chain = paths.pop()
+                paths += [(prev, (prev[1],) + chain) for prev in into[state]]
+                if not into[state]:
+                    spent = _charge(spent, len(chain) + 1 + n, budget)
+                    chains.setdefault(len(chain) - 1, []).append(chain)
+        blocks[key] = (len(images), memo_key, chains)
     return {key: entry for key, entry in blocks.items() if entry}, spent
+
+
+def _charge(spent, entries, budget):
+    spent += entries
+    if spent > budget:
+        raise BudgetExceededError("searched keys and built chain entries",
+                                  budget, spent, "lower --lmax")
+    return spent
+
+
+def canonical_key(counts, tops):
+    """Least form of a memo key under relabellings of its support S.
+
+    ``counts`` is the profile on S and ``tops`` the local sign vectors,
+    bit i for the i-th hyperplane of S.  A relabelling of S maps a
+    block's chains one to one, keeps two steps' crossing sets disjoint
+    exactly where they were, and keeps positions in the chain, so blocks
+    whose keys differ by one are isomorphic with the same signs.  The
+    coordinates are sorted by an invariant, their count and the weights
+    of the tops containing them, and only reorderings within runs of
+    tied coordinates are tried, keeping the least sorted tops.  A run
+    whose adjacent swaps all fix the tops is fixed by every reordering
+    and is not tried, so the whole k-cube costs one pass, not k!.
+    """
+    k = len(counts)
+    invariant = [(c, sorted(x.bit_count() for x in tops if x >> i & 1))
+                 for i, c in enumerate(counts)]
+    order = sorted(range(k), key=invariant.__getitem__)
+    base = frozenset(_relabel_bits(tops, order))
+    choices = []
+    for _, tied in groupby(range(k), key=lambda p: invariant[order[p]]):
+        run = tuple(tied)
+        if any({x ^ ((x >> q ^ x >> q + 1) & 1) * (3 << q) for x in base}
+               != base for q in run[:-1]):
+            choices.append(permutations(run))
+        else:
+            choices.append((run,))
+    best = min(sorted(_relabel_bits(base, [p for part in parts for p in part]))
+               for parts in product(*choices))
+    return tuple(counts[i] for i in order), tuple(best)
+
+
+def _relabel_bits(xs, perm):
+    """Each x with its bit perm[p] moved to bit p."""
+    return [sum((x >> c & 1) << p for p, c in enumerate(perm)) for x in xs]
 
 
 def _block_homology(block, masks):
@@ -381,9 +440,9 @@ def magnitude_homology(arrangement, graph=None, *, lmax, group=None,
     When ``magnitude`` (a RatFunc) is given, the per-length Euler
     characteristics of the chain spaces are checked against its series.
     Every block that is reduced has its boundary checked to square to
-    zero, and a run that would push more than ``chain_budget`` chain and
-    profile entries onto its searches, stored or not, stops with
-    BudgetExceededError.
+    zero, and a run that would charge more than ``chain_budget`` entries
+    for the keys it finds and the chains it builds (see
+    ``_start_blocks``) stops with BudgetExceededError.
     """
     if graph is None:
         graph = enumerate_chambers(arrangement)
@@ -395,11 +454,13 @@ def magnitude_homology(arrangement, graph=None, *, lmax, group=None,
     spent = 0
     around = _near_lists(graph, lmax)
     memo = {}  # memo key -> summary of the first block with that key
+    canon = {}  # raw memo key -> its canonical form
     for members in orbits:
         rep = members[0]
         perms = _stabilizer_perms(group, rep)
         blocks, spent = _start_blocks(graph, rep, lmax, spent, chain_budget,
-                                      interior_only, perms, around, memo)
+                                      interior_only, perms, around, memo,
+                                      canon)
         for key, (key_orbit, memo_key, block) in blocks.items():
             length, end, profile = key
             weight = len(members) * key_orbit

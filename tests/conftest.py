@@ -24,9 +24,8 @@ from magarr.arrangement import (
 from magarr.homology import (
     HomologyResult,
     _block_homology,
-    _near_lists,
-    _start_blocks,
     _tidy_torsion,
+    canonical_key,
     chain_count_table,
     magnitude_homology,
     structural_checks,
@@ -280,15 +279,54 @@ def check_instance_laws(arr):
 # oracle: the homology run with nothing collapsed
 
 
+def _chain_blocks(graph, start, lmax, interior_only=False):
+    """{(length, end, profile): {degree: [chains]}} of one start, by a
+    plain depth-first search over whole chains: every chamber at
+    distance 1 to the remaining length is tried as the next step, with
+    no key search, no stabilizer and no memo.  With ``interior_only``,
+    a chain that can no longer cross every hyperplane within ``lmax``
+    is cut, and only blocks crossing every hyperplane are kept."""
+    masks = graph.masks
+    blocks = {}
+    stack = [((start,), 0, (0,) * graph.n)]
+    while stack:
+        chain, length, profile = stack.pop()
+        if not interior_only or 0 not in profile:
+            key = (length, chain[-1], profile)
+            blocks.setdefault(key, {}).setdefault(
+                len(chain) - 1, []).append(chain)
+        for v, m in enumerate(masks):
+            sep = masks[chain[-1]] ^ m
+            nlength = length + sep.bit_count()
+            if sep == 0 or nlength > lmax:
+                continue
+            nprofile = tuple(c + (sep >> h & 1) for h, c in enumerate(profile))
+            if interior_only and nprofile.count(0) > lmax - nlength:
+                continue
+            stack.append((chain + (v,), nlength, nprofile))
+    return blocks
+
+
+def _raw_memo_key(graph, start, profile):
+    """(profile on its support S, packed x ^ start of the chambers x that
+    agree with ``start`` off S), the memo key before relabelling."""
+    support = [h for h, c in enumerate(profile) if c]
+    inside = sum(1 << h for h in support)
+    tops = frozenset(
+        sum(1 << i for i, h in enumerate(support) if x >> h & 1)
+        for x in (m ^ graph.masks[start] for m in graph.masks)
+        if x & inside == x)
+    return tuple(profile[h] for h in support), tops
+
+
 def every_block(graph, lmax, interior_only=False):
     """(start, block key, memo key, summary) for every block of every
-    start: ``_start_blocks`` with no stabilizer and no memo, and each
-    block reduced on its own."""
-    around = _near_lists(graph, lmax)
+    start: ``_chain_blocks``, each block reduced on its own, and the memo
+    key that ``canonical_key`` gives it."""
     for start in range(len(graph)):
-        blocks, _ = _start_blocks(
-            graph, start, lmax, 0, 10**12, interior_only, (), around, None)
-        for key, (_size, memo_key, block) in blocks.items():
+        for key, block in _chain_blocks(
+                graph, start, lmax, interior_only).items():
+            memo_key = canonical_key(*_raw_memo_key(graph, start, key[2]))
             yield start, key, memo_key, _block_homology(block, graph.masks)
 
 

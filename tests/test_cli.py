@@ -414,11 +414,11 @@ def test_budget_exhaustion_exit_code(capsys, monkeypatch):
 
 
 def test_huge_lmax_stops_on_the_chain_budget():
-    # the search goes lmax deep and stores chains of every length on the
-    # way, so without a budget this run fills any memory; under a 1 GiB
+    # the key search goes lmax deep and records every key on the way, so
+    # without a budget this run fills any memory; under a 256 MiB
     # address-space cap it must stop on the budget, not on MemoryError
     def cap_memory():
-        limit = 1 << 30
+        limit = 256 << 20
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from itertools import permutations
+import random
+import time
 
 import pytest
 
@@ -25,6 +28,7 @@ from magarr.homology import (
     _near_lists,
     _stabilizer_perms,
     _start_blocks,
+    canonical_key,
     chain_count_table,
     default_length_cap,
     diagonal_betti_formula,
@@ -320,9 +324,9 @@ def test_key_orbits_match_brute_force_stabilizer(name):
         perms = _stabilizer_perms(group, start)
         around = _near_lists(graph, 3)
         stored, _ = _start_blocks(
-            graph, start, 3, 0, 10**9, False, perms, around, None)
+            graph, start, 3, 0, 10**9, False, perms, around, {}, {})
         every, _ = _start_blocks(
-            graph, start, 3, 0, 10**9, False, (), around, None)
+            graph, start, 3, 0, 10**9, False, (), around, {}, {})
         stabilizer = stabilizer_by_closure(graph, group, start)
         assert len(stabilizer) * len(orbit) == len(group)
         covered = set()
@@ -384,3 +388,80 @@ def test_equal_memo_keys_have_equal_summaries(source, lmax, interior_only):
         assert first == summary, memo_key
         shared += first is not summary
     assert shared
+
+
+def _relabelled(counts, tops, perm):
+    """(counts, tops) with coordinate i renamed perm[i]."""
+    image = [0] * len(counts)
+    for i, c in enumerate(counts):
+        image[perm[i]] = c
+    return tuple(image), frozenset(
+        sum((x >> i & 1) << perm[i] for i in range(len(perm))) for x in tops)
+
+
+def _random_memo_key(rng, k):
+    """A random (counts, tops) on k coordinates.  Counts come from {1, 2}
+    and tops are often the edges of a graph on the coordinates, so that
+    many coordinates tie on the invariant without tops being symmetric
+    under swapping them."""
+    counts = tuple(rng.choice((1, 1, 2)) for _ in range(k))
+    if k >= 3 and rng.random() < 0.5:
+        pairs = [(1 << i) | (1 << j) for i in range(k) for j in range(i)]
+        tops = {0, *rng.sample(pairs, rng.randint(1, len(pairs)))}
+    else:
+        tops = {0, *(x for x in range(1 << k) if rng.random() < 0.4)}
+    return counts, frozenset(tops)
+
+
+def test_canonical_key_ignores_relabelling():
+    rng = random.Random(20261018)
+    for _ in range(400):
+        k = rng.randint(1, 7)
+        counts, tops = _random_memo_key(rng, k)
+        perm = list(range(k))
+        rng.shuffle(perm)
+        assert canonical_key(counts, tops) == canonical_key(
+            *_relabelled(counts, tops, perm)), (counts, sorted(tops), perm)
+
+
+def test_canonical_key_matches_brute_force_equivalence():
+    # equal keys exactly when one of the k! relabellings maps one input
+    # to the other; relabelled copies make the equal pairs
+    rng = random.Random(7)
+    inputs = []
+    for _ in range(60):
+        k = rng.randint(1, 5)
+        counts, tops = _random_memo_key(rng, k)
+        inputs.append((counts, tops))
+        perm = list(range(k))
+        rng.shuffle(perm)
+        inputs.append(_relabelled(counts, tops, perm))
+    # and near misses: one top toggled, or one count changed
+    for counts, tops in inputs[:60:2]:
+        k = len(counts)
+        inputs.append((counts, tops ^ {rng.randrange(1, 1 << k)}))
+        inputs.append(((3,) + counts[1:], tops))
+
+    def brute(counts, tops):
+        return min((_relabelled(counts, tops, perm)[0],
+                    sorted(_relabelled(counts, tops, perm)[1]))
+                   for perm in permutations(range(len(counts))))
+
+    forms = [brute(*x) for x in inputs]
+    keys = [canonical_key(*x) for x in inputs]
+    equal_pairs = 0
+    for i in range(len(inputs)):
+        for j in range(i):
+            assert (keys[i] == keys[j]) == (forms[i] == forms[j]), (
+                inputs[i], inputs[j])
+            equal_pairs += forms[i] == forms[j]
+    assert equal_pairs >= 60
+
+
+def test_canonical_key_of_the_whole_cube_is_fast():
+    # one run of 8 tied coordinates whose every swap fixes the tops:
+    # trying all 8! orders of it took about 19 s
+    began = time.perf_counter()
+    key = canonical_key((1,) * 8, frozenset(range(256)))
+    assert time.perf_counter() - began < 1.0
+    assert key == ((1,) * 8, tuple(range(256)))
