@@ -9,13 +9,14 @@ splits into finite blocks which are resolved independently over the
 integers.  The search from a start walks block keys, recording each
 key's in-edges, and builds chains, the in-edge paths back to the start,
 only for the blocks it reduces.  Chamber symmetries act freely on
-blocks by relabelling the start, so one start per orbit is searched, and
-only the first block of each orbit of its stabilizer is reduced,
-weighted by the orbit size.  Blocks no symmetry relates are still often
-the same complex: a block is fixed by its profile on its support S and
-the sign vectors on S of the chambers agreeing with its start off S, up
-to relabelling S, so one block per least relabelling of that memo key
-is reduced.
+blocks by relabelling the start, so one start per orbit is searched,
+weighted by the orbit size.  A block is fixed by its profile on its
+support S and the sign vectors on S of the chambers agreeing with its
+start off S, up to relabelling S, so one block per least relabelling of
+that memo key is reduced.  This covers the start's stabilizer too: an
+element g fixing the start, with hyperplane relabelling pi, has
+g(m) ^ start = pi(m ^ start), so it maps a block's support and sign
+vectors by pi, and the blocks of one orbit share a memo key.
 
 A block whose length equals the distance from its start to its end is
 geodesic: its chains run through the interval between the two chambers,
@@ -33,9 +34,7 @@ import math
 from .arrangement import (
     enumerate_chambers,
     flat_orbits,
-    inverse,
     localize,
-    orbit,
 )
 from .errors import BudgetExceededError, CheckFailedError
 from .linalg import complex_homology, matrix_rank
@@ -43,8 +42,11 @@ from .magnitude import alternating_violation, chamber_orbits, profile_uniform
 from .polyq import series_expand
 
 # entries one homology run may charge, for keys found and chains built;
-# 43 times what u45 at lmax 7 charges (1.39 million)
+# 7 times what u45 at lmax 7 charges (8.40 million)
 DEFAULT_CHAIN_BUDGET = 60_000_000
+# entries charged per chain built for its share of the reduction: its
+# rows in the index dicts, its boundary column and complex_homology's state
+REDUCTION_CHARGE = 64
 
 
 def default_length_cap(graph):
@@ -56,70 +58,6 @@ def default_length_cap(graph):
     if size <= 130:
         return min(n + 2, 6)
     return min(n + 2, 4)
-
-
-# ---------------------------------------------------------------------------
-# stabilizers
-
-
-def _stabilizer_perms(group, start):
-    """Hyperplane relabellings generating the stabilizer of ``start``.
-
-    An element fixing a chamber is determined by its hyperplane
-    relabelling (it sends mask m to flip ^ perm(m), and fixing the start
-    pins flip), so the stabilizer is handled as permutations of the n
-    hyperplanes.  Its Schreier generators u_{s(c)}^-1 s u_c come from a
-    transversal u of the start's orbit (Schreier's lemma) and pass
-    through Sims' filter, which keeps at most one generator per (first
-    moved point i, image of i), so at most n(n-1)/2 remain (Seress,
-    *Permutation Group Algorithms*, 2003, ch. 4).  The kept generators
-    fixing 0..i-1 lie in the pointwise stabilizer of those points, so
-    the orbit of i under them is part of an orbit of that stabilizer,
-    and the group generated has order at least the product of these
-    orbit lengths; once that product is the stabilizer's order,
-    order / orbit size, the remaining Schreier generators are skipped.
-    Empty when the stabilizer is trivial.
-    """
-    walk = orbit(start, [g.__getitem__ for g in group.generators])
-    target = group.order // len(walk)
-    if target == 1:
-        return ()
-    n = len(group.hyperplane_perms[0])
-    identity = tuple(range(n))
-    transversal = {}
-    for c, (source, i) in walk.items():
-        transversal[c] = identity if source is None else tuple(
-            group.hyperplane_perms[i][h] for h in transversal[source])
-    moves = list(zip(group.generators, group.hyperplane_perms))
-    table = {}
-    for c, u in transversal.items():
-        for chamber_perm, perm in moves:
-            back = inverse(transversal[chamber_perm[c]])
-            g = tuple(back[perm[h]] for h in u)
-            # sift: strip the kept generator with the same first moved
-            # point and image until g is new there or the identity
-            while g != identity:
-                i = next(h for h in range(n) if g[h] != h)
-                kept = table.get((i, g[i]))
-                if kept is None:
-                    table[(i, g[i])] = (g, inverse(g))
-                    if _order_bound(table, n) == target:
-                        return tuple(g for g, _inv in table.values())
-                    break
-                g = tuple(kept[1][x] for x in g)
-    return tuple(g for g, _inv in table.values())
-
-
-def _order_bound(table, n):
-    """Product over i of the orbit length of i under the kept generators
-    whose first moved point is at least i."""
-    bound = 1
-    moves = []
-    for i in reversed(range(n)):
-        moves += [g.__getitem__ for (first, _), (g, _inv) in table.items()
-                  if first == i]
-        bound *= len(orbit(i, moves))
-    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -156,38 +94,36 @@ def _near_lists(graph, lmax):
 
 
 def _start_blocks(graph, start, lmax, spent, budget, full_support_only,
-                  perms, around, memo, canon):
-    """Boundary blocks of the proper chains from one start, one block per
-    orbit of the start's stabilizer.
+                  around, memo, canon):
+    """Boundary blocks of the proper chains from one start.
 
-    Returns ({(length, end, profile): (orbit size, memo key, {degree:
-    [chains]} or None)}, spent); profile counts the crossings of each
-    hyperplane, which the differential preserves, and fixes length (its
-    sum) and end (the start with the oddly crossed hyperplanes flipped).
-    The search walks keys: a step to chamber v takes (length, u, p) to
+    Returns ({(length, end, profile): (memo key, {degree: [chains]} or
+    None)}, spent); profile counts the crossings of each hyperplane,
+    which the differential preserves, and fixes length (its sum) and end
+    (the start with the oddly crossed hyperplanes flipped).  The search
+    walks keys: a step to chamber v takes (length, u, p) to
     (length + d(u, v), v, p + the hyperplanes crossed), and the key
     reached keeps the existing tuple it came from as an in-edge.  Two
     keys fix the step between them, so a block's chains are the paths of
     in-edges back to (0, start, 0...0).  ``full_support_only`` drops the
     keys that cannot cross every hyperplane within ``lmax``.
 
-    The stabilizer, generated by the hyperplane relabellings ``perms``,
-    moves hyperplane perm[h]'s count to h (its inverse's action, so the
-    same group), and only the first key of each orbit is kept.  A
-    block's chains cross only the profile's support S, so their chambers
-    x have x ^ start inside S, and distances and smoothness read only S:
-    the memo key, ``canonical_key`` of the profile on S and the set of
-    all such x ^ start packed to S's bits (cached in ``canon``), fixes
-    the complex.  Chains are built only when the memo key is new to
-    ``memo``, which then maps it to None for the caller to fill in.
+    A block's chains cross only the profile's support S, so their
+    chambers x have x ^ start inside S, and distances and smoothness read
+    only S: the memo key, ``canonical_key`` of the profile on S and the
+    set of all such x ^ start packed to S's bits (cached in ``canon``),
+    fixes the complex.  Chains are built only when the memo key is new
+    to ``memo``, which then maps it to None for the caller to fill in;
+    keys related by a symmetry fixing the start share a memo key (see
+    the module docstring), so they are reduced once.
     ``spent`` counts what the run has charged, length + 1 + n per key
     found (the longest chain its block could hold, and its profile) and
-    len(chain) + 1 + n per chain built; past ``budget`` it raises
-    BudgetExceededError.  ``around`` is the run's ``_near_lists``.
+    len(chain) + 1 + n + REDUCTION_CHARGE per chain built; past
+    ``budget`` it raises BudgetExceededError.  ``around`` is the run's
+    ``_near_lists``.
     """
-    masks = graph.masks
     index = graph.index
-    start_mask = masks[start]
+    start_mask = graph.masks[start]
     n = graph.n
     root = (0, start, (0,) * n)
     into = {root: []}  # key -> the keys one step before it
@@ -215,25 +151,19 @@ def _start_blocks(graph, start, lmax, spent, budget, full_support_only,
                 else:
                     edges.append(state)
 
-    moves = [lambda p, perm=perm: tuple(map(p.__getitem__, perm))
-             for perm in perms]
-    blocks = {}  # key -> (orbit size, memo key, chains), None off-orbit
+    blocks = {}  # key -> (memo key, chains or None)
     local = {}  # support -> packed x of the chambers agreeing off it
     for key in into:
-        length, _end, profile = key
-        if (full_support_only and 0 in profile) or key in blocks:
+        profile = key[2]
+        if full_support_only and 0 in profile:
             continue
-        images = orbit(profile, moves) if moves else (profile,)
-        for other in images:
-            odd = sum(1 << h for h, c in enumerate(other) if c & 1)
-            blocks[(length, index[start_mask ^ odd], other)] = None
         support = tuple(h for h, c in enumerate(profile) if c)
         if support not in local:
-            off = ~sum(1 << h for h in support)
+            spread = [0]  # spread[x]: bit support[i] set for each bit i of x
+            for h in support:
+                spread += [s | 1 << h for s in spread]
             local[support] = frozenset(
-                sum(1 << i for i, h in enumerate(support) if x >> h & 1)
-                for x in (m ^ start_mask for m in masks)
-                if not x & off)
+                x for x, s in enumerate(spread) if start_mask ^ s in index)
         raw = (tuple(profile[h] for h in support), local[support])
         if raw not in canon:
             canon[raw] = canonical_key(*raw)
@@ -247,10 +177,11 @@ def _start_blocks(graph, start, lmax, spent, budget, full_support_only,
                 state, chain = paths.pop()
                 paths += [(prev, (prev[1],) + chain) for prev in into[state]]
                 if not into[state]:
-                    spent = _charge(spent, len(chain) + 1 + n, budget)
+                    spent = _charge(spent, len(chain) + 1 + n
+                                    + REDUCTION_CHARGE, budget)
                     chains.setdefault(len(chain) - 1, []).append(chain)
-        blocks[key] = (len(images), memo_key, chains)
-    return {key: entry for key, entry in blocks.items() if entry}, spent
+        blocks[key] = (memo_key, chains)
+    return blocks, spent
 
 
 def _charge(spent, entries, budget):
@@ -446,7 +377,7 @@ def magnitude_homology(arrangement, graph=None, *, lmax, group=None,
     """
     if graph is None:
         graph = enumerate_chambers(arrangement)
-    _, orbits, group = chamber_orbits(graph, group)
+    _, orbits, _ = chamber_orbits(graph, group)
     masks = graph.masks
     betti = {part: defaultdict(int) for part in ("all", "inner", "geodesic")}
     torsion = {part: defaultdict(list) for part in betti}
@@ -457,13 +388,11 @@ def magnitude_homology(arrangement, graph=None, *, lmax, group=None,
     canon = {}  # raw memo key -> its canonical form
     for members in orbits:
         rep = members[0]
-        perms = _stabilizer_perms(group, rep)
+        weight = len(members)
         blocks, spent = _start_blocks(graph, rep, lmax, spent, chain_budget,
-                                      interior_only, perms, around, memo,
-                                      canon)
-        for key, (key_orbit, memo_key, block) in blocks.items():
+                                      interior_only, around, memo, canon)
+        for key, (memo_key, block) in blocks.items():
             length, end, profile = key
-            weight = len(members) * key_orbit
             if block is not None:
                 memo[memo_key] = _block_homology(block, masks)
             parts = ["all"]

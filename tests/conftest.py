@@ -339,8 +339,7 @@ def _euler(table):
 
 def betti_by_every_block(graph, lmax, interior_only=False, magnitude=None):
     """What ``magnitude_homology`` returns, from ``every_block``: no
-    chamber orbits, no stabilizer orbits and no memo, every field and
-    check rebuilt here."""
+    chamber orbits and no memo, every field and check rebuilt here."""
     parts = ("all", "interior", "geodesic")
     betti = {part: defaultdict(int) for part in parts}
     torsion = {part: defaultdict(list) for part in parts}

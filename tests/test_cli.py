@@ -435,6 +435,28 @@ def test_huge_lmax_stops_on_the_chain_budget():
     assert "Traceback" not in proc.stderr
 
 
+def test_large_block_stops_on_the_reduction_charge():
+    # boolean:8 at lmax 8 finds few keys but reduces a 545,835-chain
+    # block, which takes over a gigabyte; the per-chain reduction charge
+    # stops it on the budget under a 512 MiB address-space cap
+    def cap_memory():
+        limit = 512 << 20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "magarr.cli", "homology", "boolean:8",
+         "--lmax", "8"],
+        capture_output=True, text=True, timeout=120, preexec_fn=cap_memory,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert proc.stdout == ""
+    errors = [l for l in proc.stderr.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1 and errors[0].endswith("; lower --lmax")
+    assert "Traceback" not in proc.stderr
+
+
 def test_det_check_stops_on_the_determinant_budget():
     # bracelet's group has no free involution but the antipode, so its
     # determinant splits into two 51 x 51 blocks of 197 bits, which would

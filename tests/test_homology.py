@@ -26,7 +26,6 @@ from magarr.homology import (
     _assert_d2_zero,
     _block_homology,
     _near_lists,
-    _stabilizer_perms,
     _start_blocks,
     canonical_key,
     chain_count_table,
@@ -278,7 +277,7 @@ TRIVIAL_GROUP = SymmetryGroup((), (), 1)
     ("braid:4", 6, True),
 ])
 def test_stabilizer_collapse_matches_trivial_group(name, lmax, interior_only):
-    # one block per stabilizer orbit, weighted, against every block of
+    # one start per chamber orbit, weighted, against every block of
     # every start: each field of the result, the checks included
     arr, graph, _, group = geometry(name)
     kwargs = dict(lmax=lmax, interior_only=interior_only,
@@ -289,54 +288,24 @@ def test_stabilizer_collapse_matches_trivial_group(name, lmax, interior_only):
     assert collapsed.betti and all(collapsed.checks.values())
 
 
-def _relabel(mask, perm):
-    return sum((mask >> h & 1) << perm[h] for h in range(len(perm)))
-
-
-@pytest.mark.parametrize("name", [*CATALOG_NAMES, "boolean:8"])
-def test_stabilizer_generators_are_sims_filtered(name):
-    # at most one kept generator per (first moved point, its image), and
-    # each, with the sign flip that pins the start, permutes the chambers
-    _, graph, _, group = geometry(name)
-    n = graph.n
-    for orbit in chamber_orbits(graph, group)[1]:
-        start = graph.masks[orbit[0]]
-        perms = _stabilizer_perms(group, orbit[0])
-        assert len(perms) <= n * (n - 1) // 2
-        firsts = set()
-        for perm in perms:
-            i = next(h for h in range(n) if perm[h] != h)
-            firsts.add((i, perm[i]))
-            flip = start ^ _relabel(start, perm)
-            assert {flip ^ _relabel(m, perm) for m in graph.masks} == set(
-                graph.masks)
-        assert len(firsts) == len(perms)
-
-
 @pytest.mark.parametrize("name", CATALOG_NAMES)
-def test_key_orbits_match_brute_force_stabilizer(name):
-    # the stored keys' orbit sizes are those under the whole stabilizer,
-    # and their orbits partition every key of the start
+def test_stabilizer_orbits_share_a_memo_key(name):
+    # an element fixing the start relabels each block's support and local
+    # sign vectors, so the memo alone reduces one block per orbit of the
+    # start's stabilizer: every key of an orbit is found, with one memo key
     _, graph, _, group = geometry(name)
     assert len(group) <= 384
+    around = _near_lists(graph, 3)
     for orbit in chamber_orbits(graph, group)[1]:
         start = orbit[0]
-        perms = _stabilizer_perms(group, start)
-        around = _near_lists(graph, 3)
-        stored, _ = _start_blocks(
-            graph, start, 3, 0, 10**9, False, perms, around, {}, {})
-        every, _ = _start_blocks(
-            graph, start, 3, 0, 10**9, False, (), around, {}, {})
+        blocks, _ = _start_blocks(
+            graph, start, 3, 0, 10**9, False, around, {}, {})
         stabilizer = stabilizer_by_closure(graph, group, start)
         assert len(stabilizer) * len(orbit) == len(group)
-        covered = set()
-        for key, (size, _memo_key, _block) in stored.items():
-            key_orbit = key_orbit_by_closure(
-                stabilizer, graph.masks[start], graph, key)
-            assert size == len(key_orbit), (name, start, key)
-            assert not covered & key_orbit
-            covered |= key_orbit
-        assert covered == set(every)
+        for key, (memo_key, _block) in blocks.items():
+            for image in key_orbit_by_closure(
+                    stabilizer, graph.masks[start], graph, key):
+                assert blocks[image][0] == memo_key, (name, key, image)
 
 
 RANDOM_MEMO_CASES = random_arrangements(4, seed=20261018)
@@ -365,8 +334,8 @@ def _memo_case(source):
 
 @pytest.mark.parametrize("source, lmax, interior_only", MEMO_CASES)
 def test_collapsed_run_matches_every_block(source, lmax, interior_only):
-    # chamber orbits, stabilizer orbits and the memo against every block
-    # of every start reduced on its own: each field, the checks included
+    # chamber orbits and the memo against every block of every start
+    # reduced on its own: each field, the checks included
     arr, graph, group, magnitude = _memo_case(source)
     collapsed = magnitude_homology(arr, graph, lmax=lmax, group=group,
                                    interior_only=interior_only,
