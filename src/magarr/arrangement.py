@@ -112,8 +112,6 @@ def _braid(m):
 
 def _nearpencil(m):
     # One plane z=0 plus m-1 planes through the z-axis with distinct slopes.
-    if m < 3:
-        raise ParseError("nearpencil:n needs n >= 3")
     rows = [[0, 0, 1]]
     labels = ["z"]
     rows.append([0, 1, 0])
@@ -216,6 +214,9 @@ def catalog(name):
             rows, labels = _braid(m)
             return parse_arrangement(rows, labels=labels)
         if head == "nearpencil":
+            # 4(n - 1) chambers: at most 4096, as many as boolean:12
+            if not 3 <= m <= 1025:
+                raise ParseError("nearpencil:n needs 3 <= n <= 1025")
             rows, labels = _nearpencil(m)
             return parse_arrangement(rows, labels=labels)
     if key == "k5me":
@@ -422,7 +423,6 @@ class FaceLattice:
         self.chamber_count = chamber_count
         self.rank = max(f.rank for f in flats)
         self._mobius_rows = {0: {f.mask: f.mobius for f in flats}}
-        self._restriction_counts = {}
 
     def __len__(self):
         return len(self.flats)
@@ -471,17 +471,10 @@ class FaceLattice:
                    if not y & outside)
 
     def restriction_chamber_count(self, j):
-        """Chambers of the arrangement restricted to flat j, by enumeration."""
-        if j in self._restriction_counts:
-            return self._restriction_counts[j]
-        f = self.flats[j]
-        if f.rank == 0:
-            count = self.chamber_count
-        else:
-            sub = restrict(self.arrangement, f.hyperplanes)
-            count = 1 if sub.n == 0 else len(enumerate_chambers(sub))
-        self._restriction_counts[j] = count
-        return count
+        """c^X for flat X = flat j: the chambers of the restriction A^X,
+        whose poset is the interval [X, top], so by Zaslavsky the sum of
+        |mu(X, Z)| over Z >= X."""
+        return self.interval_chamber_count(j, len(self.flats) - 1)
 
     def rank3_line_multiplicities(self):
         """Counts {k: number of rank-2 flats through exactly k hyperplanes}."""
@@ -591,12 +584,6 @@ def _restrict_with_basis(arrangement, hyperplanes):
         labels=tuple(new_labels),
     )
     return sub, basis
-
-
-def restrict(arrangement, hyperplanes):
-    """Arrangement induced on the flat cut out by the given hyperplanes."""
-    sub, _ = _restrict_with_basis(arrangement, hyperplanes)
-    return sub
 
 
 # ---------------------------------------------------------------------------

@@ -458,8 +458,10 @@ def geodesic_betti_formula(lattice):
     only sees the hyperplanes separating a from b, whose closure is a
     flat X; summing the order-complex homology over all such pairs
     collapses to c^X (restriction chambers) times c_X (chambers meeting
-    the flat) at bidegree (rank X, #A_X).  ``magnitude_homology``
-    tallies the same blocks directly as its geodesic part.
+    the flat) at bidegree (rank X, #A_X).  Both counts are Zaslavsky
+    sums of |mu| over an interval of the flat poset: c^X over [X, top],
+    c_X over [bottom, X].  ``magnitude_homology`` tallies the same
+    blocks directly from the tope graph as its geodesic part.
     """
     out = {}
     for f in lattice.flats:

@@ -260,17 +260,15 @@ def magnitude_by_face_decomposition(lattice):
 
         Mag(A_X) = sum over Y <= X of  c^Y [Y,X] * (-1)^rank(Y) q^#Y Mag(A_Y)
 
-    where c^Y[Y,X] counts chambers of the restriction of A_X to Y.
-    Solving for the X term gives the recursion used here.  For flats
-    below the top, c^Y[Y,X] is the interval Moebius sum; at the top
-    level the counts are taken from actual restriction enumerations,
-    which crosses the two routes.  The terms for X are summed as
-    numerators over each distinct denominator of Mag(A_Y), and the sum
-    is reduced once.
+    where c^Y[Y,X] counts chambers of the restriction of A_X to Y, the
+    Moebius sum over the interval [Y, X] (Zaslavsky).  Solving for the X
+    term gives the recursion used here.  It reads only the flat poset,
+    so it is independent of the chamber-matrix route.  The terms for X
+    are summed as numerators over each distinct denominator of
+    Mag(A_Y), and the sum is reduced once.
     """
     flats = lattice.flats
-    top = flats[-1]
-    if top.size != lattice.arrangement.n:
+    if flats[-1].size != lattice.arrangement.n:
         raise CheckFailedError("top flat misses some hyperplanes")
     if flats[0].rank != 0:
         raise CheckFailedError("first flat is not the bottom")
@@ -278,10 +276,7 @@ def magnitude_by_face_decomposition(lattice):
     for x in flats[1:]:
         groups = {}  # denominator of Mag(A_Y) -> sum of the term numerators
         for y in lattice.lower(x.index)[:-1]:  # the last one is x itself
-            if x is top:
-                c = lattice.restriction_chamber_count(y)
-            else:
-                c = lattice.interval_chamber_count(y, x.index)
+            c = lattice.interval_chamber_count(y, x.index)
             f = flats[y]
             sign = -1 if f.rank % 2 else 1
             term = mag_of[y].num.shift(f.size) * (sign * c)

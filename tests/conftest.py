@@ -1,8 +1,8 @@
 """Shared fixtures: geometry is expensive, so catalog arrangements are
 enumerated once per run and reused across test modules.  Also the
-oracles only tests use: face sign vectors, their product, distances
-found by walking edges, the Betti table reduced block by block, and
-invariant factors from minors."""
+oracles only tests use: face sign vectors, their product, restriction
+chambers by enumeration, distances found by walking edges, the Betti
+table reduced block by block, and invariant factors from minors."""
 
 from __future__ import annotations
 
@@ -119,6 +119,13 @@ def sign_feasible(arrangement, signs):
     return None
 
 
+def restriction_count_by_enumeration(arrangement, flat):
+    """Chambers of the restriction to ``flat``, by enumerating them: the
+    cross-check of the Zaslavsky sum over the interval [flat, top]."""
+    sub, _ = _restrict_with_basis(arrangement, flat.hyperplanes)
+    return len(_chamber_witnesses(sub))
+
+
 def tits_product(f, g):
     """Composition of sign vectors: entries of f, with zeros filled from g."""
     if len(f) != len(g):
@@ -230,6 +237,9 @@ def check_instance_laws(arr):
     # sign enumeration agrees with the alternating Moebius count
     chi = lattice.characteristic_polynomial()
     assert abs(sum(c * (-1) ** k for k, c in enumerate(chi))) == size
+    for f in lattice.flats:
+        assert (lattice.restriction_chamber_count(f.index)
+                == restriction_count_by_enumeration(arr, f))
 
     # edge metric is the separation metric, antipodes exist
     for a in range(size):

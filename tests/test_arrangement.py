@@ -16,11 +16,13 @@ from conftest import (
     bfs_distances,
     geometry,
     neighbours,
+    restriction_count_by_enumeration,
     sign_feasible,
     tits_product,
 )
 from magarr.arrangement import (
     CATALOG_NAMES,
+    _restrict_with_basis,
     catalog,
     enumerate_chambers,
     flat_orbits,
@@ -28,7 +30,6 @@ from magarr.arrangement import (
     localize,
     orbits_of_permutations,
     parse_arrangement,
-    restrict,
     tope_symmetries,
 )
 from magarr.errors import ParseError
@@ -90,10 +91,11 @@ def test_catalog_chamber_counts(name):
 
 def test_catalog_names_cover_fixture_list():
     assert set(KNOWN_CHAMBERS) == set(CATALOG_NAMES)
-    with pytest.raises(ParseError):
-        catalog("boolean:0")
-    with pytest.raises(ParseError):
-        catalog("no-such-name")
+    assert catalog("nearpencil:1025").n == 1025
+    for name in ("boolean:0", "boolean:13", "braid:7", "nearpencil:2",
+                 "nearpencil:1026", "no-such-name"):
+        with pytest.raises(ParseError):
+            catalog(name)
 
 
 @pytest.mark.parametrize("d", range(1, 13))
@@ -249,11 +251,21 @@ def test_faces_counted_by_zaslavsky_sum():
     assert len(faces) == total == 13
 
 
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_restriction_counts_match_enumeration(name):
+    # c^X is the Zaslavsky sum over [X, top]; enumerating the chambers of
+    # the restriction to X is the independent route
+    arr, _, lattice, _ = geometry(name)
+    for f in lattice.flats:
+        assert lattice.restriction_chamber_count(f.index) == \
+            restriction_count_by_enumeration(arr, f), f
+
+
 def test_localize_and_restrict_shapes():
     arr = catalog("braid:3")
     loc = localize(arr, (0, 1))
     assert loc.n == 2 and loc.dimension == arr.dimension
-    res = restrict(arr, (0,))
+    res = _restrict_with_basis(arr, (0,))[0]
     # the two other reflection planes cut the same line on the wall
     assert res.n == 1 and res.dimension == arr.dimension - 1
 

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import magarr.arrangement as arrangement
 import magarr.cli as cli
-from magarr.arrangement import CATALOG_NAMES, catalog
+from magarr.arrangement import CATALOG_NAMES, catalog, enumerate_chambers
 from magarr.cli import (
     JobSpec,
     cache_key,
@@ -124,15 +125,36 @@ def test_mag_stdout_matches_frozen_digest(capsys, name):
     assert hashlib.sha256(out.encode()).hexdigest() == MAG_STDOUT_DIGESTS[name]
 
 
-@pytest.mark.parametrize("d, order", [(7, 645120), (8, 10321920)])
+@pytest.mark.parametrize("d, order", [
+    (7, 645120), (8, 10321920), (9, 185794560), (10, 3715891200)])
 def test_mag_boolean_order_above_six(capsys, tmp_path, d, order):
     bundle = tmp_path / "out.json"
     code, out, _ = _run(capsys, ["mag", f"boolean:{d}", "--json", str(bundle)])
     assert code == 0
     assert f"chamber orbits: 1, symmetry order: {order}" in out.splitlines()
-    # the magnitude of boolean:d is (2 / (1 + q))^d
-    mag = json.loads(bundle.read_text())["tasks"]["mag"]["magnitude"]
-    assert mag == {"num": [2 ** d], "den": [comb(d, k) for k in range(d + 1)]}
+    # the magnitude of boolean:d is (2 / (1 + q))^d, by both routes
+    task = json.loads(bundle.read_text())["tasks"]["mag"]
+    assert task["magnitude"] == {
+        "num": [2 ** d], "den": [comb(d, k) for k in range(d + 1)]}
+    assert task["checks"]["face_decomposition_route"] is True
+
+
+@pytest.mark.parametrize("argv", [["mag", "boolean:6"], ["lattice", "braid:5"]])
+def test_one_chamber_enumeration_per_run(capsys, monkeypatch, argv):
+    # restriction counts are Moebius sums on upper intervals, so a run
+    # enumerates the chambers of its own arrangement and of nothing else
+    calls = []
+
+    def counted(arr):
+        calls.append(arr)
+        return enumerate_chambers(arr)
+
+    monkeypatch.delenv("MAGARR_CACHE", raising=False)
+    monkeypatch.setattr(arrangement, "enumerate_chambers", counted)
+    monkeypatch.setattr(cli, "enumerate_chambers", counted)
+    code, _, _ = _run(capsys, argv)
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_homology_tsv_shape(capsys):
@@ -241,6 +263,25 @@ def test_unknown_name_is_a_parse_error(capsys):
     code, _, err = _run(capsys, ["mag", "no-such-arrangement"])
     assert code == 2
     assert "error:" in err
+
+
+def test_huge_nearpencil_is_a_parse_error():
+    # nearpencil:n builds n rows, so without a bound this run fills any
+    # memory; under a 512 MiB address-space cap it must stop at parsing
+    def cap_memory():
+        limit = 512 << 20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "magarr.cli", "lattice", "nearpencil:100000000"],
+        capture_output=True, text=True, timeout=30, preexec_fn=cap_memory,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: nearpencil:n needs 3 <= n <= 1025"]
 
 
 def test_bad_file_is_a_parse_error(capsys, tmp_path):
