@@ -392,21 +392,6 @@ class Flat:
         return self.mask.bit_count()
 
 
-def _mobius_row(masks, bottom):
-    """mu(Y, Z) for every flat Z >= Y as {mask of Z: mu}, where ``bottom``
-    is the mask of Y and ``masks`` lists every flat's mask in rank order.
-
-    Z >= Y iff the mask of Y is inside that of Z; mu(Y, Y) = 1 and
-    mu(Y, Z) = -(sum of mu(Y, W) over Y <= W < Z).
-    """
-    row = {bottom: 1}
-    for top in masks:
-        if top & bottom == bottom and top != bottom:
-            outside = ~top
-            row[top] = -sum(m for w, m in row.items() if not w & outside)
-    return row
-
-
 class FaceLattice:
     """Intersection subspaces ordered by reverse inclusion.
 
@@ -422,19 +407,10 @@ class FaceLattice:
         self.index = {f.mask: f.index for f in flats}
         self.chamber_count = chamber_count
         self.rank = max(f.rank for f in flats)
-        self._mobius_rows = {0: {f.mask: f.mobius for f in flats}}
+        self._counts_below = {}
 
     def __len__(self):
         return len(self.flats)
-
-    def mobius_row(self, i):
-        """{mask of Z: mu(i, Z)} over the flats Z >= flat i, computed on
-        first request."""
-        row = self._mobius_rows.get(i)
-        if row is None:
-            row = _mobius_row([f.mask for f in self.flats], self.flats[i].mask)
-            self._mobius_rows[i] = row
-        return row
 
     def lower(self, j):
         """Indices of flats below or equal to flat j, ascending."""
@@ -455,26 +431,32 @@ class FaceLattice:
     def beta_invariant(self, j):
         """|chi'(1)| of the subarrangement of hyperplanes through flat j."""
         d = self.arrangement.dimension
-        total = 0
-        for y in self.lower(j):
-            f = self.flats[y]
-            total += f.mobius * (d - f.rank)
-        return abs(total)
+        below = (self.flats[y] for y in self.lower(j))
+        return abs(sum(f.mobius * (d - f.rank) for f in below))
 
-    def interval_chamber_count(self, i, j):
-        """Number of chambers of the interval [i, j] seen as an arrangement.
-
-        Equals the sum of |mu(i, Y)| over Y in the interval.
+    def counts_below(self, j):
+        """{index of Y: c[Y, X]} over the flats Y <= X = flat j, where
+        c[Y, X] counts the chambers of A_X restricted to Y; computed on
+        first request.  By the Euler relation of a complete fan (and
+        Zaslavsky), the sum of (-1)^rank(Z) c[Z, X] over Y <= Z <= X is
+        (-1)^rank(Y), so the counts are read top down from c[X, X] = 1.
         """
-        outside = ~self.flats[j].mask
-        return sum(abs(m) for y, m in self.mobius_row(i).items()
-                   if not y & outside)
+        counts = self._counts_below.get(j)
+        if counts is None:
+            counts, signed = {}, []  # signed: (mask of Z, (-1)^rank(Z) c)
+            for y in reversed(self.lower(j)):
+                f = self.flats[y]
+                m, sign = f.mask, -1 if f.rank % 2 else 1
+                s = sign - sum(v for z, v in signed if z & m == m)
+                signed.append((m, s))
+                counts[y] = sign * s
+            self._counts_below[j] = counts
+        return counts
 
     def restriction_chamber_count(self, j):
         """c^X for flat X = flat j: the chambers of the restriction A^X,
-        whose poset is the interval [X, top], so by Zaslavsky the sum of
-        |mu(X, Z)| over Z >= X."""
-        return self.interval_chamber_count(j, len(self.flats) - 1)
+        read from the Euler relation below the top flat."""
+        return self.counts_below(len(self.flats) - 1)[j]
 
     def rank3_line_multiplicities(self):
         """Counts {k: number of rank-2 flats through exactly k hyperplanes}."""
@@ -517,7 +499,9 @@ def intersection_lattice(arrangement, graph):
         frontier = nxt
 
     masks = sorted(rank_of, key=lambda m: (rank_of[m], _members(m)))
-    mobius = _mobius_row(masks, 0)
+    mobius = {0: 1}  # mu(0, Z) = -(sum of mu(0, W) over W < Z)
+    for m in masks[1:]:
+        mobius[m] = -sum(v for w, v in mobius.items() if w & m == w)
     flats = tuple(Flat(index=i, mask=m, rank=rank_of[m], mobius=mobius[m])
                   for i, m in enumerate(masks))
     lattice = FaceLattice(arrangement, flats, len(graph))
@@ -797,11 +781,22 @@ def flat_orbits(lattice, group):
     """Orbit partition of flats under a chamber symmetry group.
 
     Each generator relabels the hyperplanes, and so permutes the flats,
-    which are hyperplane masks.
+    which are hyperplane masks.  Raises ``CheckFailedError`` unless each
+    relabelling sends every flat to a flat of the same rank and size.
     """
-    fperms = [
-        tuple(lattice.index[sum(1 << hp[h] for h in f.hyperplanes)]
-              for f in lattice.flats)
-        for hp in group.hyperplane_perms
-    ]
-    return orbits_of_permutations(len(lattice.flats), fperms)
+    flats, n = lattice.flats, lattice.arrangement.n
+    fperms = []
+    for g, hp in enumerate(group.hyperplane_perms):
+        if len(hp) != n or set(hp) != set(range(n)):
+            raise CheckFailedError(
+                f"symmetry generator {g} does not permute the {n} hyperplanes")
+        perm = []
+        for f in flats:
+            image = lattice.index.get(sum(1 << hp[h] for h in f.hyperplanes))
+            if image is None or flats[image].rank != f.rank:
+                raise CheckFailedError(
+                    f"symmetry generator {g} sends flat {f.hyperplanes} of "
+                    f"rank {f.rank} to no flat of that rank")
+            perm.append(image)
+        fperms.append(tuple(perm))
+    return orbits_of_permutations(len(flats), fperms)

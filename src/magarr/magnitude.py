@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .arrangement import orbits_of_permutations, tope_symmetries
+from .arrangement import flat_orbits, orbits_of_permutations, tope_symmetries
 from .errors import BudgetExceededError, CheckFailedError
 from .linalg import matrix_rank
 from .polyq import (
@@ -236,7 +236,7 @@ def structural_checks(graph, lattice, group, result, face_check=True,
         result.interior.evaluate(1) == (-1) ** result.rank)
 
     if face_check:
-        via_faces = magnitude_by_face_decomposition(lattice)
+        via_faces = magnitude_by_face_decomposition(lattice, group)
         checks["face_decomposition_route"] = via_faces == mag
         if lattice.rank == 3:
             stats = Rank3Stats.from_lattice(lattice)
@@ -252,36 +252,42 @@ def structural_checks(graph, lattice, group, result, face_check=True,
 # face decomposition route
 
 
-def magnitude_by_face_decomposition(lattice):
+def magnitude_by_face_decomposition(lattice, group):
     """Magnitude via the recursion over localizations at flats.
 
     Every face of the arrangement is a chamber of the restriction to
     the flat it spans, so magnitude satisfies, for each flat X,
 
-        Mag(A_X) = sum over Y <= X of  c^Y [Y,X] * (-1)^rank(Y) q^#Y Mag(A_Y)
+        Mag(A_X) = sum over Y <= X of  c[Y, X] * (-1)^rank(Y) q^#Y Mag(A_Y)
 
-    where c^Y[Y,X] counts chambers of the restriction of A_X to Y, the
-    Moebius sum over the interval [Y, X] (Zaslavsky).  Solving for the X
-    term gives the recursion used here.  It reads only the flat poset,
-    so it is independent of the chamber-matrix route.  The terms for X
-    are summed as numerators over each distinct denominator of
-    Mag(A_Y), and the sum is reduced once.
+    where c[Y, X] counts chambers of the restriction of A_X to Y, by the
+    Euler relation (``FaceLattice.counts_below``).  Solving for the X
+    term gives the recursion.  Flats in one orbit of ``group`` have
+    isomorphic localizations, so it runs once per flat orbit, in rank
+    order (orbits come by their first flat), tallying c[Y, X] by the
+    orbit of Y.  It reads only the flat poset and the hyperplane
+    relabellings, so it is independent of the chamber-matrix route.
+    The terms are summed as numerators over each distinct denominator
+    of Mag(A_Y), and the sum is reduced once.
     """
     flats = lattice.flats
     if flats[-1].size != lattice.arrangement.n:
         raise CheckFailedError("top flat misses some hyperplanes")
     if flats[0].rank != 0:
         raise CheckFailedError("first flat is not the bottom")
-    mag_of = [RAT_ONE]  # Mag(A_X) by flat index
-    for x in flats[1:]:
+    orbit_id, orbits = flat_orbits(lattice, group)
+    mag_of = [RAT_ONE]  # Mag(A_X) by orbit of X
+    for members in orbits[1:]:
+        x = flats[members[0]]
+        tally = {}  # orbit of Y -> sum of c[Y, X] over Y < X in it
+        for y, c in lattice.counts_below(x.index).items():
+            if y != x.index:
+                tally[orbit_id[y]] = tally.get(orbit_id[y], 0) + c
         groups = {}  # denominator of Mag(A_Y) -> sum of the term numerators
-        for y in lattice.lower(x.index)[:-1]:  # the last one is x itself
-            c = lattice.interval_chamber_count(y, x.index)
-            f = flats[y]
-            sign = -1 if f.rank % 2 else 1
-            term = mag_of[y].num.shift(f.size) * (sign * c)
-            den = mag_of[y].den
-            groups[den] = groups.get(den, ZERO) + term
+        for o, c in tally.items():
+            f, m = flats[orbits[o][0]], mag_of[o]
+            term = m.num.shift(f.size) * (-c if f.rank % 2 else c)
+            groups[m.den] = groups.get(m.den, ZERO) + term
         num, den = ZERO, ONE
         for d, p in groups.items():
             num, den = num * d + p * den, den * d

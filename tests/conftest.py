@@ -119,10 +119,10 @@ def sign_feasible(arrangement, signs):
     return None
 
 
-def restriction_count_by_enumeration(arrangement, flat):
-    """Chambers of the restriction to ``flat``, by enumerating them: the
-    cross-check of the Zaslavsky sum over the interval [flat, top]."""
-    sub, _ = _restrict_with_basis(arrangement, flat.hyperplanes)
+def restriction_count_by_enumeration(arrangement, hyperplanes):
+    """Chambers of the restriction to the flat cut out by ``hyperplanes``,
+    by enumerating them: the cross-check of the Euler-relation counts."""
+    sub, _ = _restrict_with_basis(arrangement, hyperplanes)
     return len(_chamber_witnesses(sub))
 
 
@@ -239,7 +239,7 @@ def check_instance_laws(arr):
     assert abs(sum(c * (-1) ** k for k, c in enumerate(chi))) == size
     for f in lattice.flats:
         assert (lattice.restriction_chamber_count(f.index)
-                == restriction_count_by_enumeration(arr, f))
+                == restriction_count_by_enumeration(arr, f.hyperplanes))
 
     # edge metric is the separation metric, antipodes exist
     for a in range(size):

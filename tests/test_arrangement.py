@@ -22,6 +22,7 @@ from conftest import (
 )
 from magarr.arrangement import (
     CATALOG_NAMES,
+    SymmetryGroup,
     _restrict_with_basis,
     catalog,
     enumerate_chambers,
@@ -32,7 +33,8 @@ from magarr.arrangement import (
     parse_arrangement,
     tope_symmetries,
 )
-from magarr.errors import ParseError
+from magarr.errors import CheckFailedError, ParseError
+from magarr.magnitude import magnitude_by_face_decomposition
 
 
 def test_parse_normalizes_to_primitive_integer_rows():
@@ -253,12 +255,35 @@ def test_faces_counted_by_zaslavsky_sum():
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_restriction_counts_match_enumeration(name):
-    # c^X is the Zaslavsky sum over [X, top]; enumerating the chambers of
-    # the restriction to X is the independent route
+    # c^X comes from the Euler relation below the top flat; enumerating
+    # the chambers of the restriction to X is the independent route
     arr, _, lattice, _ = geometry(name)
     for f in lattice.flats:
         assert lattice.restriction_chamber_count(f.index) == \
-            restriction_count_by_enumeration(arr, f), f
+            restriction_count_by_enumeration(arr, f.hyperplanes), f
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_interval_counts_match_enumeration(name):
+    # c[Y, X] for every interval [Y, X]: the chambers of the localization
+    # A_X restricted to Y, enumerated with Y's hyperplanes renumbered in A_X
+    arr, _, lattice, _ = geometry(name)
+    for x in lattice.flats:
+        local = localize(arr, x.hyperplanes)
+        position = {h: k for k, h in enumerate(x.hyperplanes)}
+        counts = lattice.counts_below(x.index)
+        assert sorted(counts) == lattice.lower(x.index)
+        for y, c in counts.items():
+            ys = [position[h] for h in lattice.flats[y].hyperplanes]
+            assert c == restriction_count_by_enumeration(local, ys), (x, y)
+
+
+def test_boolean_restriction_counts_at_scale():
+    # the restriction of boolean:10 to a flat of rank r is boolean:(10 - r)
+    _, _, lattice, _ = geometry("boolean:10")
+    assert len(lattice) == 1024
+    for f in lattice.flats:
+        assert lattice.restriction_chamber_count(f.index) == 2 ** (10 - f.rank)
 
 
 def test_localize_and_restrict_shapes():
@@ -453,6 +478,22 @@ def test_dense_symmetry_search_is_pruned():
     assert time.perf_counter() - start < 5
     # an exhaustive run over all 2^8 * 8! signed maps finds 4 of them
     assert group.order == _group_closure_size(group.generators) == 4
+
+
+@pytest.mark.parametrize("relabelling, message", [
+    ((1, 0, 2, 3), r"generator 0 sends flat \(0, 2\) of rank 2 to no flat"),
+    ((0, 0, 2, 3), "generator 0 does not permute the 4 hyperplanes"),
+    ((0, 1, 2), "generator 0 does not permute the 4 hyperplanes"),
+])
+def test_flat_orbits_reject_a_bad_group(relabelling, message):
+    # nearpencil:4 has the pencil {1, 2, 3}: swapping hyperplanes 0 and 1
+    # sends the flat {0, 2} to {1, 2}, which is not closed
+    _, _, lattice, _ = geometry("nearpencil:4")
+    bad = SymmetryGroup((), (relabelling,), 2)
+    with pytest.raises(CheckFailedError, match=message):
+        flat_orbits(lattice, bad)
+    with pytest.raises(CheckFailedError, match=message):
+        magnitude_by_face_decomposition(lattice, bad)
 
 
 def test_orbit_partitions():

@@ -126,7 +126,8 @@ def test_mag_stdout_matches_frozen_digest(capsys, name):
 
 
 @pytest.mark.parametrize("d, order", [
-    (7, 645120), (8, 10321920), (9, 185794560), (10, 3715891200)])
+    (7, 645120), (8, 10321920), (9, 185794560), (10, 3715891200),
+    (11, 81749606400), (12, 1961990553600)])
 def test_mag_boolean_order_above_six(capsys, tmp_path, d, order):
     bundle = tmp_path / "out.json"
     code, out, _ = _run(capsys, ["mag", f"boolean:{d}", "--json", str(bundle)])

@@ -110,6 +110,16 @@ def test_structural_checks_all_pass(name):
     assert all(k != 1 for k, _ in mag.cyclotomic_den)
 
 
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_face_route_per_orbit_equals_per_flat(name):
+    # with the trivial group every flat is its own orbit, so the face
+    # recursion runs once per flat; the orbit collapse must not move it
+    _, _, lattice, group = geometry(name)
+    per_flat = magnitude_by_face_decomposition(lattice, SymmetryGroup((), (), 1))
+    assert magnitude_by_face_decomposition(lattice, group) == per_flat
+    assert per_flat == magnitude_of(name).magnitude
+
+
 def test_magnitude_checks_catch_a_wrong_value():
     # 15 - 20q + 14q^2 over the true denominator of u34: not palindromic,
     # not 1 at q = 1, and off both independent routes; the series and the
