@@ -451,7 +451,7 @@ def _tidy_torsion(torsion):
 # geodesic part from the flat poset
 
 
-def geodesic_betti_formula(lattice):
+def geodesic_betti_formula(lattice, group):
     """Geodesic ranks from the flat poset alone.
 
     The block of chains between chambers a, b at exact distance d(a,b)
@@ -459,17 +459,19 @@ def geodesic_betti_formula(lattice):
     flat X; summing the order-complex homology over all such pairs
     collapses to c^X (restriction chambers) times c_X (chambers meeting
     the flat) at bidegree (rank X, #A_X): c^X from the Euler relation,
-    c_X as the Zaslavsky sum of |mu(0, Y)| over Y <= X.
-    ``magnitude_homology`` tallies the same blocks directly from the
-    tope graph as its geodesic part.
+    c_X as the Zaslavsky sum of |mu(0, Y)| over Y <= X.  Both counts
+    are constant on the flat orbits of ``group``, so each is taken once
+    per orbit.  ``magnitude_homology`` tallies the same blocks directly
+    from the tope graph as its geodesic part.
     """
     out = {}
-    for f in lattice.flats:
+    for members in flat_orbits(lattice, group)[1]:
+        f = lattice.flats[members[0]]
         c_upper = lattice.restriction_chamber_count(f.index)
         c_lower = sum(abs(y.mobius) for y in lattice.flats
                       if y.mask & f.mask == y.mask)
         key = (f.rank, f.size)
-        out[key] = out.get(key, 0) + c_upper * c_lower
+        out[key] = out.get(key, 0) + len(members) * c_upper * c_lower
     return out
 
 
@@ -511,7 +513,7 @@ def structural_checks(arrangement, lattice, group, result, face_check=True):
     betti_at = result.betti_at
     restricted = lattice.restriction_chamber_count
     checks = dict(result.checks)
-    geodesic = geodesic_betti_formula(lattice)
+    geodesic = geodesic_betti_formula(lattice, group)
     checks["geodesic_two_routes"] = not result.geodesic_torsion and {
         k: v for k, v in result.geodesic_betti.items() if v
     } == {k: v for k, v in geodesic.items() if v and k[1] <= lmax}

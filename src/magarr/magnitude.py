@@ -9,14 +9,15 @@ identity, so fraction-free elimination never needs to pivot.  The
 elimination runs on big integers by Kronecker substitution: every entry
 is evaluated at q = 2**b, with b chosen from a Hadamard bound on the
 coefficients of every minor, so each minor is read back exactly from
-the base-2**b digits of its integer value.
+the base-2**b digits of its integer value.  Scaled by the orbit sizes,
+the system is symmetric, so only its upper triangle is eliminated.
 
 The determinant of the full matrix is split the same way, by a free
 elementary abelian 2-subgroup E of the symmetries: its characters are
 +-1, so the symmetry-adapted basis is integral and the matrix falls into
 |E| blocks of order (chambers / |E|), one per character, each again the
-identity at q = 0.  A size budget on the largest block stops the
-elimination before it starts.
+identity at q = 0, and symmetric since E consists of involutions.  A
+size budget on the largest block stops the elimination before it starts.
 """
 
 from collections import deque
@@ -73,43 +74,52 @@ def _hadamard_bits(matrix):
     return (isqrt(bound) + 1).bit_length() + 1
 
 
-def _bareiss_minors(matrix):
-    """Leading principal minors by fraction-free forward elimination.
+def _bareiss_minors(matrix, weights):
+    """Leading principal minors by symmetric fraction-free elimination.
 
-    ``matrix`` is a square list of IntPoly rows, possibly with extra
-    columns on the right which are carried along.  Requires every
+    ``matrix`` is a square list of IntPoly rows B with w_i B[i][j] =
+    w_j B[j][i] for the positive integer ``weights`` w.  Requires every
     leading principal minor except possibly the last to be nonzero,
     which holds here because the systems solved have constant term
     equal to an identity matrix.
 
-    The elimination runs on the integers M(2**b), with b from
+    The elimination runs on the integers A = B(2**b), with b from
     ``_hadamard_bits``; each minor is decoded by ``_kronecker_decode``.
-    On |q| = 1, |m_ij(q)| <= |m_ij|_1, so by Hadamard every minor of M,
+    On |q| = 1, |m_ij(q)| <= |m_ij|_1, so by Hadamard every minor of B,
     bordered ones included, has modulus at most H there; a coefficient
     is at most the maximum modulus on |q| = 1, so it is at most H < 2**(b-1)
-    and the decoding is exact (a minor is 0 iff its integer is).  Bareiss
-    intermediates are minors of M(2**b), so every division is exact.
+    and the decoding is exact (a minor is 0 iff its integer is).
+    Entering step k, entry (i, j), i, j >= k, is the bordered minor
+    det A[{0..k-1, i}, {0..k-1, j}] (Bareiss), so every division is exact.
+    D A is symmetric for D = diag(w), so A^T = D A D^-1 and w_i a[i][j] =
+    w_j a[j][i] at every step: step k updates only j >= i > k and reads
+    a[i][k] = a[k][i] w_k / w_i, an exact division.
     """
     bits = _hadamard_bits(matrix)
     x = 1 << bits
     a = [[p.evaluate(x) for p in row] for row in matrix]
     n = len(a)
+    if any(weights[i] * a[i][j] != weights[j] * a[j][i]
+           for i in range(n) for j in range(i)):
+        raise CheckFailedError("matrix is not symmetric under its weights")
     prev = 1
     minors = []
     for k in range(n):
-        row_k = a[k]
+        row_k, wk = a[k], weights[k]
         pk = row_k[k]
         if not pk and k < n - 1:
             raise CheckFailedError("zero pivot in fraction-free elimination")
         for i in range(k + 1, n):
             row_i = a[i]
-            aik = row_i[k]
-            for j in range(k + 1, len(row_i)):
+            aik, rem = divmod(row_k[i] * wk, weights[i])
+            if rem:
+                raise CheckFailedError(
+                    "inexact weight division in fraction-free elimination")
+            for j in range(i, n):
                 row_i[j], rem = divmod(pk * row_i[j] - aik * row_k[j], prev)
                 if rem:
                     raise CheckFailedError(
                         "inexact division in fraction-free elimination")
-            row_i[k] = 0
         minors.append(pk)
         prev = pk
     return [_kronecker_decode(m, bits) for m in minors]
@@ -146,18 +156,14 @@ def magnitude_fraction(graph, group=None):
 
     Solves the collapsed system with a single bordered fraction-free
     elimination: the next-to-last minor is the system determinant and
-    the last is (minus) the weighted solution sum times it.
+    the last is (minus) the weighted solution sum times it.  With w the
+    orbit sizes, [[M, 1], [w^T, 0]] is symmetric under the weights (w, 1).
     """
     _, orbits, group = chamber_orbits(graph, group)
-    m = _orbit_matrix(graph, orbits)
-    k = len(orbits)
-    for i in range(k):
-        m[i].append(ONE)
-    weights = [IntPoly.const(len(o)) for o in orbits] + [ZERO]
-    m.append(weights)
-    minors = _bareiss_minors(m)
-    det_m = minors[k - 1]
-    det_border = minors[k]
+    weights = [len(o) for o in orbits] + [1]
+    m = [row + [ONE] for row in _orbit_matrix(graph, orbits)]
+    m.append([IntPoly.const(w) for w in weights[:-1]] + [ZERO])
+    *_, det_m, det_border = _bareiss_minors(m, weights)
     return reduce_fraction(-det_border, det_m)
 
 
@@ -462,7 +468,7 @@ def varchenko_det(graph, basis):
                                   DET_BUDGET, cost, "drop --det-check")
     det = ONE
     for block in blocks:
-        det = det * _bareiss_minors(block)[-1]
+        det = det * _bareiss_minors(block, [1] * len(block))[-1]
     return det
 
 

@@ -108,7 +108,9 @@ def test_geodesic_two_routes(name):
     lmax = GEODESIC_CAPS[name]
     arr, graph, lattice, group = geometry(name)
     res = magnitude_homology(arr, graph, lmax=lmax, group=group)
-    formula = geodesic_betti_formula(lattice)
+    formula = geodesic_betti_formula(lattice, group)
+    # one sum per flat orbit equals one per flat (the trivial group)
+    assert formula == geodesic_betti_formula(lattice, TRIVIAL_GROUP)
     assert not res.geodesic_torsion
     assert _cells(res.geodesic_betti) == {
         k: v for k, v in formula.items() if v and k[1] <= lmax

@@ -24,6 +24,7 @@ from magarr.magnitude import (
     _bareiss_minors,
     _hadamard_bits,
     alternating_violation,
+    chamber_orbits,
     distance_profile,
     free_involution_basis,
     interior_magnitude,
@@ -302,7 +303,7 @@ def test_bareiss_minors_are_leading_minors():
         [IntPoly.const(2), IntPoly.const(1)],
         [IntPoly.const(1), IntPoly.const(2)],
     ]
-    assert _bareiss_minors(rows) == [IntPoly.const(2), IntPoly.const(3)]
+    assert _bareiss_minors(rows, [1, 1]) == [IntPoly.const(2), IntPoly.const(3)]
 
 
 def varchenko_matrix(graph):
@@ -318,7 +319,7 @@ def test_varchenko_matrix_det_matches_split_route():
     _, graph, _, group = geometry("boolean:2")
     m = varchenko_matrix(graph)
     # 4x4 cofactor expansion by hand through the minors helper
-    det = _bareiss_minors(m)[-1]
+    det = _bareiss_minors(m, [1] * len(m))[-1]
     assert det == varchenko_det(graph, free_involution_basis(graph, group))
 
 
@@ -341,21 +342,33 @@ def leading_minors(rows):
     return [leibniz_det([r[:k] for r in rows[:k]]) for k in range(1, len(rows) + 1)]
 
 
+def random_weight_symmetric(rng, n):
+    """Weights w in 1..4 and B[i][j] = w_j S[i][j] with S symmetric, so
+    w_i B[i][j] = w_j B[j][i]."""
+    weights = [rng.randint(1, 4) for _ in range(n)]
+    sym = {}
+    for i in range(n):
+        for j in range(i, n):
+            sym[i, j] = sym[j, i] = IntPoly(
+                [rng.randint(-3, 3) for _ in range(rng.randint(0, 4))])
+    rows = [[sym[i, j] * weights[j] for j in range(n)] for i in range(n)]
+    return rows, weights
+
+
 def test_bareiss_minors_match_leibniz_on_random_matrices():
     rng = random.Random(20240611)
+    raised = unequal = 0
     for _ in range(60):
-        n = rng.randint(1, 5)
-        rows = [
-            [IntPoly([rng.randint(-3, 3) for _ in range(rng.randint(0, 4))])
-             for _ in range(n)]
-            for _ in range(n)
-        ]
+        rows, weights = random_weight_symmetric(rng, rng.randint(1, 5))
+        unequal += len(set(weights)) > 1
         want = leading_minors(rows)
         if not all(want[:-1]):
+            raised += 1
             with pytest.raises(CheckFailedError):
-                _bareiss_minors(rows)
+                _bareiss_minors(rows, weights)
         else:
-            assert _bareiss_minors(rows) == want
+            assert _bareiss_minors(rows, weights) == want
+    assert 0 < raised < 60 and unequal > 30
 
 
 def sylvester_hadamard(order):
@@ -367,15 +380,17 @@ def sylvester_hadamard(order):
 
 @pytest.mark.parametrize("order", [4, 8])
 def test_bareiss_minors_at_the_hadamard_bound(order):
-    # entries +-q^j: the k-th minor is det(H_k) q^(0+...+k-1), and the
-    # last one's coefficient meets the bound prod_i sqrt(sum_j |m_ij|_1^2)
+    # symmetric entries +-q^(i+j): the k-th minor is det(H_k) q^(k(k-1)),
+    # and the last one's coefficient meets the bound
+    # prod_i sqrt(sum_j |m_ij|_1^2)
     h = sylvester_hadamard(order)
-    rows = [[IntPoly.monomial(j, s) for j, s in enumerate(r)] for r in h]
+    rows = [[IntPoly.monomial(i + j, s) for j, s in enumerate(r)]
+            for i, r in enumerate(h)]
     want = [
-        IntPoly.monomial(k * (k - 1) // 2, leibniz_det([r[:k] for r in h[:k]]))
+        IntPoly.monomial(k * (k - 1), leibniz_det([r[:k] for r in h[:k]]))
         for k in range(1, order + 1)
     ]
-    minors = _bareiss_minors(rows)
+    minors = _bareiss_minors(rows, [1] * order)
     assert minors == want
     assert minors[-1].leading() == order ** (order // 2)
 
@@ -385,9 +400,9 @@ def test_bareiss_minors_singular_last_minor_is_zero():
     rows = [
         [ONE, q, ONE + q],
         [q, ONE, ONE + q],
-        [ONE - q, q - ONE, ZERO],
+        [ONE + q, ONE + q, (ONE + q) * 2],
     ]
-    minors = _bareiss_minors(rows)
+    minors = _bareiss_minors(rows, [1, 1, 1])
     assert minors == leading_minors(rows)
     assert minors[-1] == ZERO and minors[-2] == ONE - q * q
 
@@ -400,17 +415,33 @@ def test_bareiss_minors_zero_middle_pivot_raises():
         [ONE, ONE, ONE],
     ]
     assert leading_minors(rows)[1] == ZERO
-    with pytest.raises(CheckFailedError):
-        _bareiss_minors(rows)
+    with pytest.raises(CheckFailedError, match="zero pivot"):
+        _bareiss_minors(rows, [1, 1, 1])
+
+
+def test_bareiss_minors_reject_asymmetric_input():
+    q = IntPoly.monomial(1)
+    asymmetric = [[ONE, q], [ZERO, ONE]]
+    weighted = [[ONE, q * 2], [q, ONE]]  # symmetric under the weights (1, 2)
+    assert _bareiss_minors(weighted, [1, 2]) == leading_minors(weighted)
+    for rows, weights in [(asymmetric, [1, 1]), (asymmetric, [2, 1]),
+                          (weighted, [1, 1]), (weighted, [2, 1])]:
+        with pytest.raises(CheckFailedError, match="not symmetric"):
+            _bareiss_minors(rows, weights)
 
 
 def test_magnitude_fraction_orbit_reduction_consistent():
     # the collapsed system must give the same fraction with and without
-    # the symmetry group
-    _, graph, _, _ = geometry("braid:3")
-    with_sym = magnitude_fraction(graph)
-    without = magnitude_fraction(graph, group=SymmetryGroup((), (), 1))
-    assert with_sym == without
+    # the symmetry group, also where the orbit weights differ
+    orbit_sizes = {"braid:3": [6], "u34": [2, 6, 6],
+                   "k4me": [2, 2, 2, 4, 4, 4], "u45": [2, 8, 8, 12]}
+    for name, sizes in orbit_sizes.items():
+        _, graph, _, _ = geometry(name)
+        _, orbits, _ = chamber_orbits(graph)
+        assert sorted(map(len, orbits)) == sizes
+        with_sym = magnitude_fraction(graph)
+        without = magnitude_fraction(graph, group=SymmetryGroup((), (), 1))
+        assert with_sym == without
 
 
 def test_distance_profiles():
