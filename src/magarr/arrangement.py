@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import ParseError, CheckFailedError
-from .linalg import clear_denominators, in_row_space, nullspace, primitive, rref
+from .linalg import clear_denominators, nullspace, primitive, remainder, rref
 
 
 def _dot(a, b):
@@ -326,19 +326,24 @@ def _chamber_witnesses(arrangement):
     x of H_i strictly off every earlier hyperplane, and with
     M = 1 + max_h |a_h . a_i| the points M x +- a_i keep the signs of x
     on every a_h (|a_h . x| >= 1) and take both signs on a_i.  A chamber
-    H_i does not split keeps its witness.
+    H_i does not split keeps its witness.  When the restriction map sends
+    h to (j, s), sign(a_h . x) is s times the restricted witness's sign on
+    normal j, so x's mask on A_<i is an OR of bit sets, one per j and side.
     """
     d = arrangement.dimension
     normals = arrangement.normals
     current = {0: (0,) * d}
     for i, a in enumerate(normals):
         prefix = Arrangement(d, normals[: i + 1], arrangement.labels[: i + 1])
-        sub, basis = _restrict_with_basis(prefix, (i,))
+        sub, basis, images = _restrict_with_basis(prefix, (i,))
         scale = 1 + max((abs(_dot(normals[h], a)) for h in range(i)), default=0)
+        sides = [[0, 0] for _ in range(sub.n)]  # j -> h with s = -1, +1
+        for h, (j, s) in images.items():
+            sides[j][s > 0] |= 1 << h
         split = {}
-        for p in _chamber_witnesses(sub).values():
-            x = _lift(p, basis, d)
-            split[sum(1 << h for h in range(i) if _dot(normals[h], x) > 0)] = x
+        for m, p in _chamber_witnesses(sub).items():
+            mask = sum(side[m >> j & 1] for j, side in enumerate(sides))
+            split[mask] = _lift(p, basis, d)
         nxt = {}
         for mask, w in current.items():
             x = split.get(mask)
@@ -408,6 +413,7 @@ class FaceLattice:
         self.chamber_count = chamber_count
         self.rank = max(f.rank for f in flats)
         self._counts_below = {}
+        self._flat_orbits = {}  # hyperplane relabellings -> flat orbits
 
     def __len__(self):
         return len(self.flats)
@@ -469,33 +475,32 @@ class FaceLattice:
 def intersection_lattice(arrangement, graph):
     """Build the poset of flats with mu(0, X) for every flat X.
 
-    Flats are found rank by rank, keyed on their hyperplane masks: the
-    flats covering X are the closures of X plus one hyperplane outside
-    it, and each closure is read off an echelon basis of X's normals
-    extended by that hyperplane's.  Flats are ordered by rank, then by
-    their sorted hyperplanes.
+    Flats are found rank by rank, keyed on their hyperplane masks.  The
+    covers of X partition the hyperplanes outside it, g and h lying in
+    one when their normals span one line modulo X's, so each outside
+    normal is reduced once against X's echelon basis and grouped by its
+    primitive, sign-canonical remainder.  The top is the only cover of
+    rank r(A) - 1.  Flats are ordered by rank, then sorted hyperplanes.
     """
     normals = arrangement.normals
     if not all(map(any, normals)):
         raise CheckFailedError("a zero normal lies in every flat")
-    rank_of = {0: 0}
-    frontier = [(0, [])]  # (flat mask, echelon basis of its normals)
-    rank = 0
-    while frontier:
-        rank += 1
+    top = len(rref(normals)[1])
+    rank_of = {0: 0, (1 << arrangement.n) - 1: top}
+    frontier = [(0, [], [])]  # (flat mask, echelon basis, pivot columns)
+    for rank in range(1, top):
         nxt = []
-        for mask, basis in frontier:
-            outside = [g for g in range(arrangement.n) if not mask >> g & 1]
-            todo = outside
-            while todo:
-                reduced, pivots = rref(basis + [normals[todo[0]]])
-                closed = mask | sum(
-                    1 << g for g in outside
-                    if in_row_space(reduced, pivots, normals[g]))
-                todo = [g for g in todo if not closed >> g & 1]
+        for mask, basis, cols in frontier:
+            covers = {}  # remainder line -> the outside hyperplanes on it
+            for g, a in enumerate(normals):
+                if not mask >> g & 1:
+                    key = _sign_canonical(primitive(remainder(basis, cols, a)))
+                    covers[key] = covers.get(key, 0) | 1 << g
+            for key, extra in covers.items():
+                closed = mask | extra
                 if closed not in rank_of:
                     rank_of[closed] = rank
-                    nxt.append((closed, reduced))
+                    nxt.append((closed, *rref(basis + [key])))
         frontier = nxt
 
     masks = sorted(rank_of, key=lambda m: (rank_of[m], _members(m)))
@@ -532,23 +537,20 @@ def localize(arrangement, hyperplanes):
 
 
 def _restrict_with_basis(arrangement, hyperplanes):
-    """Restriction to a flat plus the kernel basis used as coordinates.
+    """Restriction to a flat, the kernel basis used as coordinates, and
+    the restriction map {h: (j, s)}: in those coordinates, the row of a
+    hyperplane h cutting the flat is a positive multiple of s times normal j.
 
     Distinct hyperplanes may cut the flat in the same subspace; they are
     merged, keeping first-occurrence order.
     """
-    inside = 0
-    for h in hyperplanes:
-        inside |= 1 << h
+    inside = sum(1 << h for h in set(hyperplanes))
     rows = [arrangement.normals[h] for h in _members(inside)]
-    if rows:
-        basis = nullspace(rows, arrangement.dimension)
-    else:
-        d = arrangement.dimension
-        basis = [tuple(1 if j == i else 0 for j in range(d)) for i in range(d)]
+    basis = nullspace(rows, arrangement.dimension)
     new_rows = []
     new_labels = []
-    seen = set()
+    seen = {}  # sign-canonical normal -> its index in the restriction
+    images = {}
     for h in range(arrangement.n):
         if inside >> h & 1:
             continue
@@ -557,17 +559,14 @@ def _restrict_with_basis(arrangement, hyperplanes):
             continue
         prim = primitive(row)
         key = _sign_canonical(prim)
-        if key in seen:
-            continue
-        seen.add(key)
-        new_rows.append(prim)
-        new_labels.append(arrangement.labels[h])
-    sub = Arrangement(
-        dimension=len(basis),
-        normals=tuple(new_rows),
-        labels=tuple(new_labels),
-    )
-    return sub, basis
+        if key not in seen:
+            seen[key] = len(new_rows)
+            new_rows.append(prim)
+            new_labels.append(arrangement.labels[h])
+        j = seen[key]
+        images[h] = (j, 1 if prim == new_rows[j] else -1)
+    sub = Arrangement(len(basis), tuple(new_rows), tuple(new_labels))
+    return sub, basis, images
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +782,10 @@ def flat_orbits(lattice, group):
     Each generator relabels the hyperplanes, and so permutes the flats,
     which are hyperplane masks.  Raises ``CheckFailedError`` unless each
     relabelling sends every flat to a flat of the same rank and size.
+    The partition is memoized on the lattice, keyed by the relabellings.
     """
+    if group.hyperplane_perms in lattice._flat_orbits:
+        return lattice._flat_orbits[group.hyperplane_perms]
     flats, n = lattice.flats, lattice.arrangement.n
     fperms = []
     for g, hp in enumerate(group.hyperplane_perms):
@@ -799,4 +801,6 @@ def flat_orbits(lattice, group):
                     f"rank {f.rank} to no flat of that rank")
             perm.append(image)
         fperms.append(tuple(perm))
-    return orbits_of_permutations(len(flats), fperms)
+    out = lattice._flat_orbits[group.hyperplane_perms] = \
+        orbits_of_permutations(len(flats), fperms)
+    return out

@@ -60,15 +60,17 @@ def matrix_rank(rows) -> int:
     return len(rref(rows)[1])
 
 
-def in_row_space(reduced, pivots, vec) -> bool:
-    """Membership of an integer vector in the span of already-reduced rows."""
-    v = list(vec)
+def remainder(reduced, pivots, vec):
+    """A positive multiple of vec minus a combination of already-reduced
+    rows, zero in their pivot columns: zero when vec is in their span,
+    and parallel for vectors spanning one line modulo the rows."""
+    v = vec
     for row, c in zip(reduced, pivots):
         f = v[c]
         if f != 0:
             pv = row[c]
             v = [pv * a - f * b for a, b in zip(v, row)]
-    return not any(v)
+    return v
 
 
 def nullspace(rows, ncols):

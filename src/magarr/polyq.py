@@ -106,9 +106,13 @@ class IntPoly:
         if not a or not b:
             return IntPoly()
         out = [0] * (len(a) + len(b) - 1)
+        # both loops skip zeros, the outer one over the sparser factor
+        if len(a) - a.count(0) > len(b) - b.count(0):
+            a, b = b, a
+        b = [(j, bj) for j, bj in enumerate(b) if bj]
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
+                for j, bj in b:
                     out[i + j] += ai * bj
         return IntPoly(out)
 

@@ -1,8 +1,9 @@
 """Shared fixtures: geometry is expensive, so catalog arrangements are
 enumerated once per run and reused across test modules.  Also the
 oracles only tests use: face sign vectors, their product, restriction
-chambers by enumeration, distances found by walking edges, the Betti
-table reduced block by block, and invariant factors from minors."""
+chambers by enumeration, flats by closure, distances found by walking
+edges, the Betti table reduced block by block, and invariant factors
+from minors."""
 
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from magarr.arrangement import (
     intersection_lattice,
     parse_arrangement,
 )
+from magarr.linalg import matrix_rank, rref
 from magarr.homology import (
     HomologyResult,
     _block_homology,
@@ -110,7 +112,7 @@ def sign_feasible(arrangement, signs):
     if len(signs) != arrangement.n:
         raise ValueError("sign vector length mismatch")
     zeros = [h for h, s in enumerate(signs) if s == 0]
-    sub, basis = _restrict_with_basis(arrangement, zeros)
+    sub, basis, _ = _restrict_with_basis(arrangement, zeros)
     want = tuple(signs)
     for p in _chamber_witnesses(sub).values():
         point = _lift(p, basis, arrangement.dimension)
@@ -122,8 +124,37 @@ def sign_feasible(arrangement, signs):
 def restriction_count_by_enumeration(arrangement, hyperplanes):
     """Chambers of the restriction to the flat cut out by ``hyperplanes``,
     by enumerating them: the cross-check of the Euler-relation counts."""
-    sub, _ = _restrict_with_basis(arrangement, hyperplanes)
+    sub, _, _ = _restrict_with_basis(arrangement, hyperplanes)
     return len(_chamber_witnesses(sub))
+
+
+def flats_by_closure(arrangement):
+    """{flat mask: rank}, the cross-check of ``intersection_lattice``: the
+    flats covering X are the closures of X plus one hyperplane outside
+    it, and hyperplane g lies in a closure when adding its normal leaves
+    the rank of the closure's echelon basis unchanged.  Every flat of
+    every rank is searched, the top one too."""
+    normals = arrangement.normals
+    rank_of = {0: 0}
+    frontier = [(0, [])]  # (flat mask, echelon basis of its normals)
+    rank = 0
+    while frontier:
+        rank += 1
+        nxt = []
+        for mask, basis in frontier:
+            outside = [g for g in range(arrangement.n) if not mask >> g & 1]
+            todo = outside
+            while todo:
+                reduced, _ = rref(basis + [normals[todo[0]]])
+                closed = mask | sum(
+                    1 << g for g in outside
+                    if matrix_rank(reduced + [normals[g]]) == len(reduced))
+                todo = [g for g in todo if not closed >> g & 1]
+                if closed not in rank_of:
+                    rank_of[closed] = rank
+                    nxt.append((closed, reduced))
+        frontier = nxt
+    return rank_of
 
 
 def tits_product(f, g):
@@ -233,6 +264,7 @@ def check_instance_laws(arr):
     lattice = intersection_lattice(arr, graph)
     _, _, group = chamber_orbits(graph)
     size = len(graph)
+    assert {f.mask: f.rank for f in lattice.flats} == flats_by_closure(arr)
 
     # sign enumeration agrees with the alternating Moebius count
     chi = lattice.characteristic_polynomial()

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     bfs_distances,
+    flats_by_closure,
     geometry,
     neighbours,
     restriction_count_by_enumeration,
@@ -23,6 +24,7 @@ from conftest import (
 from magarr.arrangement import (
     CATALOG_NAMES,
     SymmetryGroup,
+    _dot,
     _restrict_with_basis,
     catalog,
     enumerate_chambers,
@@ -290,9 +292,56 @@ def test_localize_and_restrict_shapes():
     arr = catalog("braid:3")
     loc = localize(arr, (0, 1))
     assert loc.n == 2 and loc.dimension == arr.dimension
-    res = _restrict_with_basis(arr, (0,))[0]
+    res, basis, images = _restrict_with_basis(arr, (0,))
     # the two other reflection planes cut the same line on the wall
     assert res.n == 1 and res.dimension == arr.dimension - 1
+    assert len(basis) == res.dimension
+    assert images == {1: (0, 1), 2: (0, 1)}
+
+
+def _assert_restriction_map(arr, flat):
+    # each hyperplane cutting the flat has a row in the kernel coordinates
+    # that is a positive multiple of s times restricted normal j; the rest
+    # contain the flat and have a zero row
+    sub, basis, images = _restrict_with_basis(arr, flat)
+    assert sorted({j for j, _ in images.values()}) == list(range(sub.n))
+    for h, a in enumerate(arr.normals):
+        row = [_dot(a, b) for b in basis]
+        if h not in images:
+            assert not any(row), (h, row)
+            continue
+        j, s = images[h]
+        target = [s * x for x in sub.normals[j]]
+        ratio = next(r // t for r, t in zip(row, target) if t)
+        assert ratio > 0 and row == [ratio * t for t in target], (h, row)
+    return images
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_restriction_map_on_every_hyperplane(name):
+    arr = catalog(name)
+    for h in range(arr.n):
+        assert h not in _assert_restriction_map(arr, (h,))
+
+
+def test_restriction_map_signs_and_zero_rows():
+    # on x = 0 in B3, x - y and x - z cut the lines of y and z reversed
+    assert _assert_restriction_map(catalog("coxeter:B3"), (0,)) == {
+        1: (0, 1), 2: (1, 1), 3: (0, 1), 4: (0, -1), 5: (1, 1), 6: (1, -1),
+        7: (2, 1), 8: (3, 1)}
+    # x2 - x3 contains the flat of x1 - x2 and x1 - x3, so it has no image
+    assert _assert_restriction_map(catalog("braid:4"), (0, 1)) == {
+        2: (0, 1), 4: (0, 1), 5: (0, 1)}
+
+
+@pytest.mark.parametrize(
+    "name", CATALOG_NAMES + ("boolean:8", "braid:6", "nearpencil:40"))
+def test_lattice_matches_closure_search(name):
+    # covers from grouped remainders against the closure search, which
+    # tests every outside hyperplane of every closure by rank
+    arr = catalog(name)
+    lattice = intersection_lattice(arr, enumerate_chambers(arr))
+    assert {f.mask: f.rank for f in lattice.flats} == flats_by_closure(arr)
 
 
 def test_essentialize_preserves_chambers():
@@ -490,8 +539,9 @@ def test_flat_orbits_reject_a_bad_group(relabelling, message):
     # sends the flat {0, 2} to {1, 2}, which is not closed
     _, _, lattice, _ = geometry("nearpencil:4")
     bad = SymmetryGroup((), (relabelling,), 2)
-    with pytest.raises(CheckFailedError, match=message):
-        flat_orbits(lattice, bad)
+    for _ in range(2):  # a failed check is not memoized
+        with pytest.raises(CheckFailedError, match=message):
+            flat_orbits(lattice, bad)
     with pytest.raises(CheckFailedError, match=message):
         magnitude_by_face_decomposition(lattice, bad)
 
@@ -504,6 +554,10 @@ def test_orbit_partitions():
     _, forbits = flat_orbits(lattice, group)
     sizes = sorted(len(o) for o in forbits)
     assert sizes == [1, 1, 3]
+    # memoized on the lattice, by the hyperplane relabellings
+    assert flat_orbits(lattice, group) is flat_orbits(lattice, group)
+    trivial = flat_orbits(lattice, SymmetryGroup((), (), 1))
+    assert len(trivial[1]) == len(lattice.flats)
 
 
 def test_rank2_flat_multiplicities():

@@ -17,7 +17,12 @@ from hypothesis import strategies as st
 
 import magarr.arrangement as arrangement
 import magarr.cli as cli
-from magarr.arrangement import CATALOG_NAMES, catalog, enumerate_chambers
+from magarr.arrangement import (
+    CATALOG_NAMES,
+    catalog,
+    enumerate_chambers,
+    orbits_of_permutations,
+)
 from magarr.cli import (
     JobSpec,
     cache_key,
@@ -156,6 +161,22 @@ def test_one_chamber_enumeration_per_run(capsys, monkeypatch, argv):
     code, _, _ = _run(capsys, argv)
     assert code == 0
     assert len(calls) == 1
+
+
+def test_one_flat_orbit_pass_per_verify(capsys, monkeypatch):
+    # the face route, the face check and the geodesic formula read one
+    # flat orbit partition, memoized on the lattice
+    calls = []
+
+    def counted(count, perms):
+        calls.append(count)
+        return orbits_of_permutations(count, perms)
+
+    monkeypatch.delenv("MAGARR_CACHE", raising=False)
+    monkeypatch.setattr(arrangement, "orbits_of_permutations", counted)
+    code, out, _ = _run(capsys, ["verify", "braid:4", "--lmax", "3"])
+    assert code == 0 and "FAIL" not in out
+    assert calls == [15]  # one pass over the 15 flats, the partitions of 4
 
 
 def test_homology_tsv_shape(capsys):

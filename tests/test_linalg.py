@@ -10,9 +10,9 @@ from magarr import linalg
 from magarr.linalg import (
     clear_denominators,
     complex_homology,
-    in_row_space,
     matrix_rank,
     nullspace,
+    remainder,
     rref,
     snf_diagonal,
 )
@@ -34,8 +34,14 @@ def test_rref_and_rank():
 
 def test_row_space_membership():
     reduced, pivots = rref([[1, 0, 1], [0, 1, 1]])
-    assert in_row_space(reduced, pivots, [3, 2, 5])
-    assert not in_row_space(reduced, pivots, [3, 2, 4])
+    assert not any(remainder(reduced, pivots, [3, 2, 5]))
+    assert list(remainder(reduced, pivots, [3, 2, 4])) == [0, 0, -1]
+    # a positive multiple of the vector minus rows, zero in the pivot
+    # columns, so parallel vectors have parallel remainders
+    reduced, pivots = rref([[2, 0, 1]])
+    assert list(remainder(reduced, pivots, [1, 1, 0])) == [0, 2, -1]
+    assert list(remainder(reduced, pivots, [-3, -3, 0])) == [0, -6, 3]
+    assert list(remainder(reduced, pivots, [5, 1, 2])) == [0, 2, -1]
 
 
 def test_nullspace_annihilates():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import check_instance_laws, random_arrangements, tits_product
 from magarr.arrangement import parse_arrangement
 from magarr.errors import ParseError
+from magarr.polyq import IntPoly
 
 SAMPLE = random_arrangements(12, seed=414243)
 
@@ -67,3 +68,32 @@ def test_sign_composition_absorbs_chambers(vecs):
 def test_duplicate_hyperplanes_rejected_even_after_scaling():
     with pytest.raises(ParseError):
         parse_arrangement([[1, -2, 0], [-2, 4, 0], [0, 0, 1]])
+
+
+def _schoolbook(a, b):
+    """Coefficients of the product, every pair of terms multiplied."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i in range(len(a)):
+        for j in range(len(b)):
+            out[i + j] += a[i] * b[j]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+# dense coefficients, or a few terms far apart such as (1 - q^s)^e, with
+# negative and multi-word entries
+_COEFFS = st.one_of(
+    st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=12),
+    st.lists(st.sampled_from((0, 0, 0, 0, 1, -1, 2, -3)), max_size=40),
+)
+
+
+@given(_COEFFS, _COEFFS)
+def test_product_matches_schoolbook(a, b):
+    p, q = IntPoly(a), IntPoly(b)
+    want = _schoolbook(p.coeffs, q.coeffs)
+    assert (p * q).coeffs == want
+    assert (q * p).coeffs == want
