@@ -289,16 +289,13 @@ def _assert_d2_zero(block, boundaries):
 # dynamic chain counting (no enumeration)
 
 
-def chain_count_table(graph, lmax, orbits=None, around=None):
+def chain_count_table(graph, lmax, orbits, around):
     """Number of generating chains per (degree, length), all starts.
 
-    Pure counting recursion over (end chamber, length) per degree; used
-    to cross-check the enumeration and the Euler characteristics.
-    ``around`` is a ``_near_lists`` of the graph to reuse.
+    Pure counting recursion over (end chamber, length) per degree, from
+    one start per chamber orbit; a cross-check of the enumeration and
+    the Euler characteristics.  ``around`` is a ``_near_lists``.
     """
-    if orbits is None:
-        orbits = chamber_orbits(graph)[1]
-    around = around or _near_lists(graph, lmax)
     totals = defaultdict(int)
     for members in orbits:
         rep = members[0]

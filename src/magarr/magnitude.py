@@ -16,8 +16,9 @@ The determinant of the full matrix is split the same way, by a free
 elementary abelian 2-subgroup E of the symmetries: its characters are
 +-1, so the symmetry-adapted basis is integral and the matrix falls into
 |E| blocks of order (chambers / |E|), one per character, each again the
-identity at q = 0, and symmetric since E consists of involutions.  A
-size budget on the largest block stops the elimination before it starts.
+identity at q = 0, and symmetric since E consists of involutions.  Size
+budgets on the orbit count and on the largest block stop each
+elimination before it starts.
 """
 
 from collections import deque
@@ -29,7 +30,6 @@ from .errors import BudgetExceededError, CheckFailedError
 from .linalg import matrix_rank
 from .polyq import (
     ONE,
-    RAT_ONE,
     IntPoly,
     RatFunc,
     ZERO,
@@ -51,6 +51,11 @@ DET_CHECK_AUTO_LIMIT = 60
 DET_BUDGET = 6000
 # the search for a free involution basis visits at most this many elements
 INVOLUTION_WALK_LIMIT = 4096
+# the magnitude system's orbit count squared times the hyperplane count may
+# be at most this (its last minor has degree up to orbits x n, with bits
+# growing in the orbits): nearpencil:27 needs 18252 (26 orbits, 8 s), and
+# no other catalog name or benchmark input more than 2304
+MAGNITUDE_BUDGET = 20000
 
 
 def _kronecker_decode(value, bits):
@@ -151,15 +156,22 @@ def _orbit_matrix(graph, orbits):
     return m
 
 
-def magnitude_fraction(graph, group=None):
+def magnitude_fraction(graph, group):
     """Magnitude as a reduced fraction of integer polynomials.
 
     Solves the collapsed system with a single bordered fraction-free
     elimination: the next-to-last minor is the system determinant and
     the last is (minus) the weighted solution sum times it.  With w the
     orbit sizes, [[M, 1], [w^T, 0]] is symmetric under the weights (w, 1).
+    Before building the system, raises BudgetExceededError when its
+    orbit count squared times the hyperplane count passes MAGNITUDE_BUDGET.
     """
     _, orbits, group = chamber_orbits(graph, group)
+    cost = len(orbits) ** 2 * graph.n
+    if cost > MAGNITUDE_BUDGET:
+        raise BudgetExceededError("magnitude system orbits^2 x hyperplanes",
+                                  MAGNITUDE_BUDGET, cost,
+                                  "try a smaller arrangement")
     weights = [len(o) for o in orbits] + [1]
     m = [row + [ONE] for row in _orbit_matrix(graph, orbits)]
     m.append([IntPoly.const(w) for w in weights[:-1]] + [ZERO])
@@ -229,8 +241,10 @@ def structural_checks(graph, lattice, group, result, face_check=True,
     checks = {}
     checks["series_integral"] = (
         series.integral and result.interior_series.integral)
-    checks["one_point_property"] = mag.evaluate(1) == 1
-    checks["degree_gap_is_n"] = mag.degree_gap() == n
+    # on a reduced pair, num(1) == c den(1) for c = +-1 holds exactly when
+    # the value at q = 1 is c; a pole there makes it False
+    checks["one_point_property"] = mag.num.evaluate(1) == mag.den.evaluate(1)
+    checks["degree_gap_is_n"] = mag.den.degree - mag.num.degree == n
     checks["palindromic_num"] = mag.num.is_palindromic()
     checks["palindromic_den"] = mag.den.is_palindromic()
     checks["cyclotomic_denominator"] = is_denominator_cyclotomic(mag.den)[0]
@@ -238,15 +252,17 @@ def structural_checks(graph, lattice, group, result, face_check=True,
     checks["inversion_symmetry"] = reverse_substitute(mag) == shifted
     checks["series_chamber_count"] = series[0] == len(graph)
     checks["series_edge_count"] = series[1] == -2 * len(graph.edges())
+    inner = result.interior
     checks["interior_at_one"] = (
-        result.interior.evaluate(1) == (-1) ** result.rank)
+        inner.num.evaluate(1) == (-1) ** result.rank * inner.den.evaluate(1))
 
     if face_check:
         via_faces = magnitude_by_face_decomposition(lattice, group)
         checks["face_decomposition_route"] = via_faces == mag
         if lattice.rank == 3:
-            stats = Rank3Stats.from_lattice(lattice)
-            checks["rank3_closed_form"] = rank3_magnitude(stats) == mag
+            checks["rank3_closed_form"] = rank3_magnitude(
+                n, lattice.chamber_count,
+                lattice.rank3_line_multiplicities()) == mag
     if det_check or len(graph) <= DET_CHECK_AUTO_LIMIT:
         basis = free_involution_basis(graph, group)
         checks["varchenko_det_product"] = (
@@ -282,7 +298,7 @@ def magnitude_by_face_decomposition(lattice, group):
     if flats[0].rank != 0:
         raise CheckFailedError("first flat is not the bottom")
     orbit_id, orbits = flat_orbits(lattice, group)
-    mag_of = [RAT_ONE]  # Mag(A_X) by orbit of X
+    mag_of = [RatFunc(ONE, ONE)]  # Mag(A_X) by orbit of X
     for members in orbits[1:]:
         x = flats[members[0]]
         tally = {}  # orbit of Y -> sum of c[Y, X] over Y < X in it
@@ -307,50 +323,22 @@ def magnitude_by_face_decomposition(lattice, group):
 # rank-three closed form
 
 
-@dataclass(frozen=True)
-class Rank3Stats:
-    """Combinatorial data determining magnitude in rank three.
+def rank3_magnitude(n, chambers, multiplicities):
+    """Closed form for essential rank-three arrangements, with m_k =
+    ``multiplicities[k]`` rank-two flats on k hyperplanes (each restricts
+    to two chambers); no chamber enumeration:
 
-    ``line_weights`` maps the number of hyperplanes through a rank-two
-    flat to the total chamber count of the restrictions to such flats.
-    Each restriction is a point on a line, contributing two chambers,
-    so the weight is twice the number of flats of that size.
+        Mag (1 + q^n) = chambers
+                        - sum_k 4 k m_k q (1 - q^(k-1)) / ((1 + q)(1 - q^k)),
+
+    summed over one denominator and reduced once.
     """
-
-    n: int
-    chambers: int
-    line_weights: dict
-
-    @staticmethod
-    def from_lattice(lattice):
-        if lattice.rank != 3:
-            raise ValueError("rank-three statistics need a rank-three poset")
-        weights = {
-            k: 2 * v for k, v in lattice.rank3_line_multiplicities().items()
-        }
-        return Rank3Stats(
-            n=lattice.arrangement.n,
-            chambers=lattice.chamber_count,
-            line_weights=weights,
-        )
-
-
-def rank3_magnitude(stats):
-    """Closed form for essential rank-three arrangements.
-
-    Needs only the hyperplane count, the chamber count, and the line
-    weights; no chamber enumeration.
-    """
-    q = IntPoly.monomial(1)
-    acc = RatFunc.of(IntPoly.const(stats.chambers))
-    one_plus_q = ONE + q
-    for k, weight in sorted(stats.line_weights.items()):
-        num = IntPoly.monomial(1, 2 * k * weight) * (ONE - IntPoly.monomial(k - 1))
-        den = one_plus_q * (ONE - IntPoly.monomial(k))
-        acc = acc - RatFunc(num, den)
-    total_den = ONE + IntPoly.monomial(stats.n)
-    acc = acc / RatFunc.of(total_den)
-    return reduce_fraction(acc.num, acc.den)
+    num, den = IntPoly.const(chambers), ONE
+    for k, m in sorted(multiplicities.items()):
+        d = IntPoly((1, 1)) * (ONE - IntPoly.monomial(k))
+        term = IntPoly.monomial(1, 4 * k * m) * (ONE - IntPoly.monomial(k - 1))
+        num, den = num * d - term * den, den * d
+    return reduce_fraction(num, den * (ONE + IntPoly.monomial(n)))
 
 
 def alternating_violation(series):

@@ -259,74 +259,11 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
 
 @dataclass(frozen=True)
 class RatFunc:
-    """Rational function over Z[q] in canonical reduced form."""
+    """Rational function over Z[q] in canonical reduced form; built by
+    ``reduce_fraction``, so equal functions are equal pairs."""
 
     num: IntPoly
     den: IntPoly
-
-    @staticmethod
-    def of(num, den=ONE) -> "RatFunc":
-        if isinstance(num, int):
-            num = IntPoly.const(num)
-        if isinstance(den, int):
-            den = IntPoly.const(den)
-        return reduce_fraction(num, den)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = RatFunc.of(other)
-        return reduce_fraction(self.num * other.den + other.num * self.den,
-                               self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = RatFunc.of(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return RatFunc.of(other) - self
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = RatFunc.of(other)
-        return reduce_fraction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, int):
-            other = RatFunc.of(other)
-        return reduce_fraction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return RatFunc.of(other) / self
-
-    def evaluate(self, x):
-        den = self.den.evaluate(x)
-        if den == 0:
-            raise ZeroDivisionError("pole of rational function")
-        num = self.num.evaluate(x)
-        if isinstance(num, int) and isinstance(den, int):
-            return Fraction(num, den)
-        return num / den
-
-    def degree_gap(self) -> int:
-        """deg(den) - deg(num); the zero function has no meaningful gap."""
-        return self.den.degree - self.num.degree
-
-    def __str__(self):
-        return f"({self.num}) / ({self.den})"
-
-
-RAT_ONE = RatFunc(ONE, ONE)
 
 
 def reduce_fraction(num: IntPoly, den: IntPoly) -> RatFunc:
@@ -357,7 +294,6 @@ class PowerSeriesPrefix:
     """
 
     coeffs: tuple
-    order: int
     integral: bool
 
     def __iter__(self):
@@ -385,7 +321,7 @@ def series_expand(f: RatFunc, order: int) -> PowerSeriesPrefix:
             for j in range(1, min(i, len(dc) - 1) + 1):
                 acc -= dc[j] * out[i - j]
             out.append(acc * d0)
-        return PowerSeriesPrefix(tuple(out), order, True)
+        return PowerSeriesPrefix(tuple(out), True)
     out = []
     for i in range(order + 1):
         acc = Fraction(nc[i] if i < len(nc) else 0)
@@ -393,8 +329,8 @@ def series_expand(f: RatFunc, order: int) -> PowerSeriesPrefix:
             acc -= dc[j] * out[i - j]
         out.append(acc / d0)
     if all(c.denominator == 1 for c in out):
-        return PowerSeriesPrefix(tuple(int(c) for c in out), order, True)
-    return PowerSeriesPrefix(tuple(out), order, False)
+        return PowerSeriesPrefix(tuple(int(c) for c in out), True)
+    return PowerSeriesPrefix(tuple(out), False)
 
 
 def euler_phi(k: int) -> int:

@@ -1,14 +1,15 @@
 """Shared fixtures: geometry is expensive, so catalog arrangements are
 enumerated once per run and reused across test modules.  Also the
-oracles only tests use: face sign vectors, their product, restriction
-chambers by enumeration, flats by closure, distances found by walking
-edges, the Betti table reduced block by block, and invariant factors
-from minors."""
+oracles only tests use: values of rational functions, face sign
+vectors, their product, restriction chambers by enumeration, flats by
+closure, distances found by walking edges, the Betti table reduced
+block by block, and invariant factors from minors."""
 
 from __future__ import annotations
 
 import random
 from collections import defaultdict
+from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
@@ -26,6 +27,7 @@ from magarr.linalg import matrix_rank, rref
 from magarr.homology import (
     HomologyResult,
     _block_homology,
+    _near_lists,
     _tidy_torsion,
     canonical_key,
     chain_count_table,
@@ -33,17 +35,23 @@ from magarr.homology import (
     structural_checks,
 )
 from magarr.polyq import series_expand
-from magarr.magnitude import Rank3Stats, chamber_orbits, magnitude_direct
+from magarr.magnitude import chamber_orbits, magnitude_direct
 from magarr.magnitude import structural_checks as magnitude_checks
 
-# 18 lines, 216 chambers, 30 ordinary and 92 triple points: statistics of
-# a line arrangement whose series coefficients stop alternating in sign.
-EIGHTEEN_LINES = Rank3Stats(n=18, chambers=216, line_weights={2: 30, 3: 92})
+# 18 lines, 216 chambers, 15 ordinary and 46 triple points: the arguments
+# of ``rank3_magnitude`` for a line arrangement whose series coefficients
+# stop alternating in sign.
+EIGHTEEN_LINES = (18, 216, {2: 15, 3: 46})
 
 _GEOMETRY = {}
 _MAGNITUDE = {}
 _MAGNITUDE_CHECKS = {}
 _HOMOLOGY = {}
+
+
+def value_at(f, x):
+    """The value of the rational function f at x, exactly."""
+    return Fraction(f.num.evaluate(x), f.den.evaluate(x))
 
 
 def geometry(name):
@@ -402,7 +410,8 @@ def betti_by_every_block(graph, lmax, interior_only=False, magnitude=None):
     checks = {}
     if not interior_only:
         checks["chain_counts_match_recursion"] = (
-            chain_count_table(graph, lmax) == dict(dims))
+            chain_count_table(graph, lmax, [[c] for c in range(len(graph))],
+                              _near_lists(graph, lmax)) == dict(dims))
         euler = _euler(dims)
         checks["euler_of_homology_matches_chains"] = euler == _euler(
             betti["all"])

@@ -28,7 +28,6 @@ from magarr.homology import (
     structural_checks,
 )
 from magarr.magnitude import (
-    Rank3Stats,
     alternating_violation,
     free_involution_basis,
     rank3_magnitude,
@@ -122,9 +121,10 @@ def test_01_magnitude_fixture_values():
     assert mag.num == IntPoly((18, -2, -8, -2, 18))
     assert mag.den == cyclotomic(2) ** 3 * cyclotomic(3) * cyclotomic(10)
     for name in ("nearpencil:4", "nearpencil:5"):
-        _, _, lattice, _ = geometry(name)
-        stats = Rank3Stats.from_lattice(lattice)
-        assert rank3_magnitude(stats) == magnitude_of(name).magnitude, name
+        arr, _, lattice, _ = geometry(name)
+        got = rank3_magnitude(arr.n, lattice.chamber_count,
+                              lattice.rank3_line_multiplicities())
+        assert got == magnitude_of(name).magnitude, name
     print("PASS 1: magnitude fixtures, reduced forms and series")
 
 
@@ -162,7 +162,7 @@ def test_03_structural_suite_on_all_fixtures():
 def test_04_rank3_closed_form_sign_break():
     """Series of the 18-line statistics breaks alternation at degree 4."""
     t0 = time.monotonic()
-    mag = rank3_magnitude(EIGHTEEN_LINES)
+    mag = rank3_magnitude(*EIGHTEEN_LINES)
     series = series_expand(mag, 10)
     elapsed = time.monotonic() - t0
     assert elapsed < 1.0, elapsed

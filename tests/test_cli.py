@@ -538,6 +538,24 @@ def test_det_check_stops_on_the_determinant_budget():
     assert "Traceback" not in proc.stderr
 
 
+def test_many_chamber_orbits_stop_on_the_magnitude_budget():
+    # nearpencil:28 has 27 chamber orbits on 28 hyperplanes, 27^2 x 28 =
+    # 20412 against the magnitude budget, and would take over 10 s to
+    # solve; the budget stops it before the system is built
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "magarr.cli", "mag", "nearpencil:28"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert proc.stdout == ""
+    errors = [l for l in proc.stderr.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1 and errors[0].endswith(
+        "(observed 20412); try a smaller arrangement")
+    assert "Traceback" not in proc.stderr
+
+
 def test_failed_golden_check_sets_exit_code(capsys, monkeypatch):
     doctored = {"braid:3": {"num": [999], "den": [1], "series": [999] * 11}}
     monkeypatch.setattr(cli, "golden_magnitude", lambda: doctored)

@@ -82,15 +82,13 @@ def test_allowlist_names_exist():
 
 
 # ---------------------------------------------------------------------------
-# parameter defaults that every call overrides
+# parameter defaults that every call in the package overrides
 
 
 def _trees():
-    """(is library code, parsed module) for the package and the tests."""
-    src = Path(magarr.__file__).parent
-    for is_src, folder in ((True, src), (False, Path(__file__).parent)):
-        for path in sorted(folder.glob("*.py")):
-            yield is_src, ast.parse(path.read_text(), filename=str(path))
+    """Each module of the package, parsed."""
+    for path in sorted(Path(magarr.__file__).parent.glob("*.py")):
+        yield ast.parse(path.read_text(), filename=str(path))
 
 
 def _functions(tree):
@@ -133,12 +131,11 @@ def _passes(call, position, name):
 
 
 def _dead_defaults():
-    """Each default in the package that no call in the package or the
-    tests leaves out, as "function(parameter)"."""
+    """Each default in the package that no call in the package leaves
+    out, as "function(parameter)": a default only tests use is dead."""
     defs, calls = [], {}
-    for is_src, tree in _trees():
-        if is_src:
-            defs.extend(_functions(tree))
+    for tree in _trees():
+        defs.extend(_functions(tree))
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 calls.setdefault(_called_name(node), []).append(node)
@@ -166,4 +163,5 @@ def _dead_defaults():
 
 def test_every_default_is_left_out_by_some_call():
     dead = _dead_defaults()
-    assert not dead, "defaults that every call overrides: " + ", ".join(dead)
+    assert not dead, ("defaults that every call in the package overrides: "
+                      + ", ".join(dead))
