@@ -202,7 +202,10 @@ def catalog(name):
         try:
             m = int(tail)
         except ValueError:
-            raise ParseError(f"unknown catalog name {name!r}") from None
+            m = None
+        # only the plain decimal spelling, so one name has one source name
+        if str(m) != tail:
+            raise ParseError(f"unknown catalog name {name!r}")
         if head == "boolean":
             if not 1 <= m <= 12:
                 raise ParseError("boolean:d needs 1 <= d <= 12")
@@ -262,7 +265,6 @@ class TopeGraph:
         self.masks = tuple(masks)
         self.witnesses = tuple(witnesses)
         self.index = {m: i for i, m in enumerate(self.masks)}
-        self._edges = None
 
     def __len__(self):
         return len(self.masks)
@@ -301,15 +303,13 @@ class TopeGraph:
 
     def edges(self):
         """Pairs (i, j), i < j, at separation distance one."""
-        if self._edges is None:
-            out = []
-            for i, m in enumerate(self.masks):
-                for h in range(self.n):
-                    j = self.index.get(m ^ (1 << h))
-                    if j is not None and i < j:
-                        out.append((i, j))
-            self._edges = tuple(out)
-        return self._edges
+        out = []
+        for i, m in enumerate(self.masks):
+            for h in range(self.n):
+                j = self.index.get(m ^ (1 << h))
+                if j is not None and i < j:
+                    out.append((i, j))
+        return tuple(out)
 
 
 def _lift(p, basis, d):
@@ -627,25 +627,20 @@ def _permutes_normals(normals, prefix):
             == sorted(map(_sign_canonical, want)))
 
 
-def _complete(normals, prefix, columns):
-    """A signed map extending ``prefix`` whose every prefix passes
+def _complete(normals, prefix, d):
+    """A signed map of R^d extending ``prefix`` whose every prefix passes
     ``_permutes_normals``, or None, by backtracking one coordinate at a
-    time.  As a quick first test, coordinate k can only go to a
-    coordinate t whose column has the same sorted absolute values
-    (``columns``)."""
-    k = len(prefix)
-    if columns[prefix[-1][0]] != columns[k - 1]:
-        return None
+    time."""
     if not _permutes_normals(normals, prefix):
         return None
-    if k == len(columns):
+    if len(prefix) == d:
         return prefix
     used = {t for t, _ in prefix}
-    for t in range(len(columns)):
+    for t in range(d):
         if t in used:
             continue
         for s in (1, -1):
-            found = _complete(normals, prefix + ((t, s),), columns)
+            found = _complete(normals, prefix + ((t, s),), d)
             if found is not None:
                 return found
     return None
@@ -667,7 +662,6 @@ def _signed_map_group(normals, d):
     lengths of e_k over the levels (Seress, *Permutation Group
     Algorithms*, 2003, ch. 9).
     """
-    columns = [sorted(abs(a[k]) for a in normals) for k in range(d)]
     maps = []
 
     def signed_orbit(point):
@@ -683,7 +677,7 @@ def _signed_map_group(normals, d):
         for image in ((t, s) for t in range(k, d) for s in (1, -1)):
             if image in images or image in dead:
                 continue
-            found = _complete(normals, prefix + (image,), columns)
+            found = _complete(normals, prefix + (image,), d)
             if found is None:
                 dead.update(signed_orbit(image))
             else:

@@ -359,8 +359,7 @@ class HomologyResult:
 
 
 def magnitude_homology(arrangement, graph=None, *, lmax, group=None,
-                       chain_budget=DEFAULT_CHAIN_BUDGET, interior_only=False,
-                       magnitude=None):
+                       interior_only=False, magnitude=None):
     """Bigraded Betti table through total length ``lmax``.
 
     ``interior_only`` restricts the complex to chains crossing every
@@ -368,9 +367,9 @@ def magnitude_homology(arrangement, graph=None, *, lmax, group=None,
     When ``magnitude`` (a RatFunc) is given, the per-length Euler
     characteristics of the chain spaces are checked against its series.
     Every block that is reduced has its boundary checked to square to
-    zero, and a run that would charge more than ``chain_budget`` entries
-    for the keys it finds and the chains it builds (see
-    ``_start_blocks``) stops with BudgetExceededError.
+    zero, and a run that would charge more than ``DEFAULT_CHAIN_BUDGET``
+    entries (read at call time) for the keys it finds and the chains it
+    builds (see ``_start_blocks``) stops with BudgetExceededError.
     """
     if graph is None:
         graph = enumerate_chambers(arrangement)
@@ -386,8 +385,9 @@ def magnitude_homology(arrangement, graph=None, *, lmax, group=None,
     for members in orbits:
         rep = members[0]
         weight = len(members)
-        blocks, spent = _start_blocks(graph, rep, lmax, spent, chain_budget,
-                                      interior_only, around, memo, canon)
+        blocks, spent = _start_blocks(graph, rep, lmax, spent,
+                                      DEFAULT_CHAIN_BUDGET, interior_only,
+                                      around, memo, canon)
         for key, (memo_key, block) in blocks.items():
             length, end, profile = key
             if block is not None:

@@ -3,11 +3,13 @@ Smith normal form, and chain-complex homology over the integers.
 
 Every function takes and returns Python ints; ``clear_denominators`` is
 the one entry point for rational input, used when rows are parsed.
+Homology takes columns from a work stack and cancels each at its unit
+entry whose row meets the fewest columns; a dense Smith form finishes
+whatever has no unit entry left.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import defaultdict
 from fractions import Fraction
@@ -156,96 +158,59 @@ def complex_homology(dims, boundaries):
     k - 1.  A unit incidence (b, c) spans an acyclic two-term summand
     after a change of basis, so both cells can be cancelled at the cost
     of a Schur update on the other columns through b (a homotopy
-    equivalence: Skoldberg, Trans. AMS 358, 2006).  Pairs are consumed
-    cheapest first.  What survives has no unit entries; it was empty on
-    every workload measured, so the dense ``snf_diagonal`` finishes it,
-    one matrix per degree.  Returns
+    equivalence: Skoldberg, Trans. AMS 358, 2006, so the order of the
+    pivots does not change the homology).  Columns come off a work
+    stack; each cancels its unit entry whose row meets the fewest
+    columns, and every column the update changes goes back on the
+    stack.  What survives has no unit entries; it was empty on every
+    workload measured, so the dense ``snf_diagonal`` finishes it, one
+    matrix per degree.  Returns
     {degree: (betti, torsion factors of the incoming map)}.
     """
     # cells get one integer id: degree in the high bits, index below
     bnd = {}
-    cob = {}
+    cob = defaultdict(set)
     alive = dict(dims)
     for k, colmap in boundaries.items():
         hi = k << _DEGREE_SHIFT
         lo = (k - 1) << _DEGREE_SHIFT
         for j, col in colmap.items():
-            if not col:
-                continue
             c = hi + j
-            d = {}
-            for i, v in col.items():
-                b = lo + i
-                d[b] = v
-                s = cob.get(b)
-                if s is None:
-                    s = cob[b] = set()
-                s.add(c)
-            bnd[c] = d
-    heap = []
-    for c, d in bnd.items():
-        lc = len(d) - 1
-        for b, v in d.items():
-            if v == 1 or v == -1:
-                heap.append((lc * (len(cob[b]) - 1), b, c))
-    heapq.heapify(heap)
-    while heap:
-        cost, b, c = heapq.heappop(heap)
-        col = bnd.get(c)
-        if col is None:
+            bnd[c] = {lo + i: v for i, v in col.items()}
+            for b in bnd[c]:
+                cob[b].add(c)
+    stack = list(bnd)
+    while stack:
+        c = stack.pop()
+        col = bnd.get(c, {})
+        units = [(len(cob[b]), b) for b, v in col.items() if v in (1, -1)]
+        if not units:
             continue
-        eps = col.get(b, 0)
-        if eps != 1 and eps != -1:
-            continue
-        cur = (len(col) - 1) * (len(cob[b]) - 1)
-        if cur > cost:
-            heapq.heappush(heap, (cur, b, c))
-            continue
+        b = min(units)[1]
+        eps = col.pop(b)
         del bnd[c]
-        del col[b]
         for y in cob.pop(c, ()):
-            by = bnd.get(y)
-            if by is not None:
-                by.pop(c, None)
+            del bnd[y][c]
         ups = cob.pop(b)
         ups.discard(c)
         for x in ups:
             bx = bnd[x]
-            f = bx.pop(b)
-            if col:
-                fac = f if eps == 1 else -f
-                for t, v in col.items():
-                    nv = bx.get(t, 0) - fac * v
-                    if nv:
-                        bx[t] = nv
-                        cob[t].add(x)
-                        if nv == 1 or nv == -1:
-                            heapq.heappush(
-                                heap,
-                                ((len(bx) - 1) * (len(cob[t]) - 1), t, x),
-                            )
-                    else:
-                        del bx[t]
-                        cob[t].discard(x)
-            if not bx:
-                del bnd[x]
+            fac = bx.pop(b) * eps
+            for t, v in col.items():
+                nv = bx.get(t, 0) - fac * v
+                if nv:
+                    bx[t] = nv
+                    cob[t].add(x)
+                else:
+                    del bx[t]
+                    cob[t].discard(x)
+        stack.extend(ups)
         for t in col:
-            s = cob.get(t)
-            if s is not None:
-                s.discard(c)
-                if not s:
-                    del cob[t]
-        bb = bnd.pop(b, None)
-        if bb:
-            for t in bb:
-                s = cob.get(t)
-                if s is not None:
-                    s.discard(b)
-                    if not s:
-                        del cob[t]
-        kc = c >> _DEGREE_SHIFT
-        alive[kc] -= 1
-        alive[kc - 1] -= 1
+            cob[t].discard(c)
+        for t in bnd.pop(b, ()):
+            cob[t].discard(b)
+        alive[c >> _DEGREE_SHIFT] -= 1
+        alive[b >> _DEGREE_SHIFT] -= 1
     core = defaultdict(dict)
     for c, col in bnd.items():
         for b, v in col.items():

@@ -4,14 +4,17 @@ Polynomials are immutable tuples of Python ints in ascending degree order.
 Rational functions are kept in a canonical reduced form: numerator and
 denominator have no common polynomial factor, the gcd of all integer
 coefficients of numerator and denominator combined is 1, and the leading
-coefficient of the denominator is positive.
+coefficient of the denominator is positive.  Power series are
+expanded only from denominators with constant term +-1, into plain
+tuples of ints.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+
+from .errors import CheckFailedError
 
 
 class ZeroDenominatorError(ZeroDivisionError):
@@ -285,52 +288,26 @@ def reduce_fraction(num: IntPoly, den: IntPoly) -> RatFunc:
     return RatFunc(num, den)
 
 
-@dataclass(frozen=True)
-class PowerSeriesPrefix:
-    """Initial coefficients of a power series expansion.
+def series_expand(f: RatFunc, order: int) -> tuple:
+    """Coefficients of f through q**order (order+1 ints), exactly.
 
-    ``integral`` is True when every coefficient is an integer (always the
-    case when the denominator has constant term +-1).
-    """
-
-    coeffs: tuple
-    integral: bool
-
-    def __iter__(self):
-        return iter(self.coeffs)
-
-    def __getitem__(self, i):
-        return self.coeffs[i]
-
-    def __len__(self):
-        return len(self.coeffs)
-
-
-def series_expand(f: RatFunc, order: int) -> PowerSeriesPrefix:
-    """Coefficients of f through q**order (order+1 of them), exactly."""
+    Every fraction the package expands has a denominator with constant
+    term +-1, so the series has integer coefficients; any other
+    constant term raises CheckFailedError."""
     if order < 0:
         raise ValueError("order must be >= 0")
     d0 = f.den.constant()
-    if d0 == 0:
-        raise ZeroDenominatorError("denominator vanishes at q=0")
+    if d0 != 1 and d0 != -1:
+        raise CheckFailedError(
+            f"denominator constant term {d0} is not +-1: no integer series")
     nc, dc = f.num.coeffs, f.den.coeffs
-    if d0 in (1, -1):
-        out = []
-        for i in range(order + 1):
-            acc = nc[i] if i < len(nc) else 0
-            for j in range(1, min(i, len(dc) - 1) + 1):
-                acc -= dc[j] * out[i - j]
-            out.append(acc * d0)
-        return PowerSeriesPrefix(tuple(out), True)
     out = []
     for i in range(order + 1):
-        acc = Fraction(nc[i] if i < len(nc) else 0)
+        acc = nc[i] if i < len(nc) else 0
         for j in range(1, min(i, len(dc) - 1) + 1):
             acc -= dc[j] * out[i - j]
-        out.append(acc / d0)
-    if all(c.denominator == 1 for c in out):
-        return PowerSeriesPrefix(tuple(int(c) for c in out), True)
-    return PowerSeriesPrefix(tuple(out), False)
+        out.append(acc * d0)
+    return tuple(out)
 
 
 def euler_phi(k: int) -> int:

@@ -97,7 +97,8 @@ def test_catalog_names_cover_fixture_list():
     assert set(KNOWN_CHAMBERS) == set(CATALOG_NAMES)
     assert catalog("nearpencil:1025").n == 1025
     for name in ("boolean:0", "boolean:13", "braid:7", "nearpencil:2",
-                 "nearpencil:1026", "no-such-name"):
+                 "nearpencil:1026", "no-such-name",
+                 "boolean:03", "boolean: 3", "braid:+4"):
         with pytest.raises(ParseError):
             catalog(name)
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import magarr.arrangement as arrangement
 import magarr.cli as cli
+import magarr.homology as homology
 from magarr.arrangement import (
     CATALOG_NAMES,
     catalog,
@@ -33,7 +34,6 @@ from magarr.cli import (
     main,
 )
 from magarr.errors import ParseError
-from magarr.homology import magnitude_homology
 
 
 def _run(capsys, argv):
@@ -287,6 +287,17 @@ def test_unknown_name_is_a_parse_error(capsys):
     assert "error:" in err
 
 
+def test_non_canonical_catalog_spelling_is_a_parse_error(capsys):
+    # boolean:03 would build boolean:3 but not be matched against its
+    # golden values, so only the plain decimal spelling is a name
+    code, out, err = _run(capsys, ["verify", "boolean:03"])
+    assert code == 2
+    assert out == ""
+    assert len([l for l in err.splitlines() if l.startswith("error:")]) == 1
+    assert "unknown catalog name" in err
+    assert "Traceback" not in err
+
+
 def test_huge_nearpencil_is_a_parse_error():
     # nearpencil:n builds n rows, so without a bound this run fills any
     # memory; under a 512 MiB address-space cap it must stop at parsing
@@ -466,11 +477,7 @@ def test_negative_lmax_rejected(capsys):
 
 
 def test_budget_exhaustion_exit_code(capsys, monkeypatch):
-    def tight(*args, **kwargs):
-        kwargs["chain_budget"] = 3
-        return magnitude_homology(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "magnitude_homology", tight)
+    monkeypatch.setattr(homology, "DEFAULT_CHAIN_BUDGET", 3)
     code, _, err = _run(capsys, ["homology", "braid:3", "--lmax", "4"])
     assert code == 3
     assert "lower --lmax" in err

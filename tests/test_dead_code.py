@@ -82,7 +82,8 @@ def test_allowlist_names_exist():
 
 
 # ---------------------------------------------------------------------------
-# parameter defaults that every call in the package overrides
+# parameter defaults that every call in the package overrides, and
+# defaulted parameters that no call in the package gives
 
 
 def _trees():
@@ -130,9 +131,9 @@ def _passes(call, position, name):
     return position is not None and position < len(call.args)
 
 
-def _dead_defaults():
-    """Each default in the package that no call in the package leaves
-    out, as "function(parameter)": a default only tests use is dead."""
+def _defaults():
+    """(function(parameter), [whether each call in the package gives it])
+    per parameter with a default, for functions defined once by name."""
     defs, calls = [], {}
     for tree in _trees():
         defs.extend(_functions(tree))
@@ -142,7 +143,6 @@ def _dead_defaults():
     defined = {}
     for called, _, _ in defs:
         defined[called] = defined.get(called, 0) + 1
-    dead = []
     for called, implicit, fn in defs:
         if defined[called] > 1:  # calls cannot be told apart by name
             continue
@@ -156,12 +156,39 @@ def _dead_defaults():
             if d is not None
         ]
         for position, name in with_defaults:
-            if all(_passes(c, position, name) for c in calls.get(called, [])):
-                dead.append(f"{called}({name})")
-    return sorted(dead)
+            yield f"{called}({name})", [_passes(c, position, name)
+                                        for c in calls.get(called, [])]
+
+
+def _dead_defaults():
+    """Each default in the package that no call in the package leaves
+    out: a default only tests use is dead."""
+    return sorted(param for param, passed in _defaults() if all(passed))
 
 
 def test_every_default_is_left_out_by_some_call():
     dead = _dead_defaults()
     assert not dead, ("defaults that every call in the package overrides: "
                       + ", ".join(dead))
+
+
+# Kept on purpose: the console script and ``python -m magarr.cli`` call
+# main() bare, and the benchmark harness passes argv.
+UNPASSED_ALLOWED = {"main(argv)"}
+
+
+def _unpassed_parameters():
+    """Each defaulted parameter that no call in the package gives: a
+    knob only tests turn."""
+    return sorted(param for param, passed in _defaults()
+                  if not any(passed) and param not in UNPASSED_ALLOWED)
+
+
+def test_every_defaulted_parameter_is_given_by_some_call():
+    unpassed = _unpassed_parameters()
+    assert not unpassed, ("parameters that no call in the package gives: "
+                          + ", ".join(unpassed))
+
+
+def test_unpassed_allowlist_names_exist():
+    assert UNPASSED_ALLOWED <= {param for param, _ in _defaults()}

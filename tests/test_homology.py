@@ -19,6 +19,7 @@ from conftest import (
     random_arrangements,
     stabilizer_by_closure,
 )
+import magarr.homology as homology
 from magarr.arrangement import CATALOG_NAMES, SymmetryGroup, enumerate_chambers
 from magarr.cli import golden_betti
 from magarr.errors import BudgetExceededError, CheckFailedError
@@ -205,10 +206,11 @@ def test_four_cut_minima():
         assert four_cut_minimum(graph, group=group) == want
 
 
-def test_budget_is_enforced():
+def test_budget_is_enforced(monkeypatch):
     arr, graph, _, _ = geometry("braid:3")
+    monkeypatch.setattr(homology, "DEFAULT_CHAIN_BUDGET", 5)
     with pytest.raises(BudgetExceededError) as info:
-        magnitude_homology(arr, graph, lmax=4, chain_budget=5)
+        magnitude_homology(arr, graph, lmax=4)
     assert info.value.limit == 5
     assert info.value.observed > 5
 

@@ -171,6 +171,55 @@ def test_homology_residue_in_two_degrees(monkeypatch):
     assert len(residues) == 2
 
 
+def test_homology_of_random_conjugated_diagonal_complexes(monkeypatch):
+    # each degree k has p_k cells mapped onto p_k cells of degree k - 1
+    # by entries in {1, 2, 3, 4, 6}, plus free cells; conjugating every
+    # degree by a unimodular change of basis hides the pairs, so the
+    # cancellation order is exercised on known homology:
+    # betti_k = free cells, torsion of H_(k-1) = the non-unit invariant
+    # factors of the diagonal of degree k
+    rng = random.Random(7)
+    residues = []
+
+    def spy(entries):
+        residues.append(entries)
+        return snf_diagonal(entries)
+
+    monkeypatch.setattr(linalg, "snf_diagonal", spy)
+    cancelled = with_residue = 0
+    for _ in range(200):
+        top = rng.randint(0, 3)
+        pairs = {k: rng.randint(0, 3) if 0 < k <= top else 0
+                 for k in range(top + 2)}
+        free = {k: rng.randint(0, 2) for k in range(top + 1)}
+        dims = {k: pairs[k] + pairs[k + 1] + free[k] for k in range(top + 1)}
+        diagonal = {k: [rng.choice((1, 2, 3, 4, 6)) for _ in range(pairs[k])]
+                    for k in range(1, top + 1)}
+        bases = {k: _unimodular(size, rng) if size > 1
+                 else ([[1]] * size, [[1]] * size) for k, size in dims.items()}
+        boundaries = {}
+        for k, diag in diagonal.items():
+            # column j < p_k of degree k goes to row p_(k-1) + j of degree k - 1
+            d = [[0] * dims[k] for _ in range(dims[k - 1])]
+            for j, e in enumerate(diag):
+                d[pairs[k - 1] + j][j] = e
+            m = _matmul(_matmul(bases[k - 1][0], d), bases[k][1])
+            boundaries[k] = {j: {i: row[j] for i, row in enumerate(m) if row[j]}
+                             for j in range(dims[k])}
+        want = {}
+        for k in dims:
+            diag = diagonal.get(k + 1, [])
+            factors = smith_by_minors({(j, j): e for j, e in enumerate(diag)})
+            want[k] = (free[k], tuple(x for x in factors if x > 1))
+        before = len(residues)
+        assert complex_homology(dims, boundaries) == want, (dims, diagonal)
+        if len(residues) > before:
+            with_residue += 1
+        else:
+            cancelled += 1
+    assert with_residue and cancelled
+
+
 def _simplicial_boundaries(simplices_by_dim):
     """Column-map boundaries for explicit simplex lists."""
     index = {

@@ -152,6 +152,18 @@ def test_magnitude_checks_read_a_pole_at_one_as_false():
     assert checks["interior_at_one"] is False
 
 
+def test_magnitude_checks_read_a_non_integral_series_as_false():
+    # 1 / (2 + q) has constant term 2 in its denominator, so its series
+    # 1/2 - q/4 + ... is not integral: the check reads den(0) and fails
+    # without expanding it
+    _, graph, lattice, group = geometry("u34")
+    mag = magnitude_of("u34")
+    half = reduce_fraction(ONE, IntPoly((2, 1)))
+    checks = structural_checks(graph, lattice, group,
+                               replace(mag, magnitude=half, interior=half))
+    assert checks["series_integral"] is False
+
+
 def test_series_leading_terms_count_chambers_and_edges():
     for name in ("braid:3", "u34", "coxeter:B2"):
         mag = magnitude_of(name)

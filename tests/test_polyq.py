@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import value_at
+from magarr.errors import CheckFailedError
 from magarr.polyq import (
     ONE,
     ZERO,
@@ -116,7 +117,7 @@ def test_series_expand_geometric():
     f = reduce_fraction(ONE, IntPoly((1, -1)))
     s = series_expand(f, 5)
     assert tuple(s) == (1, 1, 1, 1, 1, 1)
-    assert len(s) == 6 and s[3] == 1 and s.integral
+    assert len(s) == 6 and s[3] == 1
     alt = series_expand(reduce_fraction(ONE, IntPoly((1, 1))), 4)
     assert tuple(alt) == (1, -1, 1, -1, 1)
 
@@ -126,13 +127,11 @@ def test_series_expand_odd_numbers():
     assert tuple(series_expand(f, 4)) == (1, 3, 5, 7, 9)
 
 
-def test_series_expand_nonintegral():
-    f = RatFunc(ONE, IntPoly((2, 1)))
-    s = series_expand(f, 2)
-    assert not s.integral
-    assert s[0] * 2 == 1
-    with pytest.raises(ZeroDenominatorError):
-        series_expand(RatFunc(ONE, Q), 3)
+def test_series_expand_needs_unit_constant_term():
+    # 1/(2 + q) has the series 1/2 - q/4 + ...; 1/q has none
+    for den, d0 in ((IntPoly((2, 1)), "2"), (Q, "0")):
+        with pytest.raises(CheckFailedError, match=f"constant term {d0} "):
+            series_expand(RatFunc(ONE, den), 2)
 
 
 def test_euler_phi_small_values():
