@@ -48,7 +48,7 @@ class Arrangement:
         return f"Arrangement(d={self.dimension}, n={self.n})"
 
 
-def parse_arrangement(rows, labels=None, name=None):
+def parse_arrangement(rows, labels=None):
     """Validate raw rows and build an :class:`Arrangement`.
 
     Rows may contain ints, strings of ints/fractions, or Fractions, but
@@ -196,7 +196,7 @@ def catalog(name):
     key = name.strip().lower()
     if key in _CATALOG_BUILDERS:
         rows, labels = _CATALOG_BUILDERS[key]()
-        return parse_arrangement(rows, labels=labels, name=key)
+        return parse_arrangement(rows, labels=labels)
     if ":" in key:
         head, _, tail = key.partition(":")
         try:
@@ -534,6 +534,27 @@ def localize(arrangement, hyperplanes):
         normals=tuple(tuple(r) for r in rows),
         labels=tuple(labels),
     )
+
+
+def components(arrangement):
+    """Connected components of the matroid of the normals: the finest
+    partition whose localizations the arrangement is the direct sum of.
+
+    ``rref`` of the transposed normals picks a basis of normals, its
+    pivots; reduced row i is nonzero in column e exactly when basis
+    normal ``pivots[i]`` lies in the fundamental circuit of e.  The
+    classes of that relation are the components (Oxley, *Matroid
+    Theory*, 2nd ed., ch. 4).  Sorted tuples, ordered by least member.
+    """
+    rows, _pivots = rref(list(zip(*arrangement.normals)))
+    comps = []
+    for row in rows:
+        joined = {h for h, x in enumerate(row) if x}
+        for c in [c for c in comps if c & joined]:
+            joined |= c
+            comps.remove(c)
+        comps.append(joined)
+    return sorted(tuple(sorted(c)) for c in comps)
 
 
 def _restrict_with_basis(arrangement, hyperplanes):

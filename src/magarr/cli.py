@@ -33,7 +33,7 @@ from .arrangement import (
     intersection_lattice,
     parse_arrangement,
 )
-from .errors import BudgetExceededError, CheckFailedError, MagarrError, ParseError
+from .errors import BudgetExceededError, MagarrError, ParseError
 from .homology import (
     conjecture_probes,
     default_length_cap,
@@ -108,7 +108,7 @@ def load_arrangement(source):
                     type(labels) is not list
                     or any(type(x) is not str for x in labels)):
                 raise ParseError(f"{source}: 'labels' must be a list of strings")
-            arr = parse_arrangement(rows, labels=labels, name=name)
+            arr = parse_arrangement(rows, labels=labels)
             want_d = data.get("dimension")
             if want_d is not None:
                 if type(want_d) is not int:  # bool is a subclass of int
@@ -124,7 +124,7 @@ def load_arrangement(source):
                 line = line.split("#", 1)[0].strip()
                 if line:
                     rows.append(line.split())
-            arr = parse_arrangement(rows, name=name)
+            arr = parse_arrangement(rows)
         return arr, name, True
     key = source.strip()
     for cname in CATALOG_NAMES:
@@ -308,11 +308,11 @@ def _lattice_task(lattice):
     }
 
 
-def _conjectures_task(job, arrangement, graph, lattice, group):
+def _conjectures_task(job, arrangement, graph, group):
     lmax = job.lmax if job.lmax is not None else default_length_cap(graph)
     mag = magnitude_direct(arrangement, graph, group)
     hom = magnitude_homology(arrangement, graph, lmax=lmax, group=group)
-    return conjecture_probes(arrangement, graph, lattice, mag, hom)
+    return conjecture_probes(arrangement, graph, mag, hom)
 
 
 def _verify_task(job, arrangement, name, is_file, graph, lattice, group):
@@ -348,43 +348,34 @@ def _verify_task(job, arrangement, name, is_file, graph, lattice, group):
         lmax = fixture["lmax"]
     else:
         lmax = default_length_cap(graph)
-    hom = None
-    try:
-        hom = magnitude_homology(arrangement, graph, lmax=lmax, group=group,
-                                 magnitude=mag.magnitude)
-        checks["hom:boundary_squares_to_zero"] = True
-    except CheckFailedError:
-        checks["hom:boundary_squares_to_zero"] = False
-    if hom is not None:
-        registries["hom"] = homology.structural_checks(
-            arrangement, lattice, group, hom, job.face_check)
-        if fixture is not None:
-            cap = min(lmax, fixture["lmax"])
-            want = {
-                k: v for k, v in _parse_cells(fixture["betti"]).items()
-                if k[1] <= cap
-            }
-            got = {
-                k: v for k, v in hom.betti.items() if v and k[1] <= cap
-            }
-            want_tor = {
-                k: v for k, v in _parse_cells(fixture["torsion"]).items()
-                if k[1] <= cap
-            }
-            got_tor = {
-                k: list(v) for k, v in hom.torsion.items() if k[1] <= cap
-            }
-            bad = sorted(
-                f"{k},{l}"
-                for (k, l) in set(want) | set(got)
-                if want.get((k, l)) != got.get((k, l))
-            )
-            checks["golden:betti"] = not bad and got_tor == {
-                k: list(v) for k, v in want_tor.items()
-            }
-            golden["betti_cells_checked"] = len(want)
-            if bad:
-                golden["betti_diff"] = bad
+    hom = magnitude_homology(arrangement, graph, lmax=lmax, group=group,
+                             magnitude=mag.magnitude)
+    checks["hom:boundary_squares_to_zero"] = True
+    registries["hom"] = homology.structural_checks(
+        arrangement, lattice, group, hom, job.face_check)
+    if fixture is not None:
+        cap = min(lmax, fixture["lmax"])
+        want = {
+            k: v for k, v in _parse_cells(fixture["betti"]).items()
+            if k[1] <= cap
+        }
+        got = {k: v for k, v in hom.betti.items() if v and k[1] <= cap}
+        want_tor = {
+            k: v for k, v in _parse_cells(fixture["torsion"]).items()
+            if k[1] <= cap
+        }
+        got_tor = {k: list(v) for k, v in hom.torsion.items() if k[1] <= cap}
+        bad = sorted(
+            f"{k},{l}"
+            for (k, l) in set(want) | set(got)
+            if want.get((k, l)) != got.get((k, l))
+        )
+        checks["golden:betti"] = not bad and got_tor == {
+            k: list(v) for k, v in want_tor.items()
+        }
+        golden["betti_cells_checked"] = len(want)
+        if bad:
+            golden["betti_diff"] = bad
     for prefix, named in registries.items():
         for key, val in named.items():
             checks[f"{prefix}:{key}"] = val
@@ -425,7 +416,7 @@ def run(job):
     elif task == "lattice":
         out = _lattice_task(lattice)
     elif task == "conjectures":
-        out = _conjectures_task(job, arrangement, graph, lattice, group)
+        out = _conjectures_task(job, arrangement, graph, group)
     else:
         out = _verify_task(job, arrangement, name, is_file, graph, lattice,
                            group)

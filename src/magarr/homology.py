@@ -32,12 +32,13 @@ from itertools import groupby, permutations, product
 import math
 
 from .arrangement import (
+    components,
     enumerate_chambers,
     flat_orbits,
     localize,
 )
 from .errors import BudgetExceededError, CheckFailedError
-from .linalg import complex_homology, matrix_rank
+from .linalg import complex_homology
 from .magnitude import alternating_violation, chamber_orbits, profile_uniform
 from .polyq import series_expand
 
@@ -289,7 +290,7 @@ def _assert_d2_zero(block, boundaries):
 # dynamic chain counting (no enumeration)
 
 
-def chain_count_table(graph, lmax, orbits, around):
+def chain_count_table(lmax, orbits, around):
     """Number of generating chains per (degree, length), all starts.
 
     Pure counting recursion over (end chamber, length) per degree, from
@@ -407,7 +408,7 @@ def magnitude_homology(arrangement, graph=None, *, lmax, group=None,
 
     checks = {}
     if not interior_only:
-        counted = chain_count_table(graph, lmax, orbits, around)
+        counted = chain_count_table(lmax, orbits, around)
         checks["chain_counts_match_recursion"] = counted == dict(dims)
         euler_enum = _euler_by_length(dims, lmax)
         checks["euler_of_homology_matches_chains"] = (
@@ -643,56 +644,14 @@ def four_cut_minimum(graph, group):
 # report-only probes
 
 
-def components_by_weight(arrangement, lattice):
-    """Partition of hyperplanes: join H and K when at least three pass
-    through their common flat.  Two distinct hyperplanes lie in exactly
-    one rank-2 flat, so this joins the hyperplanes of every rank-2 flat
-    with at least three of them."""
-    n = arrangement.n
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for f in lattice.flats_of_rank(2):
-        if f.size >= 3:
-            first, *rest = f.hyperplanes
-            for h in rest:
-                ra, rb = find(first), find(h)
-                if ra != rb:
-                    parent[ra] = rb
-    groups = defaultdict(list)
-    for h in range(n):
-        groups[find(h)].append(h)
-    return [tuple(sorted(g)) for g in groups.values()]
-
-
-def decomposability_heuristic(arrangement, lattice):
-    """Likely direct-sum structure from rank-two incidences.
-
-    Decomposable when the weight components split the hyperplanes and
-    their ranks add up to the total rank.
-    """
-    comps = components_by_weight(arrangement, lattice)
-    if len(comps) <= 1:
-        return False, comps
-    total = sum(
-        matrix_rank([arrangement.normals[h] for h in comp]) for comp in comps
-    )
-    return total == lattice.rank, comps
-
-
-def conjecture_probes(arrangement, graph, lattice, mag_result, hom_result):
+def conjecture_probes(arrangement, graph, mag_result, hom_result):
     """Machine-readable observations; never asserted as theorems.
 
     The uniformity probe can only certify non-transitivity (a uniform
     distance profile does not imply a transitive group), so it is
     one-directional: a counterexample needs a non-uniform profile and a
     missing cyclotomic factor.  The corner probe applies to
-    arrangements the weight heuristic deems indecomposable.
+    indecomposable arrangements: those with one matroid component.
     """
     probes = {}
     probes["torsion_free"] = {
@@ -729,7 +688,8 @@ def conjecture_probes(arrangement, graph, lattice, mag_result, hom_result):
         "counterexample": counterexample,
     }
 
-    decomposable, comps = decomposability_heuristic(arrangement, lattice)
+    comps = components(arrangement)
+    decomposable = len(comps) > 1
     corner = None
     if hom_result.lmax >= n:
         corner = hom_result.betti_at(rank, n) == hom_result.betti_at(0, 0)

@@ -2,8 +2,9 @@
 enumerated once per run and reused across test modules.  Also the
 oracles only tests use: values of rational functions, face sign
 vectors, their product, restriction chambers by enumeration, flats by
-closure, distances found by walking edges, the Betti table reduced
-block by block, and invariant factors from minors."""
+closure, matroid components by separators, distances found by walking
+edges, the Betti table reduced block by block, and invariant factors
+from minors."""
 
 from __future__ import annotations
 
@@ -165,6 +166,31 @@ def flats_by_closure(arrangement):
     return rank_of
 
 
+def components_by_separators(arrangement):
+    """Matroid components by brute force, the cross-check of
+    ``components``: a set S of hyperplanes is a separator when
+    rank(S) + rank(rest) = rank(all), and the component of h is the
+    intersection of the separators that contain h."""
+    n = arrangement.n
+    full = (1 << n) - 1
+
+    def rank(mask):
+        return matrix_rank([arrangement.normals[h] for h in range(n)
+                            if mask >> h & 1]) if mask else 0
+
+    total = rank(full)
+    separators = [s for s in range(1, full + 1)
+                  if rank(s) + rank(full ^ s) == total]
+    comps = set()
+    for h in range(n):
+        meet = full
+        for s in separators:
+            if s >> h & 1:
+                meet &= s
+        comps.add(tuple(g for g in range(n) if meet >> g & 1))
+    return sorted(comps)
+
+
 def tits_product(f, g):
     """Composition of sign vectors: entries of f, with zeros filled from g."""
     if len(f) != len(g):
@@ -259,7 +285,7 @@ def random_arrangements(count, seed, nmin=3, nmax=5, dim=3, span=2):
             [rng.randint(-span, span) for _ in range(dim)] for _ in range(n)
         ]
         try:
-            arr = parse_arrangement(rows, name=f"rand{len(out)}")
+            arr = parse_arrangement(rows)
         except Exception:
             continue
         out.append(arr)
@@ -410,7 +436,7 @@ def betti_by_every_block(graph, lmax, interior_only=False, magnitude=None):
     checks = {}
     if not interior_only:
         checks["chain_counts_match_recursion"] = (
-            chain_count_table(graph, lmax, [[c] for c in range(len(graph))],
+            chain_count_table(lmax, [[c] for c in range(len(graph))],
                               _near_lists(graph, lmax)) == dict(dims))
         euler = _euler(dims)
         checks["euler_of_homology_matches_chains"] = euler == _euler(

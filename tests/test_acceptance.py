@@ -253,10 +253,10 @@ def test_08_conjecture_probes_report_only():
     """Probes stay observational and find no counterexample anywhere."""
     report = {}
     for name in CATALOG_NAMES:
-        arr, graph, lattice, _ = geometry(name)
+        arr, graph, _, _ = geometry(name)
         mag = magnitude_of(name)
         res = homology_of(name, default_length_cap(graph))
-        probes = conjecture_probes(arr, graph, lattice, mag, res)
+        probes = conjecture_probes(arr, graph, mag, res)
         report[name] = probes
         assert probes["no_counterexample"] is True, (name, probes)
         assert probes["torsion_free"]["observed"], name

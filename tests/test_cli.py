@@ -33,7 +33,7 @@ from magarr.cli import (
     load_arrangement,
     main,
 )
-from magarr.errors import ParseError
+from magarr.errors import CheckFailedError, ParseError
 
 
 def _run(capsys, argv):
@@ -223,6 +223,23 @@ def test_conjectures_report_is_json(capsys):
     assert payload["no_counterexample"] is True
     assert payload["torsion_free"]["observed"] is True
     assert "nonuniform_forces_cyclotomic_factor" in payload
+    assert payload["corner_matches_chambers"]["components"] == [[0, 1, 2, 3]]
+
+
+def test_conjectures_see_a_sum_without_rank2_joins(capsys, tmp_path):
+    # U(3,4) plus a line: no rank-2 flat joins the line's complement, yet
+    # the input is a direct sum, so the corner probe does not apply
+    path = tmp_path / "u34line.json"
+    path.write_text(json.dumps({"normals": [
+        [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 0], [0, 0, 0, 1]]}))
+    code, out, _ = _run(capsys, ["conjectures", str(path), "--lmax", "5"])
+    assert code == 0
+    assert out.splitlines()[0].endswith(" 28 chambers")
+    corner = json.loads("\n".join(out.splitlines()[1:]))[
+        "corner_matches_chambers"]
+    assert corner["decomposable"] is True
+    assert corner["components"] == [[0, 1, 2, 3], [4]]
+    assert corner["applies"] is False
 
 
 def test_lattice_task_lists_flats(capsys):
@@ -561,6 +578,20 @@ def test_many_chamber_orbits_stop_on_the_magnitude_budget():
     assert len(errors) == 1 and errors[0].endswith(
         "(observed 20412); try a smaller arrangement")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("target", ["series_expand", "_assert_d2_zero"])
+def test_verify_reports_a_homology_failure_by_its_cause(capsys, monkeypatch,
+                                                        target):
+    def fail(*_args, **_kwargs):
+        raise CheckFailedError(f"doctored {target}")
+
+    monkeypatch.setattr(homology, target, fail)
+    code, out, err = _run(capsys, ["verify", "boolean:2"])
+    assert code == 1
+    assert err.splitlines()[-1] == f"error: doctored {target}"
+    assert "FAIL hom:" not in out
+    assert "Traceback" not in err
 
 
 def test_failed_golden_check_sets_exit_code(capsys, monkeypatch):

@@ -192,3 +192,31 @@ def test_every_defaulted_parameter_is_given_by_some_call():
 
 def test_unpassed_allowlist_names_exist():
     assert UNPASSED_ALLOWED <= {param for param, _ in _defaults()}
+
+
+# ---------------------------------------------------------------------------
+# parameters that their function never reads
+
+
+def _unread_parameters():
+    """Each parameter, of a function in the package that is not a
+    dunder, that no load in the function's body reads."""
+    unread = []
+    for tree in _trees():
+        for fn in ast.walk(tree):
+            if (not isinstance(fn, ast.FunctionDef)
+                    or fn.name.startswith("__") and fn.name.endswith("__")):
+                continue
+            args = fn.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [
+                a for a in (args.vararg, args.kwarg) if a is not None]
+            names, _ = _loads(*fn.body)
+            unread += [f"{fn.name}({a.arg})" for a in params
+                       if a.arg not in names]
+    return sorted(unread)
+
+
+def test_every_parameter_is_read():
+    unread = _unread_parameters()
+    assert not unread, ("parameters that their function never reads: "
+                        + ", ".join(unread))

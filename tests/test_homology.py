@@ -85,14 +85,14 @@ def test_builtin_consistency_checks(name):
 def test_chain_counts_agree_with_enumeration():
     _, graph, _, _ = geometry("braid:3")
     res = homology_of("braid:3", 5)
-    table = chain_count_table(graph, 5, chamber_orbits(graph)[1],
+    table = chain_count_table(5, chamber_orbits(graph)[1],
                               _near_lists(graph, 5))
     assert table == res.chain_dims
 
 
 def test_chain_count_recursion_small_values():
     _, graph, _, _ = geometry("boolean:1")
-    table = chain_count_table(graph, 2, chamber_orbits(graph)[1],
+    table = chain_count_table(2, chamber_orbits(graph)[1],
                               _near_lists(graph, 2))
     # two chambers: constants, one edge pair, and the back-and-forth path
     assert table[(0, 0)] == 2
