@@ -481,12 +481,16 @@ def intersection_lattice(arrangement, graph):
     normal is reduced once against X's echelon basis and grouped by its
     primitive, sign-canonical remainder.  The top is the only cover of
     rank r(A) - 1.  Flats are ordered by rank, then sorted hyperplanes.
+    By Weisner's theorem, mu(0, Z) = -sum of mu(0, Y) over the flats Y
+    that Z covers and that miss Z's lowest hyperplane (Stanley, EC1, 3.9).
     """
     normals = arrangement.normals
     if not all(map(any, normals)):
         raise CheckFailedError("a zero normal lies in every flat")
     top = len(rref(normals)[1])
-    rank_of = {0: 0, (1 << arrangement.n) - 1: top}
+    full = (1 << arrangement.n) - 1
+    rank_of = {0: 0, full: top}
+    lower = {}  # flat mask -> the flats it covers
     frontier = [(0, [], [])]  # (flat mask, echelon basis, pivot columns)
     for rank in range(1, top):
         nxt = []
@@ -498,15 +502,17 @@ def intersection_lattice(arrangement, graph):
                     covers[key] = covers.get(key, 0) | 1 << g
             for key, extra in covers.items():
                 closed = mask | extra
+                lower.setdefault(closed, []).append(mask)
                 if closed not in rank_of:
                     rank_of[closed] = rank
                     nxt.append((closed, *rref(basis + [key])))
         frontier = nxt
 
+    lower[full] = [m for m, r in rank_of.items() if r == top - 1]
     masks = sorted(rank_of, key=lambda m: (rank_of[m], _members(m)))
-    mobius = {0: 1}  # mu(0, Z) = -(sum of mu(0, W) over W < Z)
+    mobius = {0: 1}
     for m in masks[1:]:
-        mobius[m] = -sum(v for w, v in mobius.items() if w & m == w)
+        mobius[m] = -sum(mobius[y] for y in lower[m] if not y & m & -m)
     flats = tuple(Flat(index=i, mask=m, rank=rank_of[m], mobius=mobius[m])
                   for i, m in enumerate(masks))
     lattice = FaceLattice(arrangement, flats, len(graph))

@@ -18,6 +18,12 @@ element g fixing the start, with hyperplane relabelling pi, has
 g(m) ^ start = pi(m ^ start), so it maps a block's support and sign
 vectors by pi, and the blocks of one orbit share a memo key.
 
+Reversing each chain maps the block (a -> b, l, p) onto (b -> a, l, p)
+and deletion at i, sign (-1)^i, onto deletion at k - i, sign (-1)^k
+(-1)^i, so (-1)^(k(k+1)/2) times the reversal is a chain isomorphism.
+Its sign vectors are the block's xor a ^ b, the oddly crossed
+hyperplanes, so one block is reduced per reversal class of memo keys.
+
 A block whose length equals the distance from its start to its end is
 geodesic: its chains run through the interval between the two chambers,
 and the block is the order complex of that interval (Kaneta-Yoshinaga),
@@ -43,7 +49,7 @@ from .magnitude import alternating_violation, chamber_orbits, profile_uniform
 from .polyq import series_expand
 
 # entries one homology run may charge, for keys found and chains built;
-# 7 times what u45 at lmax 7 charges (8.40 million)
+# 10.6 times what u45 at lmax 7 charges (5.64 million)
 DEFAULT_CHAIN_BUDGET = 60_000_000
 # entries charged per chain built for its share of the reduction: its
 # rows in the index dicts, its boundary column and complex_homology's state
@@ -113,10 +119,12 @@ def _start_blocks(graph, start, lmax, spent, budget, full_support_only,
     chambers x have x ^ start inside S, and distances and smoothness read
     only S: the memo key, ``canonical_key`` of the profile on S and the
     set of all such x ^ start packed to S's bits (cached in ``canon``),
-    fixes the complex.  Chains are built only when the memo key is new
-    to ``memo``, which then maps it to None for the caller to fill in;
-    keys related by a symmetry fixing the start share a memo key (see
-    the module docstring), so they are reduced once.
+    fixes the complex.  Keys related by a symmetry fixing the start
+    share a memo key.  A key new to ``memo`` reads the entry of its
+    reversal (the same counts, every top xored by the odd-count bits) if
+    known, and ``canon`` then maps the raw key to it; else chains are
+    built and ``memo`` maps it to None until the caller, which reduces a
+    start's built blocks before it reads any, fills it in.
     ``spent`` counts what the run has charged, length + 1 + n per key
     found (the longest chain its block could hold, and its profile) and
     len(chain) + 1 + n + REDUCTION_CHARGE per chain built; past
@@ -169,6 +177,11 @@ def _start_blocks(graph, start, lmax, spent, budget, full_support_only,
         if raw not in canon:
             canon[raw] = canonical_key(*raw)
         memo_key = canon[raw]
+        if memo_key not in memo:  # the reversed block's entry, if known
+            odd = sum((c & 1) << i for i, c in enumerate(raw[0]))
+            back = canonical_key(raw[0], frozenset(x ^ odd for x in raw[1]))
+            if back in memo:
+                memo_key = canon[raw] = back
         chains = None
         if memo_key not in memo:
             memo[memo_key] = None
@@ -208,26 +221,33 @@ def canonical_key(counts, tops):
     and is not tried, so the whole k-cube costs one pass, not k!.
     """
     k = len(counts)
-    invariant = [(c, sorted(x.bit_count() for x in tops if x >> i & 1))
+    weighted = [(x, x.bit_count()) for x in tops]
+    invariant = [(c, sorted(w for x, w in weighted if x >> i & 1))
                  for i, c in enumerate(counts)]
     order = sorted(range(k), key=invariant.__getitem__)
     base = frozenset(_relabel_bits(tops, order))
-    choices = []
+    choices, permuted = [], False
     for _, tied in groupby(range(k), key=lambda p: invariant[order[p]]):
         run = tuple(tied)
         if any({x ^ ((x >> q ^ x >> q + 1) & 1) * (3 << q) for x in base}
                != base for q in run[:-1]):
             choices.append(permutations(run))
+            permuted = True
         else:
             choices.append((run,))
     best = min(sorted(_relabel_bits(base, [p for part in parts for p in part]))
-               for parts in product(*choices))
+               for parts in product(*choices)) if permuted else sorted(base)
     return tuple(counts[i] for i in order), tuple(best)
 
 
 def _relabel_bits(xs, perm):
-    """Each x with its bit perm[p] moved to bit p."""
-    return [sum((x >> c & 1) << p for p, c in enumerate(perm)) for x in xs]
+    """Each x with its bit perm[p] moved to bit p, read from a table of
+    all 2^k images."""
+    table = [0]
+    for c in range(len(perm)):
+        bit = 1 << perm.index(c)
+        table += [y | bit for y in table]
+    return [table[x] for x in xs]
 
 
 def _block_homology(block, masks):
@@ -244,18 +264,17 @@ def _block_homology(block, masks):
         lower = index.get(k - 1)
         cols = {}
         for col, chain in enumerate(block[k]):
+            ms = [masks[x] for x in chain]
             colmap = {}
             for i in range(1, k):
-                a, u, b = chain[i - 1], chain[i], chain[i + 1]
-                if (masks[a] ^ masks[u]) & (masks[u] ^ masks[b]):
+                if (ms[i - 1] ^ ms[i]) & (ms[i] ^ ms[i + 1]):
                     continue
                 target = chain[:i] + chain[i + 1 :]
                 row = lower.get(target) if lower else None
                 if row is None:
                     raise CheckFailedError(
                         f"boundary target {target} outside block")
-                sign = -1 if i % 2 else 1
-                coeff = colmap.get(row, 0) + sign
+                coeff = colmap.get(row, 0) + (-1 if i % 2 else 1)
                 if coeff:
                     colmap[row] = coeff
                 else:
@@ -389,10 +408,10 @@ def magnitude_homology(arrangement, graph=None, *, lmax, group=None,
         blocks, spent = _start_blocks(graph, rep, lmax, spent,
                                       DEFAULT_CHAIN_BUDGET, interior_only,
                                       around, memo, canon)
-        for key, (memo_key, block) in blocks.items():
-            length, end, profile = key
+        for memo_key, block in blocks.values():
             if block is not None:
                 memo[memo_key] = _block_homology(block, masks)
+        for (length, end, profile), (memo_key, _) in blocks.items():
             parts = ["all"]
             if 0 not in profile:
                 parts.append("inner")

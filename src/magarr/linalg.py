@@ -147,9 +147,6 @@ def snf_diagonal(entries):
     return tuple(sorted(diag))
 
 
-_DEGREE_SHIFT = 48
-
-
 def complex_homology(dims, boundaries):
     """Integral homology of a finite free chain complex.
 
@@ -167,31 +164,34 @@ def complex_homology(dims, boundaries):
     matrix per degree.  Returns
     {degree: (betti, torsion factors of the incoming map)}.
     """
-    # cells get one integer id: degree in the high bits, index below
-    bnd = {}
-    cob = defaultdict(set)
-    alive = dict(dims)
+    # cells are numbered 0..N-1, degree by degree
+    first, degree_of = {}, []
+    for k in sorted(dims):
+        first[k] = len(degree_of)
+        degree_of += [k] * dims[k]
+    bnd = [{} for _ in degree_of]
+    cob = [set() for _ in degree_of]
     for k, colmap in boundaries.items():
-        hi = k << _DEGREE_SHIFT
-        lo = (k - 1) << _DEGREE_SHIFT
+        hi, lo = first[k], first[k - 1]
         for j, col in colmap.items():
             c = hi + j
             bnd[c] = {lo + i: v for i, v in col.items()}
             for b in bnd[c]:
                 cob[b].add(c)
-    stack = list(bnd)
+    alive = dict(dims)
+    stack = list(range(len(bnd)))
     while stack:
         c = stack.pop()
-        col = bnd.get(c, {})
+        col = bnd[c]
         units = [(len(cob[b]), b) for b, v in col.items() if v in (1, -1)]
         if not units:
             continue
         b = min(units)[1]
         eps = col.pop(b)
-        del bnd[c]
-        for y in cob.pop(c, ()):
+        bnd[c] = {}
+        for y in cob[c]:
             del bnd[y][c]
-        ups = cob.pop(b)
+        ups = cob[b]
         ups.discard(c)
         for x in ups:
             bx = bnd[x]
@@ -207,14 +207,15 @@ def complex_homology(dims, boundaries):
         stack.extend(ups)
         for t in col:
             cob[t].discard(c)
-        for t in bnd.pop(b, ()):
+        for t in bnd[b]:
             cob[t].discard(b)
-        alive[c >> _DEGREE_SHIFT] -= 1
-        alive[b >> _DEGREE_SHIFT] -= 1
+        bnd[b] = {}
+        alive[degree_of[c]] -= 1
+        alive[degree_of[b]] -= 1
     core = defaultdict(dict)
-    for c, col in bnd.items():
+    for c, col in enumerate(bnd):
         for b, v in col.items():
-            core[c >> _DEGREE_SHIFT][(b, c)] = v
+            core[degree_of[c]][(b, c)] = v
     ranks, tors = {}, {}
     for k, entries in core.items():
         diag = snf_diagonal(entries)

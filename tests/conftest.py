@@ -2,8 +2,9 @@
 enumerated once per run and reused across test modules.  Also the
 oracles only tests use: values of rational functions, face sign
 vectors, their product, restriction chambers by enumeration, flats by
-closure, matroid components by separators, distances found by walking
-edges, the Betti table reduced block by block, and invariant factors
+closure, Moebius numbers by their defining sum, matroid components by
+separators, distances found by walking edges, relabelled bits one at a
+time, the Betti table reduced block by block, and invariant factors
 from minors."""
 
 from __future__ import annotations
@@ -166,6 +167,17 @@ def flats_by_closure(arrangement):
     return rank_of
 
 
+def mobius_by_sum(lattice):
+    """{flat mask: mu(0, flat)} from the definition, mu(0, Z) = -(sum of
+    mu(0, W) over the flats W < Z), scanning every earlier flat: the
+    cross-check of the Weisner recursion in ``intersection_lattice``."""
+    mobius = {0: 1}
+    for f in lattice.flats[1:]:
+        mobius[f.mask] = -sum(v for w, v in mobius.items()
+                              if w & f.mask == w)
+    return mobius
+
+
 def components_by_separators(arrangement):
     """Matroid components by brute force, the cross-check of
     ``components``: a set S of hyperplanes is a separator when
@@ -299,6 +311,7 @@ def check_instance_laws(arr):
     _, _, group = chamber_orbits(graph)
     size = len(graph)
     assert {f.mask: f.rank for f in lattice.flats} == flats_by_closure(arr)
+    assert {f.mask: f.mobius for f in lattice.flats} == mobius_by_sum(lattice)
 
     # sign enumeration agrees with the alternating Moebius count
     chi = lattice.characteristic_polynomial()
@@ -393,6 +406,12 @@ def _raw_memo_key(graph, start, profile):
         for x in (m ^ graph.masks[start] for m in graph.masks)
         if x & inside == x)
     return tuple(profile[h] for h in support), tops
+
+
+def relabel_bits_by_bits(xs, perm):
+    """Each x with its bit perm[p] moved to bit p, one bit at a time: the
+    cross-check of the table in ``homology._relabel_bits``."""
+    return [sum((x >> c & 1) << p for p, c in enumerate(perm)) for x in xs]
 
 
 def every_block(graph, lmax, interior_only=False):

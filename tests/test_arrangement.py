@@ -16,6 +16,7 @@ from conftest import (
     bfs_distances,
     flats_by_closure,
     geometry,
+    mobius_by_sum,
     neighbours,
     restriction_count_by_enumeration,
     sign_feasible,
@@ -343,6 +344,8 @@ def test_lattice_matches_closure_search(name):
     arr = catalog(name)
     lattice = intersection_lattice(arr, enumerate_chambers(arr))
     assert {f.mask: f.rank for f in lattice.flats} == flats_by_closure(arr)
+    # Weisner's recursion over lower covers against the defining sum
+    assert {f.mask: f.mobius for f in lattice.flats} == mobius_by_sum(lattice)
 
 
 def test_essentialize_preserves_chambers():

@@ -123,6 +123,33 @@ MAG_STDOUT_DIGESTS = {
 }
 
 
+# sha256 of the stdout of `homology <name> --lmax L --no-face-check`,
+# recorded before blocks were reduced once per reversal class
+HOMOLOGY_STDOUT_DIGESTS = {
+    ("braid:4", 6):
+        "01c77888c8f6cf503c01ff33e221d034dbaa6ba5fde6edeecd3856fd06014e08",
+    ("u45", 6):
+        "e4aa3e5edcf60fb3839b96dccb864c4d96681a708a14c8d7dd0d235f95a258bc",
+    ("k5me", 5):
+        "12d601d9e3313d75a6d6270c109748bc8abfc12a1af3e015136750dad2b9c8a8",
+    ("bracelet", 5):
+        "111a796f8893237f9d76340611ad1dcd76c100f2bd983e17befffe0356126899",
+    ("u34", 8):
+        "b4b1b2a5a735ee5d6e204e0e9413e71cb3dfcb5bce5b163e6891339c9c40febb",
+    ("coxeter:B3", 6):
+        "41de3c172c2ee64fc80f08f9b468c6cca83cc36e32c26f7b7251c0612e47e142",
+}
+
+
+@pytest.mark.parametrize("name, lmax", list(HOMOLOGY_STDOUT_DIGESTS))
+def test_homology_stdout_matches_frozen_digest(capsys, name, lmax):
+    code, out, _ = _run(capsys, ["homology", name, "--lmax", str(lmax),
+                                 "--no-face-check"])
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == HOMOLOGY_STDOUT_DIGESTS[name, lmax])
+
+
 @pytest.mark.parametrize("name", list(MAG_STDOUT_DIGESTS))
 def test_mag_stdout_matches_frozen_digest(capsys, name):
     code, out, _ = _run(capsys, ["mag", name])

@@ -10,6 +10,8 @@ import time
 import pytest
 
 from conftest import (
+    _chain_blocks,
+    _raw_memo_key,
     betti_by_every_block,
     every_block,
     geometry,
@@ -17,6 +19,7 @@ from conftest import (
     key_orbit_by_closure,
     magnitude_of,
     random_arrangements,
+    relabel_bits_by_bits,
     stabilizer_by_closure,
 )
 import magarr.homology as homology
@@ -27,6 +30,7 @@ from magarr.homology import (
     _assert_d2_zero,
     _block_homology,
     _near_lists,
+    _relabel_bits,
     _start_blocks,
     canonical_key,
     chain_count_table,
@@ -363,6 +367,69 @@ def test_equal_memo_keys_have_equal_summaries(source, lmax, interior_only):
         assert first == summary, memo_key
         shared += first is not summary
     assert shared
+
+
+# the random instances at lmax 4, and one past their n for the interior
+REVERSAL_CASES = [
+    *((name, lmax, False) for name, lmax in
+      (("braid:4", 5), ("u34", 5), ("k4me", 4))),
+    *((name, lmax, True) for name, lmax in
+      (("braid:4", 6), ("u34", 5), ("k4me", 6))),
+    *((i, 4, False) for i in range(len(RANDOM_MEMO_CASES))),
+    *((i, arr.n + 1, True) for i, arr in enumerate(RANDOM_MEMO_CASES)),
+]
+
+
+@pytest.mark.parametrize("source, lmax, interior_only", REVERSAL_CASES)
+def test_reversal_classes(source, lmax, interior_only, monkeypatch):
+    # reversing its chains maps the block (a -> b, l, p) onto (b -> a, l, p)
+    # with the same summary, and flips the odd-count bits of its tops; the
+    # run reduces one block per class of memo keys under reversal
+    arr, graph, group, _ = _memo_case(source)
+    masks = graph.masks
+    blocks = [_chain_blocks(graph, s, lmax, interior_only)
+              for s in range(len(graph))]
+    summaries = {}
+
+    def summary(start, key):
+        if (start, key) not in summaries:
+            summaries[start, key] = _block_homology(blocks[start][key], masks)
+        return summaries[start, key]
+
+    classes = set()
+    for start, by_key in enumerate(blocks):
+        for (length, end, profile), block in by_key.items():
+            back = (length, start, profile)
+            assert {k: sorted(c[::-1] for c in chains)
+                    for k, chains in block.items()} == {
+                k: sorted(chains) for k, chains in blocks[end][back].items()}
+            assert summary(start, (length, end, profile)) == summary(end, back)
+            counts, tops = _raw_memo_key(graph, start, profile)
+            odd = sum((c & 1) << i for i, c in enumerate(counts))
+            flipped = (counts, frozenset(x ^ odd for x in tops))
+            assert _raw_memo_key(graph, end, profile) == flipped
+            classes.add(frozenset({canonical_key(counts, tops),
+                                   canonical_key(*flipped)}))
+    reduced = []
+
+    def counted(block, masks):
+        reduced.append(block)
+        return _block_homology(block, masks)
+
+    monkeypatch.setattr(homology, "_block_homology", counted)
+    magnitude_homology(arr, graph, lmax=lmax, group=group,
+                       interior_only=interior_only)
+    assert len(reduced) == len(classes)
+
+
+def test_relabel_bits_matches_bit_by_bit():
+    rng = random.Random(20261019)
+    for k in range(9):
+        for _ in range(30):
+            perm = list(range(k))
+            rng.shuffle(perm)
+            xs = rng.sample(range(1 << k), rng.randint(0, 1 << k))
+            assert _relabel_bits(xs, perm) == relabel_bits_by_bits(xs, perm)
 
 
 def _relabelled(counts, tops, perm):
