@@ -472,7 +472,7 @@ class FaceLattice:
         return out
 
 
-def intersection_lattice(arrangement, graph):
+def intersection_lattice(graph):
     """Build the poset of flats with mu(0, X) for every flat X.
 
     Flats are found rank by rank, keyed on their hyperplane masks.  The
@@ -484,11 +484,11 @@ def intersection_lattice(arrangement, graph):
     By Weisner's theorem, mu(0, Z) = -sum of mu(0, Y) over the flats Y
     that Z covers and that miss Z's lowest hyperplane (Stanley, EC1, 3.9).
     """
-    normals = arrangement.normals
+    normals = graph.arrangement.normals
     if not all(map(any, normals)):
         raise CheckFailedError("a zero normal lies in every flat")
     top = len(rref(normals)[1])
-    full = (1 << arrangement.n) - 1
+    full = (1 << graph.n) - 1
     rank_of = {0: 0, full: top}
     lower = {}  # flat mask -> the flats it covers
     frontier = [(0, [], [])]  # (flat mask, echelon basis, pivot columns)
@@ -515,7 +515,7 @@ def intersection_lattice(arrangement, graph):
         mobius[m] = -sum(mobius[y] for y in lower[m] if not y & m & -m)
     flats = tuple(Flat(index=i, mask=m, rank=rank_of[m], mobius=mobius[m])
                   for i, m in enumerate(masks))
-    lattice = FaceLattice(arrangement, flats, len(graph))
+    lattice = FaceLattice(graph.arrangement, flats, len(graph))
 
     # Zaslavsky count must match the enumeration.
     total = sum(abs(f.mobius) for f in flats)

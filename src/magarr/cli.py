@@ -4,7 +4,10 @@ One task per invocation: ``magarr <task> <source>`` with a task out of
 mag, homology, lattice, verify, conjectures.  A source is a catalog
 name or a file of normals, either JSON ({"dimension": d, "normals":
 [["p/q", ...], ...], "labels": [...]}) or a whitespace-separated
-matrix, one hyperplane per row, with # comments.
+matrix, one hyperplane per row, with # comments.  ``run`` reads the
+parsed command line itself, and each task reads the arrangement off the
+tope graph or the flat poset that carries it.  Cached geometry is kept
+per exact row presentation.
 
 Reports are deterministic: the same job produces the same bytes, so
 timing and cache notes go to stderr only.  Rational numbers in JSON
@@ -19,7 +22,6 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
@@ -27,7 +29,6 @@ from . import homology, magnitude
 from .arrangement import (
     CATALOG_NAMES,
     TopeGraph,
-    _sign_canonical,
     catalog,
     enumerate_chambers,
     intersection_lattice,
@@ -47,25 +48,6 @@ TASKS = ("mag", "homology", "lattice", "verify", "conjectures")
 REPORT_SCHEMA = 1
 SCHEMA_VERSION = 2  # cache payload
 FOUR_CUT_LIMIT = 60
-
-
-@dataclass
-class JobSpec:
-    """One request; the CLI builds exactly one per invocation."""
-
-    source: str
-    task: str
-    lmax: int = None
-    det_check: bool = False  # also run on graphs above DET_CHECK_AUTO_LIMIT
-    face_check: bool = True
-    json_path: str = None
-    cache_dir: str = None
-
-    def __post_init__(self):
-        if self.task not in TASKS:
-            raise ParseError(f"unknown task {self.task!r}")
-        if self.lmax is not None and self.lmax < 0:
-            raise ParseError("--lmax must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -138,19 +120,16 @@ def load_arrangement(source):
 # lattice cache
 
 def cache_key(arrangement):
-    """Content hash of the arrangement, stable under row reordering.
-
-    Rows are reduced to primitive sign-canonical integer vectors and
-    sorted before hashing.
-    """
-    rows = sorted(_sign_canonical(r) for r in arrangement.normals)
+    """Content hash of the dimension and the rows in their given order,
+    so each row presentation has an entry of its own."""
     text = f"d={arrangement.dimension};" + ";".join(
-        ",".join(str(x) for x in row) for row in rows
+        ",".join(str(x) for x in row) for row in arrangement.normals
     )
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _geometry_payload(arrangement, graph):
+def _geometry_payload(graph):
+    arrangement = graph.arrangement
     return {
         "version": SCHEMA_VERSION,
         "dimension": arrangement.dimension,
@@ -171,20 +150,20 @@ def _geometry_from_payload(arrangement, data):
     if data.get("version") != SCHEMA_VERSION:
         raise ParseError("cache schema version mismatch")
     if data["rows"] != [list(row) for row in arrangement.normals]:
-        # same canonical key, different presentation: not reusable
+        # a hash collision: the entry is for other rows
         raise ParseError("cache entry stored for a different row presentation")
     masks = [int(m) for m in data["masks"]]
     witnesses = [tuple(int(x) for x in w) for w in data["witnesses"]]
     graph = TopeGraph(arrangement, masks, witnesses)
     graph.check_witnesses()
-    return graph, intersection_lattice(arrangement, graph)
+    return graph, intersection_lattice(graph)
 
 
 def get_geometry(arrangement, cache_dir):
     """Chambers and flats, through the cache when one is configured."""
     if not cache_dir:
         graph = enumerate_chambers(arrangement)
-        return graph, intersection_lattice(arrangement, graph), "off"
+        return graph, intersection_lattice(graph), "off"
     try:
         os.makedirs(cache_dir, exist_ok=True)
     except OSError as exc:
@@ -200,12 +179,12 @@ def get_geometry(arrangement, cache_dir):
         except Exception as exc:  # corrupt or stale: recompute and overwrite
             print(f"cache: discarding {path}: {exc}", file=sys.stderr)
     graph = enumerate_chambers(arrangement)
-    lattice = intersection_lattice(arrangement, graph)
+    lattice = intersection_lattice(graph)
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
-            json.dump(_geometry_payload(arrangement, graph), fh, sort_keys=True)
+            json.dump(_geometry_payload(graph), fh, sort_keys=True)
         os.replace(tmp, path)
     except OSError as exc:
         raise ParseError(f"--cache {cache_dir}: cannot write ({exc})") from None
@@ -257,8 +236,8 @@ def _torsion_out(table):
     return {f"{k},{l}": list(v) for (k, l), v in sorted(table.items())}
 
 
-def _mag_task(job, arrangement, graph, lattice, group):
-    res = magnitude_direct(arrangement, graph, group)
+def _mag_task(args, graph, lattice, group):
+    res = magnitude_direct(graph, group)
     return {
         "magnitude": {"num": list(res.magnitude.num.coeffs),
                       "den": list(res.magnitude.den.coeffs)},
@@ -270,13 +249,14 @@ def _mag_task(job, arrangement, graph, lattice, group):
         "orbit_count": res.orbit_count,
         "symmetry_order": res.symmetry_order,
         "checks": magnitude.structural_checks(
-            graph, lattice, group, res, job.face_check, job.det_check),
+            graph, lattice, group, res, not args.no_face_check,
+            args.det_check),
     }
 
 
-def _homology_task(job, arrangement, graph, group):
-    lmax = job.lmax if job.lmax is not None else default_length_cap(graph)
-    res = magnitude_homology(arrangement, graph, lmax=lmax, group=group,
+def _homology_task(args, graph, group):
+    lmax = args.lmax if args.lmax is not None else default_length_cap(graph)
+    res = magnitude_homology(graph, lmax=lmax, group=group,
                              magnitude=magnitude_fraction(graph, group))
     out = {
         "lmax": res.lmax,
@@ -308,20 +288,21 @@ def _lattice_task(lattice):
     }
 
 
-def _conjectures_task(job, arrangement, graph, group):
-    lmax = job.lmax if job.lmax is not None else default_length_cap(graph)
-    mag = magnitude_direct(arrangement, graph, group)
-    hom = magnitude_homology(arrangement, graph, lmax=lmax, group=group)
-    return conjecture_probes(arrangement, graph, mag, hom)
+def _conjectures_task(args, graph, group):
+    lmax = args.lmax if args.lmax is not None else default_length_cap(graph)
+    mag = magnitude_direct(graph, group)
+    hom = magnitude_homology(graph, lmax=lmax, group=group)
+    return conjecture_probes(graph, mag, hom)
 
 
-def _verify_task(job, arrangement, name, is_file, graph, lattice, group):
+def _verify_task(args, name, is_file, graph, lattice, group):
     """Full structural suite plus golden diffs for the source."""
     checks = {}
     golden = {}
-    mag = magnitude_direct(arrangement, graph, group)
+    face_check = not args.no_face_check
+    mag = magnitude_direct(graph, group)
     registries = {"mag": magnitude.structural_checks(
-        graph, lattice, group, mag, job.face_check, job.det_check)}
+        graph, lattice, group, mag, face_check, args.det_check)}
 
     gm = None if is_file else golden_magnitude().get(name)
     if gm is not None:
@@ -342,17 +323,17 @@ def _verify_task(job, arrangement, name, is_file, graph, lattice, group):
     fixture = None if is_file else golden_betti().get(name)
     if fixture is None and extra is not None and "betti" in extra:
         fixture = extra
-    if job.lmax is not None:
-        lmax = job.lmax
+    if args.lmax is not None:
+        lmax = args.lmax
     elif fixture is not None:
         lmax = fixture["lmax"]
     else:
         lmax = default_length_cap(graph)
-    hom = magnitude_homology(arrangement, graph, lmax=lmax, group=group,
+    hom = magnitude_homology(graph, lmax=lmax, group=group,
                              magnitude=mag.magnitude)
     checks["hom:boundary_squares_to_zero"] = True
     registries["hom"] = homology.structural_checks(
-        arrangement, lattice, group, hom, job.face_check)
+        lattice, group, hom, face_check)
     if fixture is not None:
         cap = min(lmax, fixture["lmax"])
         want = {
@@ -384,17 +365,19 @@ def _verify_task(job, arrangement, name, is_file, graph, lattice, group):
     return out
 
 
-def run(job):
-    """Execute the job; returns (report bundle, list of failed checks)."""
-    arrangement, name, is_file = load_arrangement(job.source)
-    graph, lattice, cache_note = get_geometry(arrangement, job.cache_dir)
-    if job.cache_dir:
+def run(args):
+    """Execute the parsed command line; returns (report bundle, list of
+    failed checks)."""
+    arrangement, name, is_file = load_arrangement(args.source)
+    cache_dir = args.cache or os.environ.get("MAGARR_CACHE")
+    graph, lattice, cache_note = get_geometry(arrangement, cache_dir)
+    if cache_dir:
         print(f"cache: {cache_note}", file=sys.stderr)
     # every task but lattice reads the symmetry group
-    group = None if job.task == "lattice" else chamber_orbits(graph)[2]
+    group = None if args.task == "lattice" else chamber_orbits(graph)[2]
     bundle = {
         "schema": REPORT_SCHEMA,
-        "source": job.source,
+        "source": args.source,
         "arrangement": {
             "name": name,
             "dimension": arrangement.dimension,
@@ -407,19 +390,18 @@ def run(job):
             ),
         },
     }
-    task = job.task
+    task = args.task
     t0 = time.time()
     if task == "mag":
-        out = _mag_task(job, arrangement, graph, lattice, group)
+        out = _mag_task(args, graph, lattice, group)
     elif task == "homology":
-        out = _homology_task(job, arrangement, graph, group)
+        out = _homology_task(args, graph, group)
     elif task == "lattice":
         out = _lattice_task(lattice)
     elif task == "conjectures":
-        out = _conjectures_task(job, arrangement, graph, group)
+        out = _conjectures_task(args, graph, group)
     else:
-        out = _verify_task(job, arrangement, name, is_file, graph, lattice,
-                           group)
+        out = _verify_task(args, name, is_file, graph, lattice, group)
     bundle["tasks"] = {task: out}
     print(f"{task}: {time.time() - t0:.2f}s", file=sys.stderr)
     failures = [
@@ -550,16 +532,9 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        job = JobSpec(
-            source=args.source,
-            task=args.task,
-            lmax=args.lmax,
-            det_check=args.det_check,
-            face_check=not args.no_face_check,
-            json_path=args.json,
-            cache_dir=args.cache or os.environ.get("MAGARR_CACHE"),
-        )
-        bundle, failures = run(job)
+        if args.lmax is not None and args.lmax < 0:
+            raise ParseError("--lmax must be nonnegative")
+        bundle, failures = run(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -569,13 +544,13 @@ def main(argv=None):
     except MagarrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if job.json_path:
+    if args.json:
         try:
-            with open(job.json_path, "w") as fh:
+            with open(args.json, "w") as fh:
                 json.dump(bundle, fh, sort_keys=True, indent=1)
                 fh.write("\n")
         except OSError as exc:
-            print(f"error: --json {job.json_path}: cannot write ({exc})",
+            print(f"error: --json {args.json}: cannot write ({exc})",
                   file=sys.stderr)
             return 2
     for line in render(bundle):

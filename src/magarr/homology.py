@@ -45,7 +45,7 @@ from .arrangement import (
 )
 from .errors import BudgetExceededError, CheckFailedError
 from .linalg import complex_homology
-from .magnitude import alternating_violation, chamber_orbits, profile_uniform
+from .magnitude import alternating_violation, chamber_orbits
 from .polyq import series_expand
 
 # entries one homology run may charge, for keys found and chains built;
@@ -371,17 +371,17 @@ class HomologyResult:
     interior_torsion: dict
     geodesic_betti: dict
     geodesic_torsion: dict
-    chamber_count: int
     checks: dict = field(default_factory=dict)
 
     def betti_at(self, k, length):
         return self.betti.get((k, length), 0)
 
 
-def magnitude_homology(arrangement, graph=None, *, lmax, group=None,
-                       interior_only=False, magnitude=None):
-    """Bigraded Betti table through total length ``lmax``.
+def magnitude_homology(graph, *, lmax, group=None, interior_only=False,
+                       magnitude=None):
+    """Bigraded Betti table of ``graph`` through total length ``lmax``.
 
+    The tope graph is the whole input; the run enumerates no chambers.
     ``interior_only`` restricts the complex to chains crossing every
     hyperplane, which is the summand entering the face decomposition.
     When ``magnitude`` (a RatFunc) is given, the per-length Euler
@@ -391,8 +391,6 @@ def magnitude_homology(arrangement, graph=None, *, lmax, group=None,
     entries (read at call time) for the keys it finds and the chains it
     builds (see ``_start_blocks``) stops with BudgetExceededError.
     """
-    if graph is None:
-        graph = enumerate_chambers(arrangement)
     _, orbits, _ = chamber_orbits(graph, group)
     masks = graph.masks
     betti = {part: defaultdict(int) for part in ("all", "inner", "geodesic")}
@@ -447,7 +445,6 @@ def magnitude_homology(arrangement, graph=None, *, lmax, group=None,
         interior_torsion=_tidy_torsion(torsion["inner"]),
         geodesic_betti=dict(betti["geodesic"]),
         geodesic_torsion=_tidy_torsion(torsion["geodesic"]),
-        chamber_count=len(graph),
         checks=checks,
     )
 
@@ -513,7 +510,7 @@ def diagonal_betti_formula(lattice, lmax):
     return out
 
 
-def structural_checks(arrangement, lattice, group, result, face_check=True):
+def structural_checks(lattice, group, result, face_check=True):
     """Every homology-level check of ``result``, by name.
 
     The run's own checks, then the paper's identities against the flat
@@ -525,7 +522,7 @@ def structural_checks(arrangement, lattice, group, result, face_check=True):
     the face decomposition.
     """
     lmax = result.lmax
-    n = arrangement.n
+    n = lattice.arrangement.n
     rank = lattice.rank
     betti_at = result.betti_at
     restricted = lattice.restriction_chamber_count
@@ -578,11 +575,11 @@ def structural_checks(arrangement, lattice, group, result, face_check=True):
     )
     if face_check:
         checks["face_decomposition"] = face_decomposition_check(
-            arrangement, lattice, result, group)[0]
+            lattice, result, group)[0]
     return checks
 
 
-def face_decomposition_check(arrangement, lattice, result, group):
+def face_decomposition_check(lattice, result, group):
     """Betti table equals the flat-indexed sum of interior tables.
 
     Every chain crosses the hyperplanes of some flat's localization and
@@ -607,7 +604,7 @@ def face_decomposition_check(arrangement, lattice, result, group):
         if rep.rank == 0:
             total[(0, 0)] += weight * c
             continue
-        sub = localize(arrangement, rep.hyperplanes)
+        sub = enumerate_chambers(localize(lattice.arrangement, rep.hyperplanes))
         sub_res = magnitude_homology(sub, lmax=result.lmax, interior_only=True)
         for key, v in sub_res.betti.items():
             total[key] += weight * c * v
@@ -663,14 +660,15 @@ def four_cut_minimum(graph, group):
 # report-only probes
 
 
-def conjecture_probes(arrangement, graph, mag_result, hom_result):
+def conjecture_probes(graph, mag_result, hom_result):
     """Machine-readable observations; never asserted as theorems.
 
     The uniformity probe can only certify non-transitivity (a uniform
     distance profile does not imply a transitive group), so it is
-    one-directional: a counterexample needs a non-uniform profile and a
-    missing cyclotomic factor.  The corner probe applies to
-    indecomposable arrangements: those with one matroid component.
+    one-directional: a counterexample needs a non-uniform profile (not
+    every chamber sees one multiset of distances) and a missing
+    cyclotomic factor.  The corner probe applies to indecomposable
+    arrangements: those with one matroid component.
     """
     probes = {}
     probes["torsion_free"] = {
@@ -691,7 +689,9 @@ def conjecture_probes(arrangement, graph, mag_result, hom_result):
     elif rank >= 4 and rank % 2 == 0:
         uniform_needed = n
     factor_orders = {k for k, _mult in mag_result.cyclotomic_den}
-    uniform, _profiles = profile_uniform(graph)
+    size = len(graph)
+    uniform = len({tuple(sorted(graph.dist(i, j) for j in range(size)))
+                   for i in range(size)}) == 1
     counterexample = bool(
         uniform_needed is not None
         and not uniform
@@ -707,7 +707,7 @@ def conjecture_probes(arrangement, graph, mag_result, hom_result):
         "counterexample": counterexample,
     }
 
-    comps = components(arrangement)
+    comps = components(graph.arrangement)
     decomposable = len(comps) > 1
     corner = None
     if hom_result.lmax >= n:

@@ -182,7 +182,6 @@ def magnitude_fraction(graph, group):
 class MagnitudeResult:
     """Magnitude with the values derived from it."""
 
-    chamber_count: int
     n: int
     rank: int
     magnitude: RatFunc
@@ -201,15 +200,14 @@ def interior_magnitude(mag, rank, n):
     return reduce_fraction(num, mag.den)
 
 
-def magnitude_direct(arrangement, graph, group):
+def magnitude_direct(graph, group):
     """Magnitude and its derived values, from the chamber metric."""
     _, orbits, group = chamber_orbits(graph, group)
     mag = magnitude_fraction(graph, group)
-    n = arrangement.n
-    rank = matrix_rank(arrangement.normals)
+    n = graph.n
+    rank = matrix_rank(graph.arrangement.normals)
     interior = interior_magnitude(mag, rank, n)
     return MagnitudeResult(
-        chamber_count=len(graph),
         n=n,
         rank=rank,
         magnitude=mag,
@@ -475,30 +473,3 @@ def varchenko_det_product(lattice):
         base = ONE - IntPoly.monomial(2 * f.size)
         out = out * base ** (c * beta)
     return out
-
-
-# ---------------------------------------------------------------------------
-# distance profile
-
-
-def distance_profile(graph):
-    """Per-chamber generating polynomials of distances to all chambers."""
-    rows = []
-    for i in range(len(graph)):
-        counts = [0] * (graph.n + 1)
-        for j in range(len(graph)):
-            counts[graph.dist(i, j)] += 1
-        rows.append(IntPoly(counts))
-    return rows
-
-
-def profile_uniform(graph):
-    """Whether every chamber sees the same distance profile.
-
-    A uniform profile is implied by a vertex-transitive symmetry group,
-    so non-uniformity certifies non-transitivity; the converse need not
-    hold.
-    """
-    rows = distance_profile(graph)
-    distinct = {r.coeffs for r in rows}
-    return len(distinct) == 1, len(distinct)

@@ -62,7 +62,7 @@ def geometry(name):
     if name not in _GEOMETRY:
         arr = catalog(name)
         graph = enumerate_chambers(arr)
-        lattice = intersection_lattice(arr, graph)
+        lattice = intersection_lattice(graph)
         _, _, group = chamber_orbits(graph)
         _GEOMETRY[name] = (arr, graph, lattice, group)
     return _GEOMETRY[name]
@@ -70,8 +70,8 @@ def geometry(name):
 
 def magnitude_of(name):
     if name not in _MAGNITUDE:
-        arr, graph, _, group = geometry(name)
-        _MAGNITUDE[name] = magnitude_direct(arr, graph, group)
+        _, graph, _, group = geometry(name)
+        _MAGNITUDE[name] = magnitude_direct(graph, group)
     return _MAGNITUDE[name]
 
 
@@ -90,9 +90,9 @@ def homology_of(name, lmax):
     magnitude series."""
     key = (name, lmax)
     if key not in _HOMOLOGY:
-        arr, graph, lattice, group = geometry(name)
+        _, graph, _, group = geometry(name)
         _HOMOLOGY[key] = magnitude_homology(
-            arr, graph, lmax=lmax, group=group,
+            graph, lmax=lmax, group=group,
             magnitude=magnitude_of(name).magnitude,
         )
     return _HOMOLOGY[key]
@@ -307,7 +307,7 @@ def random_arrangements(count, seed, nmin=3, nmax=5, dim=3, span=2):
 def check_instance_laws(arr):
     """Invariants every central arrangement must satisfy, end to end."""
     graph = enumerate_chambers(arr)
-    lattice = intersection_lattice(arr, graph)
+    lattice = intersection_lattice(graph)
     _, _, group = chamber_orbits(graph)
     size = len(graph)
     assert {f.mask: f.rank for f in lattice.flats} == flats_by_closure(arr)
@@ -352,13 +352,13 @@ def check_instance_laws(arr):
                 assert graph.dist(d, c) == graph.dist(d, gate) + graph.dist(gate, c)
 
     # series, chain counts, homology and every structural identity agree
-    mag = magnitude_direct(arr, graph, group)
+    mag = magnitude_direct(graph, group)
     checks = magnitude_checks(graph, lattice, group, mag)
     assert all(checks.values()), {k: v for k, v in checks.items() if not v}
     hom = magnitude_homology(
-        arr, graph, lmax=5, group=group, magnitude=mag.magnitude,
+        graph, lmax=5, group=group, magnitude=mag.magnitude,
     )
-    checks = structural_checks(arr, lattice, group, hom)
+    checks = structural_checks(lattice, group, hom)
     assert set(hom.checks) < set(checks)
     assert all(checks.values()), {k: v for k, v in checks.items() if not v}
     return size
@@ -474,7 +474,6 @@ def betti_by_every_block(graph, lmax, interior_only=False, magnitude=None):
         interior_torsion=_tidy_torsion(torsion["interior"]),
         geodesic_betti=dict(betti["geodesic"]),
         geodesic_torsion=_tidy_torsion(torsion["geodesic"]),
-        chamber_count=len(graph),
         checks=checks,
     )
 

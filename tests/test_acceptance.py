@@ -204,7 +204,7 @@ def test_06_homology_identity_suite(capsys):
     for name, lmax in runs:
         arr, _, lattice, group = geometry(name)
         res = homology_of(name, lmax)  # raises if any boundary square fails
-        checks = named[name, lmax] = structural_checks(arr, lattice, group, res)
+        checks = named[name, lmax] = structural_checks(lattice, group, res)
         bad = sorted(k for k, v in checks.items() if not v)
         assert not bad, (name, lmax, bad)
         # a check that is dropped, or skipped where it applies, fails here
@@ -253,10 +253,10 @@ def test_08_conjecture_probes_report_only():
     """Probes stay observational and find no counterexample anywhere."""
     report = {}
     for name in CATALOG_NAMES:
-        arr, graph, _, _ = geometry(name)
+        _, graph, _, _ = geometry(name)
         mag = magnitude_of(name)
         res = homology_of(name, default_length_cap(graph))
-        probes = conjecture_probes(arr, graph, mag, res)
+        probes = conjecture_probes(graph, mag, res)
         report[name] = probes
         assert probes["no_counterexample"] is True, (name, probes)
         assert probes["torsion_free"]["observed"], name

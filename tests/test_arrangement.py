@@ -342,7 +342,7 @@ def test_lattice_matches_closure_search(name):
     # covers from grouped remainders against the closure search, which
     # tests every outside hyperplane of every closure by rank
     arr = catalog(name)
-    lattice = intersection_lattice(arr, enumerate_chambers(arr))
+    lattice = intersection_lattice(enumerate_chambers(arr))
     assert {f.mask: f.rank for f in lattice.flats} == flats_by_closure(arr)
     # Weisner's recursion over lower covers against the defining sum
     assert {f.mask: f.mobius for f in lattice.flats} == mobius_by_sum(lattice)
@@ -444,7 +444,7 @@ def _assert_group_matches_enumeration(graph, lattice):
 def test_symmetry_group_matches_enumeration(name):
     arr = catalog(name)
     graph = enumerate_chambers(arr)
-    _assert_group_matches_enumeration(graph, intersection_lattice(arr, graph))
+    _assert_group_matches_enumeration(graph, intersection_lattice(graph))
 
 
 def _random_symmetric_arrangements(count, seed):
@@ -473,7 +473,7 @@ def test_symmetry_group_matches_enumeration_on_random_arrangements():
     essential = 0
     for arr in arrangements:
         graph = enumerate_chambers(arr)
-        lattice = intersection_lattice(arr, graph)
+        lattice = intersection_lattice(graph)
         essential += lattice.rank == arr.dimension
         _assert_group_matches_enumeration(graph, lattice)
     assert 0 < essential < len(arrangements)

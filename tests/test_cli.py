@@ -25,7 +25,6 @@ from magarr.arrangement import (
     orbits_of_permutations,
 )
 from magarr.cli import (
-    JobSpec,
     cache_key,
     golden_betti,
     golden_extras,
@@ -33,7 +32,7 @@ from magarr.cli import (
     load_arrangement,
     main,
 )
-from magarr.errors import CheckFailedError, ParseError
+from magarr.errors import CheckFailedError
 
 
 def _run(capsys, argv):
@@ -172,10 +171,16 @@ def test_mag_boolean_order_above_six(capsys, tmp_path, d, order):
     assert task["checks"]["face_decomposition_route"] is True
 
 
-@pytest.mark.parametrize("argv", [["mag", "boolean:6"], ["lattice", "braid:5"]])
+@pytest.mark.parametrize("argv", [
+    ["mag", "boolean:6"],
+    ["lattice", "braid:5"],
+    ["homology", "u34", "--no-face-check"],
+    ["conjectures", "u34"],
+])
 def test_one_chamber_enumeration_per_run(capsys, monkeypatch, argv):
-    # restriction counts are Moebius sums on upper intervals, so a run
-    # enumerates the chambers of its own arrangement and of nothing else
+    # restriction counts are Moebius sums on upper intervals, and every
+    # task reads its chambers off the one tope graph, so a run enumerates
+    # the chambers of its own arrangement and of nothing else
     calls = []
 
     def counted(arr):
@@ -745,14 +750,34 @@ def test_unwritable_cache_entry_is_a_parse_error(capsys, tmp_path):
     assert list(cache.iterdir()) == [entry]  # no temporary file left
 
 
-def test_cache_key_ignores_row_order_and_scaling():
-    a = cache_key(catalog("boolean:2"))
+def test_cache_key_follows_the_row_presentation():
+    # an entry holds the rows as given, so each presentation has its own
+    # key; scaling by a positive number leaves the parsed normals alone
     from magarr.arrangement import parse_arrangement
 
-    b = cache_key(parse_arrangement([[0, -3], [2, 0]]))
-    assert a == b
-    c = cache_key(parse_arrangement([[1, 1], [1, -1]]))
-    assert a != c
+    a = cache_key(catalog("boolean:2"))
+    assert a == cache_key(parse_arrangement([[2, 0], [0, 3]]))
+    assert a != cache_key(parse_arrangement([[0, 1], [1, 0]]))  # row order
+    assert a != cache_key(parse_arrangement([[-1, 0], [0, 1]]))  # sign
+    assert a != cache_key(parse_arrangement([[1, 1], [1, -1]]))
+
+
+def test_two_presentations_keep_their_own_cache_entries(capsys, tmp_path):
+    # the same arrangement with two rows swapped, run alternately
+    rows = [list(r) for r in catalog("u34").normals]
+    swapped = [rows[1], rows[0]] + rows[2:]
+    sources = []
+    for stem, normals in (("p1", rows), ("p2", swapped)):
+        path = tmp_path / f"{stem}.txt"
+        path.write_text("\n".join(" ".join(map(str, r)) for r in normals))
+        sources.append(str(path))
+    cache = str(tmp_path / "cache")
+    notes = []
+    for source in sources * 2:
+        code, _, err = _run(capsys, ["lattice", source, "--cache", cache])
+        assert code == 0 and "discarding" not in err
+        notes.append([l for l in err.splitlines() if l.startswith("cache:")])
+    assert notes == [["cache: miss"]] * 2 + [["cache: hit"]] * 2
 
 
 def test_load_arrangement_normalizes_case():
@@ -762,11 +787,12 @@ def test_load_arrangement_normalizes_case():
     assert name == "coxeter:B2"
 
 
-def test_jobspec_validation():
-    with pytest.raises(ParseError):
-        JobSpec(source="u34", task="mag", lmax=-2)
-    with pytest.raises(ParseError):
-        JobSpec(source="u34", task="unknown")
+def test_unknown_task_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["frobnicate", "u34"])
+    err = capsys.readouterr().err
+    assert info.value.code == 2
+    assert "invalid choice: 'frobnicate'" in err and "Traceback" not in err
 
 
 def test_golden_fixture_files_are_complete():

@@ -220,3 +220,79 @@ def test_every_parameter_is_read():
     unread = _unread_parameters()
     assert not unread, ("parameters that their function never reads: "
                         + ", ".join(unread))
+
+
+# ---------------------------------------------------------------------------
+# dataclass fields that nothing reads
+
+# Kept on purpose: the benchmark's homology.chain_dims counter reads it.
+FIELDS_ALLOWED = {"HomologyResult.chain_dims"}
+
+
+def _classes():
+    return [c for tree in _trees() for c in ast.walk(tree)
+            if isinstance(c, ast.ClassDef)]
+
+
+def _fields(cls):
+    """The annotated names in a class body: a dataclass's fields."""
+    return [item.target.id for item in cls.body
+            if isinstance(item, ast.AnnAssign)
+            and isinstance(item.target, ast.Name)]
+
+
+def _is_dataclass(cls):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", "")
+               == "dataclass" for d in cls.decorator_list)
+
+
+def _class_attributes(cls):
+    """Names a class gives its instances: fields, methods and the
+    attributes its methods set on self."""
+    names = set(_fields(cls))
+    for item in cls.body:
+        if isinstance(item, ast.FunctionDef):
+            names.add(item.name)
+            names.update(
+                t.attr for t in ast.walk(item) if isinstance(t, ast.Attribute)
+                and isinstance(t.ctx, ast.Store)
+                and isinstance(t.value, ast.Name) and t.value.id == "self")
+    return names
+
+
+def _unread_fields():
+    """Each field of a dataclass in the package that no attribute load
+    reads.  A load ``x.name`` of a name that several classes define is
+    credited to the classes that variable ``x`` is seen with elsewhere,
+    through a name only that class defines; a load on anything else
+    credits every class defining the name."""
+    classes = _classes()
+    loads = [(n.value.id if isinstance(n.value, ast.Name) else None, n.attr)
+             for tree in _trees() for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)]
+    owners = {}  # attribute name -> the classes defining it
+    for cls in classes:
+        for name in _class_attributes(cls):
+            owners.setdefault(name, set()).add(cls.name)
+    seen_with = {}  # variable -> classes it reads a name of their own from
+    for var, attr in loads:
+        if var is not None and len(owners.get(attr, ())) == 1:
+            seen_with.setdefault(var, set()).update(owners[attr])
+    read = set()
+    for var, attr in loads:
+        known = owners.get(attr, set()) & seen_with.get(var, set())
+        read |= {(cls, attr) for cls in known or owners.get(attr, ())}
+    return sorted(f"{c.name}.{f}" for c in classes if _is_dataclass(c)
+                  for f in _fields(c) if (c.name, f) not in read)
+
+
+def test_every_dataclass_field_is_read():
+    unread = [f for f in _unread_fields() if f not in FIELDS_ALLOWED]
+    assert not unread, ("dataclass fields never read in src/magarr: "
+                        + ", ".join(unread))
+
+
+def test_field_allowlist_names_exist():
+    assert FIELDS_ALLOWED <= {f"{c.name}.{f}" for c in _classes()
+                              if _is_dataclass(c) for f in _fields(c)}

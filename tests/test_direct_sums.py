@@ -47,12 +47,12 @@ def test_components_match_separators(arr):
 
 def _magnitude(arr):
     graph = enumerate_chambers(arr)
-    return magnitude_direct(arr, graph, chamber_orbits(graph)[2]).magnitude
+    return magnitude_direct(graph, chamber_orbits(graph)[2]).magnitude
 
 
 def _homology(arr, lmax):
     graph = enumerate_chambers(arr)
-    return magnitude_homology(arr, graph, lmax=lmax,
+    return magnitude_homology(graph, lmax=lmax,
                               group=chamber_orbits(graph)[2])
 
 

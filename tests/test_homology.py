@@ -51,10 +51,10 @@ def _cells(table):
 
 def _structural(name, lmax, result=None):
     """The named checks of a catalog table, without the face check."""
-    arr, _, lattice, group = geometry(name)
+    _, _, lattice, group = geometry(name)
     if result is None:
         result = homology_of(name, lmax)
-    return structural_checks(arr, lattice, group, result, face_check=False)
+    return structural_checks(lattice, group, result, face_check=False)
 
 
 SMALL_LENGTH = {"b00_chambers", "b11_walls", "b12_vanishes", "b22_recursion"}
@@ -113,8 +113,8 @@ GEODESIC_CAPS = {"boolean:2": 2, "braid:3": 3, "u34": 4, "k5me": 3}
 def test_geodesic_two_routes(name):
     # the geodesic blocks of the main run against the flat-poset formula
     lmax = GEODESIC_CAPS[name]
-    arr, graph, lattice, group = geometry(name)
-    res = magnitude_homology(arr, graph, lmax=lmax, group=group)
+    _, graph, lattice, group = geometry(name)
+    res = magnitude_homology(graph, lmax=lmax, group=group)
     formula = geodesic_betti_formula(lattice, group)
     # one sum per flat orbit equals one per flat (the trivial group)
     assert formula == geodesic_betti_formula(lattice, TRIVIAL_GROUP)
@@ -196,9 +196,9 @@ def test_structural_checks_catch_a_wrong_table():
 
 @pytest.mark.parametrize("name", ["boolean:2", "braid:3"])
 def test_face_decomposition_of_tables(name):
-    arr, graph, lattice, group = geometry(name)
+    _, _, lattice, group = geometry(name)
     res = homology_of(name, 5)
-    ok, assembled = face_decomposition_check(arr, lattice, res, group)
+    ok, assembled = face_decomposition_check(lattice, res, group)
     assert ok
     assert assembled == _cells(res.betti)
 
@@ -211,10 +211,10 @@ def test_four_cut_minima():
 
 
 def test_budget_is_enforced(monkeypatch):
-    arr, graph, _, _ = geometry("braid:3")
+    _, graph, _, _ = geometry("braid:3")
     monkeypatch.setattr(homology, "DEFAULT_CHAIN_BUDGET", 5)
     with pytest.raises(BudgetExceededError) as info:
-        magnitude_homology(arr, graph, lmax=4)
+        magnitude_homology(graph, lmax=4)
     assert info.value.limit == 5
     assert info.value.observed > 5
 
@@ -267,11 +267,9 @@ def test_torsion_free_on_quick_fixtures():
 
 
 def test_interior_only_run_matches_full_interior_part():
-    arr, graph, _, group = geometry("braid:3")
+    _, graph, _, group = geometry("braid:3")
     full = homology_of("braid:3", 4)
-    inner = magnitude_homology(
-        arr, graph, lmax=4, group=group, interior_only=True
-    )
+    inner = magnitude_homology(graph, lmax=4, group=group, interior_only=True)
     assert _cells(inner.betti) == _cells(full.interior_betti)
 
 
@@ -289,11 +287,11 @@ TRIVIAL_GROUP = SymmetryGroup((), (), 1)
 def test_stabilizer_collapse_matches_trivial_group(name, lmax, interior_only):
     # one start per chamber orbit, weighted, against every block of
     # every start: each field of the result, the checks included
-    arr, graph, _, group = geometry(name)
+    _, graph, _, group = geometry(name)
     kwargs = dict(lmax=lmax, interior_only=interior_only,
                   magnitude=magnitude_of(name).magnitude)
-    collapsed = magnitude_homology(arr, graph, group=group, **kwargs)
-    plain = magnitude_homology(arr, graph, group=TRIVIAL_GROUP, **kwargs)
+    collapsed = magnitude_homology(graph, group=group, **kwargs)
+    plain = magnitude_homology(graph, group=TRIVIAL_GROUP, **kwargs)
     assert collapsed == plain
     assert collapsed.betti and all(collapsed.checks.values())
 
@@ -331,23 +329,22 @@ MEMO_CASES = [
 
 
 def _memo_case(source):
-    """(arrangement, graph, group, magnitude) of a catalog name or of the
-    random instance with that index."""
+    """(graph, group, magnitude) of a catalog name or of the random
+    instance with that index."""
     if isinstance(source, str):
-        arr, graph, _, group = geometry(source)
-        return arr, graph, group, magnitude_of(source).magnitude
-    arr = RANDOM_MEMO_CASES[source]
-    graph = enumerate_chambers(arr)
+        _, graph, _, group = geometry(source)
+        return graph, group, magnitude_of(source).magnitude
+    graph = enumerate_chambers(RANDOM_MEMO_CASES[source])
     _, _, group = chamber_orbits(graph)
-    return arr, graph, group, magnitude_direct(arr, graph, group).magnitude
+    return graph, group, magnitude_direct(graph, group).magnitude
 
 
 @pytest.mark.parametrize("source, lmax, interior_only", MEMO_CASES)
 def test_collapsed_run_matches_every_block(source, lmax, interior_only):
     # chamber orbits and the memo against every block of every start
     # reduced on its own: each field, the checks included
-    arr, graph, group, magnitude = _memo_case(source)
-    collapsed = magnitude_homology(arr, graph, lmax=lmax, group=group,
+    graph, group, magnitude = _memo_case(source)
+    collapsed = magnitude_homology(graph, lmax=lmax, group=group,
                                    interior_only=interior_only,
                                    magnitude=magnitude)
     assert collapsed == betti_by_every_block(graph, lmax, interior_only,
@@ -358,7 +355,7 @@ def test_collapsed_run_matches_every_block(source, lmax, interior_only):
 @pytest.mark.parametrize("source, lmax, interior_only", MEMO_CASES)
 def test_equal_memo_keys_have_equal_summaries(source, lmax, interior_only):
     # the memo is used: some two blocks share a key on every input
-    _, graph, _, _ = _memo_case(source)
+    graph, _, _ = _memo_case(source)
     by_key = {}
     shared = 0
     for _start, _key, memo_key, summary in every_block(
@@ -385,7 +382,7 @@ def test_reversal_classes(source, lmax, interior_only, monkeypatch):
     # reversing its chains maps the block (a -> b, l, p) onto (b -> a, l, p)
     # with the same summary, and flips the odd-count bits of its tops; the
     # run reduces one block per class of memo keys under reversal
-    arr, graph, group, _ = _memo_case(source)
+    graph, group, _ = _memo_case(source)
     masks = graph.masks
     blocks = [_chain_blocks(graph, s, lmax, interior_only)
               for s in range(len(graph))]
@@ -417,7 +414,7 @@ def test_reversal_classes(source, lmax, interior_only, monkeypatch):
         return _block_homology(block, masks)
 
     monkeypatch.setattr(homology, "_block_homology", counted)
-    magnitude_homology(arr, graph, lmax=lmax, group=group,
+    magnitude_homology(graph, lmax=lmax, group=group,
                        interior_only=interior_only)
     assert len(reduced) == len(classes)
 

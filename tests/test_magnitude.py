@@ -12,12 +12,14 @@ import pytest
 from conftest import (
     EIGHTEEN_LINES,
     geometry,
+    homology_of,
     magnitude_checks_of,
     magnitude_of,
     value_at,
 )
 from magarr.arrangement import CATALOG_NAMES, SymmetryGroup
 from magarr.cli import golden_magnitude
+from magarr.homology import conjecture_probes
 from magarr.magnitude import (
     DET_BUDGET,
     DET_CHECK_AUTO_LIMIT,
@@ -25,12 +27,10 @@ from magarr.magnitude import (
     _hadamard_bits,
     alternating_violation,
     chamber_orbits,
-    distance_profile,
     free_involution_basis,
     interior_magnitude,
     magnitude_by_face_decomposition,
     magnitude_fraction,
-    profile_uniform,
     rank3_magnitude,
     structural_checks,
     varchenko_det,
@@ -465,10 +465,11 @@ def test_magnitude_fraction_orbit_reduction_consistent():
 
 
 def test_distance_profiles():
-    _, graph, _, _ = geometry("boolean:2")
-    rows = distance_profile(graph)
-    assert all(r == IntPoly((1, 2, 1)) for r in rows)
-    assert profile_uniform(graph) == (True, 1)
-    _, graph, _, _ = geometry("k4me")
-    uniform, distinct = profile_uniform(graph)
-    assert not uniform and distinct == 2
+    # every chamber of boolean:2 sees distances 0, 1, 1, 2; k4me's do not
+    # all see one multiset
+    for name, uniform in (("boolean:2", True), ("k4me", False)):
+        _, graph, _, _ = geometry(name)
+        probes = conjecture_probes(graph, magnitude_of(name),
+                                   homology_of(name, 2))
+        probe = probes["nonuniform_forces_cyclotomic_factor"]
+        assert probe["profile_uniform"] is uniform
