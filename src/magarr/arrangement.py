@@ -15,8 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .errors import ParseError, CheckFailedError
+from .errors import BudgetExceededError, CheckFailedError, ParseError
 from .linalg import clear_denominators, nullspace, primitive, remainder, rref
+
+# chamber enumeration stops past this many chambers, twice the most any
+# catalog name has (boolean:12 and nearpencil:1025, 4096 each); flats are
+# at most as many as chambers, so this bounds an enumerated lattice too
+CHAMBER_BUDGET = 8192
 
 
 def _dot(a, b):
@@ -265,13 +270,15 @@ class TopeGraph:
         self.masks = tuple(masks)
         self.witnesses = tuple(witnesses)
         self.index = {m: i for i, m in enumerate(self.masks)}
+        self.check_witnesses()
 
     def __len__(self):
         return len(self.masks)
 
     def check_witnesses(self):
         """Raise unless the masks strictly increase and each witness lies
-        strictly inside the chamber its mask names (integer dot products)."""
+        strictly inside the chamber its mask names (integer dot products);
+        run when the graph is built, so every graph is checked."""
         arr = self.arrangement
         if len(self.masks) != len(self.witnesses):
             raise CheckFailedError("mask and witness counts differ")
@@ -329,6 +336,7 @@ def _chamber_witnesses(arrangement):
     H_i does not split keeps its witness.  When the restriction map sends
     h to (j, s), sign(a_h . x) is s times the restricted witness's sign on
     normal j, so x's mask on A_<i is an OR of bit sets, one per j and side.
+    Raises BudgetExceededError once a step passes CHAMBER_BUDGET chambers.
     """
     d = arrangement.dimension
     normals = arrangement.normals
@@ -352,6 +360,9 @@ def _chamber_witnesses(arrangement):
             else:
                 nxt[mask | (1 << i)] = tuple(scale * xj + aj for xj, aj in zip(x, a))
                 nxt[mask] = tuple(scale * xj - aj for xj, aj in zip(x, a))
+        if len(nxt) > CHAMBER_BUDGET:
+            raise BudgetExceededError("chambers", CHAMBER_BUDGET, len(nxt),
+                                      "try fewer hyperplanes")
         current = nxt
     return current
 
@@ -359,14 +370,12 @@ def _chamber_witnesses(arrangement):
 def enumerate_chambers(arrangement):
     """All chambers with integer witnesses, found by deletion-restriction.
 
-    The chambers come sorted by mask, and every witness is checked to lie
-    strictly inside the chamber its mask names.
+    The chambers come sorted by mask, and ``TopeGraph`` checks that every
+    witness lies strictly inside the chamber its mask names.
     """
     found = _chamber_witnesses(arrangement)
     masks = sorted(found)
-    graph = TopeGraph(arrangement, masks, [found[m] for m in masks])
-    graph.check_witnesses()
-    return graph
+    return TopeGraph(arrangement, masks, [found[m] for m in masks])
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +423,6 @@ class FaceLattice:
         self.rank = max(f.rank for f in flats)
         self._counts_below = {}
         self._flat_orbits = {}  # hyperplane relabellings -> flat orbits
-
-    def __len__(self):
-        return len(self.flats)
 
     def lower(self, j):
         """Indices of flats below or equal to flat j, ascending."""
@@ -620,17 +626,16 @@ class SymmetryGroup:
 
 
 def orbit(point, moves):
-    """Every point reached from ``point`` by the functions ``moves``, as
-    {point: (the point it was first reached from, index of that move)},
-    with (None, None) at ``point``; each point comes after its source."""
-    reached = {point: (None, None)}
+    """The set of points reached from ``point`` by the functions
+    ``moves``, ``point`` included."""
+    reached = {point}
     stack = [point]
     while stack:
         x = stack.pop()
-        for i, move in enumerate(moves):
+        for move in moves:
             y = move(x)
             if y not in reached:
-                reached[y] = (x, i)
+                reached.add(y)
                 stack.append(y)
     return reached
 

@@ -155,7 +155,6 @@ def _geometry_from_payload(arrangement, data):
     masks = [int(m) for m in data["masks"]]
     witnesses = [tuple(int(x) for x in w) for w in data["witnesses"]]
     graph = TopeGraph(arrangement, masks, witnesses)
-    graph.check_witnesses()
     return graph, intersection_lattice(graph)
 
 

@@ -33,7 +33,7 @@ poset alone; the two are the two routes of the geodesic check.
 """
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby, permutations, product
 import math
 
@@ -100,8 +100,8 @@ def _near_lists(graph, lmax):
     return around
 
 
-def _start_blocks(graph, start, lmax, spent, budget, full_support_only,
-                  around, memo, canon):
+def _start_blocks(graph, start, lmax, spent, full_support_only, around,
+                  memo, canon):
     """Boundary blocks of the proper chains from one start.
 
     Returns ({(length, end, profile): (memo key, {degree: [chains]} or
@@ -128,8 +128,8 @@ def _start_blocks(graph, start, lmax, spent, budget, full_support_only,
     ``spent`` counts what the run has charged, length + 1 + n per key
     found (the longest chain its block could hold, and its profile) and
     len(chain) + 1 + n + REDUCTION_CHARGE per chain built; past
-    ``budget`` it raises BudgetExceededError.  ``around`` is the run's
-    ``_near_lists``.
+    ``DEFAULT_CHAIN_BUDGET`` (read at call time) it raises
+    BudgetExceededError.  ``around`` is the run's ``_near_lists``.
     """
     index = graph.index
     start_mask = graph.masks[start]
@@ -154,7 +154,7 @@ def _start_blocks(graph, start, lmax, spent, budget, full_support_only,
                 key = (length + d, v, tuple(nprofile))
                 edges = into.get(key)
                 if edges is None:
-                    spent = _charge(spent, length + d + 1 + n, budget)
+                    spent = _charge(spent, length + d + 1 + n)
                     into[key] = [state]
                     stack.append(key)
                 else:
@@ -191,18 +191,18 @@ def _start_blocks(graph, start, lmax, spent, budget, full_support_only,
                 state, chain = paths.pop()
                 paths += [(prev, (prev[1],) + chain) for prev in into[state]]
                 if not into[state]:
-                    spent = _charge(spent, len(chain) + 1 + n
-                                    + REDUCTION_CHARGE, budget)
+                    spent = _charge(spent,
+                                    len(chain) + 1 + n + REDUCTION_CHARGE)
                     chains.setdefault(len(chain) - 1, []).append(chain)
         blocks[key] = (memo_key, chains)
     return blocks, spent
 
 
-def _charge(spent, entries, budget):
+def _charge(spent, entries):
     spent += entries
-    if spent > budget:
+    if spent > DEFAULT_CHAIN_BUDGET:
         raise BudgetExceededError("searched keys and built chain entries",
-                                  budget, spent, "lower --lmax")
+                                  DEFAULT_CHAIN_BUDGET, spent, "lower --lmax")
     return spent
 
 
@@ -371,7 +371,7 @@ class HomologyResult:
     interior_torsion: dict
     geodesic_betti: dict
     geodesic_torsion: dict
-    checks: dict = field(default_factory=dict)
+    checks: dict
 
     def betti_at(self, k, length):
         return self.betti.get((k, length), 0)
@@ -403,8 +403,7 @@ def magnitude_homology(graph, *, lmax, group=None, interior_only=False,
     for members in orbits:
         rep = members[0]
         weight = len(members)
-        blocks, spent = _start_blocks(graph, rep, lmax, spent,
-                                      DEFAULT_CHAIN_BUDGET, interior_only,
+        blocks, spent = _start_blocks(graph, rep, lmax, spent, interior_only,
                                       around, memo, canon)
         for memo_key, block in blocks.values():
             if block is not None:
@@ -510,7 +509,7 @@ def diagonal_betti_formula(lattice, lmax):
     return out
 
 
-def structural_checks(lattice, group, result, face_check=True):
+def structural_checks(lattice, group, result, face_check):
     """Every homology-level check of ``result``, by name.
 
     The run's own checks, then the paper's identities against the flat

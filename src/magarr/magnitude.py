@@ -34,7 +34,6 @@ from .polyq import (
     RatFunc,
     ZERO,
     cyclotomic_factor,
-    is_denominator_cyclotomic,
     reduce_fraction,
     reverse_substitute,
     series_expand,
@@ -220,8 +219,7 @@ def magnitude_direct(graph, group):
     )
 
 
-def structural_checks(graph, lattice, group, result, face_check=True,
-                      det_check=False):
+def structural_checks(graph, lattice, group, result, face_check, det_check):
     """Every magnitude-level check of ``result``, by name.
 
     The paper's identities on the value itself (integral series, the
@@ -247,7 +245,9 @@ def structural_checks(graph, lattice, group, result, face_check=True,
     checks["degree_gap_is_n"] = mag.den.degree - mag.num.degree == n
     checks["palindromic_num"] = mag.num.is_palindromic()
     checks["palindromic_den"] = mag.den.is_palindromic()
-    checks["cyclotomic_denominator"] = is_denominator_cyclotomic(mag.den)[0]
+    factors, rem = cyclotomic_factor(mag.den)
+    checks["cyclotomic_denominator"] = (
+        rem in (ONE, -ONE) and all(k != 1 for k, _ in factors))
     shifted = reduce_fraction(mag.num.shift(n), mag.den)
     checks["inversion_symmetry"] = reverse_substitute(mag) == shifted
     checks["series_chamber_count"] = series[0] == len(graph)

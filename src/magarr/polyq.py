@@ -1,16 +1,19 @@
 """Exact univariate arithmetic over Z[q] and its fraction field.
 
-Polynomials are immutable tuples of Python ints in ascending degree order.
-Rational functions are kept in a canonical reduced form: numerator and
+Polynomials are immutable tuples of Python ints in ascending degree
+order; they add, subtract and compare only with polynomials, multiply
+by polynomials or ints, and are false exactly when zero.  Rational
+functions are kept in a canonical reduced form: numerator and
 denominator have no common polynomial factor, the gcd of all integer
-coefficients of numerator and denominator combined is 1, and the leading
-coefficient of the denominator is positive.  Power series are
+coefficients of numerator and denominator combined is 1, and the
+leading coefficient of the denominator is positive.  Power series are
 expanded only from denominators with constant term +-1, into plain
 tuples of ints.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,9 +57,6 @@ class IntPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def leading(self) -> int:
         return self.coeffs[-1] if self.coeffs else 0
 
@@ -67,8 +67,6 @@ class IntPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = IntPoly.const(other)
         if not isinstance(other, IntPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
@@ -80,8 +78,6 @@ class IntPoly:
         return IntPoly(tuple(-c for c in self.coeffs))
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = IntPoly.const(other)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -90,15 +86,8 @@ class IntPoly:
             out[i] += c
         return IntPoly(out)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = IntPoly.const(other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return IntPoly.const(other) - self
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -135,7 +124,7 @@ class IntPoly:
 
     def shift(self, k: int) -> "IntPoly":
         """Multiply by q**k."""
-        if self.is_zero():
+        if not self:
             return self
         return IntPoly((0,) * k + self.coeffs)
 
@@ -147,7 +136,7 @@ class IntPoly:
 
     def primitive(self) -> "IntPoly":
         """Divide out the content; sign chosen so the leading coefficient is positive."""
-        if self.is_zero():
+        if not self:
             return self
         g = self.content()
         if self.leading() < 0:
@@ -170,9 +159,9 @@ class IntPoly:
     def divexact(self, d: "IntPoly") -> "IntPoly":
         """Exact division over Z, top-down by d's leading coefficient;
         raises ArithmeticError when not exact."""
-        if d.is_zero():
+        if not d:
             raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
+        if not self:
             return IntPoly()
         rem = list(self.coeffs)
         dc = d.coeffs
@@ -198,7 +187,7 @@ class IntPoly:
         return f"IntPoly({list(self.coeffs)!r})"
 
     def __str__(self):
-        if self.is_zero():
+        if not self:
             return "0"
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -245,16 +234,16 @@ def _prem(a: IntPoly, b: IntPoly) -> IntPoly:
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     """Greatest common divisor in Z[q] (primitive part via a primitive
     remainder sequence, integer content by gcd), positive leading coefficient."""
-    if a.is_zero():
-        return b.primitive() * b.content() if not b.is_zero() else IntPoly()
-    if b.is_zero():
+    if not a:
+        return b.primitive() * b.content() if b else IntPoly()
+    if not b:
         return a.primitive() * a.content()
     ca, cb = a.content(), b.content()
     c = math.gcd(ca, cb)
     f, g = a.primitive(), b.primitive()
     if f.degree < g.degree:
         f, g = g, f
-    while not g.is_zero():
+    while g:
         r = _prem(f, g).primitive()
         f, g = g, r
     return f.primitive() * c
@@ -276,9 +265,9 @@ def reduce_fraction(num: IntPoly, den: IntPoly) -> RatFunc:
     sign is fixed so the denominator has a positive leading coefficient.
     The combined integer content of the result is 1.
     """
-    if den.is_zero():
+    if not den:
         raise ZeroDenominatorError("zero denominator")
-    if num.is_zero():
+    if not num:
         return RatFunc(ZERO, ONE)
     g = poly_gcd(num, den)
     num = num.divexact(g)
@@ -323,21 +312,15 @@ def euler_phi(k: int) -> int:
     return result
 
 
-_CYCLOTOMIC_CACHE: dict = {}
-
-
+@functools.cache
 def cyclotomic(k: int) -> IntPoly:
     """The k-th cyclotomic polynomial, by exact division of q**k - 1."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    got = _CYCLOTOMIC_CACHE.get(k)
-    if got is not None:
-        return got
     p = IntPoly.monomial(k) - ONE
     for d in range(1, k):
         if k % d == 0:
             p = p.divexact(cyclotomic(d))
-    _CYCLOTOMIC_CACHE[k] = p
     return p
 
 
@@ -348,7 +331,7 @@ def cyclotomic_factor(p: IntPoly):
     pairs sorted by k; only k with phi(k) <= deg p can divide, so the search
     is finite.
     """
-    if p.is_zero():
+    if not p:
         raise ValueError("cannot factor the zero polynomial")
     rem = p
     factors = []
@@ -372,14 +355,6 @@ def cyclotomic_factor(p: IntPoly):
         if rem.degree == 0 and k > deg + 1:
             break
     return tuple(factors), rem
-
-
-def is_denominator_cyclotomic(den: IntPoly):
-    """True when den is +-1 times a product of cyclotomics without Phi_1."""
-    factors, rem = cyclotomic_factor(den)
-    ok = rem.degree == 0 and abs(rem.constant()) == 1
-    no_phi1 = all(k != 1 for k, _ in factors)
-    return ok and no_phi1, factors
 
 
 def reverse_substitute(f: RatFunc) -> RatFunc:

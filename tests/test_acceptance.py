@@ -204,7 +204,8 @@ def test_06_homology_identity_suite(capsys):
     for name, lmax in runs:
         arr, _, lattice, group = geometry(name)
         res = homology_of(name, lmax)  # raises if any boundary square fails
-        checks = named[name, lmax] = structural_checks(lattice, group, res)
+        checks = named[name, lmax] = structural_checks(lattice, group, res,
+                                                       face_check=True)
         bad = sorted(k for k, v in checks.items() if not v)
         assert not bad, (name, lmax, bad)
         # a check that is dropped, or skipped where it applies, fails here

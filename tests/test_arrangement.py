@@ -285,7 +285,7 @@ def test_interval_counts_match_enumeration(name):
 def test_boolean_restriction_counts_at_scale():
     # the restriction of boolean:10 to a flat of rank r is boolean:(10 - r)
     _, _, lattice, _ = geometry("boolean:10")
-    assert len(lattice) == 1024
+    assert len(lattice.flats) == 1024
     for f in lattice.flats:
         assert lattice.restriction_chamber_count(f.index) == 2 ** (10 - f.rank)
 

@@ -612,6 +612,27 @@ def test_many_chamber_orbits_stop_on_the_magnitude_budget():
     assert "Traceback" not in proc.stderr
 
 
+def test_many_chambers_stop_on_the_chamber_budget(tmp_path):
+    # the planes with normals (1, t, t^2), t = 1..200, are in general
+    # position in R^3, with n^2 - n + 2 = 39,802 chambers, and the lattice
+    # alone took about a minute; enumeration stops at the 92nd plane,
+    # the first step past the budget (t = 1..91 gives exactly 8192)
+    path = tmp_path / "moment.txt"
+    path.write_text("".join(f"1 {t} {t * t}\n" for t in range(1, 201)))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "magarr.cli", "lattice", str(path)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert proc.stdout == ""
+    errors = [l for l in proc.stderr.splitlines() if l.startswith("error:")]
+    assert errors == ["error: chambers: budget 8192 exceeded "
+                      "(observed 8374); try fewer hyperplanes"]
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("target", ["series_expand", "_assert_d2_zero"])
 def test_verify_reports_a_homology_failure_by_its_cause(capsys, monkeypatch,
                                                         target):

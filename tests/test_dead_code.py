@@ -82,20 +82,27 @@ def test_allowlist_names_exist():
 
 
 # ---------------------------------------------------------------------------
-# parameter defaults that every call in the package overrides, and
-# defaulted parameters that no call in the package gives
+# parameter defaults that every call in the package overrides, defaulted
+# parameters that no call in the package gives, and parameters that every
+# call fills with one constant
+
+
+def _modules():
+    """(module name, parsed tree) per module of the package."""
+    for path in sorted(Path(magarr.__file__).parent.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(), filename=str(path))
 
 
 def _trees():
     """Each module of the package, parsed."""
-    for path in sorted(Path(magarr.__file__).parent.glob("*.py")):
-        yield ast.parse(path.read_text(), filename=str(path))
+    for _, tree in _modules():
+        yield tree
 
 
 def _functions(tree):
-    """(called name, implicit leading arguments, def) per function; an
-    ``__init__`` is called by its class's name, other dunders never by
-    name."""
+    """(qualified name, implicit leading arguments, def) per function; an
+    ``__init__`` is qualified by its class's name, which calls it, and
+    other dunders are never called by name."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             yield node.name, 0, node
@@ -108,16 +115,96 @@ def _functions(tree):
                 if item.name == "__init__":
                     yield node.name, 1, item
                 elif not item.name.startswith("__"):
-                    yield item.name, 0 if static else 1, item
+                    yield (f"{node.name}.{item.name}", 0 if static else 1,
+                           item)
 
 
-def _called_name(call):
-    func = call.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
+def _imports(tree):
+    """{local name: (module, name)} for each ``from .x import f``, and
+    {local name: (module, None)} for each ``from . import x``."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                local = alias.asname or alias.name
+                out[local] = ((node.module, alias.name) if node.module
+                              else (alias.name, None))
+    return out
+
+
+def _package():
+    """(functions, imports, module-level names) of the package:
+    {(module, qualified name): (implicit leading arguments, def)},
+    {module: its ``_imports``} and {module: the names it assigns}."""
+    functions, imports, assigned = {}, {}, {}
+    for module, tree in _modules():
+        for qual, implicit, fn in _functions(tree):
+            functions[module, qual] = (implicit, fn)
+        imports[module] = _imports(tree)
+        assigned[module] = {
+            t.id for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for t in (node.targets if isinstance(node, ast.Assign)
+                      else [node.target])
+            if isinstance(t, ast.Name)}
+    return functions, imports, assigned
+
+
+def _origin(module, name, imports):
+    """(module, name) where a name that ``module`` reads is defined,
+    following ``from .x import f`` chains."""
+    while name in imports.get(module, {}):
+        source, imported = imports[module][name]
+        if imported is None:
+            return source, None
+        module, name = source, imported
+    return module, name
+
+
+def _calls(functions, imports):
+    """{(module, qualified name): [(caller module, call)]} over the calls
+    in the package, for the functions and imports of ``_package``.
+
+    A bare ``f(...)`` goes to the caller's own f, or to the f of its
+    ``from .x import f``; ``mod.f(...)`` goes through ``from . import
+    mod``; any other ``obj.m(...)`` goes to every method named m."""
+    methods = {}
+    for module, qual in functions:
+        if "." in qual:
+            methods.setdefault(qual.split(".")[-1], []).append((module, qual))
+    calls = {key: [] for key in functions}
+    for module, tree in _modules():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                targets = [_origin(module, func.id, imports)]
+            elif isinstance(func, ast.Attribute):
+                owner = (_origin(module, func.value.id, imports)
+                         if isinstance(func.value, ast.Name) else None)
+                if owner is not None and owner[1] is None:
+                    targets = [(owner[0], func.attr)]
+                else:
+                    targets = methods.get(func.attr, [])
+            else:
+                targets = []
+            for key in targets:
+                if key in calls:
+                    calls[key].append((module, node))
+    return calls
+
+
+def _parameters(implicit, fn):
+    """(position, name, has a default) per parameter a call can give;
+    position is None for a keyword-only one."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first_default = len(positional) - len(args.defaults)
+    for i, a in enumerate(positional[implicit:], implicit):
+        yield i - implicit, a.arg, i >= first_default
+    for a, d in zip(args.kwonlyargs, args.kw_defaults):
+        yield None, a.arg, d is not None
 
 
 def _passes(call, position, name):
@@ -132,32 +219,15 @@ def _passes(call, position, name):
 
 
 def _defaults():
-    """(function(parameter), [whether each call in the package gives it])
-    per parameter with a default, for functions defined once by name."""
-    defs, calls = [], {}
-    for tree in _trees():
-        defs.extend(_functions(tree))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                calls.setdefault(_called_name(node), []).append(node)
-    defined = {}
-    for called, _, _ in defs:
-        defined[called] = defined.get(called, 0) + 1
-    for called, implicit, fn in defs:
-        if defined[called] > 1:  # calls cannot be told apart by name
-            continue
-        args = fn.args
-        positional = args.posonlyargs + args.args
-        with_defaults = [
-            (i - implicit, a.arg) for i, a in enumerate(positional)
-            if i >= len(positional) - len(args.defaults)
-        ] + [
-            (None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
-            if d is not None
-        ]
-        for position, name in with_defaults:
-            yield f"{called}({name})", [_passes(c, position, name)
-                                        for c in calls.get(called, [])]
+    """(module.function(parameter), [whether each call in the package
+    gives it]) per parameter with a default."""
+    functions, imports, _ = _package()
+    calls = _calls(functions, imports)
+    for key, (implicit, fn) in sorted(functions.items()):
+        for position, name, defaulted in _parameters(implicit, fn):
+            if defaulted:
+                yield (f"{key[0]}.{key[1]}({name})",
+                       [_passes(c, position, name) for _, c in calls[key]])
 
 
 def _dead_defaults():
@@ -174,7 +244,7 @@ def test_every_default_is_left_out_by_some_call():
 
 # Kept on purpose: the console script and ``python -m magarr.cli`` call
 # main() bare, and the benchmark harness passes argv.
-UNPASSED_ALLOWED = {"main(argv)"}
+UNPASSED_ALLOWED = {"cli.main(argv)"}
 
 
 def _unpassed_parameters():
@@ -192,6 +262,51 @@ def test_every_defaulted_parameter_is_given_by_some_call():
 
 def test_unpassed_allowlist_names_exist():
     assert UNPASSED_ALLOWED <= {param for param, _ in _defaults()}
+
+
+def _argument(call, position, name):
+    """The expression a call gives the parameter, or None when it gives
+    none or its *args or **kwargs hide which."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None for k in call.keywords):
+        return None
+    for k in call.keywords:
+        if k.arg == name:
+            return k.value
+    if position is not None and position < len(call.args):
+        return call.args[position]
+    return None
+
+
+def _constant_parameters():
+    """Each parameter that every call in the package, one at least, fills
+    with the same module-level UPPER_CASE constant: the function can read
+    the constant itself."""
+    functions, imports, assigned = _package()
+    calls = _calls(functions, imports)
+    found = []
+    for key, (implicit, fn) in sorted(functions.items()):
+        if not calls[key]:
+            continue
+        for position, name, _ in _parameters(implicit, fn):
+            constants = set()
+            for module, call in calls[key]:
+                arg = _argument(call, position, name)
+                if not (isinstance(arg, ast.Name) and arg.id.isupper()):
+                    constants.add(None)
+                    continue
+                origin = _origin(module, arg.id, imports)
+                known = origin[1] in assigned.get(origin[0], ())
+                constants.add(origin if known else None)
+            if len(constants) == 1 and None not in constants:
+                found.append(f"{key[0]}.{key[1]}({name})")
+    return found
+
+
+def test_no_parameter_is_always_given_one_constant():
+    constant = _constant_parameters()
+    assert not constant, ("parameters that every call in the package fills "
+                          "with one constant: " + ", ".join(constant))
 
 
 # ---------------------------------------------------------------------------

@@ -306,8 +306,7 @@ def test_stabilizer_orbits_share_a_memo_key(name):
     around = _near_lists(graph, 3)
     for orbit in chamber_orbits(graph, group)[1]:
         start = orbit[0]
-        blocks, _ = _start_blocks(
-            graph, start, 3, 0, 10**9, False, around, {}, {})
+        blocks, _ = _start_blocks(graph, start, 3, 0, False, around, {}, {})
         stabilizer = stabilizer_by_closure(graph, group, start)
         assert len(stabilizer) * len(orbit) == len(group)
         for key, (memo_key, _block) in blocks.items():

@@ -41,7 +41,9 @@ from magarr.polyq import (
     ONE,
     ZERO,
     IntPoly,
+    RatFunc,
     cyclotomic,
+    cyclotomic_factor,
     reduce_fraction,
     series_expand,
 )
@@ -129,7 +131,8 @@ def test_magnitude_checks_catch_a_wrong_value():
     mag = magnitude_of("u34")
     wrong = reduce_fraction(mag.magnitude.num + ONE, mag.magnitude.den)
     checks = structural_checks(graph, lattice, group,
-                               replace(mag, magnitude=wrong))
+                               replace(mag, magnitude=wrong),
+                               face_check=True, det_check=False)
     assert set(checks) == set(magnitude_checks_of("u34"))
     assert sorted(k for k, v in checks.items() if not v) == [
         "face_decomposition_route",
@@ -147,7 +150,8 @@ def test_magnitude_checks_read_a_pole_at_one_as_false():
     mag = magnitude_of("u34")
     pole = reduce_fraction(ONE, ONE - IntPoly.monomial(1))
     checks = structural_checks(graph, lattice, group,
-                               replace(mag, magnitude=pole, interior=pole))
+                               replace(mag, magnitude=pole, interior=pole),
+                               face_check=True, det_check=False)
     assert checks["one_point_property"] is False
     assert checks["interior_at_one"] is False
 
@@ -160,8 +164,28 @@ def test_magnitude_checks_read_a_non_integral_series_as_false():
     mag = magnitude_of("u34")
     half = reduce_fraction(ONE, IntPoly((2, 1)))
     checks = structural_checks(graph, lattice, group,
-                               replace(mag, magnitude=half, interior=half))
+                               replace(mag, magnitude=half, interior=half),
+                               face_check=True, det_check=False)
     assert checks["series_integral"] is False
+
+
+def test_denominator_cyclotomic_detection():
+    # the check holds on +-1 times cyclotomics without Phi_1, and fails
+    # on Phi_1 or on a factor that is not cyclotomic
+    _, graph, lattice, group = geometry("u34")
+    mag = magnitude_of("u34")
+
+    def cyclotomic_denominator(den):
+        checks = structural_checks(
+            graph, lattice, group, replace(mag, magnitude=RatFunc(ONE, den)),
+            face_check=False, det_check=False)
+        return checks["cyclotomic_denominator"]
+
+    den = cyclotomic(2) ** 3 * cyclotomic(8)
+    assert cyclotomic_factor(den) == (((2, 3), (8, 1)), ONE)
+    assert cyclotomic_denominator(den)
+    assert not cyclotomic_denominator(cyclotomic(1) * cyclotomic(2))
+    assert not cyclotomic_denominator(IntPoly((2, 0, 2)))
 
 
 def test_series_leading_terms_count_chambers_and_edges():
@@ -345,7 +369,7 @@ def test_varchenko_matrix_det_matches_split_route():
 
 def leibniz_det(rows):
     """Determinant as the signed sum over permutations (ints or IntPolys)."""
-    total = 0
+    total = None
     for perm in itertools.permutations(range(len(rows))):
         inversions = sum(
             perm[i] > perm[j]
@@ -354,7 +378,7 @@ def leibniz_det(rows):
         term = -1 if inversions % 2 else 1
         for i, j in enumerate(perm):
             term = term * rows[i][j]
-        total = total + term
+        total = term if total is None else total + term
     return total
 
 
