@@ -8,24 +8,36 @@ poset of intersection subspaces with its Moebius function.
 Chambers are encoded as bitmasks: bit ``h`` is set when the chamber lies
 on the positive side of hyperplane ``h``.  Distance between chambers is
 the number of separating hyperplanes, which is the popcount of the XOR
-of their masks.
+of their masks.  Each chamber's integer witness is checked against all
+n normals at once: the n dot products are the signed digits of one big
+int, whose top bits spell the mask (``TopeGraph.check_witnesses``).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from operator import mul
 
 from .errors import BudgetExceededError, CheckFailedError, ParseError
-from .linalg import clear_denominators, nullspace, primitive, remainder, rref
+from .linalg import (
+    clear_denominators,
+    nullspace,
+    pack_digits,
+    primitive,
+    remainder,
+    rref,
+)
 
 # chamber enumeration stops past this many chambers, twice the most any
 # catalog name has (boolean:12 and nearpencil:1025, 4096 each); flats are
 # at most as many as chambers, so this bounds an enumerated lattice too
 CHAMBER_BUDGET = 8192
+# ASCII "1" for a byte with its top bit set, "0" for one without
+_TOP_BIT = b"0" * 128 + b"1" * 128
 
 
 def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def _sign_canonical(row):
@@ -277,11 +289,29 @@ class TopeGraph:
 
     def check_witnesses(self):
         """Raise unless the masks strictly increase and each witness lies
-        strictly inside the chamber its mask names (integer dot products);
-        run when the graph is built, so every graph is checked."""
+        strictly inside the chamber its mask names; run when the graph is
+        built, so every graph is checked.
+
+        The n products a_h . w of a witness w are the signed base-B
+        digits of sum_j w_j P_j, P_j = sum_h a_hj B**h, for B = 256**width
+        with 2**(8 width - 1) above every |a_h|_1 |w|_max.  Plus B/2 - 1,
+        a digit has its top bit set exactly when the product is positive,
+        and plus B/2 when it is non-negative; both top-bit patterns must
+        spell the mask, so a product of zero fails too.
+        """
         arr = self.arrangement
         if len(self.masks) != len(self.witnesses):
             raise CheckFailedError("mask and witness counts differ")
+        n = arr.n
+        coord = max((abs(x) for w in self.witnesses for x in w), default=0)
+        bound = max(sum(map(abs, a)) for a in arr.normals) * coord
+        width = (bound.bit_length() + 8) // 8
+        size = n * width
+        columns = [pack_digits(col, width) for col in zip(*arr.normals)]
+        # sum_h B**h, and sum_h (B/2 - 1) B**h
+        ones = int.from_bytes((b"\1" + bytes(width - 1)) * n, "little")
+        below_half = (ones << 8 * width - 1) - ones
+        spelling = f"0{n}b"
         prev = -1
         for k, (mask, w) in enumerate(zip(self.masks, self.witnesses)):
             if mask <= prev:
@@ -289,17 +319,27 @@ class TopeGraph:
             prev = mask
             if len(w) != arr.dimension:
                 raise CheckFailedError(f"chamber {k}: witness has length {len(w)}")
-            signs = 0
-            for h, a in enumerate(arr.normals):
-                v = _dot(a, w)
-                if v == 0:
-                    raise CheckFailedError(f"chamber {k}: witness lies on hyperplane {h}")
-                if v > 0:
-                    signs |= 1 << h
-            if signs != mask:
+            positive = sum(map(mul, w, columns)) + below_half
+            spread = format(mask, spelling).encode()
+            # big-endian: the top byte of each digit, digit n - 1 first,
+            # in the order of the mask's binary spelling
+            for value in (positive, positive + ones):
+                if value.to_bytes(size, "big")[::width].translate(
+                        _TOP_BIT) != spread:
+                    self._reject(k)
+
+    def _reject(self, k):
+        """Raise for chamber k, naming the first hyperplane its witness
+        lies on or on the wrong side of."""
+        mask, w = self.masks[k], self.witnesses[k]
+        for h, a in enumerate(self.arrangement.normals):
+            v = _dot(a, w)
+            if v == 0 or (v > 0) != (mask >> h & 1):
+                where = "on" if v == 0 else f"off mask {mask:b} at"
                 raise CheckFailedError(
-                    f"chamber {k}: witness signs {signs:b} != mask {mask:b}"
-                )
+                    f"chamber {k}: witness lies {where} hyperplane {h}")
+        raise CheckFailedError(
+            f"chamber {k}: mask {mask:b} has bits past hyperplane {h}")
 
     def dist(self, i, j):
         return (self.masks[i] ^ self.masks[j]).bit_count()
@@ -489,6 +529,9 @@ def intersection_lattice(graph):
     rank r(A) - 1.  Flats are ordered by rank, then sorted hyperplanes.
     By Weisner's theorem, mu(0, Z) = -sum of mu(0, Y) over the flats Y
     that Z covers and that miss Z's lowest hyperplane (Stanley, EC1, 3.9).
+    Every |mu(0, X)| >= 1, so there are at most as many flats as
+    chambers, and the search raises CheckFailedError as soon as it holds
+    more flats than ``graph`` has chambers (a cache entry missing some).
     """
     normals = graph.arrangement.normals
     if not all(map(any, normals)):
@@ -511,6 +554,9 @@ def intersection_lattice(graph):
                 lower.setdefault(closed, []).append(mask)
                 if closed not in rank_of:
                     rank_of[closed] = rank
+                    if len(rank_of) > len(graph):
+                        raise CheckFailedError(
+                            f"more flats than the {len(graph)} chambers")
                     nxt.append((closed, *rref(basis + [key])))
         frontier = nxt
 

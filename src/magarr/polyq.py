@@ -2,7 +2,10 @@
 
 Polynomials are immutable tuples of Python ints in ascending degree
 order; they add, subtract and compare only with polynomials, multiply
-by polynomials or ints, and are false exactly when zero.  Rational
+by polynomials or ints, and are false exactly when zero.  Dense factors
+multiply as their values at q = 256**w, with w bytes enough for every
+coefficient of the product, read back digit by digit (Kronecker
+substitution); sparse ones term by term.  Rational
 functions are kept in a canonical reduced form: numerator and
 denominator have no common polynomial factor, the gcd of all integer
 coefficients of numerator and denominator combined is 1, and the
@@ -18,6 +21,15 @@ import math
 from dataclasses import dataclass
 
 from .errors import CheckFailedError
+from .linalg import pack_digits, unpack_digits
+
+# factors with more pairs of nonzero terms than this times their total
+# length are multiplied as packed ints, sparser ones term by term.  Per
+# product of dense factors of length L (2-core VM, Python 3.11), term loop
+# against packed: 3-bit coefficients 5.7 vs 10.5 us at L = 8, 19.8 vs
+# 16.8 at L = 16, 73.7 vs 28.8 at L = 32, 16,511 vs 694 at L = 432; 30-bit
+# ones 26.8 vs 22.7 us at L = 16.  So dense factors switch above L = 16
+KRONECKER_TERMS = 8
 
 
 class ZeroDenominatorError(ZeroDivisionError):
@@ -97,9 +109,22 @@ class IntPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPoly()
-        out = [0] * (len(a) + len(b) - 1)
+        size = len(a) + len(b) - 1
+        terms_a, terms_b = len(a) - a.count(0), len(b) - b.count(0)
+        # packing pays for every slot at the widest coefficient's width, so
+        # a factor with more zeros than terms goes term by term: packed,
+        # the determinant product formula of braid:6, whose binomials in
+        # q^6 ... q^30 are mostly zeros, took 15.6 s instead of 1.3 s
+        if (terms_a * terms_b > KRONECKER_TERMS * (size + 1)
+                and 2 * terms_a >= len(a) and 2 * terms_b >= len(b)):
+            # every product coefficient is a sum of at most min(len) terms
+            bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+            width = (bound.bit_length() + 8) // 8  # 2**(8 width - 1) > bound
+            value = pack_digits(a, width) * pack_digits(b, width)
+            return IntPoly(unpack_digits(value, width, size))
+        out = [0] * size
         # both loops skip zeros, the outer one over the sparser factor
-        if len(a) - a.count(0) > len(b) - b.count(0):
+        if terms_a > terms_b:
             a, b = b, a
         b = [(j, bj) for j, bj in enumerate(b) if bj]
         for i, ai in enumerate(a):
@@ -109,18 +134,6 @@ class IntPoly:
         return IntPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        out = IntPoly.const(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def shift(self, k: int) -> "IntPoly":
         """Multiply by q**k."""

@@ -2,7 +2,8 @@
 enumerated once per run and reused across test modules.  Also the
 oracles only tests use: values of rational functions, face sign
 vectors, their product, restriction chambers by enumeration, flats by
-closure, Moebius numbers by their defining sum, matroid components by
+closure, Moebius numbers by their defining sum, polynomial powers, the
+determinant's product formula flat by flat, matroid components by
 separators, distances found by walking edges, relabelled bits one at a
 time, the Betti table reduced block by block, and invariant factors
 from minors."""
@@ -36,8 +37,12 @@ from magarr.homology import (
     magnitude_homology,
     structural_checks,
 )
-from magarr.polyq import series_expand
-from magarr.magnitude import chamber_orbits, magnitude_direct
+from magarr.polyq import ONE, IntPoly, series_expand
+from magarr.magnitude import (
+    chamber_orbits,
+    magnitude_direct,
+    varchenko_det_product,
+)
 from magarr.magnitude import structural_checks as magnitude_checks
 
 # 18 lines, 216 chambers, 15 ordinary and 46 triple points: the arguments
@@ -179,6 +184,31 @@ def mobius_by_sum(lattice):
     return mobius
 
 
+def power(p, k):
+    """The polynomial p to the k-th power, by repeated squaring."""
+    out = ONE
+    while k:
+        if k & 1:
+            out = out * p
+        p = p * p
+        k >>= 1
+    return out
+
+
+def det_product_by_flats(lattice):
+    """The determinant's product formula one flat at a time, each
+    (1 - q^(2 #X))^(c^X beta(A_X)) by repeated squaring: the cross-check
+    of the per-size binomials in ``varchenko_det_product``."""
+    out = ONE
+    for f in lattice.flats[1:]:
+        beta = lattice.beta_invariant(f.index)
+        if beta == 0:
+            continue
+        c = lattice.restriction_chamber_count(f.index)
+        out = out * power(ONE - IntPoly.monomial(2 * f.size), c * beta)
+    return out
+
+
 def components_by_separators(arrangement):
     """Matroid components by brute force, the cross-check of
     ``components``: a set S of hyperplanes is a separator when
@@ -313,6 +343,7 @@ def check_instance_laws(arr):
     size = len(graph)
     assert {f.mask: f.rank for f in lattice.flats} == flats_by_closure(arr)
     assert {f.mask: f.mobius for f in lattice.flats} == mobius_by_sum(lattice)
+    assert varchenko_det_product(lattice) == det_product_by_flats(lattice)
 
     # sign enumeration agrees with the alternating Moebius count
     chi = lattice.characteristic_polynomial()

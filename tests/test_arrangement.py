@@ -25,6 +25,7 @@ from conftest import (
 from magarr.arrangement import (
     CATALOG_NAMES,
     SymmetryGroup,
+    TopeGraph,
     _dot,
     _restrict_with_basis,
     catalog,
@@ -109,6 +110,60 @@ def test_boolean_chambers_are_all_masks(d):
     # only the enumeration: the lattice of boolean:12 has 3^12 comparable pairs
     graph = enumerate_chambers(catalog(f"boolean:{d}"))
     assert graph.masks == tuple(range(1 << d))
+
+
+def test_witness_check_tests_every_witness_against_every_normal():
+    # each chamber of braid:4 with one mask bit flipped, alone in a graph,
+    # is rejected on that hyperplane; in the whole graph, a chamber given
+    # the next chamber's witness is rejected on the first hyperplane where
+    # the two masks differ
+    arr, graph, _, _ = geometry("braid:4")
+    masks, witnesses = graph.masks, graph.witnesses
+    for mask, w in zip(masks, witnesses):
+        for h in range(arr.n):
+            with pytest.raises(CheckFailedError) as info:
+                TopeGraph(arr, [mask ^ 1 << h], [w])
+            assert str(info.value) == (
+                f"chamber 0: witness lies off mask {mask ^ 1 << h:b} at "
+                f"hyperplane {h}")
+    for k in range(len(masks)):
+        moved = list(witnesses)
+        moved[k] = witnesses[(k + 1) % len(masks)]
+        first = masks[k] ^ masks[(k + 1) % len(masks)]
+        with pytest.raises(CheckFailedError, match=(
+                f"^chamber {k}: witness lies off mask [01]+ at hyperplane "
+                f"{(first & -first).bit_length() - 1}$")):
+            TopeGraph(arr, masks, moved)
+
+
+def test_witness_on_a_hyperplane_is_rejected():
+    # (1, -1) lies on x + y = 0: a zero product is neither side, so both
+    # masks that agree elsewhere are rejected
+    arr = parse_arrangement([[1, 0], [0, 1], [1, 1]])
+    for mask in (0b001, 0b101):
+        with pytest.raises(CheckFailedError, match=(
+                "^chamber 0: witness lies on hyperplane 2$")):
+            TopeGraph(arr, [mask], [(1, -1)])
+    # (1, -2) has sign vector 0b001; a wrong bit, or one past the three
+    # hyperplanes, is named too
+    with pytest.raises(CheckFailedError, match="off mask 11 at hyperplane 1$"):
+        TopeGraph(arr, [0b011], [(1, -2)])
+    with pytest.raises(CheckFailedError, match="1001 has bits past hyperplane 2$"):
+        TopeGraph(arr, [0b1001], [(1, -2)])
+    with pytest.raises(CheckFailedError, match="witness has length 3"):
+        TopeGraph(arr, [0b001], [(1, -2, 0)])
+
+
+def test_witness_products_at_the_packing_bound_are_read_exactly():
+    # (M, M, M) against (1, 1, 1) is |a|_1 max|w|, the bound the packing
+    # width is chosen for, on both sides and with M across byte edges
+    arr = parse_arrangement([[1, 1, 1], [1, 0, 0], [0, 1, 0]])
+    for bits in range(1, 100):
+        for m in (2 ** bits - 1, 2 ** bits, 2 ** bits + 1):
+            graph = TopeGraph(arr, [0b000, 0b111], [(-m, -m, -m), (m, m, m)])
+            assert graph.masks == (0, 7)
+            with pytest.raises(CheckFailedError, match="at hyperplane 0$"):
+                TopeGraph(arr, [0b000, 0b110], [(-m, -m, -m), (m, m, m)])
 
 
 @pytest.mark.parametrize("m", range(2, 7))

@@ -8,6 +8,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from math import comb
 from pathlib import Path
 
@@ -631,6 +632,43 @@ def test_many_chambers_stop_on_the_chamber_budget(tmp_path):
     assert errors == ["error: chambers: budget 8192 exceeded "
                       "(observed 8374); try fewer hyperplanes"]
     assert "Traceback" not in proc.stderr
+
+
+def test_cache_entry_with_too_few_chambers_stops_at_its_flats(tmp_path):
+    # a hand-written entry lists one chamber of the 400 planes (1, t, t^2),
+    # which have 159,602 chambers and 79,801 flats; the lattice used to be
+    # built whole (about 8 s) before the Zaslavsky count threw the entry
+    # away, and now stops at its second flat, so what remains is the fresh
+    # enumeration up to the chamber budget
+    path = tmp_path / "moment.txt"
+    rows = [[1, t, t * t] for t in range(1, 401)]
+    path.write_text("".join(f"{a} {b} {c}\n" for a, b, c in rows))
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    entry = {"version": cli.SCHEMA_VERSION, "dimension": 3, "rows": rows,
+             "masks": [(1 << 400) - 1], "witnesses": [[1, 0, 0]]}
+    key = cache_key(load_arrangement(str(path))[0])
+    (cache / f"{key}.json").write_text(json.dumps(entry))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "magarr.cli", "lattice", str(path),
+         "--cache", str(cache)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    discards = [l for l in lines if l.startswith("cache: discarding")]
+    assert len(discards) == 1
+    assert discards[0].endswith(": more flats than the 1 chambers")
+    errors = [l for l in lines if l.startswith("error:")]
+    assert errors == ["error: chambers: budget 8192 exceeded "
+                      "(observed 8374); try fewer hyperplanes"]
+    assert "Traceback" not in proc.stderr
+    assert elapsed < 8
 
 
 @pytest.mark.parametrize("target", ["series_expand", "_assert_d2_zero"])

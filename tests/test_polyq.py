@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import value_at
+from conftest import power, value_at
 from magarr.errors import CheckFailedError
 from magarr.polyq import (
     ONE,
@@ -56,9 +58,63 @@ def test_ring_operations_commute_with_evaluation(a, b, x):
 @given(coeff_lists, st.integers(0, 4), st.integers(-3, 3))
 def test_power_and_shift(a, k, x):
     p = IntPoly(a)
-    assert (p ** k).evaluate(x) == p.evaluate(x) ** k
+    assert power(p, k).evaluate(x) == p.evaluate(x) ** k
     if x != 0:
         assert p.shift(k).evaluate(x) == p.evaluate(x) * x ** k
+
+
+def schoolbook(a, b):
+    """Coefficients of the product of two coefficient lists, term by term."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return IntPoly(out)
+
+
+def test_products_match_the_schoolbook_oracle():
+    rng = random.Random(2025)
+    lengths = (1, 2, 5, 16, 17, 33, 120, 500)
+    for la in lengths:
+        for lb in lengths:
+            for bits in (1, 8, 63, 200):
+                a = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(la)]
+                b = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(lb)]
+                a[-1] = b[-1] = 2 ** bits  # full length, largest modulus
+                assert IntPoly(a) * IntPoly(b) == schoolbook(a, b), (la, lb, bits)
+
+
+def test_products_with_zero_constant_and_sparse_factors():
+    rng = random.Random(7)
+    dense = IntPoly([rng.randint(-10 ** 30, 10 ** 30) for _ in range(300)])
+    assert dense * ZERO == ZERO and ZERO * dense == ZERO
+    assert dense * IntPoly.const(-3) == IntPoly([-3 * c for c in dense.coeffs])
+    assert dense * ONE == dense
+    gappy = IntPoly([c if i % 7 == 0 else 0 for i, c in enumerate(dense.coeffs)])
+    assert dense * gappy == schoolbook(dense.coeffs, gappy.coeffs)
+    powers = []
+    for k, e in ((1, 40), (3, 25), (2, 60)):
+        powers.append(power(ONE - IntPoly.monomial(k), e))
+        assert powers[-1] == IntPoly(
+            [(-1) ** (i // k) * comb(e, i // k) if i % k == 0 else 0
+             for i in range(k * e + 1)])
+    whole = powers[0] * powers[1] * powers[2]
+    assert whole == schoolbook(
+        schoolbook(powers[0].coeffs, powers[1].coeffs).coeffs,
+        powers[2].coeffs)
+    assert whole.evaluate(2) == (-7) ** 25 * 3 ** 60
+
+
+@pytest.mark.parametrize("length", [17, 40, 257])
+def test_products_with_coefficients_at_the_width_bound(length):
+    # all-equal factors make the middle coefficient length * c * c, the
+    # bound the packing width is chosen for; c runs across byte edges
+    for bits in range(1, 90):
+        for c in (2 ** bits - 1, 2 ** bits, 2 ** bits + 1):
+            got = IntPoly([c] * length) * IntPoly([-c] * length)
+            assert got.coeffs == tuple(
+                -c * c * min(i + 1, 2 * length - 1 - i)
+                for i in range(2 * length - 1)), (length, c)
 
 
 def test_divexact_recovers_factors():
@@ -115,7 +171,7 @@ def test_series_expand_geometric():
 
 
 def test_series_expand_odd_numbers():
-    f = reduce_fraction(IntPoly((1, 1)), IntPoly((1, -1)) ** 2)
+    f = reduce_fraction(IntPoly((1, 1)), power(IntPoly((1, -1)), 2))
     assert tuple(series_expand(f, 4)) == (1, 3, 5, 7, 9)
 
 
@@ -151,7 +207,7 @@ def test_cyclotomic_product_over_divisors(n):
 
 
 def test_cyclotomic_factor_splits_completely():
-    p = cyclotomic(2) ** 2 * cyclotomic(4)
+    p = power(cyclotomic(2), 2) * cyclotomic(4)
     factors, rem = cyclotomic_factor(p)
     assert factors == ((2, 2), (4, 1))
     assert rem == ONE
