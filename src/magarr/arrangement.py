@@ -11,6 +11,8 @@ the number of separating hyperplanes, which is the popcount of the XOR
 of their masks.  Each chamber's integer witness is checked against all
 n normals at once: the n dot products are the signed digits of one big
 int, whose top bits spell the mask (``TopeGraph.check_witnesses``).
+Chambers are enumerated once per arrangement; the tope graph of a
+localization is projected from its parent's (``TopeGraph.localization``).
 """
 
 from dataclasses import dataclass
@@ -341,6 +343,21 @@ class TopeGraph:
         raise CheckFailedError(
             f"chamber {k}: mask {mask:b} has bits past hyperplane {h}")
 
+    def localization(self, hyperplanes):
+        """Tope graph of the localization at a flat, given by the
+        ascending, nonempty hyperplanes through it: the distinct
+        restrictions of these topes, the deletion minor (Bjorner et al.,
+        *Oriented Matroids*, 2nd ed., ch. 3), each with the witness of a
+        chamber restricting to it, which lies inside it."""
+        arr, hs = self.arrangement, hyperplanes
+        inside = sum(1 << h for h in hs)
+        found = dict(zip([m & inside for m in self.masks], self.witnesses))
+        keys = sorted(found)  # restricted masks sort as their projections
+        sub = Arrangement(arr.dimension, tuple(arr.normals[h] for h in hs),
+                          tuple(arr.labels[h] for h in hs))
+        masks = [sum((m >> h & 1) << k for k, h in enumerate(hs)) for m in keys]
+        return TopeGraph(sub, masks, [found[m] for m in keys])
+
     def dist(self, i, j):
         return (self.masks[i] ^ self.masks[j]).bit_count()
 
@@ -453,13 +470,13 @@ class FaceLattice:
     the normals of the hyperplanes through it.  The bottom flat is the
     empty intersection (the whole space).  Y <= X iff the mask of Y is
     inside that of X, and ``index`` maps a mask to its flat's index.
+    ``graph`` is the tope graph the flats were read from.
     """
 
-    def __init__(self, arrangement, flats, chamber_count):
-        self.arrangement = arrangement
+    def __init__(self, graph, flats):
+        self.graph = graph
         self.flats = flats
         self.index = {f.mask: f.index for f in flats}
-        self.chamber_count = chamber_count
         self.rank = max(f.rank for f in flats)
         self._counts_below = {}
         self._flat_orbits = {}  # hyperplane relabellings -> flat orbits
@@ -474,7 +491,7 @@ class FaceLattice:
 
     def characteristic_polynomial(self):
         """Sum over flats of mu(0, X) t^(d - rank X), as a coeff tuple."""
-        d = self.arrangement.dimension
+        d = self.graph.arrangement.dimension
         coeffs = [0] * (d + 1)
         for f in self.flats:
             coeffs[d - f.rank] += f.mobius
@@ -482,7 +499,7 @@ class FaceLattice:
 
     def beta_invariant(self, j):
         """|chi'(1)| of the subarrangement of hyperplanes through flat j."""
-        d = self.arrangement.dimension
+        d = self.graph.arrangement.dimension
         below = (self.flats[y] for y in self.lower(j))
         return abs(sum(f.mobius * (d - f.rank) for f in below))
 
@@ -567,7 +584,7 @@ def intersection_lattice(graph):
         mobius[m] = -sum(mobius[y] for y in lower[m] if not y & m & -m)
     flats = tuple(Flat(index=i, mask=m, rank=rank_of[m], mobius=mobius[m])
                   for i, m in enumerate(masks))
-    lattice = FaceLattice(graph.arrangement, flats, len(graph))
+    lattice = FaceLattice(graph, flats)
 
     # Zaslavsky count must match the enumeration.
     total = sum(abs(f.mobius) for f in flats)
@@ -580,18 +597,6 @@ def intersection_lattice(graph):
 
 # ---------------------------------------------------------------------------
 # derived arrangements
-
-
-def localize(arrangement, hyperplanes):
-    """Subarrangement of the hyperplanes through a flat, in the same space."""
-    hs = sorted(hyperplanes)
-    rows = [arrangement.normals[h] for h in hs]
-    labels = [arrangement.labels[h] for h in hs]
-    return Arrangement(
-        dimension=arrangement.dimension,
-        normals=tuple(tuple(r) for r in rows),
-        labels=tuple(labels),
-    )
 
 
 def components(arrangement):
@@ -858,7 +863,7 @@ def flat_orbits(lattice, group):
     """
     if group.hyperplane_perms in lattice._flat_orbits:
         return lattice._flat_orbits[group.hyperplane_perms]
-    flats, n = lattice.flats, lattice.arrangement.n
+    flats, n = lattice.flats, lattice.graph.n
     fperms = []
     for g, hp in enumerate(group.hyperplane_perms):
         if len(hp) != n or set(hp) != set(range(n)):

@@ -248,8 +248,7 @@ def _mag_task(args, graph, lattice, group):
         "orbit_count": res.orbit_count,
         "symmetry_order": res.symmetry_order,
         "checks": magnitude.structural_checks(
-            graph, lattice, group, res, not args.no_face_check,
-            args.det_check),
+            lattice, group, res, not args.no_face_check, args.det_check),
     }
 
 
@@ -281,7 +280,7 @@ def _lattice_task(lattice):
         })
     return {
         "rank": lattice.rank,
-        "chambers": lattice.chamber_count,
+        "chambers": len(lattice.graph),
         "characteristic_polynomial": list(lattice.characteristic_polynomial()),
         "flats": flats,
     }
@@ -301,7 +300,7 @@ def _verify_task(args, name, is_file, graph, lattice, group):
     face_check = not args.no_face_check
     mag = magnitude_direct(graph, group)
     registries = {"mag": magnitude.structural_checks(
-        graph, lattice, group, mag, face_check, args.det_check)}
+        lattice, group, mag, face_check, args.det_check)}
 
     gm = None if is_file else golden_magnitude().get(name)
     if gm is not None:

@@ -37,12 +37,7 @@ from dataclasses import dataclass
 from itertools import groupby, permutations, product
 import math
 
-from .arrangement import (
-    components,
-    enumerate_chambers,
-    flat_orbits,
-    localize,
-)
+from .arrangement import components, flat_orbits
 from .errors import BudgetExceededError, CheckFailedError
 from .linalg import complex_homology
 from .magnitude import alternating_violation, chamber_orbits
@@ -521,7 +516,7 @@ def structural_checks(lattice, group, result, face_check):
     the face decomposition.
     """
     lmax = result.lmax
-    n = lattice.arrangement.n
+    n = lattice.graph.n
     rank = lattice.rank
     betti_at = result.betti_at
     restricted = lattice.restriction_chamber_count
@@ -531,7 +526,7 @@ def structural_checks(lattice, group, result, face_check):
         k: v for k, v in result.geodesic_betti.items() if v
     } == {k: v for k, v in geodesic.items() if v and k[1] <= lmax}
 
-    checks["b00_chambers"] = betti_at(0, 0) == lattice.chamber_count
+    checks["b00_chambers"] = betti_at(0, 0) == len(lattice.graph)
     if lmax >= 1:
         edge_sum = sum(restricted(f.index) for f in lattice.flats_of_rank(1))
         checks["b11_walls"] = betti_at(1, 1) == 2 * edge_sum
@@ -559,7 +554,7 @@ def structural_checks(lattice, group, result, face_check):
     else:
         if lmax >= n:
             checks["corner_class_present"] = (
-                betti_at(rank, n) >= lattice.chamber_count
+                betti_at(rank, n) >= len(lattice.graph)
             )
         checks["interior_diagonal_vanishes"] = not any(interior_diag)
 
@@ -586,26 +581,26 @@ def face_decomposition_check(lattice, result, group):
 
         b_{k,l}(A) = sum over flats X of c^X * interior b_{k,l}(A_X).
 
-    Proper flats are recomputed independently (one representative per
-    symmetry orbit); the top term is the interior part of the main run.
+    Proper flats are recomputed independently, one per symmetry orbit:
+    the tope graph of A_X is projected from A's (``localization``) and
+    its interior homology is a run of its own.  The top term is the
+    interior part of the main run.
     """
     _oid, forbits = flat_orbits(lattice, group)
-    top = lattice.flats[-1]
     total = defaultdict(int)
     for members in forbits:
         rep = lattice.flats[members[0]]
         weight = len(members)
         c = lattice.restriction_chamber_count(rep.index)
-        if rep.index == top.index:
-            for key, v in result.interior_betti.items():
-                total[key] += weight * c * v
-            continue
         if rep.rank == 0:
-            total[(0, 0)] += weight * c
-            continue
-        sub = enumerate_chambers(localize(lattice.arrangement, rep.hyperplanes))
-        sub_res = magnitude_homology(sub, lmax=result.lmax, interior_only=True)
-        for key, v in sub_res.betti.items():
+            table = {(0, 0): 1}
+        elif rep is lattice.flats[-1]:
+            table = result.interior_betti
+        else:
+            sub = lattice.graph.localization(rep.hyperplanes)
+            table = magnitude_homology(
+                sub, lmax=result.lmax, interior_only=True).betti
+        for key, v in table.items():
             total[key] += weight * c * v
     want = {k: v for k, v in result.betti.items() if v}
     got = {k: v for k, v in total.items() if v}

@@ -225,7 +225,7 @@ def magnitude_direct(graph, group):
     )
 
 
-def structural_checks(graph, lattice, group, result, face_check, det_check):
+def structural_checks(lattice, group, result, face_check, det_check):
     """Every magnitude-level check of ``result``, by name.
 
     The paper's identities on the value itself (integral series, the
@@ -238,6 +238,7 @@ def structural_checks(graph, lattice, group, result, face_check, det_check):
     product formula when ``det_check`` is set or the graph has at most
     DET_CHECK_AUTO_LIMIT chambers.
     """
+    graph = lattice.graph
     mag, n, series = result.magnitude, result.n, result.series
     checks = {}
     # Fatou's lemma: a reduced pair (coprime, combined content 1) has
@@ -267,8 +268,7 @@ def structural_checks(graph, lattice, group, result, face_check, det_check):
         checks["face_decomposition_route"] = via_faces == mag
         if lattice.rank == 3:
             checks["rank3_closed_form"] = rank3_magnitude(
-                n, lattice.chamber_count,
-                lattice.rank3_line_multiplicities()) == mag
+                n, len(graph), lattice.rank3_line_multiplicities()) == mag
     if det_check or len(graph) <= DET_CHECK_AUTO_LIMIT:
         basis = free_involution_basis(graph, group)
         checks["varchenko_det_product"] = (
@@ -299,7 +299,7 @@ def magnitude_by_face_decomposition(lattice, group):
     of Mag(A_Y), and the sum is reduced once.
     """
     flats = lattice.flats
-    if flats[-1].size != lattice.arrangement.n:
+    if flats[-1].size != lattice.graph.n:
         raise CheckFailedError("top flat misses some hyperplanes")
     if flats[0].rank != 0:
         raise CheckFailedError("first flat is not the bottom")

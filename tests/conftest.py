@@ -1,7 +1,8 @@
 """Shared fixtures: geometry is expensive, so catalog arrangements are
 enumerated once per run and reused across test modules.  Also the
 oracles only tests use: values of rational functions, face sign
-vectors, their product, restriction chambers by enumeration, flats by
+vectors, their product, localizations as subarrangements to enumerate
+afresh, restriction chambers by enumeration, flats by
 closure, Moebius numbers by their defining sum, polynomial powers, the
 determinant's product formula flat by flat, matroid components by
 separators, distances found by walking edges, relabelled bits one at a
@@ -17,6 +18,7 @@ from itertools import combinations, product
 from math import gcd
 
 from magarr.arrangement import (
+    Arrangement,
     _chamber_witnesses,
     _dot,
     _lift,
@@ -84,9 +86,9 @@ def magnitude_checks_of(name):
     """The named magnitude checks of a catalog name, as ``mag`` makes
     them by default."""
     if name not in _MAGNITUDE_CHECKS:
-        _, graph, lattice, group = geometry(name)
+        _, _, lattice, group = geometry(name)
         _MAGNITUDE_CHECKS[name] = magnitude_checks(
-            graph, lattice, group, magnitude_of(name), face_check=True,
+            lattice, group, magnitude_of(name), face_check=True,
             det_check=False)
     return _MAGNITUDE_CHECKS[name]
 
@@ -135,6 +137,27 @@ def sign_feasible(arrangement, signs):
         if tuple(_sign(_dot(a, point)) for a in arrangement.normals) == want:
             return point
     return None
+
+
+def localize(arrangement, hyperplanes):
+    """Subarrangement of the hyperplanes through a flat, in the same
+    space; enumerated afresh, it is the oracle for the tope graphs that
+    ``TopeGraph.localization`` projects."""
+    hs = sorted(hyperplanes)
+    return Arrangement(arrangement.dimension,
+                       tuple(arrangement.normals[h] for h in hs),
+                       tuple(arrangement.labels[h] for h in hs))
+
+
+def assert_localizations_project(arr, graph, lattice):
+    """At every flat above the bottom, the tope graph projected from the
+    arrangement's is the one enumerated afresh on the subarrangement."""
+    for f in lattice.flats:
+        if f.rank:
+            got = graph.localization(f.hyperplanes)
+            want = enumerate_chambers(localize(arr, f.hyperplanes))
+            assert got.arrangement == want.arrangement, f
+            assert got.masks == want.masks, f
 
 
 def restriction_count_by_enumeration(arrangement, hyperplanes):
@@ -351,6 +374,7 @@ def check_instance_laws(arr):
     for f in lattice.flats:
         assert (lattice.restriction_chamber_count(f.index)
                 == restriction_count_by_enumeration(arr, f.hyperplanes))
+    assert_localizations_project(arr, graph, lattice)
 
     # edge metric is the separation metric, antipodes exist
     for a in range(size):
@@ -385,7 +409,7 @@ def check_instance_laws(arr):
 
     # series, chain counts, homology and every structural identity agree
     mag = magnitude_direct(graph, group)
-    checks = magnitude_checks(graph, lattice, group, mag, face_check=True,
+    checks = magnitude_checks(lattice, group, mag, face_check=True,
                               det_check=False)
     assert all(checks.values()), {k: v for k, v in checks.items() if not v}
     hom = magnitude_homology(

@@ -123,8 +123,8 @@ def test_01_magnitude_fixture_values():
     assert mag.num == IntPoly((18, -2, -8, -2, 18))
     assert mag.den == power(cyclotomic(2), 3) * cyclotomic(3) * cyclotomic(10)
     for name in ("nearpencil:4", "nearpencil:5"):
-        arr, _, lattice, _ = geometry(name)
-        got = rank3_magnitude(arr.n, lattice.chamber_count,
+        arr, graph, lattice, _ = geometry(name)
+        got = rank3_magnitude(arr.n, len(graph),
                               lattice.rank3_line_multiplicities())
         assert got == magnitude_of(name).magnitude, name
     print("PASS 1: magnitude fixtures, reduced forms and series")

@@ -13,9 +13,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
+    assert_localizations_project,
     bfs_distances,
     flats_by_closure,
     geometry,
+    localize,
     mobius_by_sum,
     neighbours,
     restriction_count_by_enumeration,
@@ -32,7 +34,6 @@ from magarr.arrangement import (
     enumerate_chambers,
     flat_orbits,
     intersection_lattice,
-    localize,
     orbits_of_permutations,
     parse_arrangement,
     tope_symmetries,
@@ -343,6 +344,13 @@ def test_boolean_restriction_counts_at_scale():
     assert len(lattice.flats) == 1024
     for f in lattice.flats:
         assert lattice.restriction_chamber_count(f.index) == 2 ** (10 - f.rank)
+
+
+@pytest.mark.parametrize("name", [*CATALOG_NAMES, "boolean:8", "braid:6"])
+def test_localizations_project_from_the_tope_graph(name):
+    # random instances are checked in ``check_instance_laws``
+    arr, graph, lattice, _ = geometry(name)
+    assert_localizations_project(arr, graph, lattice)
 
 
 def test_localize_and_restrict_shapes():

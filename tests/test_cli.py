@@ -177,11 +177,14 @@ def test_mag_boolean_order_above_six(capsys, tmp_path, d, order):
     ["lattice", "braid:5"],
     ["homology", "u34", "--no-face-check"],
     ["conjectures", "u34"],
+    ["verify", "braid:4", "--lmax", "3"],
 ])
 def test_one_chamber_enumeration_per_run(capsys, monkeypatch, argv):
-    # restriction counts are Moebius sums on upper intervals, and every
-    # task reads its chambers off the one tope graph, so a run enumerates
-    # the chambers of its own arrangement and of nothing else
+    # restriction counts are Moebius sums on upper intervals, every task
+    # reads its chambers off the one tope graph, and the face check
+    # projects each localization's tope graph from it, so a run
+    # enumerates the chambers of its own arrangement and of nothing else;
+    # the name is patched in every magarr module that binds it
     calls = []
 
     def counted(arr):
@@ -189,8 +192,12 @@ def test_one_chamber_enumeration_per_run(capsys, monkeypatch, argv):
         return enumerate_chambers(arr)
 
     monkeypatch.delenv("MAGARR_CACHE", raising=False)
-    monkeypatch.setattr(arrangement, "enumerate_chambers", counted)
-    monkeypatch.setattr(cli, "enumerate_chambers", counted)
+    bound = [mod for key, mod in list(sys.modules.items())
+             if mod is not None and key.split(".")[0] == "magarr"
+             and vars(mod).get("enumerate_chambers") is enumerate_chambers]
+    assert cli in bound
+    for mod in bound:
+        monkeypatch.setattr(mod, "enumerate_chambers", counted)
     code, _, _ = _run(capsys, argv)
     assert code == 0
     assert len(calls) == 1

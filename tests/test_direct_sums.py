@@ -15,13 +15,12 @@ from collections import defaultdict
 
 import pytest
 
-from conftest import components_by_separators, random_arrangements
+from conftest import components_by_separators, localize, random_arrangements
 from magarr.arrangement import (
     CATALOG_NAMES,
     catalog,
     components,
     enumerate_chambers,
-    localize,
     parse_arrangement,
 )
 from magarr.homology import magnitude_homology

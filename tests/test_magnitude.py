@@ -129,11 +129,10 @@ def test_magnitude_checks_catch_a_wrong_value():
     # 15 - 20q + 14q^2 over the true denominator of u34: not palindromic,
     # not 1 at q = 1, and off both independent routes; the series and the
     # determinant are left as they were, so their checks still pass
-    _, graph, lattice, group = geometry("u34")
+    _, _, lattice, group = geometry("u34")
     mag = magnitude_of("u34")
     wrong = reduce_fraction(mag.magnitude.num + ONE, mag.magnitude.den)
-    checks = structural_checks(graph, lattice, group,
-                               replace(mag, magnitude=wrong),
+    checks = structural_checks(lattice, group, replace(mag, magnitude=wrong),
                                face_check=True, det_check=False)
     assert set(checks) == set(magnitude_checks_of("u34"))
     assert sorted(k for k, v in checks.items() if not v) == [
@@ -148,10 +147,10 @@ def test_magnitude_checks_catch_a_wrong_value():
 def test_magnitude_checks_read_a_pole_at_one_as_false():
     # 1 / (1 - q) has a pole at q = 1: the checks there compare num(1)
     # with den(1) as integers, so they fail instead of dividing by zero
-    _, graph, lattice, group = geometry("u34")
+    _, _, lattice, group = geometry("u34")
     mag = magnitude_of("u34")
     pole = reduce_fraction(ONE, ONE - IntPoly.monomial(1))
-    checks = structural_checks(graph, lattice, group,
+    checks = structural_checks(lattice, group,
                                replace(mag, magnitude=pole, interior=pole),
                                face_check=True, det_check=False)
     assert checks["one_point_property"] is False
@@ -162,10 +161,10 @@ def test_magnitude_checks_read_a_non_integral_series_as_false():
     # 1 / (2 + q) has constant term 2 in its denominator, so its series
     # 1/2 - q/4 + ... is not integral: the check reads den(0) and fails
     # without expanding it
-    _, graph, lattice, group = geometry("u34")
+    _, _, lattice, group = geometry("u34")
     mag = magnitude_of("u34")
     half = reduce_fraction(ONE, IntPoly((2, 1)))
-    checks = structural_checks(graph, lattice, group,
+    checks = structural_checks(lattice, group,
                                replace(mag, magnitude=half, interior=half),
                                face_check=True, det_check=False)
     assert checks["series_integral"] is False
@@ -174,12 +173,12 @@ def test_magnitude_checks_read_a_non_integral_series_as_false():
 def test_denominator_cyclotomic_detection():
     # the check holds on +-1 times cyclotomics without Phi_1, and fails
     # on Phi_1 or on a factor that is not cyclotomic
-    _, graph, lattice, group = geometry("u34")
+    _, _, lattice, group = geometry("u34")
     mag = magnitude_of("u34")
 
     def cyclotomic_denominator(den):
         checks = structural_checks(
-            graph, lattice, group, replace(mag, magnitude=RatFunc(ONE, den)),
+            lattice, group, replace(mag, magnitude=RatFunc(ONE, den)),
             face_check=False, det_check=False)
         return checks["cyclotomic_denominator"]
 
@@ -211,8 +210,8 @@ def test_interior_magnitude_shift():
 
 @pytest.mark.parametrize("name", ["nearpencil:4", "nearpencil:5", "u34", "k4me"])
 def test_rank3_closed_form_matches_direct(name):
-    arr, _, lattice, _ = geometry(name)
-    got = rank3_magnitude(arr.n, lattice.chamber_count,
+    arr, graph, lattice, _ = geometry(name)
+    got = rank3_magnitude(arr.n, len(graph),
                           lattice.rank3_line_multiplicities())
     assert got == magnitude_of(name).magnitude
 
