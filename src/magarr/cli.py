@@ -255,7 +255,7 @@ def _mag_task(args, graph, lattice, group):
 def _homology_task(args, graph, group):
     lmax = args.lmax if args.lmax is not None else default_length_cap(graph)
     res = magnitude_homology(graph, lmax=lmax, group=group,
-                             magnitude=magnitude_fraction(graph, group))
+                             magnitude=magnitude_fraction(graph, group)[0])
     out = {
         "lmax": res.lmax,
         "betti": _cells_out(res.betti),

@@ -373,7 +373,7 @@ class HomologyResult:
 
 
 def magnitude_homology(graph, *, lmax, group=None, interior_only=False,
-                       magnitude=None):
+                       magnitude=None, memo=None):
     """Bigraded Betti table of ``graph`` through total length ``lmax``.
 
     The tope graph is the whole input; the run enumerates no chambers.
@@ -385,6 +385,10 @@ def magnitude_homology(graph, *, lmax, group=None, interior_only=False,
     zero, and a run that would charge more than ``DEFAULT_CHAIN_BUDGET``
     entries (read at call time) for the keys it finds and the chains it
     builds (see ``_start_blocks``) stops with BudgetExceededError.
+    ``memo`` is a (memo, canon) pair of dicts as ``_start_blocks`` reads
+    them; a memo key fixes its block whatever graph it came from, so
+    runs given one pair reduce each block once among them.  Without it
+    the run keeps its own.
     """
     _, orbits, _ = chamber_orbits(graph, group)
     masks = graph.masks
@@ -393,8 +397,9 @@ def magnitude_homology(graph, *, lmax, group=None, interior_only=False,
     dims = defaultdict(int)
     spent = 0
     around = _near_lists(graph, lmax)
-    memo = {}  # memo key -> summary of the first block with that key
-    canon = {}  # raw memo key -> its canonical form
+    # memo key -> summary of the first block with that key, and raw memo
+    # key -> its canonical form
+    memo, canon = memo or ({}, {})
     for members in orbits:
         rep = members[0]
         weight = len(members)
@@ -583,10 +588,15 @@ def face_decomposition_check(lattice, result, group):
 
     Proper flats are recomputed independently, one per symmetry orbit:
     the tope graph of A_X is projected from A's (``localization``) and
-    its interior homology is a run of its own.  The top term is the
+    its interior homology is a run of its own.  These runs share one
+    block memo, so a block met in several localizations (those at flats
+    of k hyperplanes in rank two are all the same pencil) is reduced
+    once.  The main run's memo is never shared, so the proper flats'
+    terms read no block the main run reduced.  The top term is the
     interior part of the main run.
     """
     _oid, forbits = flat_orbits(lattice, group)
+    memo = ({}, {})  # shared by the localizations' runs
     total = defaultdict(int)
     for members in forbits:
         rep = lattice.flats[members[0]]
@@ -599,7 +609,7 @@ def face_decomposition_check(lattice, result, group):
         else:
             sub = lattice.graph.localization(rep.hyperplanes)
             table = magnitude_homology(
-                sub, lmax=result.lmax, interior_only=True).betti
+                sub, lmax=result.lmax, interior_only=True, memo=memo).betti
         for key, v in table.items():
             total[key] += weight * c * v
     want = {k: v for k, v in result.betti.items() if v}

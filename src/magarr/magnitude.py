@@ -77,7 +77,7 @@ def _hadamard_bits(matrix):
     return (isqrt(bound) + 1).bit_length() + 1
 
 
-def _bareiss_minors(matrix, weights):
+def _bareiss_minors(matrix, weights, bits):
     """Leading principal minors by symmetric fraction-free elimination.
 
     ``matrix`` is a square list of IntPoly rows B with w_i B[i][j] =
@@ -86,8 +86,9 @@ def _bareiss_minors(matrix, weights):
     which holds here because the systems solved have constant term
     equal to an identity matrix.
 
-    The elimination runs on the integers A = B(2**b), with b from
-    ``_hadamard_bits``; each minor is decoded by ``_kronecker_decode``.
+    The elimination runs on the integers A = B(2**b), with b = ``bits``
+    from ``_hadamard_bits``, which the determinant's size budget reads
+    too; each minor is decoded by ``_kronecker_decode``.
     On |q| = 1, |m_ij(q)| <= |m_ij|_1, so by Hadamard every minor of B,
     bordered ones included, has modulus at most H there; a coefficient
     is at most the maximum modulus on |q| = 1, so it is at most H < 2**(b-1)
@@ -104,7 +105,6 @@ def _bareiss_minors(matrix, weights):
     elimination, whose cost grows about with the square of b, by more
     than byte-wise decoding of the n minors would save.
     """
-    bits = _hadamard_bits(matrix)
     x = 1 << bits
     a = [[p.evaluate(x) for p in row] for row in matrix]
     n = len(a)
@@ -161,14 +161,18 @@ def _orbit_matrix(graph, orbits):
 
 
 def magnitude_fraction(graph, group):
-    """Magnitude as a reduced fraction of integer polynomials.
+    """Magnitude as a reduced fraction of integer polynomials, and the
+    system it solves.
 
-    Solves the collapsed system with a single bordered fraction-free
-    elimination: the next-to-last minor is the system determinant and
-    the last is (minus) the weighted solution sum times it.  With w the
-    orbit sizes, [[M, 1], [w^T, 0]] is symmetric under the weights (w, 1).
-    Before building the system, raises BudgetExceededError when its
-    orbit count squared times the hyperplane count passes MAGNITUDE_BUDGET.
+    Solves the collapsed system M with a single bordered fraction-free
+    elimination: the next-to-last minor is det M and the last is (minus)
+    the weighted solution sum times it.  With w the orbit sizes,
+    [[M, 1], [w^T, 0]] is symmetric under the weights (w, 1).  Returns
+    (magnitude, (M, det M)); M has one row and column per chamber orbit,
+    led by its least chamber, and ``varchenko_det`` reuses det M for a
+    block equal to M.  Before building the system, raises
+    BudgetExceededError when its orbit count squared times the
+    hyperplane count passes MAGNITUDE_BUDGET.
     """
     _, orbits, group = chamber_orbits(graph, group)
     cost = len(orbits) ** 2 * graph.n
@@ -177,15 +181,17 @@ def magnitude_fraction(graph, group):
                                   MAGNITUDE_BUDGET, cost,
                                   "try a smaller arrangement")
     weights = [len(o) for o in orbits] + [1]
-    m = [row + [ONE] for row in _orbit_matrix(graph, orbits)]
+    system = _orbit_matrix(graph, orbits)
+    m = [row + [ONE] for row in system]
     m.append([IntPoly.const(w) for w in weights[:-1]] + [ZERO])
-    *_, det_m, det_border = _bareiss_minors(m, weights)
-    return reduce_fraction(-det_border, det_m)
+    *_, det_m, det_border = _bareiss_minors(m, weights, _hadamard_bits(m))
+    return reduce_fraction(-det_border, det_m), (system, det_m)
 
 
 @dataclass
 class MagnitudeResult:
-    """Magnitude with the values derived from it."""
+    """Magnitude with the values derived from it, and the collapsed
+    system (M, det M) it was solved from."""
 
     n: int
     rank: int
@@ -196,6 +202,7 @@ class MagnitudeResult:
     cyclotomic_den: tuple
     orbit_count: int
     symmetry_order: int
+    system: tuple
 
 
 def interior_magnitude(mag, rank, n):
@@ -207,8 +214,7 @@ def interior_magnitude(mag, rank, n):
 
 def magnitude_direct(graph, group):
     """Magnitude and its derived values, from the chamber metric."""
-    _, orbits, group = chamber_orbits(graph, group)
-    mag = magnitude_fraction(graph, group)
+    mag, system = magnitude_fraction(graph, group)
     n = graph.n
     rank = matrix_rank(graph.arrangement.normals)
     interior = interior_magnitude(mag, rank, n)
@@ -220,8 +226,9 @@ def magnitude_direct(graph, group):
         series=series_expand(mag, SERIES_ORDER),
         interior_series=series_expand(interior, SERIES_ORDER),
         cyclotomic_den=cyclotomic_factor(mag.den)[0],
-        orbit_count=len(orbits),
+        orbit_count=len(system[0]),
         symmetry_order=group.order,
+        system=system,
     )
 
 
@@ -236,7 +243,8 @@ def structural_checks(lattice, group, result, face_check, det_check):
     poset and, in rank three, the closed form; and the determinant,
     split over a free involution subgroup of ``group``, against its
     product formula when ``det_check`` is set or the graph has at most
-    DET_CHECK_AUTO_LIMIT chambers.
+    DET_CHECK_AUTO_LIMIT chambers.  A determinant block equal to the
+    magnitude system takes its determinant from ``result.system``.
     """
     graph = lattice.graph
     mag, n, series = result.magnitude, result.n, result.series
@@ -272,7 +280,8 @@ def structural_checks(lattice, group, result, face_check, det_check):
     if det_check or len(graph) <= DET_CHECK_AUTO_LIMIT:
         basis = free_involution_basis(graph, group)
         checks["varchenko_det_product"] = (
-            varchenko_det(graph, basis) == varchenko_det_product(lattice))
+            varchenko_det(graph, basis, result.system)
+            == varchenko_det_product(lattice))
     return checks
 
 
@@ -405,7 +414,7 @@ def free_involution_basis(graph, group):
     return tuple(basis)
 
 
-def varchenko_det(graph, basis):
+def varchenko_det(graph, basis, known):
     """Exact determinant, split by the characters of a free elementary
     abelian 2-subgroup E of chamber isometries.
 
@@ -424,6 +433,12 @@ def varchenko_det(graph, basis):
     antipodal split det(A + B) det(A - B).  Before eliminating, raises
     BudgetExceededError when the largest block's order times its
     Hadamard bit bound passes DET_BUDGET.
+
+    ``known`` is a pair (K, det K), the magnitude system and its
+    determinant from ``magnitude_fraction``, and a block equal to K is
+    not eliminated again.  Representatives are least chambers of their
+    E-orbits, in order, so when E has the chamber orbits of the symmetry
+    group the trivial-character block M_0 is K entry for entry.
     """
     size = len(graph)
     identity = tuple(range(size))
@@ -456,13 +471,18 @@ def varchenko_det(graph, basis):
                 out.append(IntPoly(coeffs))
             block.append(out)
         blocks.append(block)
-    cost = len(reps) * max(_hadamard_bits(block) for block in blocks)
+    bits = [_hadamard_bits(block) for block in blocks]
+    cost = len(reps) * max(bits)
     if cost > DET_BUDGET:
         raise BudgetExceededError("determinant block order x bits",
                                   DET_BUDGET, cost, "drop --det-check")
+    matrix, det_known = known
     det = ONE
-    for block in blocks:
-        det = det * _bareiss_minors(block, [1] * len(block))[-1]
+    for block, b in zip(blocks, bits):
+        if block == matrix:
+            det = det * det_known
+        else:
+            det = det * _bareiss_minors(block, [1] * len(block), b)[-1]
     return det
 
 

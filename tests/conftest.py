@@ -51,6 +51,9 @@ from magarr.magnitude import structural_checks as magnitude_checks
 # of ``rank3_magnitude`` for a line arrangement whose series coefficients
 # stop alternating in sign.
 EIGHTEEN_LINES = (18, 216, {2: 15, 3: 46})
+# a (matrix, determinant) pair that no determinant block equals, so
+# ``varchenko_det`` eliminates every block
+NO_SYSTEM = ((), ONE)
 
 _GEOMETRY = {}
 _MAGNITUDE = {}
@@ -356,6 +359,20 @@ def random_arrangements(count, seed, nmin=3, nmax=5, dim=3, span=2):
             continue
         out.append(arr)
     return out
+
+
+def general_position_rows(seed, count=6, span=2):
+    """Integer normals of ``count`` planes in general position in R^3,
+    entries in [-span, span], drawn from one seeded stream: a row is
+    drawn again unless it is independent of every two rows before it."""
+    rng = random.Random(seed)
+    rows = []
+    while len(rows) < count:
+        row = [rng.randint(-span, span) for _ in range(3)]
+        if all(matrix_rank([*others, row]) == len(others) + 1
+               for others in combinations(rows, min(2, len(rows)))):
+            rows.append(row)
+    return rows
 
 
 def check_instance_laws(arr):

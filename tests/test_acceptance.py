@@ -13,6 +13,7 @@ import time
 
 from conftest import (
     EIGHTEEN_LINES,
+    NO_SYSTEM,
     check_instance_laws,
     geometry,
     homology_of,
@@ -137,7 +138,8 @@ def test_02_varchenko_determinant_product_formula():
                  "braid:4", "coxeter:B3"):
         _, graph, lattice, group = geometry(name)
         basis = free_involution_basis(graph, group)
-        assert varchenko_det(graph, basis) == varchenko_det_product(lattice), name
+        assert (varchenko_det(graph, basis, NO_SYSTEM)
+                == varchenko_det_product(lattice)), name
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0, elapsed
     print("PASS 2: determinant two-route agreement")

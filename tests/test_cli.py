@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 import magarr.arrangement as arrangement
 import magarr.cli as cli
 import magarr.homology as homology
+import magarr.magnitude as magnitude
+from conftest import general_position_rows
 from magarr.arrangement import (
     CATALOG_NAMES,
     catalog,
@@ -34,6 +36,7 @@ from magarr.cli import (
     main,
 )
 from magarr.errors import CheckFailedError
+from magarr.polyq import IntPoly
 
 
 def _run(capsys, argv):
@@ -201,6 +204,88 @@ def test_one_chamber_enumeration_per_run(capsys, monkeypatch, argv):
     code, _, _ = _run(capsys, argv)
     assert code == 0
     assert len(calls) == 1
+
+
+def _generic_file(tmp_path, seed=1):
+    """A file of six seeded planes in general position in R^3."""
+    path = tmp_path / f"generic{seed}.txt"
+    path.write_text("".join(" ".join(map(str, row)) + "\n"
+                            for row in general_position_rows(seed)))
+    return str(path)
+
+
+@pytest.mark.parametrize("source,eliminations", [
+    ("generic", 2),  # E = G = {1, -1}: the system and one of two blocks
+    ("coxeter:B3", 1 + 2 ** 3),  # |G| = 48, E of order 8: every block
+])
+def test_verify_eliminates_the_magnitude_system_once(
+        capsys, monkeypatch, tmp_path, source, eliminations):
+    # the determinant block that equals the magnitude system takes its
+    # determinant from that system's elimination; every other block is
+    # eliminated
+    bareiss = magnitude._bareiss_minors
+    calls = []
+
+    def counted(rows, weights, bits):
+        calls.append(len(rows))
+        return bareiss(rows, weights, bits)
+
+    monkeypatch.setattr(magnitude, "_bareiss_minors", counted)
+    if source == "generic":
+        source = _generic_file(tmp_path)
+    code, out, _ = _run(capsys, ["verify", source, "--lmax", "2"])
+    assert code == 0 and "PASS mag:varchenko_det_product" in out
+    assert len(calls) == eliminations
+
+
+def test_a_wrong_reused_determinant_fails_the_determinant_check(
+        capsys, monkeypatch, tmp_path):
+    # det M times (1 + q), as the magnitude system hands it on, must fail
+    # the determinant check and nothing else
+    fraction = magnitude.magnitude_fraction
+
+    def skewed(graph, group):
+        mag, (matrix, det_m) = fraction(graph, group)
+        return mag, (matrix, det_m * IntPoly((1, 1)))
+
+    monkeypatch.setattr(magnitude, "magnitude_fraction", skewed)
+    code, out, _ = _run(capsys, ["verify", _generic_file(tmp_path),
+                                 "--lmax", "2"])
+    assert code == 1
+    assert [l for l in out.splitlines() if l.startswith("FAIL")] == [
+        "FAIL mag:varchenko_det_product"]
+
+
+def test_face_check_shares_no_block_with_the_main_run(
+        capsys, monkeypatch, tmp_path):
+    # every block the main run reduces has its ranks in positive degree
+    # doubled, while the face check's localization runs reduce their own
+    # blocks: had they read the main run's memo, both sides of the face
+    # decomposition would double together and agree
+    block_homology = homology._block_homology
+    face_check = homology.face_decomposition_check
+    inside = []
+
+    def perturbed(block, masks):
+        out = block_homology(block, masks)
+        if inside:
+            return out
+        return {k: (2 * b if k else b, tor, dim)
+                for k, (b, tor, dim) in out.items()}
+
+    def marked(*args):
+        inside.append(True)
+        try:
+            return face_check(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(homology, "_block_homology", perturbed)
+    monkeypatch.setattr(homology, "face_decomposition_check", marked)
+    code, out, _ = _run(capsys, ["verify", _generic_file(tmp_path),
+                                 "--lmax", "4"])
+    assert code == 1
+    assert "FAIL hom:face_decomposition" in out.splitlines()
 
 
 def test_one_flat_orbit_pass_per_verify(capsys, monkeypatch):

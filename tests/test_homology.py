@@ -14,6 +14,7 @@ from conftest import (
     _raw_memo_key,
     betti_by_every_block,
     every_block,
+    general_position_rows,
     geometry,
     homology_of,
     key_orbit_by_closure,
@@ -23,7 +24,14 @@ from conftest import (
     stabilizer_by_closure,
 )
 import magarr.homology as homology
-from magarr.arrangement import CATALOG_NAMES, SymmetryGroup, enumerate_chambers
+from magarr.arrangement import (
+    CATALOG_NAMES,
+    SymmetryGroup,
+    enumerate_chambers,
+    flat_orbits,
+    intersection_lattice,
+    parse_arrangement,
+)
 from magarr.cli import golden_betti
 from magarr.errors import BudgetExceededError, CheckFailedError
 from magarr.homology import (
@@ -201,6 +209,42 @@ def test_face_decomposition_of_tables(name):
     ok, assembled = face_decomposition_check(lattice, res, group)
     assert ok
     assert assembled == _cells(res.betti)
+
+
+def test_face_check_reduces_each_block_once_over_its_localizations(
+        monkeypatch):
+    # six planes in general position: the 15 localizations at two planes
+    # are one 4-chamber pencil, and the localizations' runs share one
+    # memo, so each memo key is reduced once among them, fewer times than
+    # the runs reduce on memos of their own
+    graph = enumerate_chambers(parse_arrangement(general_position_rows(1)))
+    lattice = intersection_lattice(graph)
+    group = chamber_orbits(graph)[2]
+    assert len(flat_orbits(lattice, group)[1]) == len(lattice.flats) == 23
+    res = magnitude_homology(graph, lmax=4, group=group)
+    reduced, calls = [], []
+
+    def start_blocks(*args):
+        blocks, spent = _start_blocks(*args)
+        reduced.extend(key for key, chains in blocks.values()
+                       if chains is not None)
+        return blocks, spent
+
+    def block_homology(block, masks):
+        calls.append(block)
+        return _block_homology(block, masks)
+
+    monkeypatch.setattr(homology, "_start_blocks", start_blocks)
+    monkeypatch.setattr(homology, "_block_homology", block_homology)
+    ok, _ = face_decomposition_check(lattice, res, group)
+    assert ok
+    assert len(calls) == len(reduced) == len(set(reduced))
+    shared = len(calls)
+    calls.clear()
+    for f in lattice.flats[1:-1]:
+        magnitude_homology(graph.localization(f.hyperplanes), lmax=4,
+                           interior_only=True)
+    assert shared < len(calls)
 
 
 def test_four_cut_minima():

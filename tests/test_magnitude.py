@@ -9,9 +9,12 @@ from fractions import Fraction
 
 import pytest
 
+import magarr.magnitude as magnitude
 from conftest import (
     EIGHTEEN_LINES,
+    NO_SYSTEM,
     det_product_by_flats,
+    general_position_rows,
     geometry,
     homology_of,
     magnitude_checks_of,
@@ -19,7 +22,12 @@ from conftest import (
     power,
     value_at,
 )
-from magarr.arrangement import CATALOG_NAMES, SymmetryGroup
+from magarr.arrangement import (
+    CATALOG_NAMES,
+    SymmetryGroup,
+    enumerate_chambers,
+    parse_arrangement,
+)
 from magarr.cli import golden_magnitude
 from magarr.homology import conjecture_probes
 from magarr.magnitude import (
@@ -239,9 +247,11 @@ def test_alternating_violation_none_for_coordinate_case():
 )
 def test_determinant_two_routes(name):
     _, graph, lattice, group = geometry(name)
-    direct = varchenko_det(graph, free_involution_basis(graph, group))
+    basis = free_involution_basis(graph, group)
+    direct = varchenko_det(graph, basis, NO_SYSTEM)
     assert direct == varchenko_det_product(lattice)
     assert direct.constant() == 1
+    assert varchenko_det(graph, basis, magnitude_of(name).system) == direct
 
 
 @pytest.mark.parametrize("name", [*CATALOG_NAMES, "boolean:6", "braid:6"])
@@ -253,8 +263,9 @@ def test_determinant_product_by_size_matches_flat_by_flat(name):
 def test_determinant_boolean2_value():
     _, graph, lattice, group = geometry("boolean:2")
     want = power(ONE - IntPoly.monomial(2), 4)
-    assert varchenko_det(graph, free_involution_basis(graph, group)) == want
-    assert varchenko_det(graph, ()) == want
+    basis = free_involution_basis(graph, group)
+    assert varchenko_det(graph, basis, NO_SYSTEM) == want
+    assert varchenko_det(graph, (), NO_SYSTEM) == want
     assert varchenko_det_product(lattice) == want
 
 
@@ -289,7 +300,8 @@ def test_split_determinant_is_the_same_for_every_E():
         if len(graph) < 48:
             bases.append(())
         for basis in bases:
-            assert varchenko_det(graph, basis) == want, (name, len(basis))
+            assert varchenko_det(graph, basis, NO_SYSTEM) == want, (
+                name, len(basis))
 
 
 @pytest.mark.parametrize("name,order", [
@@ -319,11 +331,11 @@ def test_varchenko_det_rejects_a_group_that_is_not_free():
     swap = (1, 0) + tuple(range(2, len(graph)))  # fixes chambers 2 and 3
     for basis in [(anti, anti), (swap,), (anti, swap)]:
         with pytest.raises(CheckFailedError):
-            varchenko_det(graph, basis)
+            varchenko_det(graph, basis, NO_SYSTEM)
     _, graph, _, _ = geometry("braid:3")
     rotate = tuple((i + 1) % len(graph) for i in range(len(graph)))
     with pytest.raises(CheckFailedError):  # fixed-point-free, not involutive
-        varchenko_det(graph, (rotate,))
+        varchenko_det(graph, (rotate,), NO_SYSTEM)
 
 
 def test_det_budget_covers_the_automatic_check():
@@ -345,8 +357,13 @@ def test_det_budget_covers_the_automatic_check():
 def test_det_budget_stops_a_large_block_before_eliminating():
     _, graph, _, _ = geometry("coxeter:B3")
     with pytest.raises(BudgetExceededError) as info:
-        varchenko_det(graph, ())  # one 48 x 48 block: 48 x 136 bits
+        varchenko_det(graph, (), NO_SYSTEM)  # one 48 x 48 block: 48 x 136 bits
     assert info.value.observed > info.value.limit == DET_BUDGET
+
+
+def eliminate(rows, weights):
+    """``_bareiss_minors`` at the Hadamard bits of ``rows``."""
+    return _bareiss_minors(rows, weights, _hadamard_bits(rows))
 
 
 def test_bareiss_minors_are_leading_minors():
@@ -354,7 +371,7 @@ def test_bareiss_minors_are_leading_minors():
         [IntPoly.const(2), IntPoly.const(1)],
         [IntPoly.const(1), IntPoly.const(2)],
     ]
-    assert _bareiss_minors(rows, [1, 1]) == [IntPoly.const(2), IntPoly.const(3)]
+    assert eliminate(rows, [1, 1]) == [IntPoly.const(2), IntPoly.const(3)]
 
 
 def varchenko_matrix(graph):
@@ -370,8 +387,41 @@ def test_varchenko_matrix_det_matches_split_route():
     _, graph, _, group = geometry("boolean:2")
     m = varchenko_matrix(graph)
     # 4x4 cofactor expansion by hand through the minors helper
-    det = _bareiss_minors(m, [1] * len(m))[-1]
-    assert det == varchenko_det(graph, free_involution_basis(graph, group))
+    det = eliminate(m, [1] * len(m))[-1]
+    assert det == varchenko_det(graph, free_involution_basis(graph, group),
+                                NO_SYSTEM)
+
+
+def test_determinant_block_equal_to_the_system_reuses_its_determinant(
+        monkeypatch):
+    # six planes in general position have the symmetries E = G = {1, -1},
+    # so the trivial-character block is the magnitude system M entry for
+    # entry: its determinant is read, not eliminated, and a wrong one
+    # shows in the product; a block one entry off M is eliminated
+    graph = enumerate_chambers(parse_arrangement(general_position_rows(1)))
+    group = chamber_orbits(graph)[2]
+    basis = free_involution_basis(graph, group)
+    assert group.order == 2 and len(basis) == 1
+    matrix, det_m = magnitude_fraction(graph, group)[1]
+    want = varchenko_det(graph, basis, NO_SYSTEM)
+    calls = []
+
+    def counted(rows, weights, bits):
+        calls.append(len(rows))
+        return _bareiss_minors(rows, weights, bits)
+
+    monkeypatch.setattr(magnitude, "_bareiss_minors", counted)
+    assert varchenko_det(graph, basis, (matrix, det_m)) == want
+    assert calls == [16]
+    skew = IntPoly((1, 1))
+    wrong = det_m * skew
+    assert varchenko_det(graph, basis, (matrix, wrong)) == want * skew
+    for i, j in [(0, 0), (0, 15), (15, 3)]:
+        off = [list(row) for row in matrix]
+        off[i][j] = off[i][j] + IntPoly.monomial(1)
+        calls.clear()
+        assert varchenko_det(graph, basis, (off, wrong)) == want, (i, j)
+        assert calls == [16, 16]
 
 
 def leibniz_det(rows):
@@ -416,9 +466,9 @@ def test_bareiss_minors_match_leibniz_on_random_matrices():
         if not all(want[:-1]):
             raised += 1
             with pytest.raises(CheckFailedError):
-                _bareiss_minors(rows, weights)
+                eliminate(rows, weights)
         else:
-            assert _bareiss_minors(rows, weights) == want
+            assert eliminate(rows, weights) == want
     assert 0 < raised < 60 and unequal > 30
 
 
@@ -441,7 +491,7 @@ def test_bareiss_minors_at_the_hadamard_bound(order):
         IntPoly.monomial(k * (k - 1), leibniz_det([r[:k] for r in h[:k]]))
         for k in range(1, order + 1)
     ]
-    minors = _bareiss_minors(rows, [1] * order)
+    minors = eliminate(rows, [1] * order)
     assert minors == want
     assert minors[-1].leading() == order ** (order // 2)
 
@@ -453,7 +503,7 @@ def test_bareiss_minors_singular_last_minor_is_zero():
         [q, ONE, ONE + q],
         [ONE + q, ONE + q, (ONE + q) * 2],
     ]
-    minors = _bareiss_minors(rows, [1, 1, 1])
+    minors = eliminate(rows, [1, 1, 1])
     assert minors == leading_minors(rows)
     assert minors[-1] == ZERO and minors[-2] == ONE - q * q
 
@@ -467,18 +517,18 @@ def test_bareiss_minors_zero_middle_pivot_raises():
     ]
     assert leading_minors(rows)[1] == ZERO
     with pytest.raises(CheckFailedError, match="zero pivot"):
-        _bareiss_minors(rows, [1, 1, 1])
+        eliminate(rows, [1, 1, 1])
 
 
 def test_bareiss_minors_reject_asymmetric_input():
     q = IntPoly.monomial(1)
     asymmetric = [[ONE, q], [ZERO, ONE]]
     weighted = [[ONE, q * 2], [q, ONE]]  # symmetric under the weights (1, 2)
-    assert _bareiss_minors(weighted, [1, 2]) == leading_minors(weighted)
+    assert eliminate(weighted, [1, 2]) == leading_minors(weighted)
     for rows, weights in [(asymmetric, [1, 1]), (asymmetric, [2, 1]),
                           (weighted, [1, 1]), (weighted, [2, 1])]:
         with pytest.raises(CheckFailedError, match="not symmetric"):
-            _bareiss_minors(rows, weights)
+            eliminate(rows, weights)
 
 
 def test_magnitude_fraction_orbit_reduction_consistent():
@@ -490,8 +540,8 @@ def test_magnitude_fraction_orbit_reduction_consistent():
         _, graph, _, _ = geometry(name)
         _, orbits, group = chamber_orbits(graph)
         assert sorted(map(len, orbits)) == sizes
-        with_sym = magnitude_fraction(graph, group)
-        without = magnitude_fraction(graph, group=SymmetryGroup((), (), 1))
+        with_sym = magnitude_fraction(graph, group)[0]
+        without = magnitude_fraction(graph, group=SymmetryGroup((), (), 1))[0]
         assert with_sym == without
 
 
