@@ -16,9 +16,8 @@ The determinant of the full matrix is split the same way, by a free
 elementary abelian 2-subgroup E of the symmetries: its characters are
 +-1, so the symmetry-adapted basis is integral and the matrix falls into
 |E| blocks of order (chambers / |E|), one per character, each again the
-identity at q = 0, and symmetric since E consists of involutions.  Size
-budgets on the orbit count and on the largest block stop each
-elimination before it starts.
+identity at q = 0, and symmetric since E consists of involutions.  A work
+estimate stops each elimination past one budget before it starts.
 """
 
 from collections import deque
@@ -43,17 +42,12 @@ from .polyq import (
 SERIES_ORDER = 10
 # the determinant check runs unasked on graphs with at most this many chambers
 DET_CHECK_AUTO_LIMIT = 60
-# the largest determinant block's order times its Hadamard bit bound may be
-# at most this: braid:5 needs 4050 and bracelet 10047, and no graph with at
-# most DET_CHECK_AUTO_LIMIT chambers needs more than 30 x 105
-DET_BUDGET = 6000
 # the search for a free involution basis visits at most this many elements
 INVOLUTION_WALK_LIMIT = 4096
-# the magnitude system's orbit count squared times the hyperplane count may
-# be at most this (its last minor has degree up to orbits x n, with bits
-# growing in the orbits): nearpencil:27 needs 18252 (26 orbits, 8 s), and
-# no other catalog name or benchmark input more than 2304
-MAGNITUDE_BUDGET = 20000
+# one ``_bareiss_minors`` may do at most this work W = order^3 (order n bits)^2
+# (order^3 steps on integers of up to order n bits bits); every determinant
+# block of a graph with at most DET_CHECK_AUTO_LIMIT chambers needs less
+ELIMINATION_BUDGET = 250_000_000_000_000
 
 
 def _kronecker_decode(value, bits):
@@ -67,14 +61,27 @@ def _kronecker_decode(value, bits):
     return IntPoly(coeffs)
 
 
+def _bits_over(square):
+    """The b of ``_bareiss_minors`` for H**2 = ``square``: 2**(b - 1) > H."""
+    return (isqrt(square) + 1).bit_length() + 1
+
+
 def _hadamard_bits(matrix):
-    """The b of ``_bareiss_minors``: 2**(b - 1) exceeds the Hadamard bound
+    """The b of ``_bareiss_minors`` at the Hadamard bound
     H = prod_i max(1, sqrt(sum_j |m_ij|_1^2)) on every minor's coefficients."""
-    bound = 1
+    square = 1
     for row in matrix:
-        norms = sum(sum(abs(c) for c in p.coeffs) ** 2 for p in row)
-        bound *= max(1, norms)
-    return (isqrt(bound) + 1).bit_length() + 1
+        square *= max(1, sum(sum(abs(c) for c in p.coeffs) ** 2 for p in row))
+    return _bits_over(square)
+
+
+def _check_work(order, n, bits, hint):
+    """Raise BudgetExceededError when ``_bareiss_minors`` at ``bits`` bits on
+    an order x order matrix of degree at most n passes ELIMINATION_BUDGET."""
+    work = order ** 3 * (order * n * bits) ** 2
+    if work > ELIMINATION_BUDGET:
+        raise BudgetExceededError("elimination work order^3 (order n bits)^2",
+                                  ELIMINATION_BUDGET, work, hint)
 
 
 def _bareiss_minors(matrix, weights, bits):
@@ -87,8 +94,8 @@ def _bareiss_minors(matrix, weights, bits):
     equal to an identity matrix.
 
     The elimination runs on the integers A = B(2**b), with b = ``bits``
-    from ``_hadamard_bits``, which the determinant's size budget reads
-    too; each minor is decoded by ``_kronecker_decode``.
+    at the Hadamard bound, which the caller's ``_check_work`` reads too;
+    each minor is decoded by ``_kronecker_decode``.
     On |q| = 1, |m_ij(q)| <= |m_ij|_1, so by Hadamard every minor of B,
     bordered ones included, has modulus at most H there; a coefficient
     is at most the maximum modulus on |q| = 1, so it is at most H < 2**(b-1)
@@ -170,21 +177,18 @@ def magnitude_fraction(graph, group):
     [[M, 1], [w^T, 0]] is symmetric under the weights (w, 1).  Returns
     (magnitude, (M, det M)); M has one row and column per chamber orbit,
     led by its least chamber, and ``varchenko_det`` reuses det M for a
-    block equal to M.  Before building the system, raises
-    BudgetExceededError when its orbit count squared times the
-    hyperplane count passes MAGNITUDE_BUDGET.
+    block equal to M.  Column j's entries count |orbit j| chambers, so
+    H**2 = (S + 1)**k S with S = sum_j |orbit j|^2 over k orbits.
     """
     _, orbits, group = chamber_orbits(graph, group)
-    cost = len(orbits) ** 2 * graph.n
-    if cost > MAGNITUDE_BUDGET:
-        raise BudgetExceededError("magnitude system orbits^2 x hyperplanes",
-                                  MAGNITUDE_BUDGET, cost,
-                                  "try a smaller arrangement")
     weights = [len(o) for o in orbits] + [1]
+    s = sum(w * w for w in weights[:-1])
+    bits = _bits_over((s + 1) ** len(orbits) * s)
+    _check_work(len(weights), graph.n, bits, "try a smaller arrangement")
     system = _orbit_matrix(graph, orbits)
     m = [row + [ONE] for row in system]
     m.append([IntPoly.const(w) for w in weights[:-1]] + [ZERO])
-    *_, det_m, det_border = _bareiss_minors(m, weights, _hadamard_bits(m))
+    *_, det_m, det_border = _bareiss_minors(m, weights, bits)
     return reduce_fraction(-det_border, det_m), (system, det_m)
 
 
@@ -430,9 +434,8 @@ def varchenko_det(graph, basis, known):
 
     Every M_s is the identity at q = 0 (only e = 1, i = j has distance
     0), so fraction-free elimination runs pivot-free.  E = {1, -I} is the
-    antipodal split det(A + B) det(A - B).  Before eliminating, raises
-    BudgetExceededError when the largest block's order times its
-    Hadamard bit bound passes DET_BUDGET.
+    antipodal split det(A + B) det(A - B).  Before eliminating any block,
+    ``_check_work`` reads the block with the most Hadamard bits.
 
     ``known`` is a pair (K, det K), the magnitude system and its
     determinant from ``magnitude_fraction``, and a block equal to K is
@@ -472,10 +475,7 @@ def varchenko_det(graph, basis, known):
             block.append(out)
         blocks.append(block)
     bits = [_hadamard_bits(block) for block in blocks]
-    cost = len(reps) * max(bits)
-    if cost > DET_BUDGET:
-        raise BudgetExceededError("determinant block order x bits",
-                                  DET_BUDGET, cost, "drop --det-check")
+    _check_work(len(reps), graph.n, max(bits), "drop --det-check")
     matrix, det_known = known
     det = ONE
     for block, b in zip(blocks, bits):

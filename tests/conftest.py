@@ -61,6 +61,13 @@ _MAGNITUDE_CHECKS = {}
 _HOMOLOGY = {}
 
 
+def elimination_work(order, n, bits):
+    """The work estimate of one ``_bareiss_minors`` call, restated:
+    order^3 (order n bits)^2 for an order x order matrix with entries of
+    degree at most n, at ``bits`` Hadamard bits."""
+    return order ** 3 * (order * n * bits) ** 2
+
+
 def value_at(f, x):
     """The value of the rational function f at x, exactly."""
     return Fraction(f.num.evaluate(x), f.den.evaluate(x))

@@ -20,7 +20,12 @@ import magarr.arrangement as arrangement
 import magarr.cli as cli
 import magarr.homology as homology
 import magarr.magnitude as magnitude
-from conftest import general_position_rows
+from conftest import (
+    NO_SYSTEM,
+    elimination_work,
+    general_position_rows,
+    geometry,
+)
 from magarr.arrangement import (
     CATALOG_NAMES,
     catalog,
@@ -36,7 +41,7 @@ from magarr.cli import (
     main,
 )
 from magarr.errors import CheckFailedError
-from magarr.polyq import IntPoly
+from magarr.polyq import ONE, IntPoly
 
 
 def _run(capsys, argv):
@@ -236,6 +241,47 @@ def test_verify_eliminates_the_magnitude_system_once(
     code, out, _ = _run(capsys, ["verify", source, "--lmax", "2"])
     assert code == 0 and "PASS mag:varchenko_det_product" in out
     assert len(calls) == eliminations
+
+
+def _recorded_works(monkeypatch, n, eliminate=True):
+    """Route ``_bareiss_minors`` through a recorder of each call's
+    ``elimination_work``, where the hyperplane count n bounds every
+    entry's degree; without ``eliminate`` every minor reads 1."""
+    bareiss = magnitude._bareiss_minors
+    works = []
+
+    def counted(rows, weights, bits):
+        works.append(elimination_work(len(rows), n, bits))
+        if eliminate:
+            return bareiss(rows, weights, bits)
+        return [ONE] * len(rows)
+
+    monkeypatch.setattr(magnitude, "_bareiss_minors", counted)
+    return works
+
+
+@pytest.mark.parametrize("argv", [
+    *(["mag", name] for name in CATALOG_NAMES),
+    # the eliminations do not depend on --lmax, so a low one keeps it quick
+    *(["verify", name, "--lmax", "2"] for name in CATALOG_NAMES),
+], ids=" ".join)
+def test_every_elimination_runs_under_the_estimate(capsys, monkeypatch, argv):
+    works = _recorded_works(monkeypatch, catalog(argv[1]).n)
+    code, _, _ = _run(capsys, argv)
+    assert code == 0 and works
+    assert max(works) <= magnitude.ELIMINATION_BUDGET
+
+
+def test_det_check_blocks_run_under_the_estimate(monkeypatch):
+    # mag braid:5 --det-check eliminates four 30 x 30 blocks of up to 135
+    # bits, W about 4.4e13, in about 12 s; the blocks and their bits do
+    # not depend on the minors, so they are recorded without eliminating
+    _, graph, _, group = geometry("braid:5")
+    basis = magnitude.free_involution_basis(graph, group)
+    works = _recorded_works(monkeypatch, graph.n, eliminate=False)
+    magnitude.varchenko_det(graph, basis, NO_SYSTEM)
+    assert len(works) == 4
+    assert 4e13 < max(works) <= magnitude.ELIMINATION_BUDGET
 
 
 def test_a_wrong_reused_determinant_fails_the_determinant_check(
@@ -688,12 +734,13 @@ def test_det_check_stops_on_the_determinant_budget():
 
 
 def test_many_chamber_orbits_stop_on_the_magnitude_budget():
-    # nearpencil:28 has 27 chamber orbits on 28 hyperplanes, 27^2 x 28 =
-    # 20412 against the magnitude budget, and would take over 10 s to
-    # solve; the budget stops it before the system is built
+    # nearpencil:29 has 28 chamber orbits on 29 hyperplanes, so its
+    # bordered system has order 29 and 129 Hadamard bits: work 29^3 x
+    # (29 x 29 x 129)^2, about 2.87e14, would take over 15 s to eliminate;
+    # the budget stops it before the system is built
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-m", "magarr.cli", "mag", "nearpencil:28"],
+        [sys.executable, "-m", "magarr.cli", "mag", "nearpencil:29"],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": src},
     )
@@ -701,7 +748,7 @@ def test_many_chamber_orbits_stop_on_the_magnitude_budget():
     assert proc.stdout == ""
     errors = [l for l in proc.stderr.splitlines() if l.startswith("error:")]
     assert len(errors) == 1 and errors[0].endswith(
-        "(observed 20412); try a smaller arrangement")
+        "(observed 287055191658069); try a smaller arrangement")
     assert "Traceback" not in proc.stderr
 
 

@@ -14,26 +14,30 @@ from conftest import (
     EIGHTEEN_LINES,
     NO_SYSTEM,
     det_product_by_flats,
+    elimination_work,
     general_position_rows,
     geometry,
     homology_of,
     magnitude_checks_of,
     magnitude_of,
     power,
+    random_arrangements,
     value_at,
 )
 from magarr.arrangement import (
     CATALOG_NAMES,
     SymmetryGroup,
+    catalog,
     enumerate_chambers,
     parse_arrangement,
 )
 from magarr.cli import golden_magnitude
 from magarr.homology import conjecture_probes
 from magarr.magnitude import (
-    DET_BUDGET,
     DET_CHECK_AUTO_LIMIT,
+    ELIMINATION_BUDGET,
     _bareiss_minors,
+    _check_work,
     _hadamard_bits,
     alternating_violation,
     chamber_orbits,
@@ -341,24 +345,106 @@ def test_varchenko_det_rejects_a_group_that_is_not_free():
 def test_det_budget_covers_the_automatic_check():
     # E always holds the antipode, so a graph of N <= 60 chambers splits
     # into blocks of order N / 2**k, k >= 1, whose entries have
-    # coefficient sum at most 2**k in absolute value; at that extreme
-    # (30 x 105 bits for N = 60, k = 1) the budget must still hold
+    # coefficient sum at most 2**k in absolute value and degree at most
+    # n <= N / 2 (n hyperplanes cut at least 2n chambers); at that
+    # extreme, W(30, 30, 105) for N = 60 and k = 1, the budget must hold
     for size in range(2, DET_CHECK_AUTO_LIMIT + 1, 2):
         k = 1
         while size % 2 ** k == 0:
             order = size // 2 ** k
             block = [[IntPoly.const(2 ** k)] * order for _ in range(order)]
-            assert order * _hadamard_bits(block) <= DET_BUDGET, (size, k)
+            _check_work(order, size // 2, _hadamard_bits(block), "")
             k += 1
     block = [[IntPoly.const(2)] * 30 for _ in range(30)]
-    assert 30 * _hadamard_bits(block) == 30 * 105
+    assert _hadamard_bits(block) == 105
+    assert 2.4e14 < elimination_work(30, 30, 105) <= ELIMINATION_BUDGET
 
 
-def test_det_budget_stops_a_large_block_before_eliminating():
+def test_det_budget_stops_a_large_block_before_eliminating(monkeypatch):
+    def fail(rows, weights, bits):
+        raise AssertionError("eliminated past the budget")
+
+    monkeypatch.setattr(magnitude, "_bareiss_minors", fail)
     _, graph, _, _ = geometry("coxeter:B3")
     with pytest.raises(BudgetExceededError) as info:
-        varchenko_det(graph, (), NO_SYSTEM)  # one 48 x 48 block: 48 x 136 bits
-    assert info.value.observed > info.value.limit == DET_BUDGET
+        varchenko_det(graph, (), NO_SYSTEM)  # one 48 x 48 block of 136 bits
+    assert info.value.observed == elimination_work(48, 9, 136)
+    assert info.value.observed > info.value.limit == ELIMINATION_BUDGET
+    assert info.value.hint == "drop --det-check"
+
+
+def pencil(count):
+    """``count`` lines through the origin of the plane, normals (1, t)."""
+    return parse_arrangement([[1, t] for t in range(count)])
+
+
+def moment_planes(count):
+    """``count`` hyperplanes in general position in R^4, normals
+    (1, t, t^2, t^3) for t = 1..count."""
+    return parse_arrangement([[1, t, t * t, t ** 3]
+                              for t in range(1, count + 1)])
+
+
+class Stop(Exception):
+    """Raised by a stand-in to end a run at the point under test."""
+
+
+ESTIMATE_CASES = {
+    **{name: None for name in CATALOG_NAMES + ("boolean:8", "nearpencil:27")},
+    "pencil:25": pencil(25),
+    **{f"random{i}": arr for i, arr in enumerate(
+        random_arrangements(12, seed=414243))},
+}
+
+
+@pytest.mark.parametrize("label", list(ESTIMATE_CASES))
+def test_orbit_size_bits_are_the_hadamard_bits_of_the_system(
+        monkeypatch, label):
+    # an entry of the collapsed system counts the chambers of its orbit
+    # by distance, so the Hadamard bits the estimate reads from the orbit
+    # sizes alone are those of the bordered system built after it
+    seen = []
+
+    def stop(rows, weights, bits):
+        seen.append((bits, _hadamard_bits(rows)))
+        raise Stop
+
+    monkeypatch.setattr(magnitude, "_bareiss_minors", stop)
+    arr = ESTIMATE_CASES[label]
+    if arr is None:
+        _, graph, _, group = geometry(label)
+    else:
+        graph = enumerate_chambers(arr)
+        group = chamber_orbits(graph)[2]
+    with pytest.raises(Stop):
+        magnitude_fraction(graph, group)
+    [(bits, want)] = seen
+    assert bits == want
+
+
+@pytest.mark.parametrize("arr,refused", [
+    (catalog("nearpencil:28"), None),  # W about 2.07e14
+    (catalog("nearpencil:29"), "2.87e+14"),
+    (moment_planes(7), None),  # W about 1.87e14
+    (moment_planes(8), "5.10e+15"),
+], ids=["nearpencil:28", "nearpencil:29", "moment4:7", "moment4:8"])
+def test_past_the_estimate_the_system_is_never_built(
+        monkeypatch, arr, refused):
+    def stop(graph, orbits):
+        raise Stop
+
+    monkeypatch.setattr(magnitude, "_orbit_matrix", stop)
+    graph = enumerate_chambers(arr)
+    group = chamber_orbits(graph)[2]
+    if refused is None:
+        with pytest.raises(Stop):
+            magnitude_fraction(graph, group)
+        return
+    with pytest.raises(BudgetExceededError) as info:
+        magnitude_fraction(graph, group)
+    assert info.value.limit == ELIMINATION_BUDGET
+    assert f"{info.value.observed:.2e}" == refused
+    assert info.value.hint == "try a smaller arrangement"
 
 
 def eliminate(rows, weights):
