@@ -113,13 +113,13 @@ def _start_blocks(graph, start, lmax, spent, full_support_only, around,
     A block's chains cross only the profile's support S, so their
     chambers x have x ^ start inside S, and distances and smoothness read
     only S: the memo key, ``canonical_key`` of the profile on S and the
-    set of all such x ^ start packed to S's bits (cached in ``canon``),
-    fixes the complex.  Keys related by a symmetry fixing the start
-    share a memo key.  A key new to ``memo`` reads the entry of its
-    reversal (the same counts, every top xored by the odd-count bits) if
-    known, and ``canon`` then maps the raw key to it; else chains are
-    built and ``memo`` maps it to None until the caller, which reduces a
-    start's built blocks before it reads any, fills it in.
+    set of all such x ^ start packed to S's bits (``canon`` maps each raw
+    key met, reversals too, to its memo key), fixes the complex.  Keys
+    related by a symmetry fixing the start share a memo key.  A key new
+    to ``memo`` reads the entry of its reversal (the same counts, every
+    top xored by the odd-count bits) if known; else chains are built and
+    ``memo`` maps it to None until the caller, which reduces a start's
+    built blocks before it reads any, fills it in.
     ``spent`` counts what the run has charged, length + 1 + n per key
     found (the longest chain its block could hold, and its profile) and
     len(chain) + 1 + n + REDUCTION_CHARGE per chain built; past
@@ -174,9 +174,11 @@ def _start_blocks(graph, start, lmax, spent, full_support_only, around,
         memo_key = canon[raw]
         if memo_key not in memo:  # the reversed block's entry, if known
             odd = sum((c & 1) << i for i, c in enumerate(raw[0]))
-            back = canonical_key(raw[0], frozenset(x ^ odd for x in raw[1]))
-            if back in memo:
-                memo_key = canon[raw] = back
+            rev = (raw[0], frozenset(x ^ odd for x in raw[1]))
+            if rev not in canon:
+                canon[rev] = canonical_key(*rev)
+            if canon[rev] in memo:
+                memo_key = canon[raw] = canon[rev]
         chains = None
         if memo_key not in memo:
             memo[memo_key] = None
@@ -373,7 +375,7 @@ class HomologyResult:
 
 
 def magnitude_homology(graph, *, lmax, group=None, interior_only=False,
-                       magnitude=None, memo=None):
+                       magnitude=None):
     """Bigraded Betti table of ``graph`` through total length ``lmax``.
 
     The tope graph is the whole input; the run enumerates no chambers.
@@ -385,10 +387,6 @@ def magnitude_homology(graph, *, lmax, group=None, interior_only=False,
     zero, and a run that would charge more than ``DEFAULT_CHAIN_BUDGET``
     entries (read at call time) for the keys it finds and the chains it
     builds (see ``_start_blocks``) stops with BudgetExceededError.
-    ``memo`` is a (memo, canon) pair of dicts as ``_start_blocks`` reads
-    them; a memo key fixes its block whatever graph it came from, so
-    runs given one pair reduce each block once among them.  Without it
-    the run keeps its own.
     """
     _, orbits, _ = chamber_orbits(graph, group)
     masks = graph.masks
@@ -398,8 +396,8 @@ def magnitude_homology(graph, *, lmax, group=None, interior_only=False,
     spent = 0
     around = _near_lists(graph, lmax)
     # memo key -> summary of the first block with that key, and raw memo
-    # key -> its canonical form
-    memo, canon = memo or ({}, {})
+    # key -> its memo key
+    memo, canon = {}, {}
     for members in orbits:
         rep = members[0]
         weight = len(members)
@@ -587,16 +585,15 @@ def face_decomposition_check(lattice, result, group):
         b_{k,l}(A) = sum over flats X of c^X * interior b_{k,l}(A_X).
 
     Proper flats are recomputed independently, one per symmetry orbit:
-    the tope graph of A_X is projected from A's (``localization``) and
-    its interior homology is a run of its own.  These runs share one
-    block memo, so a block met in several localizations (those at flats
-    of k hyperplanes in rank two are all the same pencil) is reduced
-    once.  The main run's memo is never shared, so the proper flats'
-    terms read no block the main run reduced.  The top term is the
-    interior part of the main run.
+    the tope graph of A_X is projected from A's (``localization``), and
+    its interior table, which reads that graph alone, is a run of its
+    own the first time the graph is met (flats of k hyperplanes in rank
+    two often give one pencil).  No run shares the main run's memo, so
+    the proper flats' terms read no block the main run reduced.  The top
+    term is the interior part of the main run.
     """
     _oid, forbits = flat_orbits(lattice, group)
-    memo = ({}, {})  # shared by the localizations' runs
+    tables = {}  # (n, masks) of a localization -> its interior table
     total = defaultdict(int)
     for members in forbits:
         rep = lattice.flats[members[0]]
@@ -608,8 +605,10 @@ def face_decomposition_check(lattice, result, group):
             table = result.interior_betti
         else:
             sub = lattice.graph.localization(rep.hyperplanes)
-            table = magnitude_homology(
-                sub, lmax=result.lmax, interior_only=True, memo=memo).betti
+            if (sub.n, sub.masks) not in tables:
+                tables[sub.n, sub.masks] = magnitude_homology(
+                    sub, lmax=result.lmax, interior_only=True).betti
+            table = tables[sub.n, sub.masks]
         for key, v in table.items():
             total[key] += weight * c * v
     want = {k: v for k, v in result.betti.items() if v}

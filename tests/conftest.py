@@ -6,8 +6,9 @@ afresh, restriction chambers by enumeration, flats by
 closure, Moebius numbers by their defining sum, polynomial powers, the
 determinant's product formula flat by flat, matroid components by
 separators, distances found by walking edges, relabelled bits one at a
-time, the Betti table reduced block by block, and invariant factors
-from minors."""
+time, the Betti table reduced block by block, the face decomposition
+summed with one homology run per flat orbit, and invariant factors from
+minors."""
 
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from magarr.arrangement import (
     _restrict_with_basis,
     catalog,
     enumerate_chambers,
+    flat_orbits,
     intersection_lattice,
     parse_arrangement,
 )
@@ -36,6 +38,7 @@ from magarr.homology import (
     _tidy_torsion,
     canonical_key,
     chain_count_table,
+    face_decomposition_check,
     magnitude_homology,
     structural_checks,
 )
@@ -442,6 +445,8 @@ def check_instance_laws(arr):
     checks = structural_checks(lattice, group, hom, face_check=True)
     assert set(hom.checks) < set(checks)
     assert all(checks.values()), {k: v for k, v in checks.items() if not v}
+    assert (face_decomposition_check(lattice, hom, group)[1]
+            == face_sum_by_orbit_runs(lattice, hom, group))
     return size
 
 
@@ -557,6 +562,28 @@ def betti_by_every_block(graph, lmax, interior_only=False, magnitude=None):
         geodesic_torsion=_tidy_torsion(torsion["geodesic"]),
         checks=checks,
     )
+
+
+def face_sum_by_orbit_runs(lattice, result, group):
+    """The nonzero cells of sum over flats X of c^X * interior b(A_X),
+    with a homology run of its own, on a fresh memo, for every proper
+    flat orbit's localization, however often its tope graph repeats;
+    the top term is ``result``'s interior table."""
+    total = defaultdict(int)
+    for members in flat_orbits(lattice, group)[1]:
+        f = lattice.flats[members[0]]
+        if f.rank == 0:
+            table = {(0, 0): 1}
+        elif f is lattice.flats[-1]:
+            table = result.interior_betti
+        else:
+            table = magnitude_homology(
+                lattice.graph.localization(f.hyperplanes), lmax=result.lmax,
+                interior_only=True).betti
+        weight = len(members) * lattice.restriction_chamber_count(f.index)
+        for key, v in table.items():
+            total[key] += weight * v
+    return {k: v for k, v in total.items() if v}
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,14 @@ from conftest import (
     elimination_work,
     general_position_rows,
     geometry,
+    localize,
 )
 from magarr.arrangement import (
     CATALOG_NAMES,
     catalog,
     enumerate_chambers,
+    flat_orbits,
+    intersection_lattice,
     orbits_of_permutations,
 )
 from magarr.cli import (
@@ -332,6 +335,38 @@ def test_face_check_shares_no_block_with_the_main_run(
                                  "--lmax", "4"])
     assert code == 1
     assert "FAIL hom:face_decomposition" in out.splitlines()
+
+
+@pytest.mark.parametrize("source,graphs", [
+    ("generic", 2), ("bracelet", 7), ("nearpencil:5", 3)])
+def test_one_localization_run_per_distinct_tope_graph(
+        capsys, monkeypatch, tmp_path, source, graphs):
+    # the face check runs interior homology once per tope graph among the
+    # proper flat orbits' localizations, each enumerated afresh here
+    if source == "generic":
+        source = _generic_file(tmp_path)
+    arr = load_arrangement(source)[0]
+    graph = enumerate_chambers(arr)
+    lattice = intersection_lattice(graph)
+    group = magnitude.chamber_orbits(graph)[2]
+    reps = [lattice.flats[members[0]]
+            for members in flat_orbits(lattice, group)[1]]
+    shapes = {(len(f.hyperplanes),
+               enumerate_chambers(localize(arr, f.hyperplanes)).masks)
+              for f in reps if 0 < f.rank < lattice.rank}
+    runs = []
+    run = homology.magnitude_homology
+
+    def counted(graph, **kwargs):
+        if kwargs.get("interior_only"):
+            runs.append((graph.n, graph.masks))
+        return run(graph, **kwargs)
+
+    monkeypatch.setattr(homology, "magnitude_homology", counted)
+    code, out, _ = _run(capsys, ["verify", source, "--lmax", "2"])
+    assert code == 0 and "PASS hom:face_decomposition" in out.splitlines()
+    assert len(runs) == len(set(runs)) == len(shapes) == graphs
+    assert set(runs) == shapes
 
 
 def test_one_flat_orbit_pass_per_verify(capsys, monkeypatch):

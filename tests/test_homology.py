@@ -14,6 +14,7 @@ from conftest import (
     _raw_memo_key,
     betti_by_every_block,
     every_block,
+    face_sum_by_orbit_runs,
     general_position_rows,
     geometry,
     homology_of,
@@ -211,12 +212,23 @@ def test_face_decomposition_of_tables(name):
     assert assembled == _cells(res.betti)
 
 
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_face_check_matches_one_run_per_flat_orbit(name):
+    # the table kept per localization tope graph sums to what a run of
+    # its own for every proper flat orbit gives
+    _, graph, lattice, group = geometry(name)
+    res = homology_of(name, default_length_cap(graph))
+    assert (face_decomposition_check(lattice, res, group)[1]
+            == face_sum_by_orbit_runs(lattice, res, group))
+
+
 def test_face_check_reduces_each_block_once_over_its_localizations(
         monkeypatch):
     # six planes in general position: the 15 localizations at two planes
-    # are one 4-chamber pencil, and the localizations' runs share one
-    # memo, so each memo key is reduced once among them, fewer times than
-    # the runs reduce on memos of their own
+    # project to one 4-chamber tope graph and the 6 at one plane to one
+    # 2-chamber graph, and the face check keeps one interior table per
+    # graph, so its two runs reduce each memo key once, fewer times than
+    # a run for every localization reduces
     graph = enumerate_chambers(parse_arrangement(general_position_rows(1)))
     lattice = intersection_lattice(graph)
     group = chamber_orbits(graph)[2]
@@ -245,6 +257,21 @@ def test_face_check_reduces_each_block_once_over_its_localizations(
         magnitude_homology(graph.localization(f.hyperplanes), lmax=4,
                            interior_only=True)
     assert shared < len(calls)
+
+
+@pytest.mark.parametrize("name", ["bracelet", "k5me"])
+def test_each_raw_memo_key_is_canonicalized_once(monkeypatch, name):
+    # a run keeps the memo key of every raw key it meets, reversals too
+    _, graph, _, group = geometry(name)
+    args = []
+
+    def counted(counts, tops):
+        args.append((counts, tops))
+        return canonical_key(counts, tops)
+
+    monkeypatch.setattr(homology, "canonical_key", counted)
+    magnitude_homology(graph, lmax=5, group=group)
+    assert args and len(args) == len(set(args))
 
 
 def test_four_cut_minima():
