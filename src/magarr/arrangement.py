@@ -15,9 +15,10 @@ Chambers are enumerated once per arrangement; the tope graph of a
 localization is projected from its parent's (``TopeGraph.localization``).
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from operator import mul
 
 from .errors import BudgetExceededError, CheckFailedError, ParseError
@@ -770,24 +771,15 @@ def _signed_map_group(normals, d):
     return maps, order
 
 
-def _kernel_order(normals, d):
-    """Order of the group of signed coordinate maps fixing every normal.
+def _kernel_order(columns):
+    """Order of the group of signed coordinate maps fixing every normal,
+    given the normals' columns, none of them zero.
 
     Such a map sends coordinate k to s * coordinate t only when column t
-    of the normals is s times column k.  So it permutes the zero columns
-    with any signs, and each class of nonzero columns equal up to sign
-    among itself, the signs then forced.
+    is s times column k.  So it permutes each class of columns equal up
+    to sign among itself, the signs then forced.
     """
-    classes = {}
-    for k in range(d):
-        column = tuple(a[k] for a in normals)
-        key = _sign_canonical(column) if any(column) else None
-        classes[key] = classes.get(key, 0) + 1
-    zero = classes.pop(None, 0)
-    order = factorial(zero) << zero
-    for size in classes.values():
-        order *= factorial(size)
-    return order
+    return prod(map(factorial, Counter(map(_sign_canonical, columns)).values()))
 
 
 def tope_symmetries(graph):
@@ -799,10 +791,14 @@ def tope_symmetries(graph):
     every normal are the ones acting trivially on chambers, so the order
     of the chamber group is the quotient of the two orders.  -I, which
     sends each chamber to its antipode, always lies in the group.
+    Coordinates that no normal uses are left out of the search: a signed
+    map sends them among themselves, and every signed permutation of
+    them fixes every normal, so they change neither group.
     """
-    arr = graph.arrangement
-    normals = arr.normals
-    maps, order = _signed_map_group(normals, arr.dimension)
+    columns = [c for c in zip(*graph.arrangement.normals) if any(c)]
+    normals = list(zip(*columns))
+    d = len(columns)
+    maps, order = _signed_map_group(normals, d)
 
     hyperplane_of = {_sign_canonical(a): h for h, a in enumerate(normals)}
     identity = tuple(range(len(graph)))
@@ -814,7 +810,7 @@ def tope_symmetries(graph):
         flip = 0
         source = []
         for h, a in enumerate(normals):
-            image = [0] * arr.dimension
+            image = [0] * d
             for k, (t, s) in enumerate(m):
                 image[t] = s * a[k]
             image = tuple(image)
@@ -832,7 +828,7 @@ def tope_symmetries(graph):
         generators.append(perm)
         hyperplane_perms.append(inverse(source))
     return SymmetryGroup(tuple(generators), tuple(hyperplane_perms),
-                         order // _kernel_order(normals, arr.dimension))
+                         order // _kernel_order(columns))
 
 
 def orbits_of_permutations(count, perms):

@@ -35,6 +35,7 @@ poset alone; the two are the two routes of the geodesic check.
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import groupby, permutations, product
+from operator import itemgetter
 import math
 
 from .arrangement import components, flat_orbits
@@ -99,16 +100,16 @@ def _start_blocks(graph, start, lmax, spent, full_support_only, around,
                   memo, canon):
     """Boundary blocks of the proper chains from one start.
 
-    Returns ({(length, end, profile): (memo key, {degree: [chains]} or
-    None)}, spent); profile counts the crossings of each hyperplane,
-    which the differential preserves, and fixes length (its sum) and end
-    (the start with the oddly crossed hyperplanes flipped).  The search
-    walks keys: a step to chamber v takes (length, u, p) to
-    (length + d(u, v), v, p + the hyperplanes crossed), and the key
-    reached keeps the existing tuple it came from as an in-edge.  Two
-    keys fix the step between them, so a block's chains are the paths of
-    in-edges back to (0, start, 0...0).  ``full_support_only`` drops the
-    keys that cannot cross every hyperplane within ``lmax``.
+    Returns ({(length, end, profile): memo key}, spent); profile counts
+    the crossings of each hyperplane, which the differential preserves,
+    and fixes length (its sum) and end (the start with the oddly crossed
+    hyperplanes flipped).  The search walks keys: a step to chamber v
+    takes (length, u, p) to (length + d(u, v), v, p + the hyperplanes
+    crossed), and the key reached keeps the existing tuple it came from
+    as an in-edge.  Two keys fix the step between them, so a block's
+    chains are the paths of in-edges back to (0, start, 0...0).
+    ``full_support_only`` drops the keys that cannot cross every
+    hyperplane within ``lmax``.
 
     A block's chains cross only the profile's support S, so their
     chambers x have x ^ start inside S, and distances and smoothness read
@@ -117,12 +118,12 @@ def _start_blocks(graph, start, lmax, spent, full_support_only, around,
     key met, reversals too, to its memo key), fixes the complex.  Keys
     related by a symmetry fixing the start share a memo key.  A key new
     to ``memo`` reads the entry of its reversal (the same counts, every
-    top xored by the odd-count bits) if known; else chains are built and
-    ``memo`` maps it to None until the caller, which reduces a start's
-    built blocks before it reads any, fills it in.
-    ``spent`` counts what the run has charged, length + 1 + n per key
-    found (the longest chain its block could hold, and its profile) and
-    len(chain) + 1 + n + REDUCTION_CHARGE per chain built; past
+    top xored by the odd-count bits) if known; else its chains are built
+    and reduced, one block at a time, and ``memo`` maps it to the block's
+    summary.  ``spent`` counts what the run has charged, length + 1 + n
+    per key found (the longest chain its block could hold, and its
+    profile) and len(chain) + 1 + n + REDUCTION_CHARGE per chain to be
+    built, all charged before the first block is built; past
     ``DEFAULT_CHAIN_BUDGET`` (read at call time) it raises
     BudgetExceededError.  ``around`` is the run's ``_near_lists``.
     """
@@ -155,7 +156,7 @@ def _start_blocks(graph, start, lmax, spent, full_support_only, around,
                 else:
                     edges.append(state)
 
-    blocks = {}  # key -> (memo key, chains or None)
+    blocks, new = {}, {}  # key -> memo key, and new memo key -> its key
     local = {}  # support -> packed x of the chambers agreeing off it
     for key in into:
         profile = key[2]
@@ -172,26 +173,36 @@ def _start_blocks(graph, start, lmax, spent, full_support_only, around,
         if raw not in canon:
             canon[raw] = canonical_key(*raw)
         memo_key = canon[raw]
-        if memo_key not in memo:  # the reversed block's entry, if known
+        if memo_key not in memo and memo_key not in new:
+            # the reversed block's entry, if known
             odd = sum((c & 1) << i for i, c in enumerate(raw[0]))
             rev = (raw[0], frozenset(x ^ odd for x in raw[1]))
             if rev not in canon:
                 canon[rev] = canonical_key(*rev)
-            if canon[rev] in memo:
+            if canon[rev] in memo or canon[rev] in new:
                 memo_key = canon[raw] = canon[rev]
-        chains = None
-        if memo_key not in memo:
-            memo[memo_key] = None
-            chains = {}
-            paths = [(key, (key[1],))]
-            while paths:
-                state, chain = paths.pop()
-                paths += [(prev, (prev[1],) + chain) for prev in into[state]]
-                if not into[state]:
-                    spent = _charge(spent,
-                                    len(chain) + 1 + n + REDUCTION_CHARGE)
-                    chains.setdefault(len(chain) - 1, []).append(chain)
-        blocks[key] = (memo_key, chains)
+            else:
+                new[memo_key] = key
+        blocks[key] = memo_key
+
+    # tally[key]: the chains ending at key and their total size, so every
+    # chain to be built is charged before the first block is built
+    if new:
+        tally = {}
+        for key in sorted(into, key=itemgetter(0)):
+            ins = [tally[prev] for prev in into[key]] or [(1, 0)]
+            tally[key] = (sum(c for c, _ in ins), sum(c + t for c, t in ins))
+        for count, total in map(tally.get, new.values()):
+            spent = _charge(spent, total + count * (1 + n + REDUCTION_CHARGE))
+    for memo_key, key in new.items():
+        chains = {}
+        paths = [(key, (key[1],))]
+        while paths:
+            state, chain = paths.pop()
+            paths += [(prev, (prev[1],) + chain) for prev in into[state]]
+            if not into[state]:
+                chains.setdefault(len(chain) - 1, []).append(chain)
+        memo[memo_key] = _block_homology(chains, graph.masks)
     return blocks, spent
 
 
@@ -250,56 +261,43 @@ def _relabel_bits(xs, perm):
 def _block_homology(block, masks):
     """Betti numbers and torsion of one block, graded by degree.
 
-    Returns {degree: (betti, torsion factors, chain count)}.
+    The chains of ``block`` ({degree: [chains]}) are numbered once,
+    degree by degree, and each one's boundary column is built in those
+    numbers.  Returns {degree: (betti, torsion factors, chain count)}.
     """
     degrees = sorted(block)
-    index = {k: {c: i for i, c in enumerate(block[k])} for k in degrees}
-    boundaries = {}
-    for k in degrees:
-        if k == 0:
-            continue
-        lower = index.get(k - 1)
-        cols = {}
-        for col, chain in enumerate(block[k]):
-            ms = [masks[x] for x in chain]
-            colmap = {}
-            for i in range(1, k):
-                if (ms[i - 1] ^ ms[i]) & (ms[i] ^ ms[i + 1]):
-                    continue
-                target = chain[:i] + chain[i + 1 :]
-                row = lower.get(target) if lower else None
-                if row is None:
-                    raise CheckFailedError(
-                        f"boundary target {target} outside block")
-                coeff = colmap.get(row, 0) + (-1 if i % 2 else 1)
-                if coeff:
-                    colmap[row] = coeff
-                else:
-                    del colmap[row]
-            if colmap:
-                cols[col] = colmap
-        if cols:
-            boundaries[k] = cols
-    _assert_d2_zero(block, boundaries)
-    dims = {k: len(block[k]) for k in degrees}
-    hom = complex_homology(dims, boundaries)
-    return {k: (hom[k][0], hom[k][1], dims[k]) for k in degrees}
-
-
-def _assert_d2_zero(block, boundaries):
-    for k, upper in boundaries.items():
-        lower = boundaries.get(k - 1)
-        if not lower:
-            continue
-        for col, colmap in upper.items():
-            acc = defaultdict(int)
-            for mid, v in colmap.items():
-                for row, w in lower.get(mid, {}).items():
-                    acc[row] += v * w
-            if any(acc.values()):
+    cells = [chain for k in degrees for chain in block[k]]
+    number = {chain: c for c, chain in enumerate(cells)}
+    columns = []
+    for chain in cells:
+        ms = [masks[x] for x in chain]
+        col = {}  # one entry per deletion: a chain's neighbours differ
+        for i in range(1, len(chain) - 1):
+            if (ms[i - 1] ^ ms[i]) & (ms[i] ^ ms[i + 1]):
+                continue
+            target = chain[:i] + chain[i + 1 :]
+            if target not in number:
                 raise CheckFailedError(
-                    f"boundary composed with itself is nonzero in degree "
-                    f"{k} at chain {block[k][col]}")
+                    f"boundary target {target} outside block")
+            col[number[target]] = -1 if i % 2 else 1
+        columns.append(col)
+    _assert_d2_zero(cells, columns)
+    hom = complex_homology([len(chain) - 1 for chain in cells], columns)
+    return {k: (*hom[k], len(block[k])) for k in degrees}
+
+
+def _assert_d2_zero(cells, columns):
+    """Raise unless the boundary ``columns`` of ``cells`` (chains, one
+    column of {cell: coefficient} each) compose to zero."""
+    for c, col in enumerate(columns):
+        acc = defaultdict(int)
+        for mid, v in col.items():
+            for row, w in columns[mid].items():
+                acc[row] += v * w
+        if any(acc.values()):
+            raise CheckFailedError(
+                f"boundary composed with itself is nonzero in degree "
+                f"{len(cells[c]) - 1} at chain {cells[c]}")
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +387,6 @@ def magnitude_homology(graph, *, lmax, group=None, interior_only=False,
     builds (see ``_start_blocks``) stops with BudgetExceededError.
     """
     _, orbits, _ = chamber_orbits(graph, group)
-    masks = graph.masks
     betti = {part: defaultdict(int) for part in ("all", "inner", "geodesic")}
     torsion = {part: defaultdict(list) for part in betti}
     dims = defaultdict(int)
@@ -403,10 +400,7 @@ def magnitude_homology(graph, *, lmax, group=None, interior_only=False,
         weight = len(members)
         blocks, spent = _start_blocks(graph, rep, lmax, spent, interior_only,
                                       around, memo, canon)
-        for memo_key, block in blocks.values():
-            if block is not None:
-                memo[memo_key] = _block_homology(block, masks)
-        for (length, end, profile), (memo_key, _) in blocks.items():
+        for (length, end, profile), memo_key in blocks.items():
             parts = ["all"]
             if 0 not in profile:
                 parts.append("inner")

@@ -14,7 +14,7 @@ whatever has no unit entry left.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 
@@ -175,54 +175,44 @@ def snf_diagonal(entries):
     return tuple(sorted(diag))
 
 
-def complex_homology(dims, boundaries):
+def complex_homology(degrees, columns):
     """Integral homology of a finite free chain complex.
 
-    ``dims`` maps degree to basis size; ``boundaries`` maps degree k to
-    the sparse columns {col: {row: coefficient}} of the map into degree
-    k - 1.  A unit incidence (b, c) spans an acyclic two-term summand
-    after a change of basis, so both cells can be cancelled at the cost
-    of a Schur update on the other columns through b (a homotopy
-    equivalence: Skoldberg, Trans. AMS 358, 2006, so the order of the
-    pivots does not change the homology).  Columns come off a work
-    stack; each cancels its unit entry whose row meets the fewest
-    columns, and every column the update changes goes back on the
-    stack.  What survives has no unit entries; it was empty on every
+    Cell c has degree ``degrees[c]`` and boundary ``columns[c]``, a
+    sparse column {cell: coefficient} over the cells one degree lower;
+    the columns are reduced in place.  A unit incidence (b, c) spans an
+    acyclic two-term summand after a change of basis, so both cells can
+    be cancelled at the cost of a Schur update on the other columns
+    through b (a homotopy equivalence: Skoldberg, Trans. AMS 358, 2006,
+    so the order of the pivots does not change the homology).  Columns
+    come off a work stack; each cancels its unit entry whose row meets
+    the fewest columns, and every column the update changes goes back on
+    the stack.  What survives has no unit entries; it was empty on every
     workload measured, so the dense ``snf_diagonal`` finishes it, one
-    matrix per degree.  Returns
-    {degree: (betti, torsion factors of the incoming map)}.
+    matrix per degree.  Returns {degree: (betti, torsion factors of the
+    incoming map)}, in the order the degrees first occur.
     """
-    # cells are numbered 0..N-1, degree by degree
-    first, degree_of = {}, []
-    for k in sorted(dims):
-        first[k] = len(degree_of)
-        degree_of += [k] * dims[k]
-    bnd = [{} for _ in degree_of]
-    cob = [set() for _ in degree_of]
-    for k, colmap in boundaries.items():
-        hi, lo = first[k], first[k - 1]
-        for j, col in colmap.items():
-            c = hi + j
-            bnd[c] = {lo + i: v for i, v in col.items()}
-            for b in bnd[c]:
-                cob[b].add(c)
-    alive = dict(dims)
-    stack = list(range(len(bnd)))
+    cob = [set() for _ in columns]
+    for c, col in enumerate(columns):
+        for b in col:
+            cob[b].add(c)
+    alive = Counter(degrees)
+    stack = list(range(len(columns)))
     while stack:
         c = stack.pop()
-        col = bnd[c]
+        col = columns[c]
         units = [(len(cob[b]), b) for b, v in col.items() if v in (1, -1)]
         if not units:
             continue
         b = min(units)[1]
         eps = col.pop(b)
-        bnd[c] = {}
+        columns[c] = {}
         for y in cob[c]:
-            del bnd[y][c]
+            del columns[y][c]
         ups = cob[b]
         ups.discard(c)
         for x in ups:
-            bx = bnd[x]
+            bx = columns[x]
             fac = bx.pop(b) * eps
             for t, v in col.items():
                 nv = bx.get(t, 0) - fac * v
@@ -235,22 +225,16 @@ def complex_homology(dims, boundaries):
         stack.extend(ups)
         for t in col:
             cob[t].discard(c)
-        for t in bnd[b]:
+        for t in columns[b]:
             cob[t].discard(b)
-        bnd[b] = {}
-        alive[degree_of[c]] -= 1
-        alive[degree_of[b]] -= 1
+        columns[b] = {}
+        alive[degrees[c]] -= 1
+        alive[degrees[b]] -= 1
     core = defaultdict(dict)
-    for c, col in enumerate(bnd):
+    for c, col in enumerate(columns):
         for b, v in col.items():
-            core[degree_of[c]][(b, c)] = v
-    ranks, tors = {}, {}
-    for k, entries in core.items():
-        diag = snf_diagonal(entries)
-        ranks[k] = len(diag)
-        tors[k] = tuple(x for x in diag if x > 1)
-    out = {}
-    for k in dims:
-        betti = alive.get(k, 0) - ranks.get(k, 0) - ranks.get(k + 1, 0)
-        out[k] = (betti, tors.get(k + 1, ()))
-    return out
+            core[degrees[c]][(b, c)] = v
+    diags = {k: snf_diagonal(entries) for k, entries in core.items()}
+    return {k: (alive[k] - len(diags.get(k, ())) - len(diags.get(k + 1, ())),
+                tuple(x for x in diags.get(k + 1, ()) if x > 1))
+            for k in dict.fromkeys(degrees)}

@@ -195,7 +195,9 @@ def magnitude_fraction(graph, group):
 @dataclass
 class MagnitudeResult:
     """Magnitude with the values derived from it, and the collapsed
-    system (M, det M) it was solved from."""
+    system (M, det M) it was solved from.  ``cyclotomic_den`` and
+    ``cyclotomic_rem`` are the cyclotomic factors of the denominator and
+    what is left of it."""
 
     n: int
     rank: int
@@ -204,6 +206,7 @@ class MagnitudeResult:
     series: tuple
     interior_series: tuple
     cyclotomic_den: tuple
+    cyclotomic_rem: IntPoly
     orbit_count: int
     symmetry_order: int
     system: tuple
@@ -222,6 +225,7 @@ def magnitude_direct(graph, group):
     n = graph.n
     rank = matrix_rank(graph.arrangement.normals)
     interior = interior_magnitude(mag, rank, n)
+    factors, rem = cyclotomic_factor(mag.den)
     return MagnitudeResult(
         n=n,
         rank=rank,
@@ -229,7 +233,8 @@ def magnitude_direct(graph, group):
         interior=interior,
         series=series_expand(mag, SERIES_ORDER),
         interior_series=series_expand(interior, SERIES_ORDER),
-        cyclotomic_den=cyclotomic_factor(mag.den)[0],
+        cyclotomic_den=factors,
+        cyclotomic_rem=rem,
         orbit_count=len(system[0]),
         symmetry_order=group.order,
         system=system,
@@ -264,9 +269,9 @@ def structural_checks(lattice, group, result, face_check, det_check):
     checks["degree_gap_is_n"] = mag.den.degree - mag.num.degree == n
     checks["palindromic_num"] = mag.num.is_palindromic()
     checks["palindromic_den"] = mag.den.is_palindromic()
-    factors, rem = cyclotomic_factor(mag.den)
     checks["cyclotomic_denominator"] = (
-        rem in (ONE, -ONE) and all(k != 1 for k, _ in factors))
+        result.cyclotomic_rem in (ONE, -ONE)
+        and all(k != 1 for k, _ in result.cyclotomic_den))
     shifted = reduce_fraction(mag.num.shift(n), mag.den)
     checks["inversion_symmetry"] = reverse_substitute(mag) == shifted
     checks["series_chamber_count"] = series[0] == len(graph)

@@ -596,6 +596,38 @@ def test_dense_symmetry_search_is_pruned():
     assert group.order == _group_closure_size(group.generators) == 4
 
 
+def _chamber_orbits_by_mask(graph, group):
+    return {frozenset(graph.masks[c] for c in members) for members in
+            orbits_of_permutations(len(graph), group.generators)[1]}
+
+
+@pytest.mark.parametrize("name, pad", [("boolean:3", 2), ("u34", 3)])
+def test_zero_columns_change_no_symmetry(name, pad):
+    # coordinates that no normal uses, in front, in the middle and at
+    # the end: the chamber group keeps its order and its chamber orbits
+    plain = enumerate_chambers(catalog(name))
+    padded = enumerate_chambers(parse_arrangement(
+        [[0, a[0]] + [0] * pad + list(a[1:]) + [0]
+         for a in catalog(name).normals]))
+    assert padded.masks == plain.masks
+    want, got = tope_symmetries(plain), tope_symmetries(padded)
+    assert got.order == want.order == _group_closure_size(got.generators)
+    assert (_chamber_orbits_by_mask(padded, got)
+            == _chamber_orbits_by_mask(plain, want))
+
+
+def test_wide_zero_padding_is_searched_quickly():
+    # three lines in the plane of the first two of 400 coordinates: the
+    # 398 coordinates no normal uses stay out of the signed-map search
+    rows = [[1, 0] + [0] * 398, [0, 1] + [0] * 398, [1, 1] + [0] * 398]
+    graph = enumerate_chambers(parse_arrangement(rows))
+    start = time.perf_counter()
+    group = tope_symmetries(graph)
+    assert time.perf_counter() - start < 5
+    assert group.order == 4
+    assert len(_chamber_orbits_by_mask(graph, group)) == 2
+
+
 @pytest.mark.parametrize("relabelling, message", [
     ((1, 0, 2, 3), r"generator 0 sends flat \(0, 2\) of rank 2 to no flat"),
     ((0, 0, 2, 3), "generator 0 does not permute the 4 hyperplanes"),

@@ -9,6 +9,7 @@ import resource
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from math import comb
 from pathlib import Path
 
@@ -303,6 +304,36 @@ def test_a_wrong_reused_determinant_fails_the_determinant_check(
     assert code == 1
     assert [l for l in out.splitlines() if l.startswith("FAIL")] == [
         "FAIL mag:varchenko_det_product"]
+
+
+@pytest.mark.parametrize("argv", [["mag", "u34"],
+                                  ["verify", "u34", "--lmax", "2"]])
+def test_the_denominator_is_factored_once(capsys, monkeypatch, argv):
+    # the cyclotomic check reads the factors the result keeps
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return factor(p)
+
+    factor = magnitude.cyclotomic_factor
+    monkeypatch.setattr(magnitude, "cyclotomic_factor", counted)
+    code, _, _ = _run(capsys, argv)
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_a_stored_remainder_fails_the_cyclotomic_check(capsys, monkeypatch):
+    direct = cli.magnitude_direct
+
+    def skewed(graph, group):
+        return replace(direct(graph, group), cyclotomic_rem=IntPoly((2,)))
+
+    monkeypatch.setattr(cli, "magnitude_direct", skewed)
+    code, out, _ = _run(capsys, ["verify", "u34", "--lmax", "2"])
+    assert code == 1
+    assert [l for l in out.splitlines() if l.startswith("FAIL")] == [
+        "FAIL mag:cyclotomic_denominator"]
 
 
 def test_face_check_shares_no_block_with_the_main_run(

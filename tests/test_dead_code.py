@@ -411,3 +411,31 @@ def test_every_dataclass_field_is_read():
 def test_field_allowlist_names_exist():
     assert FIELDS_ALLOWED <= {f"{c.name}.{f}" for c in _classes()
                               if _is_dataclass(c) for f in _fields(c)}
+
+
+# ---------------------------------------------------------------------------
+# local names that their function never reads
+
+
+def _unread_locals():
+    """Each name, not starting with ``_``, that a function in the package
+    assigns and that no load in the function reads.  Loads in nested
+    functions count, since a closure reads its parent's names."""
+    unread = []
+    for tree in _trees():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            stored = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                      if isinstance(n, ast.Name)
+                      and isinstance(n.ctx, ast.Store)}
+            names, _ = _loads(*fn.body)
+            unread += [f"{fn.name}: {name}" for name in stored - names
+                       if not name.startswith("_")]
+    return sorted(unread)
+
+
+def test_every_local_is_read():
+    unread = _unread_locals()
+    assert not unread, ("locals that their function never reads: "
+                        + ", ".join(unread))

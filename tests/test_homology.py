@@ -227,30 +227,35 @@ def test_face_check_reduces_each_block_once_over_its_localizations(
     # six planes in general position: the 15 localizations at two planes
     # project to one 4-chamber tope graph and the 6 at one plane to one
     # 2-chamber graph, and the face check keeps one interior table per
-    # graph, so its two runs reduce each memo key once, fewer times than
-    # a run for every localization reduces
+    # graph, so its two runs reduce each of their memo keys once, fewer
+    # blocks than a run for every localization reduces
     graph = enumerate_chambers(parse_arrangement(general_position_rows(1)))
     lattice = intersection_lattice(graph)
     group = chamber_orbits(graph)[2]
     assert len(flat_orbits(lattice, group)[1]) == len(lattice.flats) == 23
     res = magnitude_homology(graph, lmax=4, group=group)
-    reduced, calls = [], []
+    runs, calls = [], []
+
+    def run(*args, **kwargs):
+        runs.append(set())
+        return magnitude_homology(*args, **kwargs)
 
     def start_blocks(*args):
         blocks, spent = _start_blocks(*args)
-        reduced.extend(key for key, chains in blocks.values()
-                       if chains is not None)
+        runs[-1].update(blocks.values())
         return blocks, spent
 
     def block_homology(block, masks):
         calls.append(block)
         return _block_homology(block, masks)
 
+    monkeypatch.setattr(homology, "magnitude_homology", run)
     monkeypatch.setattr(homology, "_start_blocks", start_blocks)
     monkeypatch.setattr(homology, "_block_homology", block_homology)
     ok, _ = face_decomposition_check(lattice, res, group)
     assert ok
-    assert len(calls) == len(reduced) == len(set(reduced))
+    assert len(runs) == 2
+    assert len(calls) == sum(map(len, runs))
     shared = len(calls)
     calls.clear()
     for f in lattice.flats[1:-1]:
@@ -290,6 +295,53 @@ def test_budget_is_enforced(monkeypatch):
     assert info.value.observed > 5
 
 
+@pytest.mark.parametrize("name, lmax", [
+    ("boolean:3", 4), ("braid:3", 5), ("u34", 5), ("coxeter:B2", 6)])
+def test_a_start_charges_its_chains_before_reducing_a_block(
+        monkeypatch, name, lmax):
+    # each start charges length + 1 + n per key its search finds, and
+    # len(chain) + 1 + n + REDUCTION_CHARGE per chain of each block it
+    # reduces, all before its first block is reduced
+    _, graph, _, group = geometry(name)
+    n = graph.n
+    events = []
+
+    def start_blocks(*args):
+        events.append(("start", None))
+        blocks, spent = _start_blocks(*args)
+        events.append(("keys", blocks))
+        return blocks, spent
+
+    def charge(spent, entries):
+        events.append(("charge", entries))
+        return spent + entries
+
+    def block_homology(block, masks):
+        events.append(("reduce", block))
+        return _block_homology(block, masks)
+
+    monkeypatch.setattr(homology, "_start_blocks", start_blocks)
+    monkeypatch.setattr(homology, "_charge", charge)
+    monkeypatch.setattr(homology, "_block_homology", block_homology)
+    magnitude_homology(graph, lmax=lmax, group=group)
+    starts = 0
+    for kind, value in events:
+        if kind == "start":
+            charged, want, reducing = 0, 0, False
+        elif kind == "charge":
+            assert not reducing
+            charged += value
+        elif kind == "reduce":
+            reducing = True
+            want += sum(len(c) + 1 + n + homology.REDUCTION_CHARGE
+                        for chains in value.values() for c in chains)
+        else:  # every key the search found, and the root
+            want += sum(length + 1 + n for length, _, _ in value if length)
+            assert charged == want
+            starts += 1
+    assert starts == len(chamber_orbits(graph, group)[1])
+
+
 def test_default_caps_scale_down():
     for name, want in {
         "boolean:2": 4,
@@ -305,18 +357,31 @@ def test_default_caps_scale_down():
 def test_boundary_square_guard_catches_bad_signs():
     # a sign error in a fabricated boundary must trip the guard, which
     # names the degree and the chain of the failing column
-    block = {0: [(0,), (1,), (2,)], 1: [(0, 1), (1, 2)], 2: [(0, 1, 2)]}
-    good = {
-        1: {0: {0: -1, 1: 1}},
-    }
-    _assert_d2_zero(block, good)
-    bad = {
-        1: {0: {0: 1, 1: 1}, 1: {1: 1, 2: 1}},
-        2: {0: {0: 1, 1: 1}},
-    }
+    cells = [(0,), (1,), (2,), (0, 1), (1, 2), (0, 1, 2)]
+    good = [{}, {}, {}, {0: -1, 1: 1}, {}, {}]
+    _assert_d2_zero(cells, good)
+    bad = [{}, {}, {}, {0: 1, 1: 1}, {1: 1, 2: 1}, {3: 1, 4: 1}]
     with pytest.raises(CheckFailedError, match=r"in degree 2 at chain "
                        r"\(0, 1, 2\)$"):
-        _assert_d2_zero(block, bad)
+        _assert_d2_zero(cells, bad)
+
+
+@pytest.mark.parametrize("name, lmax", [
+    ("braid:4", 5), ("u34", 5), ("coxeter:B2", 6), ("bracelet", 3)])
+def test_block_summary_does_not_depend_on_chain_order(name, lmax):
+    # each block's chains are numbered in the order given, so shuffling
+    # them within each degree renumbers the cells and nothing else
+    _, graph, _, _ = geometry(name)
+    rng = random.Random(20261020)
+    checked = 0
+    for start in range(min(len(graph), 4)):
+        for block in _chain_blocks(graph, start, lmax).values():
+            shuffled = {k: rng.sample(chains, len(chains))
+                        for k, chains in block.items()}
+            want = _block_homology(block, graph.masks)
+            assert _block_homology(shuffled, graph.masks) == want
+            checked += sum(map(len, block.values())) > 2
+    assert checked
 
 
 def test_boundary_target_outside_block_is_named():
@@ -380,10 +445,10 @@ def test_stabilizer_orbits_share_a_memo_key(name):
         blocks, _ = _start_blocks(graph, start, 3, 0, False, around, {}, {})
         stabilizer = stabilizer_by_closure(graph, group, start)
         assert len(stabilizer) * len(orbit) == len(group)
-        for key, (memo_key, _block) in blocks.items():
+        for key, memo_key in blocks.items():
             for image in key_orbit_by_closure(
                     stabilizer, graph.masks[start], graph, key):
-                assert blocks[image][0] == memo_key, (name, key, image)
+                assert blocks[image] == memo_key, (name, key, image)
 
 
 RANDOM_MEMO_CASES = random_arrangements(4, seed=20261018)

@@ -140,6 +140,34 @@ def _unimodular(size, rng):
     return u, v
 
 
+def _cells(dims, matrices):
+    """(degree of each cell, boundary columns) of a complex with
+    ``dims[k]`` cells in degree k, numbered degree by degree, and the
+    dense matrix ``matrices[k]`` of the map from degree k to k - 1."""
+    first, degrees = {}, []
+    for k in sorted(dims):
+        first[k] = len(degrees)
+        degrees += [k] * dims[k]
+    columns = [{} for _ in degrees]
+    for k, m in matrices.items():
+        for j in range(dims[k]):
+            columns[first[k] + j] = {first[k - 1] + i: row[j]
+                                     for i, row in enumerate(m) if row[j]}
+    return degrees, columns
+
+
+def _renumbered(degrees, columns, rng):
+    """The same complex with its cells renumbered by a random
+    permutation."""
+    perm = list(range(len(degrees)))
+    rng.shuffle(perm)
+    new_degrees, new_columns = [None] * len(perm), [None] * len(perm)
+    for c, p in enumerate(perm):
+        new_degrees[p] = degrees[c]
+        new_columns[p] = {perm[b]: v for b, v in columns[c].items()}
+    return new_degrees, new_columns
+
+
 def test_homology_residue_in_two_degrees(monkeypatch):
     # H1 = Z + Z/2 + Z/4 and H2 = Z/3 from diagonal boundaries, with
     # every degree conjugated by a seeded unimodular change of basis, so
@@ -152,13 +180,9 @@ def test_homology_residue_in_two_degrees(monkeypatch):
     conjugated = {k: _matmul(_matmul(bases[k - 1][0], d), bases[k][1])
                   for k, d in diagonal.items()}
     assert _matmul(conjugated[2], conjugated[3]) == [[0, 0]] * 3
-    boundaries = {
-        k: {j: {i: row[j] for i, row in enumerate(m) if row[j]}
-            for j in range(dims[k])}
-        for k, m in conjugated.items()
-    }
-    for cols in boundaries.values():
-        assert any(len(col) > 1 for col in cols.values())
+    degrees, columns = _cells(dims, conjugated)
+    for k in conjugated:
+        assert any(len(col) > 1 for col, d in zip(columns, degrees) if d == k)
     residues = []
 
     def spy(entries):
@@ -166,7 +190,7 @@ def test_homology_residue_in_two_degrees(monkeypatch):
         return snf_diagonal(entries)
 
     monkeypatch.setattr(linalg, "snf_diagonal", spy)
-    hom = complex_homology(dims, boundaries)
+    hom = complex_homology(degrees, columns)
     assert hom == {0: (2, ()), 1: (1, (2, 4)), 2: (0, (3,)), 3: (1, ())}
     assert len(residues) == 2
 
@@ -177,8 +201,11 @@ def test_homology_of_random_conjugated_diagonal_complexes(monkeypatch):
     # degree by a unimodular change of basis hides the pairs, so the
     # cancellation order is exercised on known homology:
     # betti_k = free cells, torsion of H_(k-1) = the non-unit invariant
-    # factors of the diagonal of degree k
+    # factors of the diagonal of degree k.  The homology does not depend
+    # on how the cells are numbered, so each complex is also reduced
+    # with its cells permuted at random.
     rng = random.Random(7)
+    shuffle = random.Random(8)
     residues = []
 
     def spy(entries):
@@ -197,22 +224,23 @@ def test_homology_of_random_conjugated_diagonal_complexes(monkeypatch):
                     for k in range(1, top + 1)}
         bases = {k: _unimodular(size, rng) if size > 1
                  else ([[1]] * size, [[1]] * size) for k, size in dims.items()}
-        boundaries = {}
+        matrices = {}
         for k, diag in diagonal.items():
             # column j < p_k of degree k goes to row p_(k-1) + j of degree k - 1
             d = [[0] * dims[k] for _ in range(dims[k - 1])]
             for j, e in enumerate(diag):
                 d[pairs[k - 1] + j][j] = e
-            m = _matmul(_matmul(bases[k - 1][0], d), bases[k][1])
-            boundaries[k] = {j: {i: row[j] for i, row in enumerate(m) if row[j]}
-                             for j in range(dims[k])}
-        want = {}
-        for k in dims:
+            matrices[k] = _matmul(_matmul(bases[k - 1][0], d), bases[k][1])
+        want = {}  # a degree with no cells has no entry
+        for k in (k for k in dims if dims[k]):
             diag = diagonal.get(k + 1, [])
             factors = smith_by_minors({(j, j): e for j, e in enumerate(diag)})
             want[k] = (free[k], tuple(x for x in factors if x > 1))
+        degrees, columns = _cells(dims, matrices)
+        permuted = _renumbered(degrees, columns, shuffle)
+        assert complex_homology(*permuted) == want, (dims, diagonal)
         before = len(residues)
-        assert complex_homology(dims, boundaries) == want, (dims, diagonal)
+        assert complex_homology(degrees, columns) == want, (dims, diagonal)
         if len(residues) > before:
             with_residue += 1
         else:
@@ -220,26 +248,14 @@ def test_homology_of_random_conjugated_diagonal_complexes(monkeypatch):
     assert with_residue and cancelled
 
 
-def _simplicial_boundaries(simplices_by_dim):
-    """Column-map boundaries for explicit simplex lists."""
-    index = {
-        d: {s: i for i, s in enumerate(faces)}
-        for d, faces in simplices_by_dim.items()
-    }
-    boundaries = {}
-    for d, faces in simplices_by_dim.items():
-        if d - 1 not in simplices_by_dim:
-            continue
-        cols = {}
-        for j, s in enumerate(faces):
-            col = {}
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1 :]
-                col[index[d - 1][face]] = -1 if i % 2 else 1
-            cols[j] = col
-        boundaries[d] = cols
-    dims = {d: len(v) for d, v in simplices_by_dim.items()}
-    return dims, boundaries
+def _simplicial_cells(simplices_by_dim):
+    """(degree of each cell, boundary columns) for explicit simplex
+    lists, the simplices numbered in order of dimension."""
+    cells = [s for d in sorted(simplices_by_dim) for s in simplices_by_dim[d]]
+    number = {s: c for c, s in enumerate(cells)}
+    columns = [{number[s[:i] + s[i + 1 :]]: -1 if i % 2 else 1
+                for i in range(len(s))} if len(s) > 1 else {} for s in cells]
+    return [len(s) - 1 for s in cells], columns
 
 
 def test_homology_of_circle():
@@ -247,8 +263,7 @@ def test_homology_of_circle():
         0: [(0,), (1,), (2,)],
         1: [(0, 1), (1, 2), (0, 2)],
     }
-    dims, boundaries = _simplicial_boundaries(cells)
-    hom = complex_homology(dims, boundaries)
+    hom = complex_homology(*_simplicial_cells(cells))
     assert hom[0] == (1, ())
     assert hom[1] == (1, ())
 
@@ -262,8 +277,7 @@ def test_homology_of_two_sphere():
         for b in range(a + 1, 4)
         for c in range(b + 1, 4)
     ]
-    dims, boundaries = _simplicial_boundaries({0: verts, 1: edges, 2: tris})
-    hom = complex_homology(dims, boundaries)
+    hom = complex_homology(*_simplicial_cells({0: verts, 1: edges, 2: tris}))
     assert hom[0] == (1, ())
     assert hom[1] == (0, ())
     assert hom[2] == (1, ())
@@ -275,8 +289,7 @@ def test_homology_of_solid_simplex_is_trivial():
 
     for d in range(4):
         cells[d] = list(itertools.combinations(range(4), d + 1))
-    dims, boundaries = _simplicial_boundaries(cells)
-    hom = complex_homology(dims, boundaries)
+    hom = complex_homology(*_simplicial_cells(cells))
     assert hom[0] == (1, ())
     for d in range(1, 4):
         assert hom[d] == (0, ())
@@ -284,9 +297,7 @@ def test_homology_of_solid_simplex_is_trivial():
 
 def test_homology_torsion_projective_plane():
     # minimal cell structure: one cell per dimension, degree-two attachment
-    dims = {0: 1, 1: 1, 2: 1}
-    boundaries = {2: {0: {0: 2}}}
-    hom = complex_homology(dims, boundaries)
+    hom = complex_homology([0, 1, 2], [{}, {}, {1: 2}])
     assert hom[0] == (1, ())
     assert hom[1] == (0, (2,))
     assert hom[2] == (0, ())
@@ -294,16 +305,14 @@ def test_homology_torsion_projective_plane():
 
 def test_homology_negative_degrees():
     # augmented complex of two points: one reduced class in degree zero
-    dims = {-1: 1, 0: 2}
-    boundaries = {0: {0: {0: 1}, 1: {0: 1}}}
-    hom = complex_homology(dims, boundaries)
+    hom = complex_homology([-1, 0, 0], [{}, {0: 1}, {0: 1}])
     assert hom[-1] == (0, ())
     assert hom[0] == (1, ())
 
 
 def test_homology_empty_complex():
-    assert complex_homology({-1: 1}, {}) == {-1: (1, ())}
-    assert complex_homology({}, {}) == {}
+    assert complex_homology([-1], [{}]) == {-1: (1, ())}
+    assert complex_homology([], []) == {}
 
 
 def test_homology_matches_snf_route():
@@ -313,13 +322,11 @@ def test_homology_matches_snf_route():
         0: [(0,), (1,), (2,), (3,)],
         1: [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)],
     }
-    dims, boundaries = _simplicial_boundaries(cells)
-    hom = complex_homology(dims, boundaries)
-    entries = {}
-    for j, col in boundaries[1].items():
-        for i, v in col.items():
-            entries[(i, j)] = v
+    degrees, columns = _simplicial_cells(cells)
+    entries = {(i, j): v for j, col in enumerate(columns)
+               for i, v in col.items()}
     diag = snf_diagonal(entries)
-    assert hom[0][0] == dims[0] - len(diag)
-    assert hom[1][0] == dims[1] - len(diag)
+    hom = complex_homology(degrees, columns)
+    assert hom[0][0] == degrees.count(0) - len(diag)
+    assert hom[1][0] == degrees.count(1) - len(diag)
     assert all(d == 1 for d in diag)

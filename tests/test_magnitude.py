@@ -189,8 +189,11 @@ def test_denominator_cyclotomic_detection():
     mag = magnitude_of("u34")
 
     def cyclotomic_denominator(den):
+        factors, rem = cyclotomic_factor(den)
         checks = structural_checks(
-            lattice, group, replace(mag, magnitude=RatFunc(ONE, den)),
+            lattice, group, replace(mag, magnitude=RatFunc(ONE, den),
+                                    cyclotomic_den=factors,
+                                    cyclotomic_rem=rem),
             face_check=False, det_check=False)
         return checks["cyclotomic_denominator"]
 
