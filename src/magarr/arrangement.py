@@ -753,12 +753,15 @@ def _signed_map_group(normals, d):
         return orbit(point, [lambda p, m=m: (m[p[0]][0], p[1] * m[p[0]][1])
                              for m in maps])
 
+    # e_k goes to +-e_t only if columns k and t agree up to entry signs
+    column = [sorted(map(abs, c)) for c in zip(*normals)]
     order = 1
     for k in reversed(range(d)):
         prefix = tuple((i, 1) for i in range(k))
         images = signed_orbit((k, 1))
         dead = set()
-        for image in ((t, s) for t in range(k, d) for s in (1, -1)):
+        for image in ((t, s) for t in range(k, d) if column[t] == column[k]
+                      for s in (1, -1)):
             if image in images or image in dead:
                 continue
             found = _complete(normals, prefix + (image,), d)

@@ -6,9 +6,10 @@ chamber when the two adjacent steps cross disjoint hyperplane sets
 (deletion then preserves the length).  Start, end, and the number of
 times each hyperplane is crossed are all preserved, so the complex
 splits into finite blocks which are resolved independently over the
-integers.  The search from a start walks block keys, recording each
-key's in-edges, and builds chains, the in-edge paths back to the start,
-only for the blocks it reduces.  Chamber symmetries act freely on
+integers.  The search from a start walks block keys, each profile
+packed into one int so that a step is one add, recording each key's
+in-edges, and builds chains, the in-edge paths back to the start, only
+for the blocks it reduces.  Chamber symmetries act freely on
 blocks by relabelling the start, so one start per orbit is searched,
 weighted by the orbit size.  A block is fixed by its profile on its
 support S and the sign vectors on S of the chambers agreeing with its
@@ -32,10 +33,9 @@ geodesic part, which ``geodesic_betti_formula`` predicts from the flat
 poset alone; the two are the two routes of the geodesic check.
 """
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import groupby, permutations, product
-from operator import itemgetter
 import math
 
 from .arrangement import components, flat_orbits
@@ -68,13 +68,16 @@ def default_length_cap(graph):
 
 
 def _near_lists(graph, lmax):
-    """``around(u)[d]`` is ([v], [hyperplanes crossed]) over the chambers v
-    at distance d from u, 1 <= d <= min(lmax, n); each chamber's lists
-    are built the first time it is asked for."""
+    """``around(u)[d]`` is ([v], [(separating mask, packed increment)])
+    over the chambers v at distance d from u, 1 <= d <= min(lmax, n);
+    an increment, one crossing of each separating hyperplane packed as
+    in ``_start_blocks``, is built once per distinct mask, and each
+    chamber's lists the first time it is asked for."""
     masks = graph.masks
     n = graph.n
+    w = lmax.bit_length()
     chambers = list(range(len(masks)))  # shared ints keep the rows small
-    near, bits_of = {}, {}
+    near, step_of = {}, {}
 
     def around(u):
         row = near.get(u)
@@ -85,12 +88,12 @@ def _near_lists(graph, lmax):
                 sep = mu ^ m
                 d = sep.bit_count()
                 if 0 < d <= lmax:
-                    bits = bits_of.get(sep)
-                    if bits is None:
-                        bits = bits_of[sep] = tuple(
-                            h for h in range(n) if sep >> h & 1)
+                    step = step_of.get(sep)
+                    if step is None:
+                        step = step_of[sep] = (sep, sum(
+                            1 << w * h for h in range(n) if sep >> h & 1))
                     row[d][0].append(v)
-                    row[d][1].append(bits)
+                    row[d][1].append(step)
         return row
 
     return around
@@ -100,16 +103,23 @@ def _start_blocks(graph, start, lmax, spent, full_support_only, around,
                   memo, canon):
     """Boundary blocks of the proper chains from one start.
 
-    Returns ({(length, end, profile): memo key}, spent); profile counts
-    the crossings of each hyperplane, which the differential preserves,
-    and fixes length (its sum) and end (the start with the oddly crossed
-    hyperplanes flipped).  The search walks keys: a step to chamber v
-    takes (length, u, p) to (length + d(u, v), v, p + the hyperplanes
-    crossed), and the key reached keeps the existing tuple it came from
-    as an in-edge.  Two keys fix the step between them, so a block's
-    chains are the paths of in-edges back to (0, start, 0...0).
-    ``full_support_only`` drops the keys that cannot cross every
-    hyperplane within ``lmax``.
+    Returns ({key: (length, inner, geodesic, memo key)}, spent).  A key
+    is a block's profile, how often its chains cross each hyperplane
+    (the differential preserves it), packed into one int: count h in
+    bits w*h up to w*h + w, w = lmax.bit_length().  No field carries
+    into the next, since a chain of at most lmax steps crosses each
+    hyperplane at most once per step, so every count is at most
+    lmax < 2^w.  The profile fixes the length (its sum), the end (the
+    start with the oddly crossed hyperplanes flipped) and the support S;
+    inner is S = every hyperplane, and geodesic is length = |S|, which
+    holds exactly when every count is 0 or 1, that is when the length
+    is d(start, end).  The search walks keys: a step to chamber v adds
+    the packed increment of the hyperplanes crossed, one int add, and
+    ``into`` maps each key reached to its length, end, support and
+    in-edges, the keys one step before it.  Two keys fix the step
+    between them, so a block's chains are the paths of in-edges back
+    to the root, key 0.  ``full_support_only`` drops the keys that
+    cannot cross every hyperplane within ``lmax``.
 
     A block's chains cross only the profile's support S, so their
     chambers x have x ^ start inside S, and distances and smoothness read
@@ -130,49 +140,54 @@ def _start_blocks(graph, start, lmax, spent, full_support_only, around,
     index = graph.index
     start_mask = graph.masks[start]
     n = graph.n
-    root = (0, start, (0,) * n)
-    into = {root: []}  # key -> the keys one step before it
-    stack = [root]
+    w = lmax.bit_length()
+    field = (1 << w) - 1
+    everything = (1 << n) - 1
+    into = {0: (0, start, 0, [])}  # key -> length, end, support, in-edges
+    stack = [0]
     while stack:
-        state = stack.pop()
-        length, u, profile = state
+        key = stack.pop()
+        length, u, support, _ = into[key]
         remaining = lmax - length
         if remaining < 1:
             continue
         near = around(u)[1 : remaining + 1]
-        for d, (ends, crossed) in enumerate(near, 1):
-            for v, bits in zip(ends, crossed):
-                nprofile = list(profile)
-                for h in bits:
-                    nprofile[h] += 1
-                if full_support_only and nprofile.count(0) > remaining - d:
+        for d, (ends, steps) in enumerate(near, 1):
+            least = n - remaining + d  # least support lmax can still fill
+            for v, (sep, inc) in zip(ends, steps):
+                if full_support_only and (support | sep).bit_count() < least:
                     continue
-                key = (length + d, v, tuple(nprofile))
-                edges = into.get(key)
-                if edges is None:
+                reached = key + inc
+                entry = into.get(reached)
+                if entry is None:
                     spent = _charge(spent, length + d + 1 + n)
-                    into[key] = [state]
-                    stack.append(key)
+                    into[reached] = (length + d, v, support | sep, [key])
+                    stack.append(reached)
                 else:
-                    edges.append(state)
+                    entry[3].append(key)
 
-    blocks, new = {}, {}  # key -> memo key, and new memo key -> its key
-    local = {}  # support -> packed x of the chambers agreeing off it
-    for key in into:
-        profile = key[2]
-        if full_support_only and 0 in profile:
+    blocks, new = {}, {}  # key -> its summary, and new memo key -> key
+    # support -> (packed x of the chambers agreeing off it, field shifts)
+    local = {}
+    for key, (length, _, support, _) in into.items():
+        if full_support_only and support != everything:
             continue
-        support = tuple(h for h, c in enumerate(profile) if c)
-        if support not in local:
-            spread = [0]  # spread[x]: bit support[i] set for each bit i of x
-            for h in support:
-                spread += [s | 1 << h for s in spread]
-            local[support] = frozenset(
-                x for x, s in enumerate(spread) if start_mask ^ s in index)
-        raw = (tuple(profile[h] for h in support), local[support])
-        if raw not in canon:
-            canon[raw] = canonical_key(*raw)
-        memo_key = canon[raw]
+        entry = local.get(support)
+        if entry is None:
+            # spread[x]: the i-th hyperplane of S set for each bit i of x
+            spread, shifts = [0], []
+            for h in range(n):
+                if support >> h & 1:
+                    spread += [s | 1 << h for s in spread]
+                    shifts.append(w * h)
+            entry = local[support] = (frozenset(
+                x for x, s in enumerate(spread) if start_mask ^ s in index),
+                shifts)
+        tops, shifts = entry
+        raw = (tuple(key >> s & field for s in shifts), tops)
+        memo_key = canon.get(raw)
+        if memo_key is None:
+            memo_key = canon[raw] = canonical_key(*raw)
         if memo_key not in memo and memo_key not in new:
             # the reversed block's entry, if known
             odd = sum((c & 1) << i for i, c in enumerate(raw[0]))
@@ -183,24 +198,27 @@ def _start_blocks(graph, start, lmax, spent, full_support_only, around,
                 memo_key = canon[raw] = canon[rev]
             else:
                 new[memo_key] = key
-        blocks[key] = memo_key
+        blocks[key] = (length, support == everything,
+                       length == support.bit_count(), memo_key)
 
     # tally[key]: the chains ending at key and their total size, so every
-    # chain to be built is charged before the first block is built
+    # chain to be built is charged before the first block is built; a
+    # key's in-edges come from smaller keys
     if new:
         tally = {}
-        for key in sorted(into, key=itemgetter(0)):
-            ins = [tally[prev] for prev in into[key]] or [(1, 0)]
+        for key in sorted(into):
+            ins = [tally[prev] for prev in into[key][3]] or [(1, 0)]
             tally[key] = (sum(c for c, _ in ins), sum(c + t for c, t in ins))
         for count, total in map(tally.get, new.values()):
             spent = _charge(spent, total + count * (1 + n + REDUCTION_CHARGE))
     for memo_key, key in new.items():
         chains = {}
-        paths = [(key, (key[1],))]
+        paths = [(key, (into[key][1],))]
         while paths:
             state, chain = paths.pop()
-            paths += [(prev, (prev[1],) + chain) for prev in into[state]]
-            if not into[state]:
+            ins = into[state][3]
+            paths += [(prev, (into[prev][1],) + chain) for prev in ins]
+            if not ins:
                 chains.setdefault(len(chain) - 1, []).append(chain)
         memo[memo_key] = _block_homology(chains, graph.masks)
     return blocks, spent
@@ -229,9 +247,13 @@ def canonical_key(counts, tops):
     and is not tried, so the whole k-cube costs one pass, not k!.
     """
     k = len(counts)
-    weighted = [(x, x.bit_count()) for x in tops]
-    invariant = [(c, sorted(w for x, w in weighted if x >> i & 1))
-                 for i, c in enumerate(counts)]
+    weights = [[] for _ in range(k)]  # one pass over each top's set bits
+    for x in tops:
+        w, y = x.bit_count(), x
+        while y:
+            weights[(y & -y).bit_length() - 1].append(w)
+            y &= y - 1
+    invariant = [(c, sorted(ws)) for c, ws in zip(counts, weights)]
     order = sorted(range(k), key=invariant.__getitem__)
     base = frozenset(_relabel_bits(tops, order))
     choices, permuted = [], False
@@ -334,7 +356,7 @@ def chain_count_table(lmax, orbits, around):
                     if not c:
                         continue
                     near = by_distance[1 : lmax - length + 1]
-                    for d, (ends, _crossed) in enumerate(near, 1):
+                    for d, (ends, _steps) in enumerate(near, 1):
                         nl = length + d
                         for v in ends:
                             counts = nxt.get(v)
@@ -400,19 +422,18 @@ def magnitude_homology(graph, *, lmax, group=None, interior_only=False,
         weight = len(members)
         blocks, spent = _start_blocks(graph, rep, lmax, spent, interior_only,
                                       around, memo, canon)
-        for (length, end, profile), memo_key in blocks.items():
-            parts = ["all"]
-            if 0 not in profile:
-                parts.append("inner")
-            if length == graph.dist(rep, end):
-                parts.append("geodesic")
+        # one tally per distinct summary, times the blocks sharing it
+        for (length, inner, geodesic, memo_key), times in Counter(
+                blocks.values()).items():
+            parts = ["all"] + ["inner"] * inner + ["geodesic"] * geodesic
+            times *= weight
             for k, (b, tor, dim) in memo[memo_key].items():
-                dims[(k, length)] += weight * dim
+                dims[(k, length)] += times * dim
                 for part in parts:
                     if b:
-                        betti[part][(k, length)] += weight * b
+                        betti[part][(k, length)] += times * b
                     if tor:
-                        torsion[part][(k, length)].extend(tor * weight)
+                        torsion[part][(k, length)].extend(tor * times)
 
     checks = {}
     if not interior_only:

@@ -482,6 +482,19 @@ def _chain_blocks(graph, start, lmax, interior_only=False):
     return blocks
 
 
+def unpack_key(graph, start, lmax, key):
+    """(length, end, profile) of a packed block key of ``_start_blocks``
+    from ``start``: count h is read from bits w*h to w*h + w - 1,
+    w = lmax.bit_length(), one field at a time, and the end is the start
+    with the oddly crossed hyperplanes flipped.  No bit may lie past the
+    last field."""
+    w = lmax.bit_length()
+    assert key >> w * graph.n == 0, key
+    profile = tuple(key >> w * h & (1 << w) - 1 for h in range(graph.n))
+    odd = sum((c & 1) << h for h, c in enumerate(profile))
+    return sum(profile), graph.index[graph.masks[start] ^ odd], profile
+
+
 def _raw_memo_key(graph, start, profile):
     """(profile on its support S, packed x ^ start of the chambers x that
     agree with ``start`` off S), the memo key before relabelling."""

@@ -628,6 +628,20 @@ def test_wide_zero_padding_is_searched_quickly():
     assert len(_chamber_orbits_by_mask(graph, group)) == 2
 
 
+def test_wide_distinct_columns_are_searched_quickly():
+    # three planes in R^300 whose 300 columns (1, t, t^2) are pairwise
+    # distinct in absolute value: no coordinate can go to another, so the
+    # signed-map search tries no image but the identity's, where trying
+    # every coordinate at every level took about 6 s
+    rows = [[1] * 300, list(range(1, 301)), [t * t for t in range(1, 301)]]
+    graph = enumerate_chambers(parse_arrangement(rows))
+    start = time.perf_counter()
+    group = tope_symmetries(graph)
+    assert time.perf_counter() - start < 2
+    assert group.order == _group_closure_size(group.generators) == 2
+    assert len(_chamber_orbits_by_mask(graph, group)) == 4
+
+
 @pytest.mark.parametrize("relabelling, message", [
     ((1, 0, 2, 3), r"generator 0 sends flat \(0, 2\) of rank 2 to no flat"),
     ((0, 0, 2, 3), "generator 0 does not permute the 4 hyperplanes"),

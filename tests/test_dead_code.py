@@ -439,3 +439,33 @@ def test_every_local_is_read():
     unread = _unread_locals()
     assert not unread, ("locals that their function never reads: "
                         + ", ".join(unread))
+
+
+# ---------------------------------------------------------------------------
+# imported names that their module never reads
+
+
+def _unread_imports():
+    """Each name that a module of the package imports, other than from
+    ``__future__``, and that no load in the module reads; ``import a.b``
+    binds ``a``."""
+    unread = []
+    for module, tree in _modules():
+        names, _ = _loads(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                    and node.module != "__future__"):
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unread += [f"{module}: {name}" for name in bound
+                       if name not in names]
+    return sorted(unread)
+
+
+def test_every_import_is_read():
+    unread = _unread_imports()
+    assert not unread, ("imported names that their module never reads: "
+                        + ", ".join(unread))

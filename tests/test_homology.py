@@ -23,6 +23,7 @@ from conftest import (
     random_arrangements,
     relabel_bits_by_bits,
     stabilizer_by_closure,
+    unpack_key,
 )
 import magarr.homology as homology
 from magarr.arrangement import (
@@ -242,7 +243,7 @@ def test_face_check_reduces_each_block_once_over_its_localizations(
 
     def start_blocks(*args):
         blocks, spent = _start_blocks(*args)
-        runs[-1].update(blocks.values())
+        runs[-1].update(memo_key for *_, memo_key in blocks.values())
         return blocks, spent
 
     def block_homology(block, masks):
@@ -306,10 +307,11 @@ def test_a_start_charges_its_chains_before_reducing_a_block(
     n = graph.n
     events = []
 
-    def start_blocks(*args):
+    def start_blocks(graph, start, lmax, *args):
         events.append(("start", None))
-        blocks, spent = _start_blocks(*args)
-        events.append(("keys", blocks))
+        blocks, spent = _start_blocks(graph, start, lmax, *args)
+        events.append(("keys", [unpack_key(graph, start, lmax, key)
+                                for key in blocks]))
         return blocks, spent
 
     def charge(spent, entries):
@@ -443,12 +445,43 @@ def test_stabilizer_orbits_share_a_memo_key(name):
     for orbit in chamber_orbits(graph, group)[1]:
         start = orbit[0]
         blocks, _ = _start_blocks(graph, start, 3, 0, False, around, {}, {})
+        blocks = {unpack_key(graph, start, 3, key): memo_key
+                  for key, (*_, memo_key) in blocks.items()}
         stabilizer = stabilizer_by_closure(graph, group, start)
         assert len(stabilizer) * len(orbit) == len(group)
         for key, memo_key in blocks.items():
             for image in key_orbit_by_closure(
                     stabilizer, graph.masks[start], graph, key):
                 assert blocks[image] == memo_key, (name, key, image)
+
+
+# every field width from 0 to 4 bits, each at a full field (lmax 1, 3, 7)
+# and just past one (lmax 4, 8); boolean:3 stops at lmax 4, since its
+# chains outnumber the others' tenfold at lmax 7
+PACKING_CASES = [(name, lmax) for name in ("boolean:2", "braid:3")
+                 for lmax in (0, 1, 3, 4, 7, 8)] + [
+    ("boolean:3", lmax) for lmax in (0, 1, 3, 4)]
+
+
+@pytest.mark.parametrize("interior_only", [False, True])
+@pytest.mark.parametrize("name, lmax", PACKING_CASES)
+def test_packed_keys_match_chain_blocks(name, lmax, interior_only):
+    # each start's packed keys unpack to the (length, end, profile) keys
+    # of the whole-chain search, and each key's summary flags read the
+    # profile and the distance
+    _, graph, _, _ = geometry(name)
+    around = _near_lists(graph, lmax)
+    for start in range(len(graph)):
+        blocks, _ = _start_blocks(graph, start, lmax, 0, interior_only,
+                                  around, {}, {})
+        keys = set()
+        for key, (length, inner, geodesic, _) in blocks.items():
+            unpacked = unpack_key(graph, start, lmax, key)
+            assert unpacked[0] == length
+            assert inner == (0 not in unpacked[2])
+            assert geodesic == (length == graph.dist(start, unpacked[1]))
+            keys.add(unpacked)
+        assert keys == set(_chain_blocks(graph, start, lmax, interior_only))
 
 
 RANDOM_MEMO_CASES = random_arrangements(4, seed=20261018)
