@@ -18,11 +18,19 @@ elementary abelian 2-subgroup E of the symmetries: its characters are
 |E| blocks of order (chambers / |E|), one per character, each again the
 identity at q = 0, and symmetric since E consists of involutions.  A work
 estimate stops each elimination past one budget before it starts.
+
+The determinant is checked against its product formula in factored
+form, +-prod Phi_k**e_k; by unique factorization in Z[q] the forms agree
+exactly when the polynomials do.  ``cyclotomic_factor`` finds every Phi_k
+with k <= 2n, for n hyperplanes, and no other divides det Z: that is the
+product over flats X of (1 - q^(2 #X))^(c^X beta(A_X)), whose factors
+are Phi_k with k | 2 #X <= 2n.  Each block determinant divides det Z,
+and so does the reduced magnitude denominator, by Cramer's rule.
 """
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from math import comb, gcd, isqrt
+from math import gcd, isqrt
 
 from .arrangement import flat_orbits, orbits_of_permutations, tope_symmetries
 from .errors import BudgetExceededError, CheckFailedError
@@ -225,7 +233,7 @@ def magnitude_direct(graph, group):
     n = graph.n
     rank = matrix_rank(graph.arrangement.normals)
     interior = interior_magnitude(mag, rank, n)
-    factors, rem = cyclotomic_factor(mag.den)
+    factors, rem = cyclotomic_factor(mag.den, 2 * n)
     return MagnitudeResult(
         n=n,
         rank=rank,
@@ -382,19 +390,16 @@ def _compose(g, h):
     return tuple(g[i] for i in h)
 
 
-def _fixes_a_chamber(perm):
-    return any(i == p for i, p in enumerate(perm))
-
-
 def free_involution_basis(graph, group):
     """Basis of a free elementary abelian 2-subgroup E of the symmetry
     group, as chamber permutations, starting from the antipode.
 
     A breadth-first walk over the group from its generators greedily
-    adds every involution that commutes with the basis so far and keeps
-    each element of E fixed-point-free.  A free E has order dividing the
-    chamber count, so the walk stops once |E| is the largest power of two
-    dividing both that count and the group order, when the group is
+    adds every involution x that commutes with the basis so far and sends
+    no chamber c into its E-orbit (x e fixes c exactly when x(c) = e(c)),
+    each orbit named by its least chamber.  A free E has order dividing
+    the chamber count, so the walk stops once |E| is the largest power of
+    two dividing both that count and the group order, when the group is
     exhausted, or after INVOLUTION_WALK_LIMIT elements: any free E gives
     ``varchenko_det`` the same determinant.
     """
@@ -403,10 +408,10 @@ def free_involution_basis(graph, group):
     common = gcd(size, group.order)
     target = common & -common
     basis = [tuple(graph.antipode(i) for i in range(size))]
-    members = [identity, basis[0]]
+    orbit = [min(c, a) for c, a in enumerate(basis[0])]
     seen = {identity}
     queue = deque([identity])
-    while queue and len(members) < target and len(seen) < INVOLUTION_WALK_LIMIT:
+    while queue and 2 ** len(basis) < target and len(seen) < INVOLUTION_WALK_LIMIT:
         g = queue.popleft()
         for h in group.generators:
             x = _compose(h, g)
@@ -416,97 +421,98 @@ def free_involution_basis(graph, group):
             queue.append(x)
             if (_compose(x, x) == identity
                     and all(_compose(x, b) == _compose(b, x) for b in basis)
-                    and not any(_fixes_a_chamber(_compose(x, e))
-                                for e in members)):
+                    and all(orbit[c] != orbit[xc] for c, xc in enumerate(x))):
                 basis.append(x)
-                members += [_compose(x, e) for e in members]
+                orbit = [min(o, orbit[xc]) for o, xc in zip(orbit, x)]
     return tuple(basis)
 
 
 def varchenko_det(graph, basis, known):
-    """Exact determinant, split by the characters of a free elementary
-    abelian 2-subgroup E of chamber isometries.
+    """Exact determinant in factored form, split by the characters of a
+    free elementary abelian 2-subgroup E of chamber isometries.
 
     ``basis`` holds k commuting involutions that generate E, |E| = 2**k
-    (``free_involution_basis`` finds one); E must act freely.  Over the
-    chambers e*r, for e in E and r an E-orbit representative, the matrix
-    is a group matrix of E with blocks indexed by representatives.  The
-    characters of E are the 2**k sign vectors s, chi_s(e) = +-1, so the
-    symmetry-adapted basis is integral (Faessler-Stiefel) and
+    (``free_involution_basis`` finds one); E must act freely.  With e_t
+    the product of the basis elements in the bits of t and r_i the least
+    chamber of the i-th E-orbit, the characters chi_s(e_t) = (-1)**|s & t|
+    make the symmetry-adapted basis integral (Faessler-Stiefel), and
 
         det = prod over s of det M_s,
-        M_s[i, j] = sum over e in E of chi_s(e) q^d(r_i, e r_j).
+        M_s[i, j] = sum over t of chi_s(e_t) q^d(r_i, e_t r_j),
 
-    Every M_s is the identity at q = 0 (only e = 1, i = j has distance
-    0), so fraction-free elimination runs pivot-free.  E = {1, -I} is the
-    antipodal split det(A + B) det(A - B).  Before eliminating any block,
-    ``_check_work`` reads the block with the most Hadamard bits.
+    for every s at once by a Walsh-Hadamard transform (Fino and Algazi
+    1976) of the 2**(w d(r_i, e_t r_j)), w = k + 2, decoded at q = 2**w
+    since each coefficient is at most 2**k in absolute value.  Every M_s
+    is the identity at q = 0, so elimination runs pivot-free.  E = {1, -I}
+    is the antipodal split det(A + B) det(A - B).
 
-    ``known`` is a pair (K, det K), the magnitude system and its
-    determinant from ``magnitude_fraction``, and a block equal to K is
-    not eliminated again.  Representatives are least chambers of their
-    E-orbits, in order, so when E has the chamber orbits of the symmetry
-    group the trivial-character block M_0 is K entry for entry.
+    Each distinct block is eliminated once, after ``_check_work`` on the
+    one with the most Hadamard bits, unless it equals the magnitude
+    system K of ``known`` = (K, det K), as M_0 does when E has the
+    chamber orbits of the symmetry group.  Its determinant is factored
+    with kmax = 2n and its exponents count once per equal block; the unit
+    multiplies the blocks' remainders, +-1 when every block factors.
     """
     size = len(graph)
     identity = tuple(range(size))
-    members = [identity]  # members[S] composes the basis elements in S
     for b in basis:
         if _compose(b, b) != identity or any(
                 _compose(b, c) != _compose(c, b) for c in basis):
             raise CheckFailedError("basis is not commuting involutions")
-        members += [_compose(b, e) for e in members]
-    if any(_fixes_a_chamber(e) for e in members[1:]):
-        raise CheckFailedError("involution group fixes a chamber")
-    reps, covered = [], set()
+    orbits, covered = [], set()  # orbits[i][t] = e_t r_i
     for c in range(size):
         if c not in covered:
-            reps.append(c)
-            covered.update(e[c] for e in members)
-    dists = [[[graph.dist(i, e[j]) for e in members] for j in reps]
-             for i in reps]
-    blocks = []
-    for s in range(len(members)):
-        chi = [-1 if (s & t).bit_count() % 2 else 1
-               for t in range(len(members))]
-        block = []
-        for row in dists:
-            out = []
-            for ds in row:
-                coeffs = [0] * (graph.n + 1)
-                for d, sign in zip(ds, chi):
-                    coeffs[d] += sign
-                out.append(IntPoly(coeffs))
-            block.append(out)
-        blocks.append(block)
-    bits = [_hadamard_bits(block) for block in blocks]
-    _check_work(len(reps), graph.n, max(bits), "drop --det-check")
-    matrix, det_known = known
-    det = ONE
-    for block, b in zip(blocks, bits):
-        if block == matrix:
-            det = det * det_known
-        else:
-            det = det * _bareiss_minors(block, [1] * len(block), b)[-1]
-    return det
+            orbits.append([c])
+            for b in basis:
+                orbits[-1] += [b[x] for x in orbits[-1]]
+            covered.update(orbits[-1])
+    order = 1 << len(basis)
+    if len(orbits) * order != size:
+        raise CheckFailedError("involution group fixes a chamber")
+    w = len(basis) + 2
+    rows = []  # rows[i][s] = row i of M_s, its entries at q = 2**w
+    for o in orbits:
+        row = []
+        for target in orbits:
+            v = [1 << w * graph.dist(o[0], c) for c in target]
+            for h in (1 << i for i in range(len(basis))):
+                for t in range(order):
+                    if not t & h:
+                        v[t], v[t | h] = v[t] + v[t | h], v[t] - v[t | h]
+            row.append(v)
+        rows.append(list(zip(*row)))
+    counts = Counter(zip(*rows))
+    blocks = [[[_kronecker_decode(x, w) for x in row] for row in block]
+              for block in counts]
+    bits = [None if block == known[0] else _hadamard_bits(block)
+            for block in blocks]
+    if any(bits):
+        _check_work(len(orbits), graph.n, max(filter(None, bits)),
+                    "drop --det-check")
+    factors, unit = Counter(), ONE
+    for block, b, count in zip(blocks, bits, counts.values()):
+        det = known[1] if b is None else _bareiss_minors(
+            block, [1] * len(block), b)[-1]
+        block_factors, rem = cyclotomic_factor(det, 2 * graph.n)
+        for k, e in block_factors:
+            factors[k] += count * e
+        for _ in range(count):
+            unit = unit * rem
+    return tuple(sorted(factors.items())), unit
 
 
 def varchenko_det_product(lattice):
-    """Determinant from the flat data: product over flats X above bottom
-    of (1 - q^(2 #X)) raised to c^X times the beta invariant of the
-    localization at X.  Flats of one size share the base, so the
-    exponents are summed per size and each power is written out by the
-    binomial theorem."""
-    exponents = {}  # flat size -> sum of c^X beta(A_X)
+    """Determinant from the flat data in factored form (factors, unit):
+    the product over flats X above bottom of (1 - q^(2 #X))^(c^X beta(A_X)),
+    with 1 - q^m = -prod_(k | m) Phi_k.  So e_k sums c^X beta(A_X) over
+    the X with k | 2 #X, and the unit is -1 to the sum of them all."""
+    factors, total = Counter(), 0
     for f in lattice.flats[1:]:
         beta = lattice.beta_invariant(f.index)
         if beta:
             e = beta * lattice.restriction_chamber_count(f.index)
-            exponents[f.size] = exponents.get(f.size, 0) + e
-    out = ONE
-    for size, e in exponents.items():
-        coeffs = [0] * (2 * size * e + 1)
-        for k in range(e + 1):
-            coeffs[2 * size * k] = (-1) ** k * comb(e, k)
-        out = out * IntPoly(coeffs)
-    return out
+            total += e
+            for k in range(1, 2 * f.size + 1):
+                if 2 * f.size % k == 0:
+                    factors[k] += e
+    return tuple(sorted(factors.items())), IntPoly.const((-1) ** total)

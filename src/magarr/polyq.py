@@ -16,9 +16,9 @@ tuples of ints.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import CheckFailedError
 from .linalg import pack_digits, unpack_digits
@@ -111,12 +111,7 @@ class IntPoly:
             return IntPoly()
         size = len(a) + len(b) - 1
         terms_a, terms_b = len(a) - a.count(0), len(b) - b.count(0)
-        # packing pays for every slot at the widest coefficient's width, so
-        # a factor with more zeros than terms goes term by term: packed,
-        # the determinant product formula of braid:6, whose binomials in
-        # q^6 ... q^30 are mostly zeros, took 15.6 s instead of 1.3 s
-        if (terms_a * terms_b > KRONECKER_TERMS * (size + 1)
-                and 2 * terms_a >= len(a) and 2 * terms_b >= len(b)):
+        if terms_a * terms_b > KRONECKER_TERMS * (size + 1):
             # every product coefficient is a sum of at most min(len) terms
             bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
             width = (bound.bit_length() + 8) // 8  # 2**(8 width - 1) > bound
@@ -306,8 +301,7 @@ def series_expand(f: RatFunc, order: int) -> tuple:
     out = []
     for i in range(order + 1):
         acc = nc[i] if i < len(nc) else 0
-        for j in range(1, min(i, len(dc) - 1) + 1):
-            acc -= dc[j] * out[i - j]
+        acc -= sum(map(mul, dc[1:i + 1], reversed(out)))
         out.append(acc * d0)
     return tuple(out)
 
@@ -325,49 +319,40 @@ def euler_phi(k: int) -> int:
     return result
 
 
-@functools.cache
-def cyclotomic(k: int) -> IntPoly:
-    """The k-th cyclotomic polynomial, by exact division of q**k - 1."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    p = IntPoly.monomial(k) - ONE
-    for d in range(1, k):
-        if k % d == 0:
-            p = p.divexact(cyclotomic(d))
-    return p
+def cyclotomic_factor(p: IntPoly, kmax: int):
+    """Split p into cyclotomic factors in one power-series pass.
 
-
-def cyclotomic_factor(p: IntPoly):
-    """Split off all cyclotomic factors of p.
-
-    Returns (factors, remainder) with factors a tuple of (k, multiplicity)
-    pairs sorted by k; only k with phi(k) <= deg p can divide, so the search
-    is finite.
+    Returns (factors, unit), factors the (k, e_k) pairs sorted by k, when
+    p = unit * prod Phi_k**e_k with unit = +-1 and every k <= N =
+    max(deg p, kmax); otherwise ((), p).  With p(0) = +-1, p(0) p =
+    prod_(d >= 1) (1 - q**d)**a_d, the inverse Euler transform (Bernstein
+    and Sloane 1995): the logarithmic derivative q p'/p = sum c_n q**n,
+    expanded by ``series_expand``, has -c_n = sum_(d | n) d a_d.  As
+    1 - q**d = -prod_(k | d) Phi_k, prod_(d <= N) (1 - q**d)**a_d =
+    (-1)**e_1 prod Phi_k**e_k with e_k = sum_(k | d <= N) a_d.  It agrees
+    with p(0) p through q**N, and when every e_k >= 0 and sum e_k phi(k) =
+    deg p it is a polynomial of degree <= N, so the two are equal.  Every
+    p of that form passes, since then a_d = 0 for d > N.
     """
     if not p:
         raise ValueError("cannot factor the zero polynomial")
-    rem = p
-    factors = []
-    deg = p.degree
-    k = 1
-    # phi(k) >= sqrt(k/2) for all k, so k <= 2*deg**2 bounds the search.
-    while k <= max(1, 2 * deg * deg):
-        if euler_phi(k) <= rem.degree:
-            phi_k = cyclotomic(k)
-            mult = 0
-            while True:
-                try:
-                    nxt = rem.divexact(phi_k)
-                except ArithmeticError:
-                    break
-                rem = nxt
-                mult += 1
-            if mult:
-                factors.append((k, mult))
-        k += 1
-        if rem.degree == 0 and k > deg + 1:
-            break
-    return tuple(factors), rem
+    sign = p.constant()
+    if sign not in (1, -1):
+        return (), p
+    top = max(p.degree, kmax, 1)
+    minus_qdp = IntPoly([-n * c for n, c in enumerate(p.coeffs)])
+    # -c_n, then a_n once the sieve reaches n
+    a = list(series_expand(RatFunc(minus_qdp, p), top))
+    for d in range(1, top + 1):
+        a[d] //= d
+        for n in range(2 * d, top + 1, d):
+            a[n] -= d * a[d]
+    e = [0] + [sum(a[k::k]) for k in range(1, top + 1)]
+    if (min(e) < 0
+            or sum(ek * euler_phi(k) for k, ek in enumerate(e) if ek) != p.degree):
+        return (), p
+    factors = tuple((k, ek) for k, ek in enumerate(e) if ek)
+    return factors, IntPoly.const(sign * (-1) ** e[1])
 
 
 def reverse_substitute(f: RatFunc) -> RatFunc:

@@ -2,16 +2,18 @@
 enumerated once per run and reused across test modules.  Also the
 oracles only tests use: values of rational functions, face sign
 vectors, their product, localizations as subarrangements to enumerate
-afresh, restriction chambers by enumeration, flats by
-closure, Moebius numbers by their defining sum, polynomial powers, the
-determinant's product formula flat by flat, matroid components by
-separators, distances found by walking edges, relabelled bits one at a
-time, the Betti table reduced block by block, the face decomposition
-summed with one homology run per flat orbit, and invariant factors from
-minors."""
+afresh, restriction chambers by enumeration, flats by closure, Moebius
+numbers by their defining sum, polynomial powers, cyclotomic
+polynomials, cyclotomic factors by trial division, factored forms
+expanded, the determinant's product formula flat by flat, matroid
+components by separators, distances found by walking edges, relabelled
+bits one at a time, the Betti table reduced block by block, the face
+decomposition summed with one homology run per flat orbit, and
+invariant factors from minors."""
 
 from __future__ import annotations
 
+import functools
 import random
 from collections import defaultdict
 from fractions import Fraction
@@ -42,7 +44,7 @@ from magarr.homology import (
     magnitude_homology,
     structural_checks,
 )
-from magarr.polyq import ONE, IntPoly, series_expand
+from magarr.polyq import ONE, IntPoly, euler_phi, series_expand
 from magarr.magnitude import (
     chamber_orbits,
     magnitude_direct,
@@ -231,18 +233,71 @@ def power(p, k):
     return out
 
 
+@functools.cache
+def cyclotomic(k):
+    """The k-th cyclotomic polynomial, by exact division of q**k - 1."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    p = IntPoly.monomial(k) - ONE
+    for d in range(1, k):
+        if k % d == 0:
+            p = p.divexact(cyclotomic(d))
+    return p
+
+
+def cyclotomic_factor_by_division(p):
+    """Every cyclotomic factor of p by trial division, the cross-check of
+    ``cyclotomic_factor``: (factors, remainder), factors the (k,
+    multiplicity) pairs sorted by k.  Only k with phi(k) <= deg p can
+    divide, and phi(k) >= sqrt(k/2), so k <= 2 deg**2 bounds the search."""
+    if not p:
+        raise ValueError("cannot factor the zero polynomial")
+    rem, factors, deg = p, [], p.degree
+    k = 1
+    while k <= max(1, 2 * deg * deg):
+        if euler_phi(k) <= rem.degree:
+            mult = 0
+            while True:
+                try:
+                    rem = rem.divexact(cyclotomic(k))
+                except ArithmeticError:
+                    break
+                mult += 1
+            if mult:
+                factors.append((k, mult))
+        k += 1
+        if rem.degree == 0 and k > deg + 1:
+            break
+    return tuple(factors), rem
+
+
+def expand(form):
+    """The polynomial unit * prod Phi_k**e_k of a factored form
+    (factors, unit), as ``cyclotomic_factor`` and the determinant routes
+    return it."""
+    factors, out = form
+    for k, e in factors:
+        out = out * power(cyclotomic(k), e)
+    return out
+
+
 def det_product_by_flats(lattice):
-    """The determinant's product formula one flat at a time, each
-    (1 - q^(2 #X))^(c^X beta(A_X)) by repeated squaring: the cross-check
-    of the per-size binomials in ``varchenko_det_product``."""
-    out = ONE
+    """The determinant's product formula one flat at a time, in factored
+    form: each 1 - q^(2 #X) split by ``cyclotomic_factor_by_division``
+    and its factors counted c^X beta(A_X) times, the cross-check of
+    ``varchenko_det_product``."""
+    exponents, sign = defaultdict(int), 1
     for f in lattice.flats[1:]:
         beta = lattice.beta_invariant(f.index)
         if beta == 0:
             continue
-        c = lattice.restriction_chamber_count(f.index)
-        out = out * power(ONE - IntPoly.monomial(2 * f.size), c * beta)
-    return out
+        e = beta * lattice.restriction_chamber_count(f.index)
+        factors, rem = cyclotomic_factor_by_division(
+            ONE - IntPoly.monomial(2 * f.size))
+        for k, m in factors:
+            exponents[k] += m * e
+        sign *= rem.constant() ** e
+    return tuple(sorted(exponents.items())), IntPoly.const(sign)
 
 
 def components_by_separators(arrangement):

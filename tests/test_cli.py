@@ -27,6 +27,7 @@ from conftest import (
     general_position_rows,
     geometry,
     localize,
+    magnitude_of,
 )
 from magarr.arrangement import (
     CATALOG_NAMES,
@@ -290,37 +291,41 @@ def test_det_check_blocks_run_under_the_estimate(monkeypatch):
 
 def test_a_wrong_reused_determinant_fails_the_determinant_check(
         capsys, monkeypatch, tmp_path):
-    # det M times (1 + q), as the magnitude system hands it on, must fail
-    # the determinant check and nothing else
+    # det M times a factor, as the magnitude system hands it on, must fail
+    # the determinant check and nothing else: 1 + q is Phi_2, which moves
+    # an exponent, and 1 + q + q^3 is not cyclotomic
     fraction = magnitude.magnitude_fraction
+    source = _generic_file(tmp_path)
+    for skew in (IntPoly((1, 1)), IntPoly((1, 1, 0, 1))):
+        def skewed(graph, group):
+            mag, (matrix, det_m) = fraction(graph, group)
+            return mag, (matrix, det_m * skew)
 
-    def skewed(graph, group):
-        mag, (matrix, det_m) = fraction(graph, group)
-        return mag, (matrix, det_m * IntPoly((1, 1)))
-
-    monkeypatch.setattr(magnitude, "magnitude_fraction", skewed)
-    code, out, _ = _run(capsys, ["verify", _generic_file(tmp_path),
-                                 "--lmax", "2"])
-    assert code == 1
-    assert [l for l in out.splitlines() if l.startswith("FAIL")] == [
-        "FAIL mag:varchenko_det_product"]
+        monkeypatch.setattr(magnitude, "magnitude_fraction", skewed)
+        code, out, _ = _run(capsys, ["verify", source, "--lmax", "2"])
+        assert code == 1, skew
+        assert [l for l in out.splitlines() if l.startswith("FAIL")] == [
+            "FAIL mag:varchenko_det_product"], skew
 
 
 @pytest.mark.parametrize("argv", [["mag", "u34"],
                                   ["verify", "u34", "--lmax", "2"]])
 def test_the_denominator_is_factored_once(capsys, monkeypatch, argv):
-    # the cyclotomic check reads the factors the result keeps
+    # the cyclotomic check reads the factors the result keeps; the
+    # determinant check factors each of its distinct blocks too, so only
+    # the calls on the magnitude's denominator are counted
+    den = magnitude_of("u34").magnitude.den
     calls = []
 
-    def counted(p):
+    def counted(p, kmax):
         calls.append(p)
-        return factor(p)
+        return factor(p, kmax)
 
     factor = magnitude.cyclotomic_factor
     monkeypatch.setattr(magnitude, "cyclotomic_factor", counted)
     code, _, _ = _run(capsys, argv)
     assert code == 0
-    assert len(calls) == 1
+    assert calls.count(den) == 1
 
 
 def test_a_stored_remainder_fails_the_cyclotomic_check(capsys, monkeypatch):
@@ -797,6 +802,17 @@ def test_det_check_stops_on_the_determinant_budget():
     errors = [l for l in proc.stderr.splitlines() if l.startswith("error:")]
     assert len(errors) == 1 and errors[0].endswith("; drop --det-check")
     assert "Traceback" not in proc.stderr
+
+
+def test_det_check_on_1024_chambers_is_quick(capsys):
+    # the determinant of boolean:10 splits into 1024 blocks of order 1,
+    # 11 of them distinct; each is eliminated and factored once, and no
+    # polynomial of the determinant's degree 10240 is formed
+    t0 = time.monotonic()
+    code, out, _ = _run(capsys, ["mag", "boolean:10", "--det-check"])
+    elapsed = time.monotonic() - t0
+    assert code == 0 and out.splitlines()[-1] == "checks: 12/12 ok"
+    assert elapsed < 10.0, elapsed
 
 
 def test_many_chamber_orbits_stop_on_the_magnitude_budget():

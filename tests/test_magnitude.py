@@ -13,8 +13,10 @@ import magarr.magnitude as magnitude
 from conftest import (
     EIGHTEEN_LINES,
     NO_SYSTEM,
+    cyclotomic,
     det_product_by_flats,
     elimination_work,
+    expand,
     general_position_rows,
     geometry,
     homology_of,
@@ -56,7 +58,6 @@ from magarr.polyq import (
     ZERO,
     IntPoly,
     RatFunc,
-    cyclotomic,
     cyclotomic_factor,
     reduce_fraction,
     series_expand,
@@ -189,7 +190,7 @@ def test_denominator_cyclotomic_detection():
     mag = magnitude_of("u34")
 
     def cyclotomic_denominator(den):
-        factors, rem = cyclotomic_factor(den)
+        factors, rem = cyclotomic_factor(den, 2 * mag.n)
         checks = structural_checks(
             lattice, group, replace(mag, magnitude=RatFunc(ONE, den),
                                     cyclotomic_den=factors,
@@ -198,7 +199,7 @@ def test_denominator_cyclotomic_detection():
         return checks["cyclotomic_denominator"]
 
     den = power(cyclotomic(2), 3) * cyclotomic(8)
-    assert cyclotomic_factor(den) == (((2, 3), (8, 1)), ONE)
+    assert cyclotomic_factor(den, 8) == (((2, 3), (8, 1)), ONE)
     assert cyclotomic_denominator(den)
     assert not cyclotomic_denominator(cyclotomic(1) * cyclotomic(2))
     assert not cyclotomic_denominator(IntPoly((2, 0, 2)))
@@ -257,7 +258,9 @@ def test_determinant_two_routes(name):
     basis = free_involution_basis(graph, group)
     direct = varchenko_det(graph, basis, NO_SYSTEM)
     assert direct == varchenko_det_product(lattice)
-    assert direct.constant() == 1
+    # the matrix is the identity at q = 0, and Phi_1(0) = -1
+    factors, unit = direct
+    assert unit.constant() * (-1) ** dict(factors).get(1, 0) == 1
     assert varchenko_det(graph, basis, magnitude_of(name).system) == direct
 
 
@@ -269,7 +272,8 @@ def test_determinant_product_by_size_matches_flat_by_flat(name):
 
 def test_determinant_boolean2_value():
     _, graph, lattice, group = geometry("boolean:2")
-    want = power(ONE - IntPoly.monomial(2), 4)
+    want = (((1, 4), (2, 4)), ONE)
+    assert expand(want) == power(ONE - IntPoly.monomial(2), 4)
     basis = free_involution_basis(graph, group)
     assert varchenko_det(graph, basis, NO_SYSTEM) == want
     assert varchenko_det(graph, (), NO_SYSTEM) == want
@@ -336,12 +340,17 @@ def test_varchenko_det_rejects_a_group_that_is_not_free():
     _, graph, _, _ = geometry("boolean:2")
     anti = antipode_of(graph)
     swap = (1, 0) + tuple(range(2, len(graph)))  # fixes chambers 2 and 3
-    for basis in [(anti, anti), (swap,), (anti, swap)]:
-        with pytest.raises(CheckFailedError):
+    # each is named before any block is built, whose elimination could
+    # fail on its own
+    for basis, why in [((anti, anti), "fixes a chamber"),
+                       ((swap,), "fixes a chamber"),
+                       ((anti, swap), "not commuting involutions")]:
+        with pytest.raises(CheckFailedError, match=why):
             varchenko_det(graph, basis, NO_SYSTEM)
     _, graph, _, _ = geometry("braid:3")
     rotate = tuple((i + 1) % len(graph) for i in range(len(graph)))
-    with pytest.raises(CheckFailedError):  # fixed-point-free, not involutive
+    # fixed-point-free, not involutive
+    with pytest.raises(CheckFailedError, match="not commuting involutions"):
         varchenko_det(graph, (rotate,), NO_SYSTEM)
 
 
@@ -477,8 +486,8 @@ def test_varchenko_matrix_det_matches_split_route():
     m = varchenko_matrix(graph)
     # 4x4 cofactor expansion by hand through the minors helper
     det = eliminate(m, [1] * len(m))[-1]
-    assert det == varchenko_det(graph, free_involution_basis(graph, group),
-                                NO_SYSTEM)
+    assert det == expand(varchenko_det(
+        graph, free_involution_basis(graph, group), NO_SYSTEM))
 
 
 def test_determinant_block_equal_to_the_system_reuses_its_determinant(
@@ -502,9 +511,12 @@ def test_determinant_block_equal_to_the_system_reuses_its_determinant(
     monkeypatch.setattr(magnitude, "_bareiss_minors", counted)
     assert varchenko_det(graph, basis, (matrix, det_m)) == want
     assert calls == [16]
-    skew = IntPoly((1, 1))
-    wrong = det_m * skew
-    assert varchenko_det(graph, basis, (matrix, wrong)) == want * skew
+    wrong = det_m * cyclotomic(2)
+    factors, unit = want
+    skewed = dict(factors)
+    skewed[2] = skewed.get(2, 0) + 1
+    assert varchenko_det(graph, basis, (matrix, wrong)) == (
+        tuple(sorted(skewed.items())), unit)
     for i, j in [(0, 0), (0, 15), (15, 3)]:
         off = [list(row) for row in matrix]
         off[i][j] = off[i][j] + IntPoly.monomial(1)

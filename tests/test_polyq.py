@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import power, value_at
+from conftest import cyclotomic, cyclotomic_factor_by_division, power, value_at
 from magarr.errors import CheckFailedError
 from magarr.polyq import (
     ONE,
@@ -18,7 +18,6 @@ from magarr.polyq import (
     IntPoly,
     RatFunc,
     ZeroDenominatorError,
-    cyclotomic,
     cyclotomic_factor,
     euler_phi,
     poly_gcd,
@@ -208,18 +207,57 @@ def test_cyclotomic_product_over_divisors(n):
 
 def test_cyclotomic_factor_splits_completely():
     p = power(cyclotomic(2), 2) * cyclotomic(4)
-    factors, rem = cyclotomic_factor(p)
+    factors, rem = cyclotomic_factor(p, 4)
     assert factors == ((2, 2), (4, 1))
     assert rem == ONE
 
 
 def test_cyclotomic_factor_leaves_remainder():
-    stubborn = IntPoly((2, 0, 1))
-    factors, rem = cyclotomic_factor(cyclotomic(3) * stubborn)
-    assert factors == ((3, 1),)
-    assert rem == stubborn
+    # the pass splits p whole or not at all: with a factor that is not
+    # cyclotomic, or p(0) other than +-1, p comes back as the remainder
+    for stubborn in (IntPoly((2, 0, 1)), IntPoly((1, 1, 0, 1))):
+        p = cyclotomic(3) * stubborn
+        assert cyclotomic_factor(p, 6) == ((), p)
+        assert cyclotomic_factor_by_division(p) == (((3, 1),), stubborn)
     with pytest.raises(ValueError):
-        cyclotomic_factor(ZERO)
+        cyclotomic_factor(ZERO, 6)
+
+
+def test_cyclotomic_factor_matches_trial_division():
+    # random +-prod Phi_k with k <= kmax, some with deg p < k
+    rng = random.Random(2026)
+    for _ in range(300):
+        kmax = rng.randint(1, 30)
+        p = IntPoly.const(rng.choice((1, -1)))
+        for _ in range(rng.randint(0, 6)):
+            p = p * cyclotomic(rng.randint(1, kmax))
+        want = cyclotomic_factor_by_division(p)
+        assert want[1] in (ONE, -ONE)
+        assert cyclotomic_factor(p, kmax) == want, (p, kmax)
+
+
+def test_cyclotomic_factor_edge_cases():
+    for unit in (ONE, -ONE):
+        assert cyclotomic_factor(unit, 0) == ((), unit)
+        assert cyclotomic_factor(unit, 12) == ((), unit)
+    # Phi_12 at degree 8, as generic denominators have it (n = 6, kmax 12)
+    p = power(cyclotomic(2), 2) * cyclotomic(12)
+    assert cyclotomic_factor(p, 12) == (((2, 2), (12, 1)), ONE)
+    # k > max(deg p, kmax) is out of reach
+    assert cyclotomic_factor(p, 11) == ((), p)
+    assert cyclotomic_factor(cyclotomic(7), 6) == ((), cyclotomic(7))
+    assert cyclotomic_factor(-cyclotomic(1) * cyclotomic(5), 0) == (
+        ((1, 1), (5, 1)), -ONE)
+    # not cyclotomic, with p(0) = +-1, alone and times cyclotomics; on
+    # 1 - 2q every exponent is >= 0 and only the degree sum fails
+    for other in (IntPoly((1, -2)), IntPoly((1, 1, 0, 1)),
+                  IntPoly((-1, 0, -2)), IntPoly((1, -1, 0, 1))):
+        for p in (other, other * cyclotomic(2) * cyclotomic(6)):
+            for kmax in (0, 6, 24):
+                assert cyclotomic_factor(p, kmax) == ((), p), (p, kmax)
+    # p(0) not +-1, including 0
+    for p in (IntPoly((2, 0, 1)), IntPoly((0, 1, 1)), IntPoly((3,))):
+        assert cyclotomic_factor(p, 12) == ((), p)
 
 
 def test_reverse_substitute_clears_powers():
