@@ -474,12 +474,14 @@ class FaceLattice:
     ``graph`` is the tope graph the flats were read from.
     """
 
-    def __init__(self, graph, flats):
+    def __init__(self, graph, flats, covers):
         self.graph = graph
         self.flats = flats
         self.index = {f.mask: f.index for f in flats}
         self.rank = max(f.rank for f in flats)
+        self._covers = covers  # covers[j]: indices of the flats j covers
         self._counts_below = {}
+        self._betas = None
         self._flat_orbits = {}  # hyperplane relabellings -> flat orbits
 
     def lower(self, j):
@@ -499,10 +501,36 @@ class FaceLattice:
         return tuple(coeffs)
 
     def beta_invariant(self, j):
-        """|chi'(1)| of the subarrangement of hyperplanes through flat j."""
-        d = self.graph.arrangement.dimension
-        below = (self.flats[y] for y in self.lower(j))
-        return abs(sum(f.mobius * (d - f.rank) for f in below))
+        """|chi'(1)| of the subarrangement of hyperplanes through flat j:
+        the sum of mu(0, Y) (d - rank Y) over the flats Y <= X = flat j,
+        in absolute value; every flat's is found on first request.
+
+        One pass in rank order over the cover pairs builds the set of
+        flats below X, as a bit set over flat indices, as the union of X
+        with the sets of the flats X covers.  Each weight mu(0, Y) (d -
+        rank Y) is split into its sign and binary digits, one bit set of
+        flats per (sign, digit), so the sum over a set is a signed sum
+        of 2**digit times the popcounts of its intersections with them.
+        """
+        if self._betas is None:
+            d = self.graph.arrangement.dimension
+            planes = {}  # +-2**digit -> flats whose weight has that digit
+            for f in self.flats:
+                weight = f.mobius * (d - f.rank)
+                for digit in range(abs(weight).bit_length()):
+                    if abs(weight) >> digit & 1:
+                        key = (1 if weight > 0 else -1) << digit
+                        planes[key] = planes.get(key, 0) | 1 << f.index
+            below, betas = [], []
+            for f, covered in zip(self.flats, self._covers):
+                under = 1 << f.index
+                for y in covered:
+                    under |= below[y]
+                below.append(under)
+                betas.append(abs(sum(key * (under & plane).bit_count()
+                                     for key, plane in planes.items())))
+            self._betas = betas
+        return self._betas[j]
 
     def counts_below(self, j):
         """{index of Y: c[Y, X]} over the flats Y <= X = flat j, where
@@ -585,7 +613,9 @@ def intersection_lattice(graph):
         mobius[m] = -sum(mobius[y] for y in lower[m] if not y & m & -m)
     flats = tuple(Flat(index=i, mask=m, rank=rank_of[m], mobius=mobius[m])
                   for i, m in enumerate(masks))
-    lattice = FaceLattice(graph, flats)
+    index = {m: i for i, m in enumerate(masks)}
+    lattice = FaceLattice(graph, flats, [[index[y] for y in lower.get(m, ())]
+                                         for m in masks])
 
     # Zaslavsky count must match the enumeration.
     total = sum(abs(f.mobius) for f in flats)

@@ -5,12 +5,26 @@ Magnitude is the sum of the entries of its inverse applied to the all-
 ones vector.  Symmetries of the arrangement act on chambers and commute
 with the matrix, so the solution is constant on orbits; the computation
 collapses to one row per orbit.  At q = 0 the collapsed matrix is the
-identity, so fraction-free elimination never needs to pivot.  The
-elimination runs on big integers by Kronecker substitution: every entry
-is evaluated at q = 2**b, with b chosen from a Hadamard bound on the
-coefficients of every minor, so each minor is read back exactly from
-the base-2**b digits of its integer value.  Scaled by the orbit sizes,
-the system is symmetric, so only its upper triangle is eliminated.
+identity, so fraction-free elimination never needs to pivot.  Scaled by
+the orbit sizes, the system is symmetric, so only its upper triangle is
+eliminated.
+
+Every matrix eliminated here is palindromic.  The antipode -I lies in
+the symmetry group and d(c, -c') = n - d(c, c'), so each entry of the
+collapsed system M satisfies M_ij(q) = q^n M_ij(1/q); each determinant
+block below satisfies it up to the sign chi(-I) of its character.
+Dividing every entry by one g in {1, 1 + q, 1 - q, 1 - q^2}, chosen by
+that sign and the parity of n, leaves S = M / g with entries
+palindromic of even degree 2h, and such an entry is q^h R(y), R a
+polynomial of degree h in y = q + 1/q: q^t + q^-t = V_t(y) for the
+Lucas polynomials V_0 = 2, V_1 = y, V_t = y V_(t-1) - V_(t-2).  So the
+elimination runs on the integers R(Y) at Y = 2**b, half as long as the
+values of M at q = 2**b, and each minor of order k it reads is q^(kh)
+times a polynomial of degree kh in y, decoded from its integer by
+rounding against V_t(Y) from the top term down.  That is exact while
+every coefficient is below (Y - 2)/2, as V_t(Y) >= (Y - 1) V_(t-1)(Y)
+keeps the lower terms under V_T(Y)/2, and b is taken from a Hadamard
+bound on the coefficients of every minor of S with that margin.
 
 The determinant of the full matrix is split the same way, by a free
 elementary abelian 2-subgroup E of the symmetries: its characters are
@@ -30,7 +44,10 @@ and so does the reduced magnitude denominator, by Cramer's rule.
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
 from math import gcd, isqrt
+from operator import mul, neg
 
 from .arrangement import flat_orbits, orbits_of_permutations, tope_symmetries
 from .errors import BudgetExceededError, CheckFailedError
@@ -69,8 +86,99 @@ def _kronecker_decode(value, bits):
     return IntPoly(coeffs)
 
 
+def _lucas(bits, top):
+    """[1, V_1(Y), ..., V_top(Y)] at Y = 2**bits: the values of the basis
+    1, q^t + q^-t (t >= 1) of Laurent polynomials fixed by q -> 1/q."""
+    y = 1 << bits
+    values = [2, y]
+    while len(values) <= top:
+        values.append(y * values[-1] - values[-2])
+    values[0] = 1
+    return values[:top + 1]
+
+
+def _lucas_decode(value, center, bits):
+    """The IntPoly p, palindromic of degree 2 ``center``, whose upper
+    coefficients c_center, ..., c_2center give value = c_center +
+    sum_t c_(center+t) V_t(2**bits), when every |c| < (2**bits - 2)/2."""
+    lucas = _lucas(bits, center)
+    upper = [0] * (center + 1)
+    for t in range(center, 0, -1):
+        v = lucas[t]
+        upper[t] = (value + v // 2) // v
+        value -= upper[t] * v
+    upper[0] = value
+    return IntPoly(upper[:0:-1] + upper)
+
+
+# g by (the sign chi(-I) of every entry, n % 2): M / g is palindromic of
+# even degree 2h = n - deg g.  A palindromic entry of odd degree vanishes
+# at q = -1, an anti-palindromic one at q = 1 and, of even degree, at -1
+_DIVISORS = {
+    (1, 0): ONE,
+    (1, 1): IntPoly((1, 1)),
+    (-1, 1): IntPoly((1, -1)),
+    (-1, 0): IntPoly((1, 0, -1)),
+}
+# each g as +-prod Phi_k, for the determinant in factored form
+_DIVISOR_FACTORS = {g: cyclotomic_factor(g, 2) for g in _DIVISORS.values()}
+
+
+def _halved(matrix, n):
+    """(g, h, S) with S = ``matrix`` / g and every entry of S palindromic
+    of degree 2h.
+
+    Every entry M_ij must have degree at most n and M_ij(q) = s q^n
+    M_ij(1/q) for one sign s, read off entry (0, 0); an entry that does
+    not raises CheckFailedError naming it.  That holds exactly when g
+    divides M_ij and leaves a quotient palindromic of degree n - deg g,
+    which is what is checked.  Entry (0, 0) of each system solved here
+    has constant term 1, so its q^n coefficient is s when the symmetries
+    hold the antipode, and 0 when they miss it.
+    """
+    def halve(p, g):
+        c = list(p.coeffs)
+        if len(c) > n + 1:
+            return None
+        c += [0] * (n + 1 - len(c))
+        k, a = g.degree, g.leading()
+        if not k:
+            return p if c == c[::-1] else None
+        # p = (1 + a q^k) s gives s_i = p_i - a s_(i-k): a prefix sum in
+        # each residue class mod k, of alternating signs when a = 1
+        if a > 0:
+            c[1::2] = map(neg, c[1::2])
+        for r in range(k):
+            c[r::k] = accumulate(c[r::k])
+        if a > 0:
+            c[1::2] = map(neg, c[1::2])
+        if any(c[n + 1 - k:]):
+            return None
+        del c[n + 1 - k:]
+        return IntPoly(c) if c == c[::-1] else None
+
+    for sign in (1, -1):
+        g = _DIVISORS[sign, n % 2]
+        if halve(matrix[0][0], g) is not None:
+            break
+    else:
+        raise CheckFailedError(f"entry (0, 0) is neither palindromic nor "
+                               f"anti-palindromic of degree {n}")
+    kind = "palindromic" if sign > 0 else "anti-palindromic"
+    halved = []
+    for i, row in enumerate(matrix):
+        halved.append([])
+        for j, p in enumerate(row):
+            s = halve(p, g)
+            if s is None:
+                raise CheckFailedError(
+                    f"entry ({i}, {j}) is not {kind} of degree {n}")
+            halved[-1].append(s)
+    return g, (n - g.degree) // 2, halved
+
+
 def _bits_over(square):
-    """The b of ``_bareiss_minors`` for H**2 = ``square``: 2**(b - 1) > H."""
+    """The b of ``_bareiss_minors`` for H**2 = ``square``: 2**(b-1) > H + 1."""
     return (isqrt(square) + 1).bit_length() + 1
 
 
@@ -79,7 +187,7 @@ def _hadamard_bits(matrix):
     H = prod_i max(1, sqrt(sum_j |m_ij|_1^2)) on every minor's coefficients."""
     square = 1
     for row in matrix:
-        square *= max(1, sum(sum(abs(c) for c in p.coeffs) ** 2 for p in row))
+        square *= max(1, sum(sum(map(abs, p.coeffs)) ** 2 for p in row))
     return _bits_over(square)
 
 
@@ -92,36 +200,39 @@ def _check_work(order, n, bits, hint):
                                   ELIMINATION_BUDGET, work, hint)
 
 
-def _bareiss_minors(matrix, weights, bits):
-    """Leading principal minors by symmetric fraction-free elimination.
+def _bareiss_minors(matrix, weights, h, bits):
+    """Leading principal minors by symmetric fraction-free elimination,
+    as integers for ``_lucas_decode``.
 
-    ``matrix`` is a square list of IntPoly rows B with w_i B[i][j] =
-    w_j B[j][i] for the positive integer ``weights`` w.  Requires every
-    leading principal minor except possibly the last to be nonzero,
-    which holds here because the systems solved have constant term
-    equal to an identity matrix.
+    ``matrix`` is a square list of IntPoly rows S, each entry palindromic
+    of degree 2h, with w_i S[i][j] = w_j S[j][i] for the positive integer
+    ``weights`` w.  Requires every leading principal minor except
+    possibly the last to be nonzero, which holds here because the systems
+    solved have constant term equal to an identity matrix.
 
-    The elimination runs on the integers A = B(2**b), with b = ``bits``
-    at the Hadamard bound, which the caller's ``_check_work`` reads too;
-    each minor is decoded by ``_kronecker_decode``.
-    On |q| = 1, |m_ij(q)| <= |m_ij|_1, so by Hadamard every minor of B,
-    bordered ones included, has modulus at most H there; a coefficient
-    is at most the maximum modulus on |q| = 1, so it is at most H < 2**(b-1)
-    and the decoding is exact (a minor is 0 iff its integer is).
+    An entry is q^h R(y), y = q + 1/q, and the elimination runs on the
+    integers A = R(Y), Y = 2**b: entry c_h + sum_t c_(h+t) V_t(Y).  The
+    minor of order k of S is then q^(kh) times the same minor D of R, a
+    polynomial of degree at most kh in y whose V_t coefficients are the
+    coefficients c_(kh+t) of the minor, so ``_lucas_decode`` about kh
+    reads it back from det A_k = D(Y).  With b = ``bits`` at the Hadamard
+    bound H of S (``_hadamard_bits``), the decoding is exact: on |q| = 1,
+    |s_ij(q)| <= |s_ij|_1, so every minor of S, bordered ones included,
+    has modulus at most H there, and a coefficient is at most the
+    maximum modulus on |q| = 1, so |c| <= floor(H) <= 2**(b-1) - 2 <
+    (Y - 2)/2 (``_bits_over``).  As V_1(Y) = Y and V_t(Y) >= (Y - 1)
+    V_(t-1)(Y), the terms below V_T(Y) sum to at most floor(H) V_T(Y) /
+    (Y - 2) < V_T(Y) / 2, so rounding to the nearest multiple of V_T(Y),
+    from the top term down, reads every coefficient; a minor is 0 iff its
+    integer is.
     Entering step k, entry (i, j), i, j >= k, is the bordered minor
     det A[{0..k-1, i}, {0..k-1, j}] (Bareiss), so every division is exact.
     D A is symmetric for D = diag(w), so A^T = D A D^-1 and w_i a[i][j] =
     w_j a[j][i] at every step: step k updates only j >= i > k and reads
     a[i][k] = a[k][i] w_k / w_i, an exact division.
-
-    b stays bit-granular rather than whole bytes as in
-    ``linalg.pack_digits``: rounding it up (53 to 56 bits on the 17 x 17
-    system of six planes in general position in R^3) would slow the
-    elimination, whose cost grows about with the square of b, by more
-    than byte-wise decoding of the n minors would save.
     """
-    x = 1 << bits
-    a = [[p.evaluate(x) for p in row] for row in matrix]
+    lucas = _lucas(bits, h)
+    a = [[sum(map(mul, p.coeffs[h:], lucas)) for p in row] for row in matrix]
     n = len(a)
     if any(weights[i] * a[i][j] != weights[j] * a[j][i]
            for i in range(n) for j in range(i)):
@@ -146,7 +257,7 @@ def _bareiss_minors(matrix, weights, bits):
                         "inexact division in fraction-free elimination")
         minors.append(pk)
         prev = pk
-    return [_kronecker_decode(m, bits) for m in minors]
+    return minors
 
 
 def chamber_orbits(graph, group=None):
@@ -179,25 +290,38 @@ def magnitude_fraction(graph, group):
     """Magnitude as a reduced fraction of integer polynomials, and the
     system it solves.
 
-    Solves the collapsed system M with a single bordered fraction-free
-    elimination: the next-to-last minor is det M and the last is (minus)
-    the weighted solution sum times it.  With w the orbit sizes,
-    [[M, 1], [w^T, 0]] is symmetric under the weights (w, 1).  Returns
-    (magnitude, (M, det M)); M has one row and column per chamber orbit,
+    Solves the collapsed system M = g S (``_halved``) with a single
+    bordered fraction-free elimination of [[S, q^h 1], [q^h w^T, 0]],
+    every entry palindromic of degree 2h: the next-to-last minor is
+    det S, and the last is q^(2h) times det [[S, 1], [w^T, 0]], which is
+    minus the weighted solution sum of S times det S.  With w the orbit
+    sizes, the bordered matrix is symmetric under the weights (w, 1), and
+    the magnitude is that sum over g.  Returns (magnitude, (M, det M)),
+    det M = g^order det S; M has one row and column per chamber orbit,
     led by its least chamber, and ``varchenko_det`` reuses det M for a
-    block equal to M.  Column j's entries count |orbit j| chambers, so
-    H**2 = (S + 1)**k S with S = sum_j |orbit j|^2 over k orbits.
+    block equal to M.  Column j's entries of M count |orbit j| chambers,
+    so before M is built the work is estimated at the Hadamard bits of
+    bordered M, H**2 = (T + 1)**k T with T = sum_j |orbit j|^2 over k
+    orbits; the elimination takes the Hadamard bits of bordered S.
     """
     _, orbits, group = chamber_orbits(graph, group)
     weights = [len(o) for o in orbits] + [1]
     s = sum(w * w for w in weights[:-1])
-    bits = _bits_over((s + 1) ** len(orbits) * s)
-    _check_work(len(weights), graph.n, bits, "try a smaller arrangement")
+    _check_work(len(weights), graph.n, _bits_over((s + 1) ** len(orbits) * s),
+                "try a smaller arrangement")
     system = _orbit_matrix(graph, orbits)
-    m = [row + [ONE] for row in system]
-    m.append([IntPoly.const(w) for w in weights[:-1]] + [ZERO])
-    *_, det_m, det_border = _bareiss_minors(m, weights, bits)
-    return reduce_fraction(-det_border, det_m), (system, det_m)
+    g, h, halved = _halved(system, graph.n)
+    rim = IntPoly.monomial(h)
+    m = [row + [rim] for row in halved]
+    m.append([rim * w for w in weights[:-1]] + [ZERO])
+    bits = _hadamard_bits(m)
+    *_, det_s, det_border = _bareiss_minors(m, weights, h, bits)
+    order = len(orbits)
+    det_s = _lucas_decode(det_s, order * h, bits)
+    # q^(2h) is a factor of the last minor: decode its cofactor
+    border = _lucas_decode(det_border, (order - 1) * h, bits)
+    det_m = det_s * reduce(mul, [g] * order, ONE)
+    return reduce_fraction(-border, det_s * g), (system, det_m)
 
 
 @dataclass
@@ -441,17 +565,22 @@ def varchenko_det(graph, basis, known):
         M_s[i, j] = sum over t of chi_s(e_t) q^d(r_i, e_t r_j),
 
     for every s at once by a Walsh-Hadamard transform (Fino and Algazi
-    1976) of the 2**(w d(r_i, e_t r_j)), w = k + 2, decoded at q = 2**w
-    since each coefficient is at most 2**k in absolute value.  Every M_s
-    is the identity at q = 0, so elimination runs pivot-free.  E = {1, -I}
+    1976) of the 2**(w d(r_i, e_t r_j)), w = k + 2: each coefficient is
+    at most 2**k in absolute value, so a block is read at q = 2**w.
+    Every M_s is the identity at q = 0, so elimination runs pivot-free.
+    E must hold the antipode -I: then M_s(q) = chi_s(-I) q^n M_s(1/q),
+    and ``_halved`` names the first entry where that fails.  E = {1, -I}
     is the antipodal split det(A + B) det(A - B).
 
     Each distinct block is eliminated once, after ``_check_work`` on the
     one with the most Hadamard bits, unless it equals the magnitude
     system K of ``known`` = (K, det K), as M_0 does when E has the
-    chamber orbits of the symmetry group.  Its determinant is factored
-    with kmax = 2n and its exponents count once per equal block; the unit
-    multiplies the blocks' remainders, +-1 when every block factors.
+    chamber orbits of the symmetry group; K is compared by its values at
+    q = 2**w, and only the blocks eliminated are decoded.  A block M_s =
+    g S has det M_s = g^order det S, so det S is factored with kmax = 2n
+    and order times the exponents of g are added; they count once per
+    equal block, and the unit multiplies the blocks' remainders and
+    signs, +-1 when every block factors.
     """
     size = len(graph)
     identity = tuple(range(size))
@@ -482,22 +611,40 @@ def varchenko_det(graph, basis, known):
             row.append(v)
         rows.append(list(zip(*row)))
     counts = Counter(zip(*rows))
-    blocks = [[[_kronecker_decode(x, w) for x in row] for row in block]
+    # every block coefficient is at most |E| = 2**(w - 2) in absolute
+    # value, so K equals a block exactly when its coefficients are below
+    # 2**(w - 1) and its entries take the block's values at q = 2**w
+    half = 1 << (w - 1)
+    fits = all(-half < c < half for row in known[0] for p in row
+               for c in p.coeffs)
+    packed = tuple(tuple(p.evaluate(1 << w) for p in row)
+                   for row in (known[0] if fits else ()))
+    blocks = [None if block == packed else
+              [[_kronecker_decode(x, w) for x in row] for row in block]
               for block in counts]
-    bits = [None if block == known[0] else _hadamard_bits(block)
-            for block in blocks]
-    if any(bits):
-        _check_work(len(orbits), graph.n, max(filter(None, bits)),
-                    "drop --det-check")
+    bits = [_hadamard_bits(block) for block in blocks if block]
+    if bits:
+        _check_work(len(orbits), graph.n, max(bits), "drop --det-check")
     factors, unit = Counter(), ONE
-    for block, b, count in zip(blocks, bits, counts.values()):
-        det = known[1] if b is None else _bareiss_minors(
-            block, [1] * len(block), b)[-1]
+    for block, count in zip(blocks, counts.values()):
+        det, g = known[1], ONE
+        if block:
+            g, h, halved = _halved(block, graph.n)
+            b = _hadamard_bits(halved)
+            det = _lucas_decode(
+                _bareiss_minors(halved, [1] * len(block), h, b)[-1],
+                len(block) * h, b)
+        # det M_s = g^order det S
+        g_factors, g_unit = _DIVISOR_FACTORS[g]
         block_factors, rem = cyclotomic_factor(det, 2 * graph.n)
         for k, e in block_factors:
             factors[k] += count * e
+        for k, e in g_factors:
+            factors[k] += count * len(orbits) * e
         for _ in range(count):
             unit = unit * rem
+        if count * len(orbits) % 2:
+            unit = unit * g_unit
     return tuple(sorted(factors.items())), unit
 
 

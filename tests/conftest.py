@@ -8,8 +8,10 @@ polynomials, cyclotomic factors by trial division, factored forms
 expanded, the determinant's product formula flat by flat, matroid
 components by separators, distances found by walking edges, relabelled
 bits one at a time, the Betti table reduced block by block, the face
-decomposition summed with one homology run per flat orbit, and
-invariant factors from minors."""
+decomposition summed with one homology run per flat orbit, invariant
+factors from minors, beta invariants by scanning every flat, and
+leading minors at q = 2**b with the magnitude they give on the full
+chamber matrix."""
 
 from __future__ import annotations
 
@@ -44,8 +46,17 @@ from magarr.homology import (
     magnitude_homology,
     structural_checks,
 )
-from magarr.polyq import ONE, IntPoly, euler_phi, series_expand
+from magarr.errors import CheckFailedError
+from magarr.polyq import (
+    ONE,
+    IntPoly,
+    euler_phi,
+    reduce_fraction,
+    series_expand,
+)
 from magarr.magnitude import (
+    _hadamard_bits,
+    _kronecker_decode,
     chamber_orbits,
     magnitude_direct,
     varchenko_det_product,
@@ -222,6 +233,68 @@ def mobius_by_sum(lattice):
     return mobius
 
 
+def beta_by_scan(lattice, j):
+    """|chi'(1)| of the localization at flat j from its definition, the
+    sum of mu(0, Y) (d - rank Y) over the flats Y <= X found by scanning
+    every flat: the cross-check of ``FaceLattice.beta_invariant``."""
+    d = lattice.graph.arrangement.dimension
+    top = lattice.flats[j].mask
+    return abs(sum(f.mobius * (d - f.rank) for f in lattice.flats
+                   if not f.mask & ~top))
+
+
+def kronecker_minors(matrix, weights, bits=None):
+    """Every leading principal minor of the IntPoly matrix B by symmetric
+    fraction-free elimination at q = 2**b, each decoded from its signed
+    base-2**b digits: the cross-check of the palindromic route.  It needs
+    no symmetry of the entries, only w_i B[i][j] = w_j B[j][i] and
+    nonzero minors but the last; b defaults to the Hadamard bits of B,
+    at which every minor's coefficients are below 2**(b - 1)."""
+    if bits is None:
+        bits = _hadamard_bits(matrix)
+    a = [[p.evaluate(1 << bits) for p in row] for row in matrix]
+    n = len(a)
+    if any(weights[i] * a[i][j] != weights[j] * a[j][i]
+           for i in range(n) for j in range(i)):
+        raise CheckFailedError("matrix is not symmetric under its weights")
+    prev, minors = 1, []
+    for k in range(n):
+        pk = a[k][k]
+        if not pk and k < n - 1:
+            raise CheckFailedError("zero pivot in fraction-free elimination")
+        for i in range(k + 1, n):
+            aik, rem = divmod(a[k][i] * weights[k], weights[i])
+            if rem:
+                raise CheckFailedError(
+                    "inexact weight division in fraction-free elimination")
+            for j in range(i, n):
+                a[i][j], rem = divmod(pk * a[i][j] - aik * a[k][j], prev)
+                if rem:
+                    raise CheckFailedError(
+                        "inexact division in fraction-free elimination")
+        minors.append(pk)
+        prev = pk
+    return [_kronecker_decode(m, bits) for m in minors]
+
+
+def chamber_matrix(graph):
+    """Full chamber-by-chamber matrix of q powers (small inputs only)."""
+    size = len(graph)
+    return [[IntPoly.monomial(graph.dist(i, j)) for j in range(size)]
+            for i in range(size)]
+
+
+def magnitude_by_chamber_matrix(graph):
+    """Magnitude from the full chamber matrix Z, no symmetry used: the
+    bordered [[Z, 1], [1^T, 0]] by ``kronecker_minors``, whose last two
+    minors are det Z and minus the sum of Z^-1's entries times it."""
+    size = len(graph)
+    m = [row + [ONE] for row in chamber_matrix(graph)]
+    m.append([ONE] * size + [IntPoly()])
+    *_, det, border = kronecker_minors(m, [1] * (size + 1))
+    return reduce_fraction(-border, det)
+
+
 def power(p, k):
     """The polynomial p to the k-th power, by repeated squaring."""
     out = ONE
@@ -284,11 +357,11 @@ def expand(form):
 def det_product_by_flats(lattice):
     """The determinant's product formula one flat at a time, in factored
     form: each 1 - q^(2 #X) split by ``cyclotomic_factor_by_division``
-    and its factors counted c^X beta(A_X) times, the cross-check of
-    ``varchenko_det_product``."""
+    and its factors counted c^X beta(A_X) times, beta by
+    ``beta_by_scan``: the cross-check of ``varchenko_det_product``."""
     exponents, sign = defaultdict(int), 1
     for f in lattice.flats[1:]:
-        beta = lattice.beta_invariant(f.index)
+        beta = beta_by_scan(lattice, f.index)
         if beta == 0:
             continue
         e = beta * lattice.restriction_chamber_count(f.index)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     assert_localizations_project,
+    beta_by_scan,
     bfs_distances,
     flats_by_closure,
     geometry,
@@ -336,6 +337,20 @@ def test_interval_counts_match_enumeration(name):
         for y, c in counts.items():
             ys = [position[h] for h in lattice.flats[y].hyperplanes]
             assert c == restriction_count_by_enumeration(local, ys), (x, y)
+
+
+@pytest.mark.parametrize("name", [*CATALOG_NAMES, "boolean:8",
+                                  "nearpencil:40"])
+def test_beta_invariants_match_their_defining_sum(name):
+    # the one pass over cover pairs against the sum over the flats below
+    # each flat, found by scanning; a rank-1 flat has beta 1, and a
+    # rank-2 flat of k hyperplanes, with chi = t^2 - k t + k - 1, k - 2
+    lattice = geometry(name)[2]
+    for f in lattice.flats:
+        beta = lattice.beta_invariant(f.index)
+        assert beta == beta_by_scan(lattice, f.index), f
+        if f.rank in (1, 2):
+            assert beta == (1 if f.rank == 1 else f.size - 2), f
 
 
 def test_boolean_restriction_counts_at_scale():

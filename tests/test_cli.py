@@ -46,7 +46,7 @@ from magarr.cli import (
     main,
 )
 from magarr.errors import CheckFailedError
-from magarr.polyq import ONE, IntPoly
+from magarr.polyq import IntPoly
 
 
 def _run(capsys, argv):
@@ -236,9 +236,9 @@ def test_verify_eliminates_the_magnitude_system_once(
     bareiss = magnitude._bareiss_minors
     calls = []
 
-    def counted(rows, weights, bits):
+    def counted(rows, weights, h, bits):
         calls.append(len(rows))
-        return bareiss(rows, weights, bits)
+        return bareiss(rows, weights, h, bits)
 
     monkeypatch.setattr(magnitude, "_bareiss_minors", counted)
     if source == "generic":
@@ -255,11 +255,12 @@ def _recorded_works(monkeypatch, n, eliminate=True):
     bareiss = magnitude._bareiss_minors
     works = []
 
-    def counted(rows, weights, bits):
+    def counted(rows, weights, h, bits):
+        assert bits == magnitude._hadamard_bits(rows)
         works.append(elimination_work(len(rows), n, bits))
         if eliminate:
-            return bareiss(rows, weights, bits)
-        return [ONE] * len(rows)
+            return bareiss(rows, weights, h, bits)
+        return [1] * len(rows)
 
     monkeypatch.setattr(magnitude, "_bareiss_minors", counted)
     return works

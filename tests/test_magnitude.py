@@ -13,6 +13,7 @@ import magarr.magnitude as magnitude
 from conftest import (
     EIGHTEEN_LINES,
     NO_SYSTEM,
+    chamber_matrix,
     cyclotomic,
     det_product_by_flats,
     elimination_work,
@@ -20,6 +21,8 @@ from conftest import (
     general_position_rows,
     geometry,
     homology_of,
+    kronecker_minors,
+    magnitude_by_chamber_matrix,
     magnitude_checks_of,
     magnitude_of,
     power,
@@ -41,6 +44,9 @@ from magarr.magnitude import (
     _bareiss_minors,
     _check_work,
     _hadamard_bits,
+    _halved,
+    _lucas,
+    _lucas_decode,
     alternating_violation,
     chamber_orbits,
     free_involution_basis,
@@ -276,7 +282,7 @@ def test_determinant_boolean2_value():
     assert expand(want) == power(ONE - IntPoly.monomial(2), 4)
     basis = free_involution_basis(graph, group)
     assert varchenko_det(graph, basis, NO_SYSTEM) == want
-    assert varchenko_det(graph, (), NO_SYSTEM) == want
+    assert kronecker_minors(chamber_matrix(graph), [1] * 4)[-1] == expand(want)
     assert varchenko_det_product(lattice) == want
 
 
@@ -299,20 +305,21 @@ def group_of(basis, size):
 
 
 def test_split_determinant_is_the_same_for_every_E():
-    # on every catalog name with at most 48 chambers: E = {+-I}, the E
-    # the basis search finds, and E trivial (the whole matrix) below 48
-    # chambers, where it would take seconds
+    # on every catalog name with at most 48 chambers: E = {+-I} and the E
+    # the basis search finds; below 48 chambers, where it would take
+    # seconds, the whole matrix too, by the q = 2**b oracle
     for name in CATALOG_NAMES:
         _, graph, lattice, group = geometry(name)
         if len(graph) > 48:
             continue
         want = varchenko_det_product(lattice)
-        bases = [(antipode_of(graph),), free_involution_basis(graph, group)]
-        if len(graph) < 48:
-            bases.append(())
-        for basis in bases:
+        for basis in [(antipode_of(graph),),
+                      free_involution_basis(graph, group)]:
             assert varchenko_det(graph, basis, NO_SYSTEM) == want, (
                 name, len(basis))
+        if len(graph) < 48:
+            det = kronecker_minors(chamber_matrix(graph), [1] * len(graph))
+            assert cyclotomic_factor(det[-1], 2 * graph.n) == want, name
 
 
 @pytest.mark.parametrize("name,order", [
@@ -373,9 +380,10 @@ def test_det_budget_covers_the_automatic_check():
 
 
 def test_det_budget_stops_a_large_block_before_eliminating(monkeypatch):
-    def fail(rows, weights, bits):
-        raise AssertionError("eliminated past the budget")
+    def fail(*args):
+        raise AssertionError("encoded past the budget")
 
+    monkeypatch.setattr(magnitude, "_halved", fail)
     monkeypatch.setattr(magnitude, "_bareiss_minors", fail)
     _, graph, _, _ = geometry("coxeter:B3")
     with pytest.raises(BudgetExceededError) as info:
@@ -414,13 +422,25 @@ def test_orbit_size_bits_are_the_hadamard_bits_of_the_system(
         monkeypatch, label):
     # an entry of the collapsed system counts the chambers of its orbit
     # by distance, so the Hadamard bits the estimate reads from the orbit
-    # sizes alone are those of the bordered system built after it
-    seen = []
+    # sizes alone are those of the bordered system built after it; the
+    # elimination then takes the Hadamard bits of the halved system
+    estimated, built, seen = [], [], []
+    check_work, orbit_matrix = magnitude._check_work, magnitude._orbit_matrix
 
-    def stop(rows, weights, bits):
+    def estimate(order, n, bits, hint):
+        estimated.append(bits)
+        check_work(order, n, bits, hint)
+
+    def build(graph, orbits):
+        built.append(orbit_matrix(graph, orbits))
+        return built[-1]
+
+    def stop(rows, weights, h, bits):
         seen.append((bits, _hadamard_bits(rows)))
         raise Stop
 
+    monkeypatch.setattr(magnitude, "_check_work", estimate)
+    monkeypatch.setattr(magnitude, "_orbit_matrix", build)
     monkeypatch.setattr(magnitude, "_bareiss_minors", stop)
     arr = ESTIMATE_CASES[label]
     if arr is None:
@@ -430,8 +450,12 @@ def test_orbit_size_bits_are_the_hadamard_bits_of_the_system(
         group = chamber_orbits(graph)[2]
     with pytest.raises(Stop):
         magnitude_fraction(graph, group)
-    [(bits, want)] = seen
+    [(bits, want)], [system] = seen, built
     assert bits == want
+    sizes = [p.evaluate(1) for p in system[0]]
+    bordered = [row + [ONE] for row in system]
+    bordered.append([IntPoly.const(w) for w in sizes] + [ZERO])
+    assert estimated == [_hadamard_bits(bordered)]
 
 
 @pytest.mark.parametrize("arr,refused", [
@@ -459,9 +483,15 @@ def test_past_the_estimate_the_system_is_never_built(
     assert info.value.hint == "try a smaller arrangement"
 
 
-def eliminate(rows, weights):
-    """``_bareiss_minors`` at the Hadamard bits of ``rows``."""
-    return _bareiss_minors(rows, weights, _hadamard_bits(rows))
+def eliminate(rows, weights, n):
+    """Every leading minor of the matrix M of degree n by the palindromic
+    route: ``_halved`` into g S, ``_bareiss_minors`` at the Hadamard bits
+    of S, and minor k of M = g^k times minor k of S, decoded about k h."""
+    g, h, halved = _halved(rows, n)
+    bits = _hadamard_bits(halved)
+    minors = _bareiss_minors(halved, weights, h, bits)
+    return [_lucas_decode(m, k * h, bits) * power(g, k)
+            for k, m in enumerate(minors, 1)]
 
 
 def test_bareiss_minors_are_leading_minors():
@@ -469,23 +499,15 @@ def test_bareiss_minors_are_leading_minors():
         [IntPoly.const(2), IntPoly.const(1)],
         [IntPoly.const(1), IntPoly.const(2)],
     ]
-    assert eliminate(rows, [1, 1]) == [IntPoly.const(2), IntPoly.const(3)]
-
-
-def varchenko_matrix(graph):
-    """Full chamber-by-chamber matrix of q powers (small inputs only)."""
-    size = len(graph)
-    return [
-        [IntPoly.monomial(graph.dist(i, j)) for j in range(size)]
-        for i in range(size)
-    ]
+    assert eliminate(rows, [1, 1], 0) == [IntPoly.const(2), IntPoly.const(3)]
 
 
 def test_varchenko_matrix_det_matches_split_route():
     _, graph, _, group = geometry("boolean:2")
-    m = varchenko_matrix(graph)
-    # 4x4 cofactor expansion by hand through the minors helper
-    det = eliminate(m, [1] * len(m))[-1]
+    m = chamber_matrix(graph)
+    # the whole 4 x 4 chamber matrix, which is not palindromic, by the
+    # q = 2**b oracle
+    det = kronecker_minors(m, [1] * len(m))[-1]
     assert det == expand(varchenko_det(
         graph, free_involution_basis(graph, group), NO_SYSTEM))
 
@@ -504,9 +526,10 @@ def test_determinant_block_equal_to_the_system_reuses_its_determinant(
     want = varchenko_det(graph, basis, NO_SYSTEM)
     calls = []
 
-    def counted(rows, weights, bits):
+    def counted(rows, weights, h, bits):
         calls.append(len(rows))
-        return _bareiss_minors(rows, weights, bits)
+        assert bits == _hadamard_bits(rows)
+        return _bareiss_minors(rows, weights, h, bits)
 
     monkeypatch.setattr(magnitude, "_bareiss_minors", counted)
     assert varchenko_det(graph, basis, (matrix, det_m)) == want
@@ -523,6 +546,13 @@ def test_determinant_block_equal_to_the_system_reuses_its_determinant(
         calls.clear()
         assert varchenko_det(graph, basis, (off, wrong)) == want, (i, j)
         assert calls == [16, 16]
+    # K off by -8 + q in one entry, which is 0 at q = 2**w = 8, is told
+    # apart by its coefficient -8, past 2**(w - 1) = 4
+    off = [list(row) for row in matrix]
+    off[0][0] = off[0][0] + IntPoly((-8, 1))
+    calls.clear()
+    assert varchenko_det(graph, basis, (off, wrong)) == want
+    assert calls == [16, 16]
 
 
 def leibniz_det(rows):
@@ -544,33 +574,89 @@ def leading_minors(rows):
     return [leibniz_det([r[:k] for r in rows[:k]]) for k in range(1, len(rows) + 1)]
 
 
-def random_weight_symmetric(rng, n):
-    """Weights w in 1..4 and B[i][j] = w_j S[i][j] with S symmetric, so
-    w_i B[i][j] = w_j B[j][i]."""
-    weights = [rng.randint(1, 4) for _ in range(n)]
+def random_palindromic(rng, h, bound):
+    """A palindromic IntPoly of degree 2h, coefficients in +-bound."""
+    upper = [rng.randint(-bound, bound) for _ in range(h + 1)]
+    return IntPoly(upper[:0:-1] + upper)
+
+
+# g for each (sign of every entry, parity of n), as ``_halved`` picks it
+DIVISORS = {
+    (1, 0): ONE,
+    (1, 1): IntPoly((1, 1)),
+    (-1, 1): IntPoly((1, -1)),
+    (-1, 0): IntPoly((1, 0, -1)),
+}
+
+
+def random_weight_symmetric(rng, size, sign, n):
+    """Weights w in 1..4 and B[i][j] = w_j g S[i][j] with S symmetric and
+    palindromic of degree 2h = n - deg g, so w_i B[i][j] = w_j B[j][i]
+    and every entry is (anti-)palindromic of degree n by ``sign``;
+    S[0][0] is nonzero, as its parity is read there."""
+    g = DIVISORS[sign, n % 2]
+    h = (n - g.degree) // 2
+    weights = [rng.randint(1, 4) for _ in range(size)]
     sym = {}
-    for i in range(n):
-        for j in range(i, n):
-            sym[i, j] = sym[j, i] = IntPoly(
-                [rng.randint(-3, 3) for _ in range(rng.randint(0, 4))])
-    rows = [[sym[i, j] * weights[j] for j in range(n)] for i in range(n)]
+    for i in range(size):
+        for j in range(i, size):
+            p = random_palindromic(rng, h, 3) if rng.random() < 0.8 else ZERO
+            sym[i, j] = sym[j, i] = p
+    if not sym[0, 0]:
+        sym[0, 0] = IntPoly.monomial(h)
+    rows = [[g * sym[i, j] * weights[j] for j in range(size)]
+            for i in range(size)]
     return rows, weights
 
 
 def test_bareiss_minors_match_leibniz_on_random_matrices():
-    rng = random.Random(20240611)
-    raised = unequal = 0
-    for _ in range(60):
-        rows, weights = random_weight_symmetric(rng, rng.randint(1, 5))
-        unequal += len(set(weights)) > 1
-        want = leading_minors(rows)
-        if not all(want[:-1]):
-            raised += 1
-            with pytest.raises(CheckFailedError):
-                eliminate(rows, weights)
-        else:
-            assert eliminate(rows, weights) == want
-    assert 0 < raised < 60 and unequal > 30
+    # each of the four (g, parity of n) cases, against Leibniz up to order
+    # 3 and the q = 2**b route above
+    for sign, n in [(1, 4), (1, 5), (-1, 5), (-1, 6)]:
+        rng = random.Random(20240611 + n)
+        raised = unequal = 0
+        for _ in range(60):
+            rows, weights = random_weight_symmetric(
+                rng, rng.randint(1, 5), sign, n)
+            g, h, _ = _halved(rows, n)
+            assert (g, h) == (DIVISORS[sign, n % 2], (n - g.degree) // 2)
+            unequal += len(set(weights)) > 1
+            if len(rows) <= 3:
+                want = leading_minors(rows)
+            else:
+                try:
+                    want = kronecker_minors(rows, weights)
+                except CheckFailedError:  # a zero pivot before the last
+                    want = None
+            if want is None or not all(want[:-1]):
+                raised += 1
+                with pytest.raises(CheckFailedError):
+                    eliminate(rows, weights, n)
+            else:
+                assert eliminate(rows, weights, n) == want, (sign, n)
+        assert 0 < raised < 60 and unequal > 30, (sign, n)
+
+
+@pytest.mark.parametrize("bits", [3, 4, 5, 6, 40, 200])
+def test_lucas_decode_round_trip(bits):
+    # palindromic P of degree 2 center, coefficients of both signs up to
+    # the bound (2**bits - 2)/2 exclusive, from c_center + sum_t
+    # c_(center+t) V_t(2**bits); a value decodes to zero exactly when it is
+    rng = random.Random(bits)
+    top = (1 << (bits - 1)) - 2
+    for center in range(6):
+        lucas = _lucas(bits, center)
+        size = 2 * center + 1
+        extremes = [IntPoly([top] * size), IntPoly([-top] * size),
+                    IntPoly([(-1) ** k * top for k in range(size)]), ZERO]
+        randoms = [random_palindromic(rng, center, rng.choice([top, 1]))
+                   for _ in range(200)]
+        for p in extremes + randoms:
+            value = sum(c * v for c, v in zip(p.coeffs[center:], lucas))
+            assert _lucas_decode(value, center, bits) == p
+            assert (value == 0) == (not p)
+    assert _lucas(bits, 3) == [1, 1 << bits, (1 << 2 * bits) - 2,
+                               (1 << 3 * bits) - 3 * (1 << bits)]
 
 
 def sylvester_hadamard(order):
@@ -582,59 +668,130 @@ def sylvester_hadamard(order):
 
 @pytest.mark.parametrize("order", [4, 8])
 def test_bareiss_minors_at_the_hadamard_bound(order):
-    # symmetric entries +-q^(i+j): the k-th minor is det(H_k) q^(k(k-1)),
-    # and the last one's coefficient meets the bound
-    # prod_i sqrt(sum_j |m_ij|_1^2)
+    # symmetric entries +-q^2, palindromic of degree 4: the k-th minor is
+    # det(H_k) q^(2k), and the last one's coefficient meets the bound
+    # prod_i sqrt(sum_j |m_ij|_1^2), which one bit less would misread
     h = sylvester_hadamard(order)
-    rows = [[IntPoly.monomial(i + j, s) for j, s in enumerate(r)]
-            for i, r in enumerate(h)]
+    rows = [[IntPoly.monomial(2, s) for s in r] for r in h]
     want = [
-        IntPoly.monomial(k * (k - 1), leibniz_det([r[:k] for r in h[:k]]))
+        IntPoly.monomial(2 * k, leibniz_det([r[:k] for r in h[:k]]))
         for k in range(1, order + 1)
     ]
-    minors = eliminate(rows, [1] * order)
+    minors = eliminate(rows, [1] * order, 4)
     assert minors == want
     assert minors[-1].leading() == order ** (order // 2)
+    bits = _hadamard_bits(rows)
+    ints = _bareiss_minors(rows, [1] * order, 2, bits - 1)
+    assert _lucas_decode(ints[-1], 2 * order, bits - 1) != want[-1]
 
 
 def test_bareiss_minors_singular_last_minor_is_zero():
     q = IntPoly.monomial(1)
+    p, r = ONE + q * q, ONE + q + q * q
     rows = [
-        [ONE, q, ONE + q],
-        [q, ONE, ONE + q],
-        [ONE + q, ONE + q, (ONE + q) * 2],
+        [p, q, r],
+        [q, p, r],
+        [r, r, r * 2],
     ]
-    minors = eliminate(rows, [1, 1, 1])
+    minors = eliminate(rows, [1, 1, 1], 2)
     assert minors == leading_minors(rows)
-    assert minors[-1] == ZERO and minors[-2] == ONE - q * q
+    assert minors[-1] == ZERO and minors[-2] == p * p - q * q
 
 
 def test_bareiss_minors_zero_middle_pivot_raises():
     q = IntPoly.monomial(1)
+    p = ONE + q * q
     rows = [
-        [ONE, q, ONE],
-        [q, q * q, ONE],
-        [ONE, ONE, ONE],
+        [p, p, q],
+        [p, p, ONE + q + q * q],
+        [q, ONE + q + q * q, q],
     ]
     assert leading_minors(rows)[1] == ZERO
     with pytest.raises(CheckFailedError, match="zero pivot"):
-        eliminate(rows, [1, 1, 1])
+        eliminate(rows, [1, 1, 1], 2)
 
 
 def test_bareiss_minors_reject_asymmetric_input():
     q = IntPoly.monomial(1)
-    asymmetric = [[ONE, q], [ZERO, ONE]]
-    weighted = [[ONE, q * 2], [q, ONE]]  # symmetric under the weights (1, 2)
-    assert eliminate(weighted, [1, 2]) == leading_minors(weighted)
+    p = ONE + q * q
+    asymmetric = [[p, q], [ZERO, p]]
+    weighted = [[p, q * 2], [q, p]]  # symmetric under the weights (1, 2)
+    assert eliminate(weighted, [1, 2], 2) == leading_minors(weighted)
     for rows, weights in [(asymmetric, [1, 1]), (asymmetric, [2, 1]),
                           (weighted, [1, 1]), (weighted, [2, 1])]:
         with pytest.raises(CheckFailedError, match="not symmetric"):
-            eliminate(rows, weights)
+            eliminate(rows, weights, 2)
+
+
+def test_halved_names_the_first_entry_of_the_wrong_parity():
+    q = IntPoly.monomial(1)
+    p = ONE + q * q
+    with pytest.raises(CheckFailedError, match=r"entry \(1, 0\) is not "
+                       r"palindromic of degree 2"):
+        _halved([[p, q], [ONE, p]], 2)
+    anti = ONE - q * q
+    with pytest.raises(CheckFailedError, match=r"entry \(0, 1\) is not "
+                       r"anti-palindromic of degree 2"):
+        _halved([[anti, q], [q, anti]], 2)
+    with pytest.raises(CheckFailedError, match=r"entry \(0, 0\) is neither"):
+        _halved([[ONE + q]], 2)
+    with pytest.raises(CheckFailedError, match=r"entry \(0, 1\) is not "
+                       r"palindromic of degree 1"):
+        _halved([[ONE + q, p], [p, ONE + q]], 1)  # degree above n
+
+
+def test_a_group_or_basis_without_the_antipode_names_the_entry():
+    # the trivial group's system and the whole chamber matrix (E = ())
+    # have entry (0, 0) = 1, with no q^n term to mirror it
+    for name in ["boolean:2", "braid:3", "u34"]:
+        _, graph, _, _ = geometry(name)
+        with pytest.raises(CheckFailedError, match=r"entry \(0, 0\)"):
+            varchenko_det(graph, (), NO_SYSTEM)
+        trivial = replace(geometry(name)[3], generators=(), order=1)
+        with pytest.raises(CheckFailedError, match=r"entry \(0, 0\)"):
+            magnitude_fraction(graph, trivial)
+    # a free involution other than the antipode: boolean:2's reflection
+    # in one line swaps no chamber with its antipode
+    _, graph, _, group = geometry("boolean:2")
+    anti = antipode_of(graph)
+    for x in group_of(group.generators, len(graph)):
+        if x != anti and compose(x, x) == tuple(range(4)) and all(
+                x[c] != c for c in range(4)):
+            with pytest.raises(CheckFailedError, match=r"entry \(0, 0\)"):
+                varchenko_det(graph, (x,), NO_SYSTEM)
+            break
+    else:
+        raise AssertionError("no free involution besides the antipode")
+
+
+def test_the_last_pivot_is_half_as_long_as_at_q_two_to_the_b(monkeypatch):
+    # on one generic file the magnitude system's last pivot, its
+    # bordered minor, has at most about half the bits it has at q = 2**b
+    graph = enumerate_chambers(parse_arrangement(general_position_rows(1)))
+    group = chamber_orbits(graph)[2]
+    pivots = []
+    bareiss = magnitude._bareiss_minors
+
+    def recorded(rows, weights, h, bits):
+        minors = bareiss(rows, weights, h, bits)
+        pivots.append(minors[-1])
+        return minors
+
+    monkeypatch.setattr(magnitude, "_bareiss_minors", recorded)
+    system = magnitude_fraction(graph, group)[1][0]
+    weights = [p.evaluate(1) for p in system[0]]
+    bordered = [row + [ONE] for row in system]
+    bordered.append([IntPoly.const(w) for w in weights] + [ZERO])
+    bits = _hadamard_bits(bordered)
+    old = kronecker_minors(bordered, weights + [1])[-1].evaluate(1 << bits)
+    [new] = pivots
+    assert new.bit_length() <= 0.55 * old.bit_length()
 
 
 def test_magnitude_fraction_orbit_reduction_consistent():
-    # the collapsed system must give the same fraction with and without
-    # the symmetry group, also where the orbit weights differ
+    # the collapsed system must give the fraction of the full chamber
+    # matrix, solved without symmetry at q = 2**b, also where the orbit
+    # weights differ
     orbit_sizes = {"braid:3": [6], "u34": [2, 6, 6],
                    "k4me": [2, 2, 2, 4, 4, 4], "u45": [2, 8, 8, 12]}
     for name, sizes in orbit_sizes.items():
@@ -642,8 +799,7 @@ def test_magnitude_fraction_orbit_reduction_consistent():
         _, orbits, group = chamber_orbits(graph)
         assert sorted(map(len, orbits)) == sizes
         with_sym = magnitude_fraction(graph, group)[0]
-        without = magnitude_fraction(graph, group=SymmetryGroup((), (), 1))[0]
-        assert with_sym == without
+        assert with_sym == magnitude_by_chamber_matrix(graph)
 
 
 def test_distance_profiles():
