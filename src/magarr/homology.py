@@ -41,8 +41,8 @@ import math
 from .arrangement import components, flat_orbits
 from .errors import BudgetExceededError, CheckFailedError
 from .linalg import complex_homology
-from .magnitude import alternating_violation, chamber_orbits
-from .polyq import series_expand
+from .magnitude import alternating_violation, chamber_orbits, orbit_matrix
+from .polyq import ZERO, series_expand
 
 # entries one homology run may charge, for keys found and chains built;
 # 10.6 times what u45 at lmax 7 charges (5.64 million)
@@ -326,46 +326,39 @@ def _assert_d2_zero(cells, columns):
 # dynamic chain counting (no enumeration)
 
 
-def chain_count_table(lmax, orbits, around):
+def chain_count_table(graph, lmax, orbits):
     """Number of generating chains per (degree, length), all starts.
 
-    Pure counting recursion over (end chamber, length) per degree, from
-    one start per chamber orbit; a cross-check of the enumeration and
-    the Euler characteristics.  ``around`` is a ``_near_lists``.
+    The chains of degree k from chamber u, counted by length, are the
+    coefficients of ((Z - I)^k 1)(u) for the chamber matrix Z of q^d.  Z
+    commutes with the symmetries, so on vectors constant on ``orbits`` it
+    acts as the collapsed system M of ``orbit_matrix``, and Z - I as M
+    with its constant terms, the start itself, dropped.  lmax such steps,
+    each cut off past q^lmax, and a sum over orbits weighted by their
+    sizes give the table: a cross-check of the enumeration and the Euler
+    characteristics that reads only distances.
     """
-    totals = defaultdict(int)
-    for members in orbits:
-        rep = members[0]
-        weight = len(members)
-        cur = {rep: [1] + [0] * lmax}
-        k = 0
-        while cur:
-            for row in cur.values():
-                for length, c in enumerate(row):
-                    if c:
-                        totals[(k, length)] += weight * c
-            if k == lmax:
-                break
-            nxt = {}
-            for u, row in cur.items():
-                if not any(row[:lmax]):
-                    continue  # every count here has used up lmax
-                by_distance = around(u)
-                for length in range(lmax):
-                    c = row[length]
-                    if not c:
-                        continue
-                    near = by_distance[1 : lmax - length + 1]
-                    for d, (ends, _steps) in enumerate(near, 1):
-                        nl = length + d
-                        for v in ends:
-                            counts = nxt.get(v)
-                            if counts is None:
-                                counts = nxt[v] = [0] * (lmax + 1)
-                            counts[nl] += c
-            cur = nxt
-            k += 1
-    return dict(totals)
+    # entry (i, j) of M - I as its (distance, count) pairs up to lmax
+    steps = [[[(d, c) for d, c in enumerate(p.coeffs[: lmax + 1]) if d and c]
+              for p in row] for row in orbit_matrix(graph, orbits)]
+    weights = [len(o) for o in orbits]
+    counts = [[1] + [0] * lmax for _ in orbits]  # (M - I)^k 1, by length
+    totals = {}
+    for k in range(lmax + 1):
+        if k:  # one step of M - I
+            counts, previous = [], counts
+            for row in steps:
+                out = [0] * (lmax + 1)
+                for entry, col in zip(row, previous):
+                    for d, c in entry:
+                        for length in range(lmax + 1 - d):
+                            out[length + d] += c * col[length]
+                counts.append(out)
+        for length in range(lmax + 1):
+            total = sum(w * col[length] for w, col in zip(weights, counts))
+            if total:
+                totals[(k, length)] = total
+    return totals
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +430,7 @@ def magnitude_homology(graph, *, lmax, group=None, interior_only=False,
 
     checks = {}
     if not interior_only:
-        counted = chain_count_table(lmax, orbits, around)
+        counted = chain_count_table(graph, lmax, orbits)
         checks["chain_counts_match_recursion"] = counted == dict(dims)
         euler_enum = _euler_by_length(dims, lmax)
         checks["euler_of_homology_matches_chains"] = (
@@ -685,8 +678,11 @@ def conjecture_probes(graph, mag_result, hom_result):
     distance profile does not imply a transitive group), so it is
     one-directional: a counterexample needs a non-uniform profile (not
     every chamber sees one multiset of distances) and a missing
-    cyclotomic factor.  The corner probe applies to indecomposable
-    arrangements: those with one matroid component.
+    cyclotomic factor.  A chamber's distance profile is read as the row
+    sum of the collapsed system M in ``mag_result.system``, one row per
+    chamber orbit, on which profiles are constant.  The corner probe
+    applies to indecomposable arrangements: those with one matroid
+    component.
     """
     probes = {}
     probes["torsion_free"] = {
@@ -707,9 +703,8 @@ def conjecture_probes(graph, mag_result, hom_result):
     elif rank >= 4 and rank % 2 == 0:
         uniform_needed = n
     factor_orders = {k for k, _mult in mag_result.cyclotomic_den}
-    size = len(graph)
-    uniform = len({tuple(sorted(graph.dist(i, j) for j in range(size)))
-                   for i in range(size)}) == 1
+    # row i of M sums to the distance profile of orbit i's chambers
+    uniform = len({sum(row, ZERO) for row in mag_result.system[0]}) == 1
     counterexample = bool(
         uniform_needed is not None
         and not uniform

@@ -268,7 +268,7 @@ def chamber_orbits(graph, group=None):
     return orbit_id, orbits, group
 
 
-def _orbit_matrix(graph, orbits):
+def orbit_matrix(graph, orbits):
     """Collapsed similarity matrix: one row per orbit representative."""
     reps = [o[0] for o in orbits]
     m = []
@@ -309,7 +309,7 @@ def magnitude_fraction(graph, group):
     s = sum(w * w for w in weights[:-1])
     _check_work(len(weights), graph.n, _bits_over((s + 1) ** len(orbits) * s),
                 "try a smaller arrangement")
-    system = _orbit_matrix(graph, orbits)
+    system = orbit_matrix(graph, orbits)
     g, h, halved = _halved(system, graph.n)
     rim = IntPoly.monomial(h)
     m = [row + [rim] for row in halved]

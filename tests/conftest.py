@@ -9,9 +9,9 @@ expanded, the determinant's product formula flat by flat, matroid
 components by separators, distances found by walking edges, relabelled
 bits one at a time, the Betti table reduced block by block, the face
 decomposition summed with one homology run per flat orbit, invariant
-factors from minors, beta invariants by scanning every flat, and
-leading minors at q = 2**b with the magnitude they give on the full
-chamber matrix."""
+factors from minors, beta invariants by scanning every flat, leading
+minors at q = 2**b with the magnitude they give on the full chamber
+matrix, and distance profiles by scanning every pair of chambers."""
 
 from __future__ import annotations
 
@@ -38,7 +38,6 @@ from magarr.linalg import matrix_rank, rref
 from magarr.homology import (
     HomologyResult,
     _block_homology,
-    _near_lists,
     _tidy_torsion,
     canonical_key,
     chain_count_table,
@@ -503,7 +502,19 @@ def general_position_rows(seed, count=6, span=2):
     """Integer normals of ``count`` planes in general position in R^3,
     entries in [-span, span], drawn from one seeded stream: a row is
     drawn again unless it is independent of every two rows before it."""
+    return _general_position_draw(random.Random(seed), count, span)
+
+
+def generic_arrangements(seed, files=12):
+    """The rows of ``files`` arrangements of six planes in general
+    position in R^3, drawn one after another from one seeded stream as
+    ``general_position_rows`` draws one: the inputs of the ``generic``
+    workload of perfbench/run.py."""
     rng = random.Random(seed)
+    return [_general_position_draw(rng, 6, 2) for _ in range(files)]
+
+
+def _general_position_draw(rng, count, span):
     rows = []
     while len(rows) < count:
         row = [rng.randint(-span, span) for _ in range(3)]
@@ -576,6 +587,14 @@ def check_instance_laws(arr):
     assert (face_decomposition_check(lattice, hom, group)[1]
             == face_sum_by_orbit_runs(lattice, hom, group))
     return size
+
+
+def profile_uniform_by_scan(graph):
+    """Whether every chamber sees one multiset of distances, by sorting
+    the distances from each chamber to every chamber."""
+    size = len(graph)
+    return len({tuple(sorted(graph.dist(i, j) for j in range(size)))
+                for i in range(size)}) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -682,8 +701,8 @@ def betti_by_every_block(graph, lmax, interior_only=False, magnitude=None):
     checks = {}
     if not interior_only:
         checks["chain_counts_match_recursion"] = (
-            chain_count_table(lmax, [[c] for c in range(len(graph))],
-                              _near_lists(graph, lmax)) == dict(dims))
+            chain_count_table(graph, lmax, [[c] for c in range(len(graph))])
+            == dict(dims))
         euler = _euler(dims)
         checks["euler_of_homology_matches_chains"] = euler == _euler(
             betti["all"])

@@ -99,20 +99,33 @@ def test_builtin_consistency_checks(name):
 def test_chain_counts_agree_with_enumeration():
     _, graph, _, _ = geometry("braid:3")
     res = homology_of("braid:3", 5)
-    table = chain_count_table(5, chamber_orbits(graph)[1],
-                              _near_lists(graph, 5))
+    table = chain_count_table(graph, 5, chamber_orbits(graph)[1])
     assert table == res.chain_dims
+
+
+@pytest.mark.parametrize("name", [
+    name for name in CATALOG_NAMES if len(geometry(name)[1]) <= 60])
+def test_chain_count_orbits_match_singletons(name):
+    # the collapsed steps of M - I, weighted by orbit size, against the
+    # same recursion on the whole chamber matrix, with no symmetry
+    _, graph, _, group = geometry(name)
+    orbits = chamber_orbits(graph, group)[1]
+    table = chain_count_table(graph, 5, orbits)
+    singletons = [[c] for c in range(len(graph))]
+    assert table == chain_count_table(graph, 5, singletons)
+    assert table[(0, 0)] == len(graph)
+    assert any(len(o) > 1 for o in orbits)
 
 
 def test_chain_count_recursion_small_values():
     _, graph, _, _ = geometry("boolean:1")
-    table = chain_count_table(2, chamber_orbits(graph)[1],
-                              _near_lists(graph, 2))
+    table = chain_count_table(graph, 2, chamber_orbits(graph)[1])
     # two chambers: constants, one edge pair, and the back-and-forth path
     assert table[(0, 0)] == 2
     assert table[(1, 1)] == 2
     assert table[(2, 2)] == 2
     assert table.get((1, 2), 0) == 0
+    assert table == {(0, 0): 2, (1, 1): 2, (2, 2): 2}  # no step of length 0
 
 
 # k5me: 96 chambers in six orbits of sizes 12 and 24

@@ -19,6 +19,7 @@ from conftest import (
     elimination_work,
     expand,
     general_position_rows,
+    generic_arrangements,
     geometry,
     homology_of,
     kronecker_minors,
@@ -26,18 +27,20 @@ from conftest import (
     magnitude_checks_of,
     magnitude_of,
     power,
+    profile_uniform_by_scan,
     random_arrangements,
     value_at,
 )
 from magarr.arrangement import (
     CATALOG_NAMES,
     SymmetryGroup,
+    TopeGraph,
     catalog,
     enumerate_chambers,
     parse_arrangement,
 )
 from magarr.cli import golden_magnitude
-from magarr.homology import conjecture_probes
+from magarr.homology import conjecture_probes, magnitude_homology
 from magarr.magnitude import (
     DET_CHECK_AUTO_LIMIT,
     ELIMINATION_BUDGET,
@@ -52,6 +55,7 @@ from magarr.magnitude import (
     free_involution_basis,
     interior_magnitude,
     magnitude_by_face_decomposition,
+    magnitude_direct,
     magnitude_fraction,
     rank3_magnitude,
     structural_checks,
@@ -425,7 +429,7 @@ def test_orbit_size_bits_are_the_hadamard_bits_of_the_system(
     # sizes alone are those of the bordered system built after it; the
     # elimination then takes the Hadamard bits of the halved system
     estimated, built, seen = [], [], []
-    check_work, orbit_matrix = magnitude._check_work, magnitude._orbit_matrix
+    check_work, orbit_matrix = magnitude._check_work, magnitude.orbit_matrix
 
     def estimate(order, n, bits, hint):
         estimated.append(bits)
@@ -440,7 +444,7 @@ def test_orbit_size_bits_are_the_hadamard_bits_of_the_system(
         raise Stop
 
     monkeypatch.setattr(magnitude, "_check_work", estimate)
-    monkeypatch.setattr(magnitude, "_orbit_matrix", build)
+    monkeypatch.setattr(magnitude, "orbit_matrix", build)
     monkeypatch.setattr(magnitude, "_bareiss_minors", stop)
     arr = ESTIMATE_CASES[label]
     if arr is None:
@@ -469,7 +473,7 @@ def test_past_the_estimate_the_system_is_never_built(
     def stop(graph, orbits):
         raise Stop
 
-    monkeypatch.setattr(magnitude, "_orbit_matrix", stop)
+    monkeypatch.setattr(magnitude, "orbit_matrix", stop)
     graph = enumerate_chambers(arr)
     group = chamber_orbits(graph)[2]
     if refused is None:
@@ -811,3 +815,50 @@ def test_distance_profiles():
                                    homology_of(name, 2))
         probe = probes["nonuniform_forces_cyclotomic_factor"]
         assert probe["profile_uniform"] is uniform
+
+
+# U(3,4) plus a coloop: normals e1, e2, e3, e1 + e2 + e3 and e4 in R^4
+U34_PLUS_LINE = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 0],
+                 [0, 0, 0, 1]]
+PROFILE_CASES = {
+    **{name: None for name in CATALOG_NAMES},
+    "u34+line": U34_PLUS_LINE,
+    **{f"generic{k:02d}": rows
+       for k, rows in enumerate(generic_arrangements(1))},
+}
+
+
+def _probe_inputs(label):
+    """(graph, magnitude result, homology result at lmax 1) of a case."""
+    rows = PROFILE_CASES[label]
+    if rows is None:
+        _, graph, _, group = geometry(label)
+        return graph, magnitude_of(label), homology_of(label, 1)
+    graph = enumerate_chambers(parse_arrangement(rows))
+    group = chamber_orbits(graph)[2]
+    return (graph, magnitude_direct(graph, group),
+            magnitude_homology(graph, lmax=1, group=group))
+
+
+@pytest.mark.parametrize("label", list(PROFILE_CASES))
+def test_profile_uniform_matches_the_all_pairs_scan(label):
+    # the probe reads each orbit's distance profile as a row sum of the
+    # collapsed system; the scan sorts the distances from every chamber
+    graph, mag, hom = _probe_inputs(label)
+    probe = conjecture_probes(graph, mag, hom)[
+        "nonuniform_forces_cyclotomic_factor"]
+    assert probe["profile_uniform"] is profile_uniform_by_scan(graph)
+
+
+def test_conjecture_probes_take_no_distance(monkeypatch):
+    graph, mag, hom = _probe_inputs("u34+line")
+    calls = []
+    dist = TopeGraph.dist
+
+    def counted(self, i, j):
+        calls.append((i, j))
+        return dist(self, i, j)
+
+    monkeypatch.setattr(TopeGraph, "dist", counted)
+    conjecture_probes(graph, mag, hom)
+    assert calls == []
