@@ -481,6 +481,7 @@ class FaceLattice:
         self.rank = max(f.rank for f in flats)
         self._covers = covers  # covers[j]: indices of the flats j covers
         self._counts_below = {}
+        self._uppers = None  # bit sets of the flats above each flat
         self._betas = None
         self._flat_orbits = {}  # hyperplane relabellings -> flat orbits
 
@@ -516,19 +517,14 @@ class FaceLattice:
             d = self.graph.arrangement.dimension
             planes = {}  # +-2**digit -> flats whose weight has that digit
             for f in self.flats:
-                weight = f.mobius * (d - f.rank)
-                for digit in range(abs(weight).bit_length()):
-                    if abs(weight) >> digit & 1:
-                        key = (1 if weight > 0 else -1) << digit
-                        planes[key] = planes.get(key, 0) | 1 << f.index
+                _add_digits(planes, f.mobius * (d - f.rank), 1 << f.index)
             below, betas = [], []
             for f, covered in zip(self.flats, self._covers):
                 under = 1 << f.index
                 for y in covered:
                     under |= below[y]
                 below.append(under)
-                betas.append(abs(sum(key * (under & plane).bit_count()
-                                     for key, plane in planes.items())))
+                betas.append(abs(_digit_sum(planes, under)))
             self._betas = betas
         return self._betas[j]
 
@@ -538,15 +534,22 @@ class FaceLattice:
         first request.  By the Euler relation of a complete fan (and
         Zaslavsky), the sum of (-1)^rank(Z) c[Z, X] over Y <= Z <= X is
         (-1)^rank(Y), so the counts are read top down from c[X, X] = 1.
+        Each flat's upper set, a bit set over flat indices, is built once
+        from the cover pairs, and the sum over the Z already read is a
+        signed sum of popcounts, as in ``beta_invariant``.
         """
         counts = self._counts_below.get(j)
         if counts is None:
-            counts, signed = {}, []  # signed: (mask of Z, (-1)^rank(Z) c)
+            if self._uppers is None:
+                self._uppers = [1 << i for i in range(len(self.flats))]
+                for x in reversed(range(len(self.flats))):
+                    for y in self._covers[x]:
+                        self._uppers[y] |= self._uppers[x]
+            counts, planes = {}, {}  # planes: of (-1)^rank(Z) c[Z, X]
             for y in reversed(self.lower(j)):
-                f = self.flats[y]
-                m, sign = f.mask, -1 if f.rank % 2 else 1
-                s = sign - sum(v for z, v in signed if z & m == m)
-                signed.append((m, s))
+                sign = -1 if self.flats[y].rank % 2 else 1
+                s = sign - _digit_sum(planes, self._uppers[y])
+                _add_digits(planes, s, 1 << y)
                 counts[y] = sign * s
             self._counts_below[j] = counts
         return counts
@@ -562,6 +565,22 @@ class FaceLattice:
         for f in self.flats_of_rank(2):
             out[f.size] = out.get(f.size, 0) + 1
         return out
+
+
+def _add_digits(planes, weight, bits):
+    """Add ``bits`` to the plane of each signed binary digit of
+    ``weight``: planes maps +-2**digit to a bit set."""
+    for digit in range(abs(weight).bit_length()):
+        if abs(weight) >> digit & 1:
+            key = (1 if weight > 0 else -1) << digit
+            planes[key] = planes.get(key, 0) | bits
+
+
+def _digit_sum(planes, bits):
+    """The sum of the weights added to ``planes`` at the members of the
+    bit set ``bits``."""
+    return sum(key * (bits & plane).bit_count()
+               for key, plane in planes.items())
 
 
 def intersection_lattice(graph):

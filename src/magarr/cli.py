@@ -254,8 +254,9 @@ def _mag_task(args, graph, lattice, group):
 
 def _homology_task(args, graph, group):
     lmax = args.lmax if args.lmax is not None else default_length_cap(graph)
-    res = magnitude_homology(graph, lmax=lmax, group=group,
-                             magnitude=magnitude_fraction(graph, group)[0])
+    mag, (system, _) = magnitude_fraction(graph, group)
+    res = magnitude_homology(graph, lmax=lmax, group=group, magnitude=mag,
+                             system=system)
     out = {
         "lmax": res.lmax,
         "betti": _cells_out(res.betti),
@@ -289,7 +290,8 @@ def _lattice_task(lattice):
 def _conjectures_task(args, graph, group):
     lmax = args.lmax if args.lmax is not None else default_length_cap(graph)
     mag = magnitude_direct(graph, group)
-    hom = magnitude_homology(graph, lmax=lmax, group=group)
+    hom = magnitude_homology(graph, lmax=lmax, group=group,
+                             system=mag.system[0])
     return conjecture_probes(graph, mag, hom)
 
 
@@ -328,7 +330,7 @@ def _verify_task(args, name, is_file, graph, lattice, group):
     else:
         lmax = default_length_cap(graph)
     hom = magnitude_homology(graph, lmax=lmax, group=group,
-                             magnitude=mag.magnitude)
+                             magnitude=mag.magnitude, system=mag.system[0])
     checks["hom:boundary_squares_to_zero"] = True
     registries["hom"] = homology.structural_checks(
         lattice, group, hom, face_check)

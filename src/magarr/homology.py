@@ -17,7 +17,12 @@ start off S, up to relabelling S, so one block per least relabelling of
 that memo key is reduced.  This covers the start's stabilizer too: an
 element g fixing the start, with hyperplane relabelling pi, has
 g(m) ^ start = pi(m ^ start), so it maps a block's support and sign
-vectors by pi, and the blocks of one orbit share a memo key.
+vectors by pi, and the blocks of one orbit share a memo key.  The same
+fact makes the keys with support S, and their summaries, a function of
+that local tope set up to relabelling S: each start's keys are grouped
+by support and tallied once per shape of local tope set in a run, and a
+later group of a shape already met reads that tally and classifies no
+key.
 
 Reversing each chain maps the block (a -> b, l, p) onto (b -> a, l, p)
 and deletion at i, sign (-1)^i, onto deletion at k - i, sign (-1)^k
@@ -35,8 +40,9 @@ poset alone; the two are the two routes of the geodesic check.
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import groupby, permutations, product
+from itertools import combinations, groupby, permutations, product
 import math
+from operator import itemgetter
 
 from .arrangement import components, flat_orbits
 from .errors import BudgetExceededError, CheckFailedError
@@ -69,80 +75,76 @@ def default_length_cap(graph):
 
 def _near_lists(graph, lmax):
     """``around(u)[d]`` is ([v], [(separating mask, packed increment)])
-    over the chambers v at distance d from u, 1 <= d <= min(lmax, n);
-    an increment, one crossing of each separating hyperplane packed as
-    in ``_start_blocks``, is built once per distinct mask, and each
-    chamber's lists the first time it is asked for."""
-    masks = graph.masks
+    over the chambers v at distance d from u, 1 <= d <= min(lmax, n),
+    ascending in v; an increment, one crossing of each separating
+    hyperplane packed as in ``_key_search``, is built once per distinct
+    mask, and each chamber's lists the first time it is asked for.  When
+    there are fewer sets of at most min(lmax, n) hyperplanes than
+    chambers, a chamber's lists flip each such set of its mask and look
+    the result up in ``graph.index``; else they are a pass over every
+    chamber."""
+    masks, index = graph.masks, graph.index
     n = graph.n
     w = lmax.bit_length()
+    top = min(lmax, n)
     chambers = list(range(len(masks)))  # shared ints keep the rows small
     near, step_of = {}, {}
+
+    def step(sep):
+        step_of[sep] = (sep, sum(1 << w * h for h in range(n) if sep >> h & 1))
+        return step_of[sep]
+
+    flips = {}  # distance -> the masks and steps of that many hyperplanes
+    if sum(math.comb(n, d) for d in range(1, top + 1)) < len(masks):
+        for d in range(1, top + 1):
+            steps = [step(sum(1 << h for h in hs))
+                     for hs in combinations(range(n), d)]
+            flips[d] = ([sep for sep, _ in steps], steps)
 
     def around(u):
         row = near.get(u)
         if row is None:
-            row = near[u] = [([], []) for _ in range(min(lmax, n) + 1)]
+            row = near[u] = [([], []) for _ in range(top + 1)]
             mu = masks[u]
-            for v, m in zip(chambers, masks):
-                sep = mu ^ m
-                d = sep.bit_count()
-                if 0 < d <= lmax:
-                    step = step_of.get(sep)
-                    if step is None:
-                        step = step_of[sep] = (sep, sum(
-                            1 << w * h for h in range(n) if sep >> h & 1))
-                    row[d][0].append(v)
-                    row[d][1].append(step)
+            for d, (seps, steps) in flips.items():
+                found = [(v, st) for v, st in zip(
+                    map(index.get, map(mu.__xor__, seps)), steps)
+                    if v is not None]
+                found.sort(key=itemgetter(0))
+                row[d] = ([v for v, _ in found], [st for _, st in found])
+            if not flips:  # a pass over every chamber
+                for v, m in zip(chambers, masks):
+                    sep = mu ^ m
+                    d = sep.bit_count()
+                    if 0 < d <= lmax:
+                        row[d][0].append(v)
+                        row[d][1].append(step_of.get(sep) or step(sep))
         return row
 
     return around
 
 
-def _start_blocks(graph, start, lmax, spent, full_support_only, around,
-                  memo, canon):
-    """Boundary blocks of the proper chains from one start.
+def _key_search(graph, start, lmax, spent, full_support_only, around):
+    """Every block key of the proper chains from one start.
 
-    Returns ({key: (length, inner, geodesic, memo key)}, spent).  A key
-    is a block's profile, how often its chains cross each hyperplane
-    (the differential preserves it), packed into one int: count h in
-    bits w*h up to w*h + w, w = lmax.bit_length().  No field carries
-    into the next, since a chain of at most lmax steps crosses each
-    hyperplane at most once per step, so every count is at most
-    lmax < 2^w.  The profile fixes the length (its sum), the end (the
-    start with the oddly crossed hyperplanes flipped) and the support S;
-    inner is S = every hyperplane, and geodesic is length = |S|, which
-    holds exactly when every count is 0 or 1, that is when the length
-    is d(start, end).  The search walks keys: a step to chamber v adds
-    the packed increment of the hyperplanes crossed, one int add, and
-    ``into`` maps each key reached to its length, end, support and
-    in-edges, the keys one step before it.  Two keys fix the step
-    between them, so a block's chains are the paths of in-edges back
-    to the root, key 0.  ``full_support_only`` drops the keys that
-    cannot cross every hyperplane within ``lmax``.
-
-    A block's chains cross only the profile's support S, so their
-    chambers x have x ^ start inside S, and distances and smoothness read
-    only S: the memo key, ``canonical_key`` of the profile on S and the
-    set of all such x ^ start packed to S's bits (``canon`` maps each raw
-    key met, reversals too, to its memo key), fixes the complex.  Keys
-    related by a symmetry fixing the start share a memo key.  A key new
-    to ``memo`` reads the entry of its reversal (the same counts, every
-    top xored by the odd-count bits) if known; else its chains are built
-    and reduced, one block at a time, and ``memo`` maps it to the block's
-    summary.  ``spent`` counts what the run has charged, length + 1 + n
-    per key found (the longest chain its block could hold, and its
-    profile) and len(chain) + 1 + n + REDUCTION_CHARGE per chain to be
-    built, all charged before the first block is built; past
-    ``DEFAULT_CHAIN_BUDGET`` (read at call time) it raises
-    BudgetExceededError.  ``around`` is the run's ``_near_lists``.
+    Returns ({key: (length, end, support, in-edges)}, spent).  A key is a
+    block's profile, how often its chains cross each hyperplane (the
+    differential preserves it), packed into one int: count h in bits w*h
+    up to w*h + w, w = lmax.bit_length().  No field carries into the
+    next, since a chain of at most lmax steps crosses each hyperplane at
+    most once per step, so every count is at most lmax < 2^w.  The
+    profile fixes the length (its sum), the end (the start with the
+    oddly crossed hyperplanes flipped) and the support S.  A step to
+    chamber v adds the packed increment of the hyperplanes crossed, one
+    int add, and each key reached records the keys one step before it.
+    Two keys fix the step between them, so a block's chains are the
+    paths of in-edges back to the root, key 0.  ``full_support_only``
+    cuts the steps after which every hyperplane can no longer be crossed
+    within ``lmax``.  Each key found is charged length + 1 + n (the
+    longest chain its block could hold, and its profile); ``around`` is
+    the run's ``_near_lists``.
     """
-    index = graph.index
-    start_mask = graph.masks[start]
     n = graph.n
-    w = lmax.bit_length()
-    field = (1 << w) - 1
-    everything = (1 << n) - 1
     into = {0: (0, start, 0, [])}  # key -> length, end, support, in-edges
     stack = [0]
     while stack:
@@ -165,51 +167,104 @@ def _start_blocks(graph, start, lmax, spent, full_support_only, around,
                     stack.append(reached)
                 else:
                     entry[3].append(key)
+    return into, spent
 
-    blocks, new = {}, {}  # key -> its summary, and new memo key -> key
-    # support -> (packed x of the chambers agreeing off it, field shifts)
-    local = {}
-    for key, (length, _, support, _) in into.items():
-        if full_support_only and support != everything:
+
+def _start_blocks(graph, start, lmax, spent, full_support_only, around,
+                  memo, canon, tallies):
+    """Boundary blocks of the proper chains from one start, tallied.
+
+    Returns (Counter of summaries (length, inner, geodesic, memo key),
+    spent), over the keys of ``_key_search`` (with ``full_support_only``,
+    those crossing every hyperplane).  Inner is S = every hyperplane, and
+    geodesic is length = |S|, which holds exactly when every count is 0
+    or 1, that is when the length is d(start, end).
+
+    A block's chains cross only the profile's support S, so their
+    chambers x have x ^ start inside S, and distances and smoothness read
+    only S: the memo key, ``canonical_key`` of the profile on S and the
+    set of all such x ^ start packed to S's bits (``canon`` maps each raw
+    key met, reversals too, to its memo key), fixes the complex.  Keys
+    related by a symmetry fixing the start share a memo key.  The keys
+    with support S are those of the chains inside that local tope set
+    from its origin, so a relabelling of S carrying one start's set onto
+    another's carries keys to keys with the same summaries.  So the keys
+    are grouped by support, and a group's tally is kept in ``tallies``
+    under its shape, ``canonical_key`` of the local tope set with every
+    count 0 (through ``canon``): only the first group of each shape in a
+    run has its keys classified, and every later one adds that tally.
+    A key new to ``memo`` reads the entry of its reversal (the same
+    counts, every top xored by the odd-count bits) if known; else its
+    chains are built and reduced, one block at a time, and ``memo`` maps
+    it to the block's summary.  ``spent`` counts what the run has
+    charged: the keys found and len(chain) + 1 + n + REDUCTION_CHARGE
+    per chain to be built, all charged before the first block is built;
+    past ``DEFAULT_CHAIN_BUDGET`` (read at call time) it raises
+    BudgetExceededError.
+    """
+    into, spent = _key_search(graph, start, lmax, spent, full_support_only,
+                              around)
+    index = graph.index
+    start_mask = graph.masks[start]
+    n = graph.n
+    w = lmax.bit_length()
+    field = (1 << w) - 1
+    everything = (1 << n) - 1
+    groups = {}  # support -> its keys, in the order found
+    for key, (_, _, support, _) in into.items():
+        if not full_support_only or support == everything:
+            groups.setdefault(support, []).append(key)
+    # shape -> groups of this start with that shape, and new memo key -> key
+    shapes, new = Counter(), {}
+    for support, keys in groups.items():
+        # spread[x]: the i-th hyperplane of S set for each bit i of x
+        spread, shifts = [0], []
+        for h in range(n):
+            if support >> h & 1:
+                spread += [s | 1 << h for s in spread]
+                shifts.append(w * h)
+        tops = frozenset(
+            x for x, s in enumerate(spread) if start_mask ^ s in index)
+        blank = ((0,) * len(shifts), tops)
+        shape = canon.get(blank)
+        if shape is None:
+            shape = canon[blank] = canonical_key(*blank)
+        shapes[shape] += 1
+        if shape in tallies:
             continue
-        entry = local.get(support)
-        if entry is None:
-            # spread[x]: the i-th hyperplane of S set for each bit i of x
-            spread, shifts = [0], []
-            for h in range(n):
-                if support >> h & 1:
-                    spread += [s | 1 << h for s in spread]
-                    shifts.append(w * h)
-            entry = local[support] = (frozenset(
-                x for x, s in enumerate(spread) if start_mask ^ s in index),
-                shifts)
-        tops, shifts = entry
-        raw = (tuple(key >> s & field for s in shifts), tops)
-        memo_key = canon.get(raw)
-        if memo_key is None:
-            memo_key = canon[raw] = canonical_key(*raw)
-        if memo_key not in memo and memo_key not in new:
-            # the reversed block's entry, if known
-            odd = sum((c & 1) << i for i, c in enumerate(raw[0]))
-            rev = (raw[0], frozenset(x ^ odd for x in raw[1]))
-            if rev not in canon:
-                canon[rev] = canonical_key(*rev)
-            if canon[rev] in memo or canon[rev] in new:
-                memo_key = canon[raw] = canon[rev]
-            else:
-                new[memo_key] = key
-        blocks[key] = (length, support == everything,
-                       length == support.bit_count(), memo_key)
+        tally = tallies[shape] = Counter()
+        for key in keys:
+            raw = (tuple(key >> s & field for s in shifts), tops)
+            memo_key = canon.get(raw)
+            if memo_key is None:
+                memo_key = canon[raw] = canonical_key(*raw)
+            if memo_key not in memo and memo_key not in new:
+                # the reversed block's entry, if known
+                odd = sum((c & 1) << i for i, c in enumerate(raw[0]))
+                rev = (raw[0], frozenset(x ^ odd for x in tops))
+                if rev not in canon:
+                    canon[rev] = canonical_key(*rev)
+                if canon[rev] in memo or canon[rev] in new:
+                    memo_key = canon[raw] = canon[rev]
+                else:
+                    new[memo_key] = key
+            length = sum(raw[0])
+            tally[length, support == everything, length == len(shifts),
+                  memo_key] += 1
+    blocks = Counter()
+    for shape, times in shapes.items():
+        for summary, count in tallies[shape].items():
+            blocks[summary] += times * count
 
-    # tally[key]: the chains ending at key and their total size, so every
+    # ending[key]: the chains ending at key and their total size, so every
     # chain to be built is charged before the first block is built; a
     # key's in-edges come from smaller keys
     if new:
-        tally = {}
+        ending = {}
         for key in sorted(into):
-            ins = [tally[prev] for prev in into[key][3]] or [(1, 0)]
-            tally[key] = (sum(c for c, _ in ins), sum(c + t for c, t in ins))
-        for count, total in map(tally.get, new.values()):
+            ins = [ending[prev] for prev in into[key][3]] or [(1, 0)]
+            ending[key] = (sum(c for c, _ in ins), sum(c + t for c, t in ins))
+        for count, total in map(ending.get, new.values()):
             spent = _charge(spent, total + count * (1 + n + REDUCTION_CHARGE))
     for memo_key, key in new.items():
         chains = {}
@@ -326,21 +381,21 @@ def _assert_d2_zero(cells, columns):
 # dynamic chain counting (no enumeration)
 
 
-def chain_count_table(graph, lmax, orbits):
+def chain_count_table(system, orbits, lmax):
     """Number of generating chains per (degree, length), all starts.
 
     The chains of degree k from chamber u, counted by length, are the
     coefficients of ((Z - I)^k 1)(u) for the chamber matrix Z of q^d.  Z
     commutes with the symmetries, so on vectors constant on ``orbits`` it
-    acts as the collapsed system M of ``orbit_matrix``, and Z - I as M
-    with its constant terms, the start itself, dropped.  lmax such steps,
-    each cut off past q^lmax, and a sum over orbits weighted by their
-    sizes give the table: a cross-check of the enumeration and the Euler
-    characteristics that reads only distances.
+    acts as their collapsed system M (``system``, as ``orbit_matrix``
+    builds it), and Z - I as M with its constant terms, the start itself,
+    dropped.  lmax such steps, each cut off past q^lmax, and a sum over
+    orbits weighted by their sizes give the table: a cross-check of the
+    enumeration and the Euler characteristics that reads only distances.
     """
     # entry (i, j) of M - I as its (distance, count) pairs up to lmax
     steps = [[[(d, c) for d, c in enumerate(p.coeffs[: lmax + 1]) if d and c]
-              for p in row] for row in orbit_matrix(graph, orbits)]
+              for p in row] for row in system]
     weights = [len(o) for o in orbits]
     counts = [[1] + [0] * lmax for _ in orbits]  # (M - I)^k 1, by length
     totals = {}
@@ -388,7 +443,7 @@ class HomologyResult:
 
 
 def magnitude_homology(graph, *, lmax, group=None, interior_only=False,
-                       magnitude=None):
+                       magnitude=None, system=None):
     """Bigraded Betti table of ``graph`` through total length ``lmax``.
 
     The tope graph is the whole input; the run enumerates no chambers.
@@ -396,6 +451,9 @@ def magnitude_homology(graph, *, lmax, group=None, interior_only=False,
     hyperplane, which is the summand entering the face decomposition.
     When ``magnitude`` (a RatFunc) is given, the per-length Euler
     characteristics of the chain spaces are checked against its series.
+    ``system`` is the collapsed system M on the chamber orbits of
+    ``group`` that the magnitude was solved from, which the chain-count
+    check reads; it is built here when not given.
     Every block that is reduced has its boundary checked to square to
     zero, and a run that would charge more than ``DEFAULT_CHAIN_BUDGET``
     entries (read at call time) for the keys it finds and the chains it
@@ -407,17 +465,16 @@ def magnitude_homology(graph, *, lmax, group=None, interior_only=False,
     dims = defaultdict(int)
     spent = 0
     around = _near_lists(graph, lmax)
-    # memo key -> summary of the first block with that key, and raw memo
-    # key -> its memo key
-    memo, canon = {}, {}
+    # memo key -> summary of the first block with that key, raw memo key
+    # (or local tope set) -> its memo key (or shape), and shape -> tally
+    memo, canon, tallies = {}, {}, {}
     for members in orbits:
         rep = members[0]
         weight = len(members)
         blocks, spent = _start_blocks(graph, rep, lmax, spent, interior_only,
-                                      around, memo, canon)
+                                      around, memo, canon, tallies)
         # one tally per distinct summary, times the blocks sharing it
-        for (length, inner, geodesic, memo_key), times in Counter(
-                blocks.values()).items():
+        for (length, inner, geodesic, memo_key), times in blocks.items():
             parts = ["all"] + ["inner"] * inner + ["geodesic"] * geodesic
             times *= weight
             for k, (b, tor, dim) in memo[memo_key].items():
@@ -430,7 +487,9 @@ def magnitude_homology(graph, *, lmax, group=None, interior_only=False,
 
     checks = {}
     if not interior_only:
-        counted = chain_count_table(graph, lmax, orbits)
+        if system is None:
+            system = orbit_matrix(graph, orbits)
+        counted = chain_count_table(system, orbits, lmax)
         checks["chain_counts_match_recursion"] = counted == dict(dims)
         euler_enum = _euler_by_length(dims, lmax)
         checks["euler_of_homology_matches_chains"] = (

@@ -58,6 +58,7 @@ from magarr.magnitude import (
     _kronecker_decode,
     chamber_orbits,
     magnitude_direct,
+    orbit_matrix,
     varchenko_det_product,
 )
 from magarr.magnitude import structural_checks as magnitude_checks
@@ -240,6 +241,20 @@ def beta_by_scan(lattice, j):
     top = lattice.flats[j].mask
     return abs(sum(f.mobius * (d - f.rank) for f in lattice.flats
                    if not f.mask & ~top))
+
+
+def counts_below_by_pairs(lattice, j):
+    """{index of Y: c[Y, X]} over the flats Y <= X = flat j from the
+    Euler relation read top down, testing every pair of flats below X
+    for Y <= Z: the cross-check of ``FaceLattice.counts_below``."""
+    counts, signed = {}, []  # signed: (mask of Z, (-1)^rank(Z) c)
+    for y in reversed(lattice.lower(j)):
+        f = lattice.flats[y]
+        m, sign = f.mask, -1 if f.rank % 2 else 1
+        s = sign - sum(v for z, v in signed if z & m == m)
+        signed.append((m, s))
+        counts[y] = sign * s
+    return counts
 
 
 def kronecker_minors(matrix, weights, bits=None):
@@ -700,9 +715,9 @@ def betti_by_every_block(graph, lmax, interior_only=False, magnitude=None):
                 torsion[part][(k, length)].extend(tor)
     checks = {}
     if not interior_only:
-        checks["chain_counts_match_recursion"] = (
-            chain_count_table(graph, lmax, [[c] for c in range(len(graph))])
-            == dict(dims))
+        singletons = [[c] for c in range(len(graph))]
+        checks["chain_counts_match_recursion"] = chain_count_table(
+            orbit_matrix(graph, singletons), singletons, lmax) == dict(dims)
         euler = _euler(dims)
         checks["euler_of_homology_matches_chains"] = euler == _euler(
             betti["all"])

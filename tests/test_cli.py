@@ -422,6 +422,25 @@ def test_one_flat_orbit_pass_per_verify(capsys, monkeypatch):
     assert calls == [15]  # one pass over the 15 flats, the partitions of 4
 
 
+@pytest.mark.parametrize("task", ["homology", "verify", "conjectures"])
+def test_one_magnitude_system_per_task(capsys, monkeypatch, task):
+    # the chain-count check reads the system M the magnitude was solved
+    # from, so a task that runs both builds M once
+    calls = []
+    build = magnitude.orbit_matrix
+
+    def counted(graph, orbits):
+        calls.append(len(orbits))
+        return build(graph, orbits)
+
+    monkeypatch.delenv("MAGARR_CACHE", raising=False)
+    monkeypatch.setattr(magnitude, "orbit_matrix", counted)
+    monkeypatch.setattr(homology, "orbit_matrix", counted)
+    code, out, _ = _run(capsys, [task, "braid:4", "--lmax", "3"])
+    assert code == 0 and "FAIL" not in out
+    assert calls == [1]  # the 24 orderings of 4 form one orbit
+
+
 def test_homology_tsv_shape(capsys):
     code, out, _ = _run(capsys, ["homology", "boolean:2", "--lmax", "3"])
     assert code == 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 from itertools import permutations
 import random
@@ -39,6 +40,7 @@ from magarr.errors import BudgetExceededError, CheckFailedError
 from magarr.homology import (
     _assert_d2_zero,
     _block_homology,
+    _key_search,
     _near_lists,
     _relabel_bits,
     _start_blocks,
@@ -52,7 +54,7 @@ from magarr.homology import (
     magnitude_homology,
     structural_checks,
 )
-from magarr.magnitude import chamber_orbits, magnitude_direct
+from magarr.magnitude import chamber_orbits, magnitude_direct, orbit_matrix
 
 
 def _cells(table):
@@ -99,7 +101,8 @@ def test_builtin_consistency_checks(name):
 def test_chain_counts_agree_with_enumeration():
     _, graph, _, _ = geometry("braid:3")
     res = homology_of("braid:3", 5)
-    table = chain_count_table(graph, 5, chamber_orbits(graph)[1])
+    orbits = chamber_orbits(graph)[1]
+    table = chain_count_table(orbit_matrix(graph, orbits), orbits, 5)
     assert table == res.chain_dims
 
 
@@ -110,16 +113,18 @@ def test_chain_count_orbits_match_singletons(name):
     # same recursion on the whole chamber matrix, with no symmetry
     _, graph, _, group = geometry(name)
     orbits = chamber_orbits(graph, group)[1]
-    table = chain_count_table(graph, 5, orbits)
+    table = chain_count_table(orbit_matrix(graph, orbits), orbits, 5)
     singletons = [[c] for c in range(len(graph))]
-    assert table == chain_count_table(graph, 5, singletons)
+    assert table == chain_count_table(orbit_matrix(graph, singletons),
+                                      singletons, 5)
     assert table[(0, 0)] == len(graph)
     assert any(len(o) > 1 for o in orbits)
 
 
 def test_chain_count_recursion_small_values():
     _, graph, _, _ = geometry("boolean:1")
-    table = chain_count_table(graph, 2, chamber_orbits(graph)[1])
+    orbits = chamber_orbits(graph)[1]
+    table = chain_count_table(orbit_matrix(graph, orbits), orbits, 2)
     # two chambers: constants, one edge pair, and the back-and-forth path
     assert table[(0, 0)] == 2
     assert table[(1, 1)] == 2
@@ -256,7 +261,7 @@ def test_face_check_reduces_each_block_once_over_its_localizations(
 
     def start_blocks(*args):
         blocks, spent = _start_blocks(*args)
-        runs[-1].update(memo_key for *_, memo_key in blocks.values())
+        runs[-1].update(memo_key for *_, memo_key in blocks)
         return blocks, spent
 
     def block_homology(block, masks):
@@ -320,12 +325,17 @@ def test_a_start_charges_its_chains_before_reducing_a_block(
     n = graph.n
     events = []
 
-    def start_blocks(graph, start, lmax, *args):
+    def start_blocks(*args):
         events.append(("start", None))
-        blocks, spent = _start_blocks(graph, start, lmax, *args)
-        events.append(("keys", [unpack_key(graph, start, lmax, key)
-                                for key in blocks]))
+        blocks, spent = _start_blocks(*args)
+        events.append(("end", None))
         return blocks, spent
+
+    def key_search(graph, start, lmax, *args):
+        into, spent = _key_search(graph, start, lmax, *args)
+        events.append(("keys", [unpack_key(graph, start, lmax, key)
+                                for key in into]))
+        return into, spent
 
     def charge(spent, entries):
         events.append(("charge", entries))
@@ -336,6 +346,7 @@ def test_a_start_charges_its_chains_before_reducing_a_block(
         return _block_homology(block, masks)
 
     monkeypatch.setattr(homology, "_start_blocks", start_blocks)
+    monkeypatch.setattr(homology, "_key_search", key_search)
     monkeypatch.setattr(homology, "_charge", charge)
     monkeypatch.setattr(homology, "_block_homology", block_homology)
     magnitude_homology(graph, lmax=lmax, group=group)
@@ -350,8 +361,9 @@ def test_a_start_charges_its_chains_before_reducing_a_block(
             reducing = True
             want += sum(len(c) + 1 + n + homology.REDUCTION_CHARGE
                         for chains in value.values() for c in chains)
-        else:  # every key the search found, and the root
+        elif kind == "keys":  # every key the search found, and the root
             want += sum(length + 1 + n for length, _, _ in value if length)
+        else:
             assert charged == want
             starts += 1
     assert starts == len(chamber_orbits(graph, group)[1])
@@ -457,15 +469,37 @@ def test_stabilizer_orbits_share_a_memo_key(name):
     around = _near_lists(graph, 3)
     for orbit in chamber_orbits(graph, group)[1]:
         start = orbit[0]
-        blocks, _ = _start_blocks(graph, start, 3, 0, False, around, {}, {})
-        blocks = {unpack_key(graph, start, 3, key): memo_key
-                  for key, (*_, memo_key) in blocks.items()}
+        blocks = {}
+        for key in _key_search(graph, start, 3, 0, False, around)[0]:
+            key = unpack_key(graph, start, 3, key)
+            blocks[key] = canonical_key(*_raw_memo_key(graph, start, key[2]))
         stabilizer = stabilizer_by_closure(graph, group, start)
         assert len(stabilizer) * len(orbit) == len(group)
         for key, memo_key in blocks.items():
             for image in key_orbit_by_closure(
                     stabilizer, graph.masks[start], graph, key):
                 assert blocks[image] == memo_key, (name, key, image)
+
+
+@pytest.mark.parametrize("name, lmax", [
+    *((name, lmax) for name in CATALOG_NAMES for lmax in (1, 2, 4)),
+    ("boolean:12", 4)])
+def test_near_lists_match_a_scan_of_every_chamber(name, lmax):
+    # each chamber's neighbours by distance, ascending, with the packed
+    # step to each, whether read by flipping every set of at most lmax
+    # hyperplanes (fewer than the chambers) or by a pass over all
+    _, graph, _, _ = geometry(name)
+    n, w = graph.n, lmax.bit_length()
+    around = _near_lists(graph, lmax)
+    for u in range(0, len(graph), max(1, len(graph) // 40)):
+        want = [([], []) for _ in range(min(lmax, n) + 1)]
+        for v, m in enumerate(graph.masks):
+            sep = graph.masks[u] ^ m
+            if 0 < sep.bit_count() <= lmax:
+                want[sep.bit_count()][0].append(v)
+                want[sep.bit_count()][1].append((sep, sum(
+                    1 << w * h for h in range(n) if sep >> h & 1)))
+        assert around(u) == want, u
 
 
 # every field width from 0 to 4 bits, each at a full field (lmax 1, 3, 7)
@@ -480,21 +514,30 @@ PACKING_CASES = [(name, lmax) for name in ("boolean:2", "braid:3")
 @pytest.mark.parametrize("name, lmax", PACKING_CASES)
 def test_packed_keys_match_chain_blocks(name, lmax, interior_only):
     # each start's packed keys unpack to the (length, end, profile) keys
-    # of the whole-chain search, and each key's summary flags read the
-    # profile and the distance
+    # of the whole-chain search, and the start's tally of summary flags,
+    # read once per shape of local tope set over one run's starts,
+    # counts the whole-chain blocks by length, profile and distance
     _, graph, _, _ = geometry(name)
     around = _near_lists(graph, lmax)
+    everything = (1 << graph.n) - 1
+    memo, canon, tallies = {}, {}, {}
     for start in range(len(graph)):
-        blocks, _ = _start_blocks(graph, start, lmax, 0, interior_only,
-                                  around, {}, {})
-        keys = set()
-        for key, (length, inner, geodesic, _) in blocks.items():
+        into, _ = _key_search(graph, start, lmax, 0, interior_only, around)
+        keys = {}
+        for key, (length, end, support, _) in into.items():
             unpacked = unpack_key(graph, start, lmax, key)
-            assert unpacked[0] == length
-            assert inner == (0 not in unpacked[2])
-            assert geodesic == (length == graph.dist(start, unpacked[1]))
-            keys.add(unpacked)
-        assert keys == set(_chain_blocks(graph, start, lmax, interior_only))
+            assert unpacked[:2] == (length, end)
+            assert support == sum(1 << h for h, c in enumerate(unpacked[2])
+                                  if c)
+            keys[unpacked] = support
+        want = _chain_blocks(graph, start, lmax, interior_only)
+        assert {key for key, support in keys.items()
+                if not interior_only or support == everything} == set(want)
+        blocks, _ = _start_blocks(graph, start, lmax, 0, interior_only,
+                                  around, memo, canon, tallies)
+        assert Counter(summary[:3] for summary in blocks.elements()) == Counter(
+            (length, 0 not in profile, length == graph.dist(start, end))
+            for length, end, profile in want)
 
 
 RANDOM_MEMO_CASES = random_arrangements(4, seed=20261018)
@@ -520,7 +563,21 @@ def _memo_case(source):
     return graph, group, magnitude_direct(graph, group).magnitude
 
 
-@pytest.mark.parametrize("source, lmax, interior_only", MEMO_CASES)
+# small catalog names both ways and the random instances' interior runs,
+# one past n so that they have blocks: the runs tallied once per shape of
+# local tope set
+SHAPE_CASES = [
+    *((name, lmax, interior_only)
+      for name, lmax, interior_lmax in (
+          ("boolean:3", 4, 4), ("braid:3", 5, 4), ("u34", 5, 5),
+          ("coxeter:B2", 5, 5), ("k4me", 4, 6))
+      for lmax, interior_only in ((lmax, False), (interior_lmax, True))),
+    *((i, arr.n + 1, True) for i, arr in enumerate(RANDOM_MEMO_CASES)),
+]
+
+
+@pytest.mark.parametrize("source, lmax, interior_only",
+                         MEMO_CASES + SHAPE_CASES)
 def test_collapsed_run_matches_every_block(source, lmax, interior_only):
     # chamber orbits and the memo against every block of every start
     # reduced on its own: each field, the checks included
@@ -531,6 +588,37 @@ def test_collapsed_run_matches_every_block(source, lmax, interior_only):
     assert collapsed == betti_by_every_block(graph, lmax, interior_only,
                                              magnitude)
     assert collapsed.betti and all(collapsed.checks.values())
+
+
+@pytest.mark.parametrize("source, lmax, interior_only",
+                         MEMO_CASES + SHAPE_CASES)
+def test_each_shape_is_classified_once_per_run(
+        source, lmax, interior_only, monkeypatch):
+    # one tally per shape met in the run, the least relabelling of a
+    # group's local tope set, kept over the run's starts; with every
+    # support kept, the starts' groups outnumber the shapes, so some
+    # group reads a tally it did not classify
+    graph, group, _ = _memo_case(source)
+    kept = []
+
+    def start_blocks(*args):
+        kept.append(args[-1])
+        return _start_blocks(*args)
+
+    monkeypatch.setattr(homology, "_start_blocks", start_blocks)
+    magnitude_homology(graph, lmax=lmax, group=group,
+                       interior_only=interior_only)
+    tallies = kept[0]
+    assert all(t is tallies for t in kept)
+    shapes, groups = set(), set()
+    for orbit in chamber_orbits(graph, group)[1]:
+        for _, _, profile in _chain_blocks(graph, orbit[0], lmax,
+                                           interior_only):
+            counts, tops = _raw_memo_key(graph, orbit[0], profile)
+            shapes.add(canonical_key((0,) * len(counts), tops))
+            groups.add((orbit[0], tuple(c > 0 for c in profile)))
+    assert set(tallies) == shapes
+    assert len(groups) > len(shapes) or interior_only
 
 
 @pytest.mark.parametrize("source, lmax, interior_only", MEMO_CASES)
