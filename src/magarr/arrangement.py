@@ -426,14 +426,29 @@ def _chamber_witnesses(arrangement):
 
 
 def enumerate_chambers(arrangement):
-    """All chambers with integer witnesses, found by deletion-restriction.
+    """All chambers with integer witnesses, found by deletion-restriction
+    in a column basis of the normals.
 
-    The chambers come sorted by mask, and ``TopeGraph`` checks that every
-    witness lies strictly inside the chamber its mask names.
+    The pivot columns P of ``rref(normals)`` span the column space of the
+    normal matrix N, so N x over x in R^d takes the sign vectors of N_P y
+    over y in R^rank: the chambers are enumerated on those columns and
+    each witness gets zeros in the other coordinates.  The chambers come
+    sorted by mask, and ``TopeGraph`` checks that every witness lies
+    strictly inside the chamber its mask names, against the full normals.
     """
-    found = _chamber_witnesses(arrangement)
+    d, normals = arrangement.dimension, arrangement.normals
+    pivots = rref(normals)[1]
+    found = _chamber_witnesses(Arrangement(
+        len(pivots), tuple(tuple(a[c] for c in pivots) for a in normals),
+        arrangement.labels))
     masks = sorted(found)
-    return TopeGraph(arrangement, masks, [found[m] for m in masks])
+    witnesses = []
+    for m in masks:
+        w = [0] * d
+        for c, x in zip(pivots, found[m]):
+            w[c] = x
+        witnesses.append(tuple(w))
+    return TopeGraph(arrangement, masks, witnesses)
 
 
 # ---------------------------------------------------------------------------

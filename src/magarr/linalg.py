@@ -4,8 +4,7 @@ Smith normal form, and chain-complex homology over the integers.
 Every function takes and returns Python ints; ``clear_denominators`` is
 the one entry point for rational input, used when rows are parsed.
 ``pack_digits`` makes small signed ints the whole-byte digits of one
-big int, so a polynomial product or n dot products take one big-int
-operation, and ``unpack_digits`` reads them back.
+big int, so n dot products take one big-int operation.
 Homology takes columns from a work stack and cancels each at its unit
 entry whose row meets the fewest columns; a dense Smith form finishes
 whatever has no unit entry left.
@@ -18,11 +17,6 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 
 
-def _halves(width, count):
-    """The sum of 2**(8 * width - 1) * 256**(width * h) over h < count."""
-    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
-
-
 def pack_digits(digits, width):
     """The int sum of digits[h] * 256**(width * h), for ints in
     [-2**(8 * width - 1), 2**(8 * width - 1)): each digit plus that half
@@ -30,17 +24,8 @@ def pack_digits(digits, width):
     off (Kronecker substitution at q = 256**width)."""
     half = 1 << (8 * width - 1)
     data = b"".join([(d + half).to_bytes(width, "little") for d in digits])
-    return int.from_bytes(data, "little") - _halves(width, len(digits))
-
-
-def unpack_digits(value, width, count):
-    """The inverse of ``pack_digits``: the ``count`` base 256**width
-    digits of ``value`` in [-2**(8 * width - 1), 2**(8 * width - 1));
-    OverflowError when ``value`` has no such ``count`` digits."""
-    data = (value + _halves(width, count)).to_bytes(width * count, "little")
-    half = 1 << (8 * width - 1)
-    return [int.from_bytes(data[i:i + width], "little") - half
-            for i in range(0, width * count, width)]
+    halves = (bytes(width - 1) + b"\x80") * len(digits)
+    return int.from_bytes(data, "little") - int.from_bytes(halves, "little")
 
 
 def primitive(vec):

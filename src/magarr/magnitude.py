@@ -44,7 +44,6 @@ and so does the reduced magnitude denominator, by Cramer's rule.
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from functools import reduce
 from itertools import accumulate
 from math import gcd, isqrt
 from operator import mul, neg
@@ -296,9 +295,10 @@ def magnitude_fraction(graph, group):
     det S, and the last is q^(2h) times det [[S, 1], [w^T, 0]], which is
     minus the weighted solution sum of S times det S.  With w the orbit
     sizes, the bordered matrix is symmetric under the weights (w, 1), and
-    the magnitude is that sum over g.  Returns (magnitude, (M, det M)),
-    det M = g^order det S; M has one row and column per chamber orbit,
-    led by its least chamber, and ``varchenko_det`` reuses det M for a
+    the magnitude is that sum over g.  Returns (magnitude, (M, (g,
+    det S))), det M = g^order det S in the factored form of every
+    determinant block; M has one row and column per chamber orbit, led
+    by its least chamber, and ``varchenko_det`` reuses (g, det S) for a
     block equal to M.  Column j's entries of M count |orbit j| chambers,
     so before M is built the work is estimated at the Hadamard bits of
     bordered M, H**2 = (T + 1)**k T with T = sum_j |orbit j|^2 over k
@@ -320,16 +320,15 @@ def magnitude_fraction(graph, group):
     det_s = _lucas_decode(det_s, order * h, bits)
     # q^(2h) is a factor of the last minor: decode its cofactor
     border = _lucas_decode(det_border, (order - 1) * h, bits)
-    det_m = det_s * reduce(mul, [g] * order, ONE)
-    return reduce_fraction(-border, det_s * g), (system, det_m)
+    return reduce_fraction(-border, det_s * g), (system, (g, det_s))
 
 
 @dataclass
 class MagnitudeResult:
     """Magnitude with the values derived from it, and the collapsed
-    system (M, det M) it was solved from.  ``cyclotomic_den`` and
-    ``cyclotomic_rem`` are the cyclotomic factors of the denominator and
-    what is left of it."""
+    system (M, (g, det S)), M = g S, it was solved from.
+    ``cyclotomic_den`` and ``cyclotomic_rem`` are the cyclotomic factors
+    of the denominator and what is left of it."""
 
     n: int
     rank: int
@@ -574,13 +573,14 @@ def varchenko_det(graph, basis, known):
 
     Each distinct block is eliminated once, after ``_check_work`` on the
     one with the most Hadamard bits, unless it equals the magnitude
-    system K of ``known`` = (K, det K), as M_0 does when E has the
-    chamber orbits of the symmetry group; K is compared by its values at
-    q = 2**w, and only the blocks eliminated are decoded.  A block M_s =
-    g S has det M_s = g^order det S, so det S is factored with kmax = 2n
-    and order times the exponents of g are added; they count once per
-    equal block, and the unit multiplies the blocks' remainders and
-    signs, +-1 when every block factors.
+    system K of ``known`` = (K, (g, det S)), K = g S, as M_0 does when E
+    has the chamber orbits of the symmetry group; K is compared by its
+    values at q = 2**w, and only the blocks eliminated are decoded.
+    Every block M_s = g S, reused or eliminated, has det M_s = g^order
+    det S, so det S is factored with kmax = 2n and order times the
+    exponents of g are added; they count once per equal block, and the
+    unit multiplies the blocks' remainders and signs, +-1 when every
+    block factors.
     """
     size = len(graph)
     identity = tuple(range(size))
@@ -627,7 +627,7 @@ def varchenko_det(graph, basis, known):
         _check_work(len(orbits), graph.n, max(bits), "drop --det-check")
     factors, unit = Counter(), ONE
     for block, count in zip(blocks, counts.values()):
-        det, g = known[1], ONE
+        g, det = known[1]
         if block:
             g, h, halved = _halved(block, graph.n)
             b = _hadamard_bits(halved)

@@ -2,16 +2,15 @@
 
 Polynomials are immutable tuples of Python ints in ascending degree
 order; they add, subtract and compare only with polynomials, multiply
-by polynomials or ints, and are false exactly when zero.  Dense factors
-multiply as their values at q = 256**w, with w bytes enough for every
-coefficient of the product, read back digit by digit (Kronecker
-substitution); sparse ones term by term.  Rational
-functions are kept in a canonical reduced form: numerator and
-denominator have no common polynomial factor, the gcd of all integer
-coefficients of numerator and denominator combined is 1, and the
-leading coefficient of the denominator is positive.  Power series are
-expanded only from denominators with constant term +-1, into plain
-tuples of ints.
+by polynomials or ints, term by term, and are false exactly when zero.
+No product the package forms is long and dense on both sides, as the
+magnitude system's determinant stays factored (g^order det S), so the
+one term loop serves every product.  Rational functions are kept in a
+canonical reduced form: numerator and denominator have no common
+polynomial factor, the gcd of all integer coefficients of numerator
+and denominator combined is 1, and the leading coefficient of the
+denominator is positive.  Power series are expanded only from
+denominators with constant term +-1, into plain tuples of ints.
 """
 
 from __future__ import annotations
@@ -21,15 +20,6 @@ from dataclasses import dataclass
 from operator import mul
 
 from .errors import CheckFailedError
-from .linalg import pack_digits, unpack_digits
-
-# factors with more pairs of nonzero terms than this times their total
-# length are multiplied as packed ints, sparser ones term by term.  Per
-# product of dense factors of length L (2-core VM, Python 3.11), term loop
-# against packed: 3-bit coefficients 5.7 vs 10.5 us at L = 8, 19.8 vs
-# 16.8 at L = 16, 73.7 vs 28.8 at L = 32, 16,511 vs 694 at L = 432; 30-bit
-# ones 26.8 vs 22.7 us at L = 16.  So dense factors switch above L = 16
-KRONECKER_TERMS = 8
 
 
 class ZeroDenominatorError(ZeroDivisionError):
@@ -49,8 +39,8 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = _trim([int(c) for c in coeffs])
-        object.__setattr__(self, "coeffs", cs)
+        """``coeffs``: a tuple or list of ints, lowest degree first."""
+        object.__setattr__(self, "coeffs", _trim(coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
@@ -103,23 +93,11 @@ class IntPoly:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return IntPoly()
             return IntPoly(tuple(other * c for c in self.coeffs))
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPoly()
-        size = len(a) + len(b) - 1
-        terms_a, terms_b = len(a) - a.count(0), len(b) - b.count(0)
-        if terms_a * terms_b > KRONECKER_TERMS * (size + 1):
-            # every product coefficient is a sum of at most min(len) terms
-            bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
-            width = (bound.bit_length() + 8) // 8  # 2**(8 width - 1) > bound
-            value = pack_digits(a, width) * pack_digits(b, width)
-            return IntPoly(unpack_digits(value, width, size))
-        out = [0] * size
+        out = [0] * (len(a) + len(b) - 1)
         # both loops skip zeros, the outer one over the sparser factor
-        if terms_a > terms_b:
+        if len(a) - a.count(0) > len(b) - b.count(0):
             a, b = b, a
         b = [(j, bj) for j, bj in enumerate(b) if bj]
         for i, ai in enumerate(a):

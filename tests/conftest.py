@@ -67,9 +67,9 @@ from magarr.magnitude import structural_checks as magnitude_checks
 # of ``rank3_magnitude`` for a line arrangement whose series coefficients
 # stop alternating in sign.
 EIGHTEEN_LINES = (18, 216, {2: 15, 3: 46})
-# a (matrix, determinant) pair that no determinant block equals, so
+# a (matrix, (g, det S)) pair that no determinant block equals, so
 # ``varchenko_det`` eliminates every block
-NO_SYSTEM = ((), ONE)
+NO_SYSTEM = ((), (ONE, ONE))
 
 _GEOMETRY = {}
 _MAGNITUDE = {}

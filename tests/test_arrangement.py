@@ -26,6 +26,7 @@ from conftest import (
     sign_feasible,
     tits_product,
 )
+import magarr.arrangement as arrangement
 from magarr.arrangement import (
     CATALOG_NAMES,
     SymmetryGroup,
@@ -448,6 +449,45 @@ def test_essentialize_preserves_chambers():
     assert ess.dimension == 3
     assert enumerate_chambers(ess).masks == enumerate_chambers(arr).masks
     assert len(enumerate_chambers(ess)) == 24
+
+
+WIDE = [[1] * 40, list(range(1, 41)), [k * k for k in range(1, 41)],
+        [1] + [0] * 39]
+
+
+@pytest.mark.parametrize("rows, rank, chambers", [
+    (WIDE, 4, 16),
+    (catalog("braid:4").normals, 3, 24),
+], ids=["wide", "braid:4"])
+def test_enumeration_builds_no_restriction_past_the_rank(
+        monkeypatch, rows, rank, chambers):
+    # four normals in R^40 span a 4-dimensional row space, and braid:4's
+    # span 3 dimensions of R^4: the chambers are enumerated on a column
+    # basis, so no restriction is built in more than rank dimensions
+    dims = []
+
+    def recorded(arr, hyperplanes):
+        dims.append(arr.dimension)
+        return _restrict_with_basis(arr, hyperplanes)
+
+    monkeypatch.setattr(arrangement, "_restrict_with_basis", recorded)
+    graph = enumerate_chambers(parse_arrangement(rows))
+    assert len(graph) == chambers
+    assert dims and max(dims) <= rank
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_dependent_columns_keep_the_masks(name):
+    # zero columns, or a column that is a sum of other columns, add no
+    # sign vector: each witness, padded from the column basis, is checked
+    # against the padded normals when the tope graph is built
+    arr = catalog(name)
+    masks = enumerate_chambers(arr).masks
+    for pad in (lambda r: (0,) + r + (0, 0),
+                lambda r: r + (sum(r),),
+                lambda r: (r[0] + r[-1],) + r):
+        padded = parse_arrangement([pad(r) for r in arr.normals])
+        assert enumerate_chambers(padded).masks == masks
 
 
 def test_direct_sum_multiplies_chambers():

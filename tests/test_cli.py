@@ -292,15 +292,15 @@ def test_det_check_blocks_run_under_the_estimate(monkeypatch):
 
 def test_a_wrong_reused_determinant_fails_the_determinant_check(
         capsys, monkeypatch, tmp_path):
-    # det M times a factor, as the magnitude system hands it on, must fail
-    # the determinant check and nothing else: 1 + q is Phi_2, which moves
-    # an exponent, and 1 + q + q^3 is not cyclotomic
+    # det S times a factor, as the magnitude system hands on (g, det S),
+    # must fail the determinant check and nothing else: 1 + q is Phi_2,
+    # which moves an exponent, and 1 + q + q^3 is not cyclotomic
     fraction = magnitude.magnitude_fraction
     source = _generic_file(tmp_path)
     for skew in (IntPoly((1, 1)), IntPoly((1, 1, 0, 1))):
         def skewed(graph, group):
-            mag, (matrix, det_m) = fraction(graph, group)
-            return mag, (matrix, det_m * skew)
+            mag, (matrix, (g, det_s)) = fraction(graph, group)
+            return mag, (matrix, (g, det_s * skew))
 
         monkeypatch.setattr(magnitude, "magnitude_fraction", skewed)
         code, out, _ = _run(capsys, ["verify", source, "--lmax", "2"])

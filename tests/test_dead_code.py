@@ -469,3 +469,37 @@ def test_every_import_is_read():
     unread = _unread_imports()
     assert not unread, ("imported names that their module never reads: "
                         + ", ".join(unread))
+
+
+# ---------------------------------------------------------------------------
+# the modules each module imports from
+
+# module -> the package modules its relative imports name, so that a new
+# dependency between modules shows as an edit here
+IMPORT_EDGES = {
+    "__init__": set(),
+    "arrangement": {"errors", "linalg"},
+    "cli": {"arrangement", "errors", "homology", "magnitude", "polyq"},
+    "errors": set(),
+    "homology": {"arrangement", "errors", "linalg", "magnitude", "polyq"},
+    "linalg": set(),
+    "magnitude": {"arrangement", "errors", "linalg", "polyq"},
+    "polyq": {"errors"},
+}
+
+
+def _import_edges():
+    """{module: the modules named by its ``from .x import`` and
+    ``from . import x`` lines}, at any depth in the module."""
+    edges = {}
+    for module, tree in _modules():
+        edges[module] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                edges[module] |= ({node.module} if node.module
+                                  else {a.name for a in node.names})
+    return edges
+
+
+def test_each_module_imports_from_its_pinned_modules():
+    assert _import_edges() == IMPORT_EDGES

@@ -518,16 +518,12 @@ def test_varchenko_matrix_det_matches_split_route():
 
 def test_determinant_block_equal_to_the_system_reuses_its_determinant(
         monkeypatch):
-    # six planes in general position have the symmetries E = G = {1, -1},
-    # so the trivial-character block is the magnitude system M entry for
-    # entry: its determinant is read, not eliminated, and a wrong one
-    # shows in the product; a block one entry off M is eliminated
-    graph = enumerate_chambers(parse_arrangement(general_position_rows(1)))
-    group = chamber_orbits(graph)[2]
-    basis = free_involution_basis(graph, group)
-    assert group.order == 2 and len(basis) == 1
-    matrix, det_m = magnitude_fraction(graph, group)[1]
-    want = varchenko_det(graph, basis, NO_SYSTEM)
+    # planes in general position have the symmetries E = G = {1, -1}, and
+    # boolean:3 has one chamber orbit under E = its sign flips, so the
+    # trivial-character block is the magnitude system M = g S entry for
+    # entry: its determinant g^order det S is read, not eliminated, and a
+    # wrong det S or g shows in the product; a block one entry off M is
+    # eliminated
     calls = []
 
     def counted(rows, weights, h, bits):
@@ -536,27 +532,48 @@ def test_determinant_block_equal_to_the_system_reuses_its_determinant(
         return _bareiss_minors(rows, weights, h, bits)
 
     monkeypatch.setattr(magnitude, "_bareiss_minors", counted)
-    assert varchenko_det(graph, basis, (matrix, det_m)) == want
-    assert calls == [16]
-    wrong = det_m * cyclotomic(2)
-    factors, unit = want
-    skewed = dict(factors)
-    skewed[2] = skewed.get(2, 0) + 1
-    assert varchenko_det(graph, basis, (matrix, wrong)) == (
-        tuple(sorted(skewed.items())), unit)
-    for i, j in [(0, 0), (0, 15), (15, 3)]:
-        off = [list(row) for row in matrix]
-        off[i][j] = off[i][j] + IntPoly.monomial(1)
+    for rows, g in [(general_position_rows(1), ONE),
+                    (catalog("boolean:3").normals, IntPoly((1, 1))),
+                    (general_position_rows(1, count=5), IntPoly((1, 1)))]:
+        graph = enumerate_chambers(parse_arrangement(rows))
+        group = chamber_orbits(graph)[2]
+        basis = free_involution_basis(graph, group)
+        matrix, (g_m, det_s) = magnitude_fraction(graph, group)[1]
+        assert g_m == g, rows
+        order = len(matrix)
         calls.clear()
-        assert varchenko_det(graph, basis, (off, wrong)) == want, (i, j)
-        assert calls == [16, 16]
-    # K off by -8 + q in one entry, which is 0 at q = 2**w = 8, is told
-    # apart by its coefficient -8, past 2**(w - 1) = 4
-    off = [list(row) for row in matrix]
-    off[0][0] = off[0][0] + IntPoly((-8, 1))
-    calls.clear()
-    assert varchenko_det(graph, basis, (off, wrong)) == want
-    assert calls == [16, 16]
+        want = varchenko_det(graph, basis, NO_SYSTEM)
+        blocks = len(calls)
+        assert blocks > 1 and calls == [order] * blocks, rows
+        calls.clear()
+        assert varchenko_det(graph, basis, (matrix, (g, det_s))) == want
+        assert calls == [order] * (blocks - 1), rows
+        wrong = det_s * cyclotomic(2)
+        factors, unit = want
+        skewed = dict(factors)
+        skewed[2] = skewed.get(2, 0) + 1
+        assert varchenko_det(graph, basis, (matrix, (g, wrong))) == (
+            tuple(sorted(skewed.items())), unit), rows
+        # g's exponents and unit count order times: 1 - q = -Phi_1
+        other = IntPoly((1, -1))
+        swapped = expand(varchenko_det(graph, basis, (matrix, (other, det_s))))
+        assert (swapped * power(g, order)
+                == expand(want) * power(other, order)), rows
+        last = order - 1
+        for i, j in [(0, 0), (0, last), (last, min(3, last))]:
+            off = [list(row) for row in matrix]
+            off[i][j] = off[i][j] + IntPoly.monomial(1)
+            calls.clear()
+            assert varchenko_det(graph, basis, (off, (g, wrong))) == want, (
+                rows, i, j)
+            assert calls == [order] * blocks, rows
+        # K off by -2**w + q in one entry, which is 0 at q = 2**w, is told
+        # apart by its coefficient -2**w, past 2**(w - 1)
+        off = [list(row) for row in matrix]
+        off[0][0] = off[0][0] + IntPoly((-(1 << len(basis) + 2), 1))
+        calls.clear()
+        assert varchenko_det(graph, basis, (off, (g, wrong))) == want, rows
+        assert calls == [order] * blocks, rows
 
 
 def leibniz_det(rows):
