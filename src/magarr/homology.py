@@ -8,8 +8,9 @@ times each hyperplane is crossed are all preserved, so the complex
 splits into finite blocks which are resolved independently over the
 integers.  The search from a start walks block keys, each profile
 packed into one int so that a step is one add, recording each key's
-in-edges, and builds chains, the in-edge paths back to the start, only
-for the blocks it reduces.  Chamber symmetries act freely on
+in-edges; a block's chains are the in-edge paths back to the start, and
+of the blocks it reduces only the critical chains of a matching are
+built.  Chamber symmetries act freely on
 blocks by relabelling the start, so one start per orbit is searched,
 weighted by the orbit size.  A block is fixed by its profile on its
 support S and the sign vectors on S of the chambers agreeing with its
@@ -36,6 +37,42 @@ and the block is the order complex of that interval (Kaneta-Yoshinaga),
 shifted up by two degrees.  The main run tallies these blocks as the
 geodesic part, which ``geodesic_betti_formula`` predicts from the flat
 poset alone; the two are the two routes of the geodesic check.
+
+Each reduced block goes through an algebraic Morse matching (Skoldberg,
+Trans. AMS 358, 2006; Y. Gu, arXiv:1809.07240 for matchings on graph
+magnitude chains).  A chain x_0 ... x_k has steps s_i = x_(i-1) ^ x_i;
+let h_1 >= ... >= h_r be its longest prefix of single-hyperplane steps
+with non-increasing index.  When r = k the chain is critical.  Else let
+s = s_(r+1) and m = min s.  If r >= 1 and m > h_r, the chain is paired
+down with its face deleting x_r ({h_r} and s are disjoint).  Otherwise,
+if x_r with m flipped is a chamber y, it is paired up with the chain
+that has y inserted after x_r; if not, it is critical.
+
+- The rule is an involution.  In the up case |s| >= 2, since a single s
+  would extend the run, so y differs from x_r and x_(r+1).  The chain
+  with y inserted has the run h_1 ... h_r, m, and its next step s - {m}
+  has least element above m, so it is paired down by deleting y.  In
+  the down case the face has the run h_1 ... h_(r-1), then the step
+  {h_r} | s with least element h_r <= h_(r-1), so it is paired up, and
+  flipping h_r in x_(r-1) inserts x_r again.
+- Each pair is a unit incidence.  The shorter chain is the longer with
+  the chamber at i deleted, which keeps the length, and the faces of a
+  chain are distinct chains, so the coefficient is (-1)^i.  Both lie in
+  one block: the start, the end and the profile are kept.
+- The matching is acyclic.  Give a chain the word ((min s_1, |s_1|),
+  ..., (min s_k, |s_k|)), compared lexicographically, and let U be the
+  up-partner of c.  In U, deleting x_j, 1 <= j < r, needs h_j > h_(j+1),
+  and position j of the word drops from (h_j, 1) to (h_(j+1), 2);
+  deleting x_r needs m < h_r, and position r drops from (h_r, 1) to
+  (m, 2); deleting a chamber after y keeps the step {m}, and position
+  r + 1 drops from (m, |s|) to (m, 1).  So every other face of U has a
+  smaller word than c, the words strictly decrease along every zig-zag
+  path c, U(c), c', U(c'), ..., and no path closes.
+
+So a block's critical chains are enumerated forward over its in-edges,
+dropping a prefix as soon as it decides that its chains are matched,
+and the Morse complex on them, with the differential summed over
+zig-zag paths, has the homology of the block.
 """
 
 from collections import Counter, defaultdict
@@ -53,8 +90,9 @@ from .polyq import ZERO, series_expand
 # entries one homology run may charge, for keys found and chains built;
 # 10.6 times what u45 at lmax 7 charges (5.64 million)
 DEFAULT_CHAIN_BUDGET = 60_000_000
-# entries charged per chain built for its share of the reduction: its
-# rows in the index dicts, its boundary column and complex_homology's state
+# entries charged per chain of a reduced block, built or not, for its
+# share of the reduction: it bounds the critical chains built and the
+# chains whose images the zig-zags keep, a fraction of those charged
 REDUCTION_CHARGE = 64
 
 
@@ -195,11 +233,12 @@ def _start_blocks(graph, start, lmax, spent, full_support_only, around,
     run has its keys classified, and every later one adds that tally.
     A key new to ``memo`` reads the entry of its reversal (the same
     counts, every top xored by the odd-count bits) if known; else its
-    chains are built and reduced, one block at a time, and ``memo`` maps
-    it to the block's summary.  ``spent`` counts what the run has
-    charged: the keys found and len(chain) + 1 + n + REDUCTION_CHARGE
-    per chain to be built, all charged before the first block is built;
-    past ``DEFAULT_CHAIN_BUDGET`` (read at call time) it raises
+    block is reduced by ``_morse_block``, one block at a time, and
+    ``memo`` maps it to the block's summary.  ``spent`` counts what the
+    run has charged: the keys found and len(chain) + 1 + n +
+    REDUCTION_CHARGE per chain of each block to be reduced, whether the
+    matching builds it or not, all charged before the first block is
+    reduced; past ``DEFAULT_CHAIN_BUDGET`` (read at call time) it raises
     BudgetExceededError.
     """
     into, spent = _key_search(graph, start, lmax, spent, full_support_only,
@@ -257,8 +296,8 @@ def _start_blocks(graph, start, lmax, spent, full_support_only, around,
             blocks[summary] += times * count
 
     # ending[key]: the chains ending at key and their total size, so every
-    # chain to be built is charged before the first block is built; a
-    # key's in-edges come from smaller keys
+    # chain of a block to be reduced is charged before the first block is
+    # reduced; a key's in-edges come from smaller keys
     if new:
         ending = {}
         for key in sorted(into):
@@ -267,15 +306,7 @@ def _start_blocks(graph, start, lmax, spent, full_support_only, around,
         for count, total in map(ending.get, new.values()):
             spent = _charge(spent, total + count * (1 + n + REDUCTION_CHARGE))
     for memo_key, key in new.items():
-        chains = {}
-        paths = [(key, (into[key][1],))]
-        while paths:
-            state, chain = paths.pop()
-            ins = into[state][3]
-            paths += [(prev, (into[prev][1],) + chain) for prev in ins]
-            if not ins:
-                chains.setdefault(len(chain) - 1, []).append(chain)
-        memo[memo_key] = _block_homology(chains, graph.masks)
+        memo[memo_key] = _morse_block(into, key, graph.masks, index)
     return blocks, spent
 
 
@@ -335,32 +366,186 @@ def _relabel_bits(xs, perm):
     return [table[x] for x in xs]
 
 
-def _block_homology(block, masks):
-    """Betti numbers and torsion of one block, graded by degree.
+# the matching's verdict on one step: the run of single steps goes on,
+# or the chain is paired down, paired up, or critical
+_RUN, _DOWN, _UP, _CRITICAL = range(4)
 
-    The chains of ``block`` ({degree: [chains]}) are numbered once,
-    degree by degree, and each one's boundary column is built in those
-    numbers.  Returns {degree: (betti, torsion factors, chain count)}.
+
+def _rule(prev, mu, sep, index):
+    """The matching's verdict on the step ``sep`` from the chamber of mask
+    ``mu``, after a run of single-hyperplane steps whose last hyperplane
+    is the bit ``prev`` (0 for no run): (_RUN, the step's bit) while the
+    run goes on, (_DOWN, None) or (_UP, the chamber to insert) when it
+    is paired, (_CRITICAL, None) when no continuation is paired."""
+    m = sep & -sep
+    if sep == m and (not prev or m <= prev):
+        return _RUN, m
+    if prev and m > prev:
+        return _DOWN, None
+    y = index.get(mu ^ m)
+    return (_CRITICAL, None) if y is None else (_UP, y)
+
+
+def _partner(chain, masks, index):
+    """(i, partner) for a matched chain, None for a critical one.  Of the
+    pair, the shorter chain is the longer with its chamber i deleted, an
+    incidence of sign (-1)**i."""
+    prev = 0
+    for r in range(len(chain) - 1):
+        mu = masks[chain[r]]
+        kind, value = _rule(prev, mu, mu ^ masks[chain[r + 1]], index)
+        if kind == _RUN:
+            prev = value
+        elif kind == _DOWN:
+            return r, chain[:r] + chain[r + 1 :]
+        elif kind == _UP:
+            return r + 1, chain[: r + 1] + (value,) + chain[r + 1 :]
+        else:
+            return None
+    return None
+
+
+def _inner(ms):
+    """The positions i, 0 < i < len(ms) - 1, of a chain with chamber
+    masks ``ms`` whose chamber can be deleted: its two steps cross
+    disjoint sets, so the length is kept."""
+    return [i for i in range(1, len(ms) - 1)
+            if not (ms[i - 1] ^ ms[i]) & (ms[i] ^ ms[i + 1])]
+
+
+def _faces(chain, masks):
+    """(i, face) for each deletion in the boundary of ``chain``, sign
+    (-1)**i, once the boundary of that boundary is seen to vanish: each
+    pair of deleted chambers is reached in both orders, with opposite
+    signs."""
+    ms = [masks[x] for x in chain]
+    inner = _inner(ms)
+    twice = {}  # bits of the two deleted positions -> sign
+    for i in inner:
+        for j in _inner(ms[:i] + ms[i + 1 :]):
+            pair = 1 << i | 1 << j + (j >= i)
+            twice[pair] = twice.get(pair, 0) + (-1 if (i + j) % 2 else 1)
+    if any(twice.values()):
+        raise CheckFailedError(
+            f"boundary composed with itself is nonzero in degree "
+            f"{len(chain) - 1} at chain {chain}")
+    return [(i, chain[:i] + chain[i + 1 :]) for i in inner]
+
+
+def _morse_block(into, key, masks, index):
+    """{degree: (betti, torsion factors, chain count)} of the block whose
+    chains are the paths of in-edges of ``into`` (from ``_key_search``)
+    from the root to ``key``.
+
+    The chains are counted along the in-edges, and only the critical
+    ones of the matching (module docstring) are built.  The Morse
+    differential sums the images of a critical chain's faces: b itself
+    if b is critical, 0 if b is paired down, and for b paired with U(b)
+    at deletion i, -(-1)**i times the signed images of the other faces
+    of U(b).  Raises CheckFailedError when the boundary read of a chain
+    (``_faces``) or the Morse complex does not square to zero, when the
+    critical chains miss the block's Euler characteristic, when a
+    critical face was not built, or when a zig-zag meets its own start.
     """
-    degrees = sorted(block)
-    cells = [chain for k in degrees for chain in block[k]]
+    above = {key}  # the keys on some path to key
+    todo = [key]
+    while todo:
+        for prev in into[todo.pop()][3]:
+            if prev not in above:
+                above.add(prev)
+                todo.append(prev)
+    # the paths to a key by degree, one width-bit field each: a path has
+    # at most length steps, each to one of the keys in above
+    width = into[key][0] * len(above).bit_length() + 1
+    graded, after = {0: 1}, {k: [] for k in above}  # after: out-edges
+    for k in sorted(above)[1:]:  # an in-edge comes from a smaller key
+        total = 0
+        for prev in into[k][3]:
+            total += graded[prev]
+            after[prev].append(k)
+        graded[k] = total << width
+    field = (1 << width) - 1
+    dims = {d: c for d in range(into[key][0] + 1)
+            if (c := graded[key] >> d * width & field)}
+
+    cells = []
+    stack = [(0, (into[0][1],), 0, False)]  # key, prefix, run's last bit
+    while stack:
+        k, chain, prev, critical = stack.pop()
+        if k == key:
+            cells.append(chain)
+            continue
+        mu = masks[chain[-1]]
+        for nxt in after[k]:
+            v = into[nxt][1]
+            if critical:
+                stack.append((nxt, chain + (v,), 0, True))
+                continue
+            kind, value = _rule(prev, mu, mu ^ masks[v], index)
+            if kind == _RUN:
+                stack.append((nxt, chain + (v,), value, False))
+            elif kind == _CRITICAL:
+                stack.append((nxt, chain + (v,), 0, True))
+    euler = sum(-1 if len(chain) % 2 == 0 else 1 for chain in cells)
+    want = sum(-c if d % 2 else c for d, c in dims.items())
+    if euler != want:
+        raise CheckFailedError(
+            f"critical chains of the block from {into[0][1]} to "
+            f"{into[key][1]} at length {into[key][0]} have Euler "
+            f"characteristic {euler}, its chains {want}")
+
     number = {chain: c for c, chain in enumerate(cells)}
+    images = {}  # chain -> {critical cell: coefficient}; None while open
+
+    def image(root):
+        if root in images:
+            return images[root]
+        path = [(root, None)]  # (chain paired up, its terms)
+        while path:
+            chain, terms = path[-1]
+            if terms is None:
+                pair = _partner(chain, masks, index)
+                if pair is None:
+                    if chain not in number:
+                        raise CheckFailedError(
+                            f"boundary target {chain} outside block")
+                    images[chain] = {number[chain]: 1}
+                elif len(pair[1]) < len(chain):
+                    images[chain] = {}
+                else:
+                    i, up = pair
+                    terms = [(face, 1 if (i + j) % 2 else -1)
+                             for j, face in _faces(up, masks) if j != i]
+                    path[-1] = chain, terms
+                    images[chain] = None
+                if images[chain] is not None:
+                    path.pop()
+                    continue
+            for face, _ in terms:
+                if face not in images:
+                    path.append((face, None))
+                    break
+                if images[face] is None:
+                    raise CheckFailedError(f"matching has a cycle at {face}")
+            else:
+                acc = defaultdict(int)
+                for face, sign in terms:
+                    for cell, v in images[face].items():
+                        acc[cell] += sign * v
+                images[chain] = {cell: v for cell, v in acc.items() if v}
+                path.pop()
+        return images[root]
+
     columns = []
     for chain in cells:
-        ms = [masks[x] for x in chain]
-        col = {}  # one entry per deletion: a chain's neighbours differ
-        for i in range(1, len(chain) - 1):
-            if (ms[i - 1] ^ ms[i]) & (ms[i] ^ ms[i + 1]):
-                continue
-            target = chain[:i] + chain[i + 1 :]
-            if target not in number:
-                raise CheckFailedError(
-                    f"boundary target {target} outside block")
-            col[number[target]] = -1 if i % 2 else 1
-        columns.append(col)
+        col = defaultdict(int)
+        for i, face in _faces(chain, masks):
+            for cell, v in image(face).items():
+                col[cell] += -v if i % 2 else v
+        columns.append({cell: v for cell, v in col.items() if v})
     _assert_d2_zero(cells, columns)
     hom = complex_homology([len(chain) - 1 for chain in cells], columns)
-    return {k: (*hom[k], len(block[k])) for k in degrees}
+    return {d: (*hom.get(d, (0, ())), c) for d, c in dims.items()}
 
 
 def _assert_d2_zero(cells, columns):
@@ -455,9 +640,11 @@ def magnitude_homology(graph, *, lmax, group=None, interior_only=False,
     ``group`` that the magnitude was solved from, which the chain-count
     check reads; it is built here when not given.
     Every block that is reduced has its boundary checked to square to
-    zero, and a run that would charge more than ``DEFAULT_CHAIN_BUDGET``
-    entries (read at call time) for the keys it finds and the chains it
-    builds (see ``_start_blocks``) stops with BudgetExceededError.
+    zero on the chains whose boundary its Morse complex reads, and so
+    has that complex (see ``_morse_block``), and a run that would charge
+    more than ``DEFAULT_CHAIN_BUDGET`` entries (read at call time) for
+    the keys it finds and the chains of the blocks it reduces (see
+    ``_start_blocks``) stops with BudgetExceededError.
     """
     _, orbits, _ = chamber_orbits(graph, group)
     betti = {part: defaultdict(int) for part in ("all", "inner", "geodesic")}

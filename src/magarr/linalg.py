@@ -172,9 +172,10 @@ def complex_homology(degrees, columns):
     so the order of the pivots does not change the homology).  Columns
     come off a work stack; each cancels its unit entry whose row meets
     the fewest columns, and every column the update changes goes back on
-    the stack.  What survives has no unit entries; it was empty on every
-    workload measured, so the dense ``snf_diagonal`` finishes it, one
-    matrix per degree.  Returns {degree: (betti, torsion factors of the
+    the stack.  Homology hands it the Morse complex of each block, whose
+    critical cells had only unit entries and left no residue on every
+    workload measured, so the dense ``snf_diagonal`` finishes what
+    survives, one matrix per degree.  Returns {degree: (betti, torsion factors of the
     incoming map)}, in the order the degrees first occur.
     """
     cob = [set() for _ in columns]

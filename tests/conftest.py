@@ -7,7 +7,9 @@ numbers by their defining sum, polynomial powers, cyclotomic
 polynomials, cyclotomic factors by trial division, factored forms
 expanded, the determinant's product formula flat by flat, matroid
 components by separators, distances found by walking edges, relabelled
-bits one at a time, the Betti table reduced block by block, the face
+bits one at a time, a block reduced from all its chains (with the
+blocks each cached homology run reduced, for comparing with it), the
+Betti table reduced block by block, the face
 decomposition summed with one homology run per flat orbit, invariant
 factors from minors, beta invariants by scanning every flat, leading
 minors at q = 2**b with the magnitude they give on the full chamber
@@ -15,6 +17,7 @@ matrix, and distance profiles by scanning every pair of chambers."""
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import random
 from collections import defaultdict
@@ -34,10 +37,11 @@ from magarr.arrangement import (
     intersection_lattice,
     parse_arrangement,
 )
-from magarr.linalg import matrix_rank, rref
+from magarr.linalg import complex_homology, matrix_rank, rref
+import magarr.homology as homology
 from magarr.homology import (
     HomologyResult,
-    _block_homology,
+    _assert_d2_zero,
     _tidy_torsion,
     canonical_key,
     chain_count_table,
@@ -75,6 +79,7 @@ _GEOMETRY = {}
 _MAGNITUDE = {}
 _MAGNITUDE_CHECKS = {}
 _HOMOLOGY = {}
+_REDUCED = {}
 
 
 def elimination_work(order, n, bits):
@@ -125,11 +130,46 @@ def homology_of(name, lmax):
     key = (name, lmax)
     if key not in _HOMOLOGY:
         _, graph, _, group = geometry(name)
-        _HOMOLOGY[key] = magnitude_homology(
-            graph, lmax=lmax, group=group,
-            magnitude=magnitude_of(name).magnitude,
-        )
+        with recording_blocks() as reduced:
+            _HOMOLOGY[key] = magnitude_homology(
+                graph, lmax=lmax, group=group,
+                magnitude=magnitude_of(name).magnitude,
+            )
+        _REDUCED[key] = reduced
     return _HOMOLOGY[key]
+
+
+def reduced_blocks_of(name, lmax):
+    """What ``recording_blocks`` saw in the run of ``homology_of``."""
+    homology_of(name, lmax)
+    return _REDUCED[name, lmax]
+
+
+@contextlib.contextmanager
+def recording_blocks():
+    """A list of (in-edges, key, summary) for every block that
+    ``homology._morse_block`` reduces inside: the entries of the
+    search's in-edges for the keys on the block's paths, the block's
+    key and what the reduction returned."""
+    reduced = []
+    reduce = homology._morse_block
+
+    def recorded(into, key, masks, index):
+        summary = reduce(into, key, masks, index)
+        above, todo = {key: into[key]}, [key]
+        while todo:
+            for prev in into[todo.pop()][3]:
+                if prev not in above:
+                    above[prev] = into[prev]
+                    todo.append(prev)
+        reduced.append((above, key, summary))
+        return summary
+
+    homology._morse_block = recorded
+    try:
+        yield reduced
+    finally:
+        homology._morse_block = reduce
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +682,70 @@ def _chain_blocks(graph, start, lmax, interior_only=False):
                 continue
             stack.append((chain + (v,), nlength, nprofile))
     return blocks
+
+
+def _block_homology(block, masks):
+    """Betti numbers and torsion of one block, graded by degree, from
+    every chain: the oracle of ``homology._morse_block``.
+
+    The chains of ``block`` ({degree: [chains]}) are numbered once,
+    degree by degree, and each one's boundary column is built in those
+    numbers and checked to square to zero.  Returns {degree: (betti,
+    torsion factors, chain count)}.
+    """
+    degrees = sorted(block)
+    cells = [chain for k in degrees for chain in block[k]]
+    number = {chain: c for c, chain in enumerate(cells)}
+    columns = []
+    for chain in cells:
+        ms = [masks[x] for x in chain]
+        col = {}  # one entry per deletion: a chain's neighbours differ
+        for i in range(1, len(chain) - 1):
+            if (ms[i - 1] ^ ms[i]) & (ms[i] ^ ms[i + 1]):
+                continue
+            target = chain[:i] + chain[i + 1 :]
+            if target not in number:
+                raise CheckFailedError(
+                    f"boundary target {target} outside block")
+            col[number[target]] = -1 if i % 2 else 1
+        columns.append(col)
+    _assert_d2_zero(cells, columns)
+    hom = complex_homology([len(chain) - 1 for chain in cells], columns)
+    return {k: (*hom[k], len(block[k])) for k in degrees}
+
+
+def dag_chains(into, key):
+    """{degree: [chains]} of the block of ``key``: every path of the
+    in-edges of ``into`` from ``key`` back to the root, as chambers."""
+    chains = {}
+    paths = [(key, (into[key][1],))]
+    while paths:
+        state, chain = paths.pop()
+        ins = into[state][3]
+        paths += [(prev, (into[prev][1],) + chain) for prev in ins]
+        if not ins:
+            chains.setdefault(len(chain) - 1, []).append(chain)
+    return chains
+
+
+def dag_of(graph, lmax, chains):
+    """In-edges as ``homology._key_search`` returns them, through the
+    keys that ``chains`` (all from one start) step through: each
+    prefix's packed profile is a key, and the root is 0.  Its paths are
+    these chains and any others that their shared keys join."""
+    w = lmax.bit_length()
+    masks = graph.masks
+    into = {0: (0, chains[0][0], 0, [])}
+    for chain in chains:
+        key = support = length = 0
+        for u, v in zip(chain, chain[1:]):
+            sep = masks[u] ^ masks[v]
+            prev, support, length = key, support | sep, length + sep.bit_count()
+            key += sum(1 << w * h for h in range(graph.n) if sep >> h & 1)
+            entry = into.setdefault(key, (length, v, support, []))
+            if prev not in entry[3]:
+                entry[3].append(prev)
+    return into
 
 
 def unpack_key(graph, start, lmax, key):

@@ -348,12 +348,12 @@ def test_face_check_shares_no_block_with_the_main_run(
     # doubled, while the face check's localization runs reduce their own
     # blocks: had they read the main run's memo, both sides of the face
     # decomposition would double together and agree
-    block_homology = homology._block_homology
+    morse_block = homology._morse_block
     face_check = homology.face_decomposition_check
     inside = []
 
-    def perturbed(block, masks):
-        out = block_homology(block, masks)
+    def perturbed(into, key, masks, index):
+        out = morse_block(into, key, masks, index)
         if inside:
             return out
         return {k: (2 * b if k else b, tor, dim)
@@ -366,7 +366,7 @@ def test_face_check_shares_no_block_with_the_main_run(
         finally:
             inside.pop()
 
-    monkeypatch.setattr(homology, "_block_homology", perturbed)
+    monkeypatch.setattr(homology, "_morse_block", perturbed)
     monkeypatch.setattr(homology, "face_decomposition_check", marked)
     code, out, _ = _run(capsys, ["verify", _generic_file(tmp_path),
                                  "--lmax", "4"])

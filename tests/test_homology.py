@@ -11,9 +11,12 @@ import time
 import pytest
 
 from conftest import (
+    _block_homology,
     _chain_blocks,
     _raw_memo_key,
     betti_by_every_block,
+    dag_chains,
+    dag_of,
     every_block,
     face_sum_by_orbit_runs,
     general_position_rows,
@@ -22,6 +25,8 @@ from conftest import (
     key_orbit_by_closure,
     magnitude_of,
     random_arrangements,
+    recording_blocks,
+    reduced_blocks_of,
     relabel_bits_by_bits,
     stabilizer_by_closure,
     unpack_key,
@@ -37,11 +42,14 @@ from magarr.arrangement import (
 )
 from magarr.cli import golden_betti
 from magarr.errors import BudgetExceededError, CheckFailedError
+from magarr.linalg import complex_homology
 from magarr.homology import (
     _assert_d2_zero,
-    _block_homology,
+    _faces,
     _key_search,
+    _morse_block,
     _near_lists,
+    _partner,
     _relabel_bits,
     _start_blocks,
     canonical_key,
@@ -264,13 +272,13 @@ def test_face_check_reduces_each_block_once_over_its_localizations(
         runs[-1].update(memo_key for *_, memo_key in blocks)
         return blocks, spent
 
-    def block_homology(block, masks):
-        calls.append(block)
-        return _block_homology(block, masks)
+    def morse_block(into, key, masks, index):
+        calls.append(key)
+        return _morse_block(into, key, masks, index)
 
     monkeypatch.setattr(homology, "magnitude_homology", run)
     monkeypatch.setattr(homology, "_start_blocks", start_blocks)
-    monkeypatch.setattr(homology, "_block_homology", block_homology)
+    monkeypatch.setattr(homology, "_morse_block", morse_block)
     ok, _ = face_decomposition_check(lattice, res, group)
     assert ok
     assert len(runs) == 2
@@ -320,7 +328,7 @@ def test_a_start_charges_its_chains_before_reducing_a_block(
         monkeypatch, name, lmax):
     # each start charges length + 1 + n per key its search finds, and
     # len(chain) + 1 + n + REDUCTION_CHARGE per chain of each block it
-    # reduces, all before its first block is reduced
+    # reduces, built or not, all before its first block is reduced
     _, graph, _, group = geometry(name)
     n = graph.n
     events = []
@@ -341,14 +349,14 @@ def test_a_start_charges_its_chains_before_reducing_a_block(
         events.append(("charge", entries))
         return spent + entries
 
-    def block_homology(block, masks):
-        events.append(("reduce", block))
-        return _block_homology(block, masks)
+    def morse_block(into, key, masks, index):
+        events.append(("reduce", dag_chains(into, key)))
+        return _morse_block(into, key, masks, index)
 
     monkeypatch.setattr(homology, "_start_blocks", start_blocks)
     monkeypatch.setattr(homology, "_key_search", key_search)
     monkeypatch.setattr(homology, "_charge", charge)
-    monkeypatch.setattr(homology, "_block_homology", block_homology)
+    monkeypatch.setattr(homology, "_morse_block", morse_block)
     magnitude_homology(graph, lmax=lmax, group=group)
     starts = 0
     for kind, value in events:
@@ -419,6 +427,159 @@ def test_boundary_target_outside_block_is_named():
         with pytest.raises(CheckFailedError,
                            match=r"^boundary target \(0, 3\) outside block$"):
             _block_homology(block, graph.masks)
+    # on the hexagon, (0, 3, 4) crosses h2 then h1, a run, and (0, 4)
+    # crosses both at once from 0, whose flip at h1 is no chamber: both
+    # are critical, and in-edges without the step 0 -> 4 hold only the
+    # first, so its Morse boundary reaches a critical face never built
+    _, graph, _, _ = geometry("braid:3")
+    assert graph.masks == (0, 1, 3, 4, 6, 7)
+    into = dag_of(graph, 3, [(0, 3, 4)])
+    assert dag_chains(into, max(into)) == {2: [(0, 3, 4)]}
+    with pytest.raises(CheckFailedError,
+                       match=r"^boundary target \(0, 4\) outside block$"):
+        _morse_block(into, max(into), graph.masks, graph.index)
+
+
+def _word(chain, masks):
+    """(least hyperplane's bit, size) of each step's crossing set."""
+    seps = [masks[u] ^ masks[v] for u, v in zip(chain, chain[1:])]
+    return [(sep & -sep, sep.bit_count()) for sep in seps]
+
+
+def _deletions(graph, chain):
+    """(i, face) per inner chamber lying between its two neighbours in
+    the chamber metric: the terms of the boundary, read from distances."""
+    return [(i, chain[:i] + chain[i + 1 :]) for i in range(1, len(chain) - 1)
+            if graph.dist(chain[i - 1], chain[i + 1])
+            == graph.dist(chain[i - 1], chain[i])
+            + graph.dist(chain[i], chain[i + 1])]
+
+
+@pytest.mark.parametrize("name, lmax", [
+    ("boolean:3", 4), ("braid:4", 5), ("u34", 5), ("coxeter:B2", 6),
+    ("bracelet", 3)])
+def test_matching_is_an_acyclic_involution_of_unit_incidences(name, lmax):
+    # on every chain of every block: the partner's partner is the chain,
+    # in the same block, the shorter of the two is the longer's face with
+    # coefficient +-1, and every other face of an up-partner has a
+    # smaller word than the chain, so no zig-zag path closes
+    _, graph, _, _ = geometry(name)
+    masks, index = graph.masks, graph.index
+    paired = critical = 0
+    for start in range(len(graph)):
+        for block in _chain_blocks(graph, start, lmax).values():
+            chains = {chain for cs in block.values() for chain in cs}
+            for chain in chains:
+                pair = _partner(chain, masks, index)
+                if pair is None:
+                    critical += 1
+                    continue
+                i, other = pair
+                assert other in chains, (chain, other)
+                assert _partner(other, masks, index) == (i, chain)
+                up, down = sorted((chain, other), key=len, reverse=True)
+                faces = _deletions(graph, up)
+                assert sum((-1) ** j for j, face in faces
+                           if face == down) == (-1) ** i, (up, down)
+                if up is other:
+                    word = _word(chain, masks)
+                    assert all(_word(face, masks) < word
+                               for j, face in faces if j != i), chain
+                paired += 1
+    assert paired > critical > 0
+
+
+def test_only_critical_cells_reach_the_smith_reduction(monkeypatch):
+    # u45 at lmax 6 reduces blocks of 12,105 chains in all, of which the
+    # matching leaves 195 critical: complex_homology sees those alone,
+    # one call per reduced block, so its call count is the block count
+    _, graph, _, group = geometry("u45")
+    calls = []
+
+    def counted(degrees, columns):
+        calls.append(len(degrees))
+        return complex_homology(degrees, columns)
+
+    monkeypatch.setattr(homology, "complex_homology", counted)
+    with recording_blocks() as reduced:
+        magnitude_homology(graph, lmax=6, group=group)
+    assert len(calls) == len(reduced) == 69
+    assert sum(calls) == 195
+    assert sum(dim for _, _, summary in reduced
+               for _, _, dim in summary.values()) == 12105
+
+
+def test_boundary_square_guard_reads_the_deletion_rule(monkeypatch):
+    # (0, 1, 3, 7) on the cube crosses h0, h1, h2 and may delete 1 or 2,
+    # each face then deleting its other inner chamber: a rule that forgets
+    # the last deletion of a degree-3 chain leaves (0, 7) once in the
+    # boundary of the boundary, and every run reading such a boundary stops
+    _, graph, _, _ = geometry("boolean:3")
+    assert graph.masks == tuple(range(8))
+    chain = (0, 1, 3, 7)
+    assert _faces(chain, graph.masks) == [(1, (0, 3, 7)), (2, (0, 1, 7))]
+    inner = homology._inner
+    monkeypatch.setattr(homology, "_inner",
+                        lambda ms: inner(ms)[: 1 if len(ms) == 4 else None])
+    with pytest.raises(CheckFailedError, match=r"^boundary composed with "
+                       r"itself is nonzero in degree 3 at chain "
+                       r"\(0, 1, 3, 7\)$"):
+        _faces(chain, graph.masks)
+    with pytest.raises(CheckFailedError, match="boundary composed with"):
+        magnitude_homology(graph, lmax=4)
+
+
+def test_critical_chains_must_have_the_euler_characteristic(monkeypatch):
+    # a rule that matches the chains it should leave critical, with no
+    # partner to show for it, loses them from the enumeration
+    _, graph, _, _ = geometry("braid:3")
+    rule = homology._rule
+
+    def lossy(prev, mu, sep, index):
+        kind, value = rule(prev, mu, sep, index)
+        return (homology._DOWN, None) if kind == homology._CRITICAL else (
+            kind, value)
+
+    monkeypatch.setattr(homology, "_rule", lossy)
+    with pytest.raises(CheckFailedError, match=r"^critical chains of the "
+                       r"block from \d+ to \d+ at length \d+ have Euler "
+                       r"characteristic -?\d+, its chains -?\d+$"):
+        magnitude_homology(graph, lmax=4)
+
+
+def test_a_cycle_of_the_matching_is_named(monkeypatch):
+    # pair a second face b' of some U(b) with U(b) as well, b being a face
+    # of a critical chain: the image of b then needs that of b', which
+    # needs that of b
+    _, graph, _, _ = geometry("braid:3")
+    masks, index = graph.masks, graph.index
+
+    def doubled(chains):
+        """(U(b), position, b') for the first such b' in the block."""
+        for c in chains:
+            if _partner(c, masks, index) is not None:
+                continue
+            for _, b in _faces(c, masks):
+                pair = _partner(b, masks, index)
+                if pair is None or len(pair[1]) < len(b):
+                    continue
+                for j, other in _faces(pair[1], masks):
+                    if other != b:
+                        return pair[1], j, other
+        return None
+
+    for block in _chain_blocks(graph, 0, 4).values():
+        chains = [chain for cs in block.values() for chain in cs]
+        if found := doubled(chains):
+            break
+    up, j, other = found
+    partner = homology._partner
+    monkeypatch.setattr(homology, "_partner", lambda chain, *args: (
+        (j, up) if chain == other else partner(chain, *args)))
+    into = dag_of(graph, 4, chains)
+    with pytest.raises(CheckFailedError,
+                       match=r"^matching has a cycle at \(\d+(, \d+)*\)$"):
+        _morse_block(into, max(into), masks, index)
 
 
 def test_torsion_free_on_quick_fixtures():
@@ -590,6 +751,30 @@ def test_collapsed_run_matches_every_block(source, lmax, interior_only):
     assert collapsed.betti and all(collapsed.checks.values())
 
 
+@pytest.mark.parametrize("source, lmax, interior_only", [
+    *((name, None, False) for name in CATALOG_NAMES),
+    *((i, 5, False) for i in range(len(RANDOM_MEMO_CASES))),
+    *((i, arr.n + 1, True) for i, arr in enumerate(RANDOM_MEMO_CASES)),
+])
+def test_each_reduced_block_matches_the_full_reduction(
+        source, lmax, interior_only):
+    # every block a run reduces through its Morse complex has the Betti
+    # numbers, torsion and chain count per degree that reducing all its
+    # chains gives; a catalog name is read from the cached run at its
+    # default cap
+    graph, group, _ = _memo_case(source)
+    if lmax is None:
+        reduced = reduced_blocks_of(source, default_length_cap(graph))
+    else:
+        with recording_blocks() as reduced:
+            magnitude_homology(graph, lmax=lmax, group=group,
+                               interior_only=interior_only)
+    assert reduced
+    for into, key, summary in reduced:
+        assert summary == _block_homology(dag_chains(into, key),
+                                          graph.masks), (source, key)
+
+
 @pytest.mark.parametrize("source, lmax, interior_only",
                          MEMO_CASES + SHAPE_CASES)
 def test_each_shape_is_classified_once_per_run(
@@ -678,11 +863,11 @@ def test_reversal_classes(source, lmax, interior_only, monkeypatch):
                                    canonical_key(*flipped)}))
     reduced = []
 
-    def counted(block, masks):
-        reduced.append(block)
-        return _block_homology(block, masks)
+    def counted(into, key, masks, index):
+        reduced.append(key)
+        return _morse_block(into, key, masks, index)
 
-    monkeypatch.setattr(homology, "_block_homology", counted)
+    monkeypatch.setattr(homology, "_morse_block", counted)
     magnitude_homology(graph, lmax=lmax, group=group,
                        interior_only=interior_only)
     assert len(reduced) == len(classes)
