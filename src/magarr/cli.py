@@ -47,6 +47,8 @@ from .polyq import IntPoly
 TASKS = ("mag", "homology", "lattice", "verify", "conjectures")
 REPORT_SCHEMA = 1
 SCHEMA_VERSION = 2  # cache payload
+# the 3-chain line is read off the rank; the limit only keeps it to the
+# outputs that have always printed it
 FOUR_CUT_LIMIT = 60
 
 
@@ -252,7 +254,7 @@ def _mag_task(args, graph, lattice, group):
     }
 
 
-def _homology_task(args, graph, group):
+def _homology_task(args, graph, lattice, group):
     lmax = args.lmax if args.lmax is not None else default_length_cap(graph)
     mag, (system, _) = magnitude_fraction(graph, group)
     res = magnitude_homology(graph, lmax=lmax, group=group, magnitude=mag,
@@ -266,7 +268,7 @@ def _homology_task(args, graph, group):
         "checks": dict(res.checks),
     }
     if len(graph) <= FOUR_CUT_LIMIT:
-        out["four_cut_min"] = four_cut_minimum(graph, group=group)
+        out["four_cut_min"] = four_cut_minimum(lattice.rank, graph.n)
     return out
 
 
@@ -395,7 +397,7 @@ def run(args):
     if task == "mag":
         out = _mag_task(args, graph, lattice, group)
     elif task == "homology":
-        out = _homology_task(args, graph, group)
+        out = _homology_task(args, graph, lattice, group)
     elif task == "lattice":
         out = _lattice_task(lattice)
     elif task == "conjectures":
@@ -553,8 +555,16 @@ def main(argv=None):
             print(f"error: --json {args.json}: cannot write ({exc})",
                   file=sys.stderr)
             return 2
-    for line in render(bundle):
-        print(line)
+    try:
+        for line in render(bundle):
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again on exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout: closed before the report was written",
+              file=sys.stderr)
+        return 2
     if failures:
         print("failed checks: " + ", ".join(sorted(failures)), file=sys.stderr)
         return 1

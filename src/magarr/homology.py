@@ -179,12 +179,14 @@ def _key_search(graph, start, lmax, spent, full_support_only, around):
     paths of in-edges back to the root, key 0.  ``full_support_only``
     cuts the steps after which every hyperplane can no longer be crossed
     within ``lmax``.  Each key found is charged length + 1 + n (the
-    longest chain its block could hold, and its profile); ``around`` is
-    the run's ``_near_lists``.
+    longest chain its block could hold, and its profile), and each
+    in-edge past a key's first one entry, added to the next key's charge;
+    ``around`` is the run's ``_near_lists``.
     """
     n = graph.n
     into = {0: (0, start, 0, [])}  # key -> length, end, support, in-edges
     stack = [0]
+    edges = 0  # in-edges recorded since the last charge
     while stack:
         key = stack.pop()
         length, u, support, _ = into[key]
@@ -200,12 +202,14 @@ def _key_search(graph, start, lmax, spent, full_support_only, around):
                 reached = key + inc
                 entry = into.get(reached)
                 if entry is None:
-                    spent = _charge(spent, length + d + 1 + n)
+                    spent = _charge(spent, length + d + 1 + n + edges)
+                    edges = 0
                     into[reached] = (length + d, v, support | sep, [key])
                     stack.append(reached)
                 else:
                     entry[3].append(key)
-    return into, spent
+                    edges += 1
+    return into, _charge(spent, edges)
 
 
 def _start_blocks(graph, start, lmax, spent, full_support_only, around,
@@ -235,7 +239,7 @@ def _start_blocks(graph, start, lmax, spent, full_support_only, around,
     counts, every top xored by the odd-count bits) if known; else its
     block is reduced by ``_morse_block``, one block at a time, and
     ``memo`` maps it to the block's summary.  ``spent`` counts what the
-    run has charged: the keys found and len(chain) + 1 + n +
+    run has charged: the keys and in-edges found and len(chain) + 1 + n +
     REDUCTION_CHARGE per chain of each block to be reduced, whether the
     matching builds it or not, all charged before the first block is
     reduced; past ``DEFAULT_CHAIN_BUDGET`` (read at call time) it raises
@@ -870,47 +874,30 @@ def face_decomposition_check(lattice, result, group):
     return got == want, got
 
 
-def four_cut_minimum(graph, group):
+def four_cut_minimum(rank, n):
     """Shortest degree-3 chain whose halves are geodesic but which is not.
 
     Crossing sets s1, s2, s3 of the three steps must satisfy s1 and s2
-    disjoint, s2 and s3 disjoint, s1 meeting s3.  Returns the minimal
-    total length, or None when none exists up to n + 2.
+    disjoint, s2 and s3 disjoint, s1 meeting s3.  Returns the least total
+    length, read off the rank and the hyperplane count n; None in rank 1,
+    whose one hyperplane leaves no two steps disjoint.
+
+    In rank 2 the tope graph is a 2n-cycle whose edges i and i + n cross
+    the same hyperplane.  A geodesic half goes one way round, so two of them
+    force all three steps the same way: a, b and c edges with a + b <= n,
+    crossing those of edges [0, a) and [a + b, a + b + c), which share a
+    hyperplane only if a + b + c > n.  Steps of 1, n - 1 and 1 attain
+    n + 1.  From rank 3 on, the hyperplanes through a rank-3 flat are
+    lines of the real projective plane not all through one point, so by
+    the dual Sylvester-Gallai theorem (E. Melchior, 1940) some point lies
+    on exactly two of them: a rank-2 flat on exactly two hyperplanes g
+    and h.  The four chambers around a generic point of it form a square
+    and hold the chain crossing h, g, h, of length 3, the least any three
+    steps can have.
     """
-    cap = graph.n + 2
-    _, orbits, _ = chamber_orbits(graph, group)
-    masks = graph.masks
-    size = len(graph)
-    best = None
-    for members in orbits:
-        x0 = members[0]
-        m0 = masks[x0]
-        for x1 in range(size):
-            if x1 == x0:
-                continue
-            s1 = m0 ^ masks[x1]
-            d1 = s1.bit_count()
-            if best is not None and d1 + 2 >= best:
-                continue
-            for x2 in range(size):
-                if x2 == x1:
-                    continue
-                s2 = masks[x1] ^ masks[x2]
-                if s1 & s2:
-                    continue
-                d2 = s2.bit_count()
-                if best is not None and d1 + d2 + 1 >= best:
-                    continue
-                for x3 in range(size):
-                    if x3 == x2:
-                        continue
-                    s3 = masks[x2] ^ masks[x3]
-                    if s2 & s3 or not s1 & s3:
-                        continue
-                    total = d1 + d2 + s3.bit_count()
-                    if total <= cap and (best is None or total < best):
-                        best = total
-    return best
+    if rank < 2:
+        return None
+    return n + 1 if rank == 2 else 3
 
 
 # ---------------------------------------------------------------------------

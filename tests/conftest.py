@@ -865,6 +865,51 @@ def face_sum_by_orbit_runs(lattice, result, group):
     return {k: v for k, v in total.items() if v}
 
 
+def four_cut_by_search(graph, group):
+    """Shortest degree-3 chain whose halves are geodesic but which is not.
+
+    Crossing sets s1, s2, s3 of the three steps must satisfy s1 and s2
+    disjoint, s2 and s3 disjoint, s1 meeting s3.  Returns the minimal
+    total length, or None when none exists up to n + 2, by trying every
+    chamber triple after one start per orbit: the oracle of the closed
+    form ``homology.four_cut_minimum``.
+    """
+    cap = graph.n + 2
+    _, orbits, _ = chamber_orbits(graph, group)
+    masks = graph.masks
+    size = len(graph)
+    best = None
+    for members in orbits:
+        x0 = members[0]
+        m0 = masks[x0]
+        for x1 in range(size):
+            if x1 == x0:
+                continue
+            s1 = m0 ^ masks[x1]
+            d1 = s1.bit_count()
+            if best is not None and d1 + 2 >= best:
+                continue
+            for x2 in range(size):
+                if x2 == x1:
+                    continue
+                s2 = masks[x1] ^ masks[x2]
+                if s1 & s2:
+                    continue
+                d2 = s2.bit_count()
+                if best is not None and d1 + d2 + 1 >= best:
+                    continue
+                for x3 in range(size):
+                    if x3 == x2:
+                        continue
+                    s3 = masks[x2] ^ masks[x3]
+                    if s2 & s3 or not s1 & s3:
+                        continue
+                    total = d1 + d2 + s3.bit_count()
+                    if total <= cap and (best is None or total < best):
+                        best = total
+    return best
+
+
 # ---------------------------------------------------------------------------
 # oracle: Smith normal form from determinantal divisors
 

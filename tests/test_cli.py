@@ -454,6 +454,19 @@ def test_homology_tsv_shape(capsys):
     assert "shortest non-geodesic 3-chain: 3" in out
 
 
+def test_three_chain_line_prints_up_to_sixty_chambers(capsys):
+    # the closed form in rank 2 (n + 1), from rank 3 on (3) and in rank 1
+    # (none), printed only up to FOUR_CUT_LIMIT chambers
+    lines = {"nearpencil:16": "3", "nearpencil:17": None, "coxeter:B2": "5",
+             "braid:3": "4", "boolean:1": None}
+    for name, want in lines.items():
+        code, out, _ = _run(capsys, ["homology", name, "--lmax", "2"])
+        assert code == 0
+        got = [l.rpartition(": ")[2] for l in out.splitlines()
+               if l.startswith("shortest non-geodesic 3-chain: ")]
+        assert got == ([want] if want else []), name
+
+
 def test_verify_passes_on_catalog_fixture(capsys):
     code, out, err = _run(capsys, ["verify", "braid:3", "--lmax", "4"])
     assert code == 0, err
@@ -497,11 +510,20 @@ def test_conjectures_see_a_sum_without_rank2_joins(capsys, tmp_path):
     code, out, _ = _run(capsys, ["conjectures", str(path), "--lmax", "5"])
     assert code == 0
     assert out.splitlines()[0].endswith(" 28 chambers")
-    corner = json.loads("\n".join(out.splitlines()[1:]))[
-        "corner_matches_chambers"]
+    payload = json.loads("\n".join(out.splitlines()[1:]))
+    corner = payload["corner_matches_chambers"]
     assert corner["decomposable"] is True
     assert corner["components"] == [[0, 1, 2, 3], [4]]
     assert corner["applies"] is False
+    # the cyclotomic probe does not exclude decomposable arrangements: in
+    # rank 4 it asks for Phi_5, finds a non-uniform distance profile and
+    # no Phi_5, and reports a counterexample.  A decision to exclude
+    # them must edit this test.
+    probe = payload["nonuniform_forces_cyclotomic_factor"]
+    assert probe["counterexample"] is True
+    assert probe["required_order"] == 5
+    assert probe["profile_uniform"] is False
+    assert payload["no_counterexample"] is False
 
 
 def test_lattice_task_lists_flats(capsys):
@@ -747,6 +769,27 @@ def test_unusable_output_path_is_a_usage_error(capsys, tmp_path, flag):
     assert out == ""
     assert len([l for l in err.splitlines() if l.startswith("error:")]) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("task", cli.TASKS)
+def test_closed_stdout_is_a_usage_error(task):
+    # stdout is a pipe whose read end is closed before the run starts
+    read, write = os.pipe()
+    os.close(read)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "magarr.cli", task, "boolean:2"],
+            stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    errors = [l for l in proc.stderr.splitlines() if l.startswith("error:")]
+    assert len(errors) == 1 and "stdout" in errors[0]
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
 
 
 def test_negative_lmax_rejected(capsys):

@@ -19,6 +19,7 @@ from conftest import (
     dag_of,
     every_block,
     face_sum_by_orbit_runs,
+    four_cut_by_search,
     general_position_rows,
     geometry,
     homology_of,
@@ -307,10 +308,31 @@ def test_each_raw_memo_key_is_canonicalized_once(monkeypatch, name):
 
 
 def test_four_cut_minima():
+    # the closed form against the chamber-triple search: the catalog,
+    # pencils of 1 to 15 lines in the plane, and seeded random
+    # arrangements of at most 60 chambers in R^2 to R^5
     values = {"boolean:2": 3, "braid:3": 4, "u34": 3, "coxeter:B2": 5}
     for name, want in values.items():
-        _, graph, _, group = geometry(name)
-        assert four_cut_minimum(graph, group=group) == want
+        _, graph, lattice, _ = geometry(name)
+        assert four_cut_minimum(lattice.rank, graph.n) == want
+    cases = [geometry(name)[1:] for name in CATALOG_NAMES]
+    arrangements = [parse_arrangement([[1, t] for t in range(count)])
+                    for count in range(1, 16)]
+    for dim in range(2, 6):
+        arrangements += random_arrangements(20, seed=3800 + dim, nmin=2,
+                                            nmax=6, dim=dim)
+    for arr in arrangements:
+        graph = enumerate_chambers(arr)
+        if len(graph) <= 60:
+            cases.append((graph, intersection_lattice(graph), None))
+    assert len(cases) >= len(CATALOG_NAMES) + 15 + 50
+    ranks = Counter()
+    for graph, lattice, group in cases:
+        want = four_cut_by_search(graph, group)
+        assert four_cut_minimum(lattice.rank, graph.n) == want
+        ranks[min(lattice.rank, 3), want == 3] += 1
+    # rank 2 with n > 2 tells n + 1 from 3, and rank 3 and up from n + 1
+    assert ranks[2, False] and ranks[3, True] and not ranks[3, False]
 
 
 def test_budget_is_enforced(monkeypatch):
@@ -326,7 +348,8 @@ def test_budget_is_enforced(monkeypatch):
     ("boolean:3", 4), ("braid:3", 5), ("u34", 5), ("coxeter:B2", 6)])
 def test_a_start_charges_its_chains_before_reducing_a_block(
         monkeypatch, name, lmax):
-    # each start charges length + 1 + n per key its search finds, and
+    # each start charges length + 1 + n per key its search finds, one
+    # per in-edge it records past a key's first, and
     # len(chain) + 1 + n + REDUCTION_CHARGE per chain of each block it
     # reduces, built or not, all before its first block is reduced
     _, graph, _, group = geometry(name)
@@ -341,8 +364,8 @@ def test_a_start_charges_its_chains_before_reducing_a_block(
 
     def key_search(graph, start, lmax, *args):
         into, spent = _key_search(graph, start, lmax, *args)
-        events.append(("keys", [unpack_key(graph, start, lmax, key)
-                                for key in into]))
+        events.append(("keys", [(unpack_key(graph, start, lmax, key)[0],
+                                 len(ins)) for key, (*_, ins) in into.items()]))
         return into, spent
 
     def charge(spent, entries):
@@ -370,7 +393,8 @@ def test_a_start_charges_its_chains_before_reducing_a_block(
             want += sum(len(c) + 1 + n + homology.REDUCTION_CHARGE
                         for chains in value.values() for c in chains)
         elif kind == "keys":  # every key the search found, and the root
-            want += sum(length + 1 + n for length, _, _ in value if length)
+            want += sum(length + 1 + n + (ins - 1)
+                        for length, ins in value if length)
         else:
             assert charged == want
             starts += 1
