@@ -238,11 +238,13 @@ def _start_blocks(graph, start, lmax, spent, full_support_only, around,
     A key new to ``memo`` reads the entry of its reversal (the same
     counts, every top xored by the odd-count bits) if known; else its
     block is reduced by ``_morse_block``, one block at a time, and
-    ``memo`` maps it to the block's summary.  ``spent`` counts what the
-    run has charged: the keys and in-edges found and len(chain) + 1 + n +
-    REDUCTION_CHARGE per chain of each block to be reduced, whether the
-    matching builds it or not, all charged before the first block is
-    reduced; past ``DEFAULT_CHAIN_BUDGET`` (read at call time) it raises
+    ``memo`` maps it to the block's summary.  The chains ending at each
+    key are counted by degree once, in one table that the charge and
+    each reduced block read.  ``spent`` counts what the run has charged:
+    the keys and in-edges found and chambers + 1 + n + REDUCTION_CHARGE
+    per chain of each block to be reduced, whether the matching builds
+    it or not, all charged before the first block is reduced; past
+    ``DEFAULT_CHAIN_BUDGET`` (read at call time) it raises
     BudgetExceededError.
     """
     into, spent = _key_search(graph, start, lmax, spent, full_support_only,
@@ -299,18 +301,23 @@ def _start_blocks(graph, start, lmax, spent, full_support_only, around,
         for summary, count in tallies[shape].items():
             blocks[summary] += times * count
 
-    # ending[key]: the chains ending at key and their total size, so every
-    # chain of a block to be reduced is charged before the first block is
-    # reduced; a key's in-edges come from smaller keys
+    # paths[key]: the chains ending at key by degree, field d of width bits
+    # counting those of d steps, which are among len(into)**d key sequences;
+    # a key's in-edges come from smaller keys
     if new:
-        ending = {}
+        width = lmax * len(into).bit_length() + 1
+        paths = {}
         for key in sorted(into):
-            ins = [ending[prev] for prev in into[key][3]] or [(1, 0)]
-            ending[key] = (sum(c for c, _ in ins), sum(c + t for c, t in ins))
-        for count, total in map(ending.get, new.values()):
-            spent = _charge(spent, total + count * (1 + n + REDUCTION_CHARGE))
-    for memo_key, key in new.items():
-        memo[memo_key] = _morse_block(into, key, graph.masks, index)
+            paths[key] = sum(paths[prev] for prev in into[key][3]) << width or 1
+        ones = (1 << width) - 1
+        for memo_key, key in new.items():
+            dims = {d: c for d in range(into[key][0] + 1)
+                    if (c := paths[key] >> d * width & ones)}
+            spent = _charge(spent, sum((d + 2 + n + REDUCTION_CHARGE) * c
+                                       for d, c in dims.items()))
+            new[memo_key] = key, dims
+        for memo_key, (key, dims) in new.items():
+            memo[memo_key] = _morse_block(into, key, dims, graph.masks, index)
     return blocks, spent
 
 
@@ -436,41 +443,30 @@ def _faces(chain, masks):
     return [(i, chain[:i] + chain[i + 1 :]) for i in inner]
 
 
-def _morse_block(into, key, masks, index):
+def _morse_block(into, key, dims, masks, index):
     """{degree: (betti, torsion factors, chain count)} of the block whose
     chains are the paths of in-edges of ``into`` (from ``_key_search``)
-    from the root to ``key``.
+    from the root to ``key``, ``dims`` ({degree: chain count}) of them.
 
-    The chains are counted along the in-edges, and only the critical
-    ones of the matching (module docstring) are built.  The Morse
-    differential sums the images of a critical chain's faces: b itself
-    if b is critical, 0 if b is paired down, and for b paired with U(b)
-    at deletion i, -(-1)**i times the signed images of the other faces
-    of U(b).  Raises CheckFailedError when the boundary read of a chain
-    (``_faces``) or the Morse complex does not square to zero, when the
-    critical chains miss the block's Euler characteristic, when a
-    critical face was not built, or when a zig-zag meets its own start.
+    Only the critical chains of the matching (module docstring) are
+    built, forward along the out-edges that one walk back from ``key``
+    records.  The Morse differential sums the images of a critical
+    chain's faces: b itself if b is critical, 0 if b is paired down, and
+    for b paired with U(b) at deletion i, -(-1)**i times the signed
+    images of the other faces of U(b).  Raises CheckFailedError when the
+    boundary read of a chain (``_faces``) or the Morse complex does not
+    square to zero, when the critical chains miss the Euler
+    characteristic of ``dims``, when a critical face was not built, or
+    when a zig-zag meets its own start.
     """
-    above = {key}  # the keys on some path to key
-    todo = [key]
+    after, todo = {key: []}, [key]  # out-edges of the keys on paths to key
     while todo:
-        for prev in into[todo.pop()][3]:
-            if prev not in above:
-                above.add(prev)
-                todo.append(prev)
-    # the paths to a key by degree, one width-bit field each: a path has
-    # at most length steps, each to one of the keys in above
-    width = into[key][0] * len(above).bit_length() + 1
-    graded, after = {0: 1}, {k: [] for k in above}  # after: out-edges
-    for k in sorted(above)[1:]:  # an in-edge comes from a smaller key
-        total = 0
+        k = todo.pop()
         for prev in into[k][3]:
-            total += graded[prev]
+            if prev not in after:
+                after[prev] = []
+                todo.append(prev)
             after[prev].append(k)
-        graded[k] = total << width
-    field = (1 << width) - 1
-    dims = {d: c for d in range(into[key][0] + 1)
-            if (c := graded[key] >> d * width & field)}
 
     cells = []
     stack = [(0, (into[0][1],), 0, False)]  # key, prefix, run's last bit

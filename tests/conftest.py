@@ -154,8 +154,8 @@ def recording_blocks():
     reduced = []
     reduce = homology._morse_block
 
-    def recorded(into, key, masks, index):
-        summary = reduce(into, key, masks, index)
+    def recorded(into, key, *rest):
+        summary = reduce(into, key, *rest)
         above, todo = {key: into[key]}, [key]
         while todo:
             for prev in into[todo.pop()][3]:

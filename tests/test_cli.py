@@ -352,8 +352,8 @@ def test_face_check_shares_no_block_with_the_main_run(
     face_check = homology.face_decomposition_check
     inside = []
 
-    def perturbed(into, key, masks, index):
-        out = morse_block(into, key, masks, index)
+    def perturbed(into, key, *rest):
+        out = morse_block(into, key, *rest)
         if inside:
             return out
         return {k: (2 * b if k else b, tor, dim)

@@ -64,10 +64,16 @@ from magarr.homology import (
     structural_checks,
 )
 from magarr.magnitude import chamber_orbits, magnitude_direct, orbit_matrix
+from magarr.polyq import reduce_fraction
 
 
 def _cells(table):
     return {k: v for k, v in table.items() if v}
+
+
+def _dims(into, key):
+    """{degree: chain count} of the block of ``key``, from the oracle."""
+    return {d: len(cs) for d, cs in dag_chains(into, key).items()}
 
 
 def _structural(name, lmax, result=None):
@@ -105,6 +111,52 @@ def test_builtin_consistency_checks(name):
     assert res.checks["euler_of_homology_matches_chains"]
     assert res.checks["euler_matches_series"]
     assert all(res.checks.values())
+
+
+def _count_off_by_one(monkeypatch):
+    table = homology.chain_count_table
+
+    def off(*args):
+        counted = table(*args)
+        counted[1, 1] += 1
+        return counted
+
+    monkeypatch.setattr(homology, "chain_count_table", off)
+
+
+def _positive_degrees_doubled(monkeypatch):
+    morse_block = homology._morse_block
+
+    def doubled(*args):
+        return {k: (2 * b if k else b, tor, dim)
+                for k, (b, tor, dim) in morse_block(*args).items()}
+
+    monkeypatch.setattr(homology, "_morse_block", doubled)
+
+
+@pytest.mark.parametrize("doctor,shifted,failing", [
+    (_count_off_by_one, None, {"chain_counts_match_recursion"}),
+    (None, 3, {"euler_matches_series"}),
+    (_positive_degrees_doubled, None, {"euler_of_homology_matches_chains"}),
+], ids=["count", "series", "betti"])
+def test_the_run_checks_fail_on_doctored_inputs(monkeypatch, doctor,
+                                                 shifted, failing):
+    # each doctored input fails exactly its own check: a chain count table
+    # off by one at (1, 1), a magnitude plus q^shifted, whose series is one
+    # higher at that length, and a reduction doubling every Betti number in
+    # positive degree, which moves the Euler sum at length 1 (b_11 > 0)
+    _, graph, _, group = geometry("braid:3")
+    magnitude = magnitude_of("braid:3").magnitude
+    if shifted is not None:
+        magnitude = reduce_fraction(
+            magnitude.num + magnitude.den.shift(shifted), magnitude.den)
+    if doctor is not None:
+        doctor(monkeypatch)
+    res = magnitude_homology(graph, lmax=4, group=group, magnitude=magnitude)
+    assert set(res.checks) == {"chain_counts_match_recursion",
+                               "euler_of_homology_matches_chains",
+                               "euler_matches_series"}
+    assert {name for name, ok in res.checks.items() if not ok} == failing
 
 
 def test_chain_counts_agree_with_enumeration():
@@ -273,9 +325,9 @@ def test_face_check_reduces_each_block_once_over_its_localizations(
         runs[-1].update(memo_key for *_, memo_key in blocks)
         return blocks, spent
 
-    def morse_block(into, key, masks, index):
+    def morse_block(into, key, *rest):
         calls.append(key)
-        return _morse_block(into, key, masks, index)
+        return _morse_block(into, key, *rest)
 
     monkeypatch.setattr(homology, "magnitude_homology", run)
     monkeypatch.setattr(homology, "_start_blocks", start_blocks)
@@ -372,9 +424,9 @@ def test_a_start_charges_its_chains_before_reducing_a_block(
         events.append(("charge", entries))
         return spent + entries
 
-    def morse_block(into, key, masks, index):
+    def morse_block(into, key, *rest):
         events.append(("reduce", dag_chains(into, key)))
-        return _morse_block(into, key, masks, index)
+        return _morse_block(into, key, *rest)
 
     monkeypatch.setattr(homology, "_start_blocks", start_blocks)
     monkeypatch.setattr(homology, "_key_search", key_search)
@@ -461,7 +513,8 @@ def test_boundary_target_outside_block_is_named():
     assert dag_chains(into, max(into)) == {2: [(0, 3, 4)]}
     with pytest.raises(CheckFailedError,
                        match=r"^boundary target \(0, 4\) outside block$"):
-        _morse_block(into, max(into), graph.masks, graph.index)
+        _morse_block(into, max(into), _dims(into, max(into)), graph.masks,
+                     graph.index)
 
 
 def _word(chain, masks):
@@ -554,9 +607,22 @@ def test_boundary_square_guard_reads_the_deletion_rule(monkeypatch):
 
 
 def test_critical_chains_must_have_the_euler_characteristic(monkeypatch):
+    named = (r"^critical chains of the block from \d+ to \d+ at length \d+ "
+             r"have Euler characteristic -?\d+, its chains -?\d+$")
+    # counts handed in that miss the block: its own, one degree raised
+    _, graph, _, _ = geometry("braid:3")
+    block = max(_chain_blocks(graph, 0, 4).values(),
+                key=lambda b: sum(map(len, b.values())))
+    into = dag_of(graph, 4, [c for cs in block.values() for c in cs])
+    key = max(into)
+    dims = _dims(into, key)
+    assert dims == {d: len(cs) for d, cs in block.items()}
+    _morse_block(into, key, dims, graph.masks, graph.index)
+    dims[min(dims)] += 1
+    with pytest.raises(CheckFailedError, match=named):
+        _morse_block(into, key, dims, graph.masks, graph.index)
     # a rule that matches the chains it should leave critical, with no
     # partner to show for it, loses them from the enumeration
-    _, graph, _, _ = geometry("braid:3")
     rule = homology._rule
 
     def lossy(prev, mu, sep, index):
@@ -565,9 +631,7 @@ def test_critical_chains_must_have_the_euler_characteristic(monkeypatch):
             kind, value)
 
     monkeypatch.setattr(homology, "_rule", lossy)
-    with pytest.raises(CheckFailedError, match=r"^critical chains of the "
-                       r"block from \d+ to \d+ at length \d+ have Euler "
-                       r"characteristic -?\d+, its chains -?\d+$"):
+    with pytest.raises(CheckFailedError, match=named):
         magnitude_homology(graph, lmax=4)
 
 
@@ -603,7 +667,7 @@ def test_a_cycle_of_the_matching_is_named(monkeypatch):
     into = dag_of(graph, 4, chains)
     with pytest.raises(CheckFailedError,
                        match=r"^matching has a cycle at \(\d+(, \d+)*\)$"):
-        _morse_block(into, max(into), masks, index)
+        _morse_block(into, max(into), _dims(into, max(into)), masks, index)
 
 
 def test_torsion_free_on_quick_fixtures():
@@ -887,9 +951,9 @@ def test_reversal_classes(source, lmax, interior_only, monkeypatch):
                                    canonical_key(*flipped)}))
     reduced = []
 
-    def counted(into, key, masks, index):
+    def counted(into, key, *rest):
         reduced.append(key)
-        return _morse_block(into, key, masks, index)
+        return _morse_block(into, key, *rest)
 
     monkeypatch.setattr(homology, "_morse_block", counted)
     magnitude_homology(graph, lmax=lmax, group=group,
