@@ -25,6 +25,23 @@ by support and tallied once per shape of local tope set in a run, and a
 later group of a shape already met reads that tally and classifies no
 key.
 
+Starts whose balls match share one search.  A start's ball is the set
+of masks x ^ start of the chambers x within min(lmax, n) of it.  A chain
+of at most lmax steps from the start stays in its ball, and so does the
+local tope set of each support S, since |S| <= min(lmax, n).  Let a
+relabelling pi of the hyperplanes, not necessarily a symmetry of the
+arrangement, carry the ball of b onto that of a start a searched before
+it.  Then pi keeps distances and disjoint steps inside the balls, so it
+maps b's chains onto a's, b's keys and in-edges onto a's, and b's group
+with support S onto a's group with support pi(S), of the same shape.
+Each of a's shapes has its tally by the time a is done, so a search
+from b would classify no key and reduce no block: it would add the
+tallies that a added and charge exactly a's keys and in-edges.  So b
+reads a's blocks and is charged a's search, and the memo, the chain
+counts and every table are those of searching b.  Only when that charge
+would pass the budget is b searched, to stop where that search stops.
+The printed orbits do not change.
+
 Reversing each chain maps the block (a -> b, l, p) onto (b -> a, l, p)
 and deletion at i, sign (-1)^i, onto deletion at k - i, sign (-1)^k
 (-1)^i, so (-1)^(k(k+1)/2) times the reversal is a chain isomorphism.
@@ -217,8 +234,9 @@ def _start_blocks(graph, start, lmax, spent, full_support_only, around,
     """Boundary blocks of the proper chains from one start, tallied.
 
     Returns (Counter of summaries (length, inner, geodesic, memo key),
-    spent), over the keys of ``_key_search`` (with ``full_support_only``,
-    those crossing every hyperplane).  Inner is S = every hyperplane, and
+    spent, what the key search charged), over the keys of
+    ``_key_search`` (with ``full_support_only``, those crossing every
+    hyperplane).  Inner is S = every hyperplane, and
     geodesic is length = |S|, which holds exactly when every count is 0
     or 1, that is when the length is d(start, end).
 
@@ -247,8 +265,10 @@ def _start_blocks(graph, start, lmax, spent, full_support_only, around,
     ``DEFAULT_CHAIN_BUDGET`` (read at call time) it raises
     BudgetExceededError.
     """
+    before = spent
     into, spent = _key_search(graph, start, lmax, spent, full_support_only,
                               around)
+    searched = spent - before
     index = graph.index
     start_mask = graph.masks[start]
     n = graph.n
@@ -318,7 +338,7 @@ def _start_blocks(graph, start, lmax, spent, full_support_only, around,
             new[memo_key] = key, dims
         for memo_key, (key, dims) in new.items():
             memo[memo_key] = _morse_block(into, key, dims, graph.masks, index)
-    return blocks, spent
+    return blocks, spent, searched
 
 
 def _charge(spent, entries):
@@ -375,6 +395,84 @@ def _relabel_bits(xs, perm):
         bit = 1 << perm.index(c)
         table += [y | bit for y in table]
     return [table[x] for x in xs]
+
+
+def _ball(members, n):
+    """(signature, invariants, columns, members) of a ball, a list of
+    distinct masks on n hyperplanes: column h has bit i when member i
+    holds hyperplane h.  The invariant of h counts the members holding
+    it by weight, then lists its column's meets with every column by
+    size; the signature, the number of members and the sorted
+    invariants, is kept by every relabelling of the hyperplanes."""
+    columns, shells = [0] * n, [0] * (n + 1)  # shells[w]: members of weight w
+    for i, x in enumerate(members):
+        shells[x.bit_count()] |= 1 << i
+        while x:
+            columns[(x & -x).bit_length() - 1] |= 1 << i
+            x &= x - 1
+    invariants = [(tuple((c & s).bit_count() for s in shells),
+                   tuple(sorted((c & d).bit_count() for d in columns)))
+                  for c in columns]
+    return ((len(members), tuple(sorted(invariants))), invariants, columns,
+            members)
+
+
+def _relabelling(a, b, allowance):
+    """A relabelling pi of the hyperplanes, h to pi[h], with pi(ball of
+    b) == ball of a (both from ``_ball``), or None.
+
+    b's hyperplanes are assigned in turn, rarest invariant first, each to
+    an unused hyperplane of a with its invariant.  The members of each
+    ball are split into cells by their bits on the hyperplanes assigned so
+    far, b's cells beside a's cells of the image bits, and an assignment
+    leaving two such cells of unequal size is dropped: pi carries each of
+    b's cells onto its partner.  Two hyperplanes of a with one column are
+    swapped by a symmetry of a's ball fixing the rest, so only the first
+    is tried.  The last hyperplane splits no cell; the exact test decides.
+    Each assignment tried costs its number of cells, and past
+    ``allowance`` the search gives up: a miss only costs a search.
+    """
+    _, inv_a, cols_a, ball_a = a
+    _, inv_b, cols_b, ball_b = b
+    n = len(cols_a)
+    order = sorted(range(n), key=lambda h: (inv_b.count(inv_b[h]), h))
+    pi, used = [None] * n, set()
+
+    def choices(level, cells):
+        """(g, the cells split by h = order[level] and g, or None if two
+        partners differ in size) for each g that h may go to."""
+        h, seen = order[level], set()
+        for g in range(n):
+            if g in used or inv_a[g] != inv_b[h] or cols_a[g] in seen:
+                continue
+            seen.add(cols_a[g])
+            if level == n - 1:
+                yield g, cells
+                continue
+            split = [(cb & mb, ca & ma) for cb, ca in cells for mb, ma in (
+                (cols_b[h], cols_a[g]), (~cols_b[h], ~cols_a[g]))]
+            even = all(cb.bit_count() == ca.bit_count() for cb, ca in split)
+            yield g, [cell for cell in split if cell[0]] if even else None
+
+    stack = [(choices(0, [((1 << len(ball_b)) - 1, (1 << len(ball_a)) - 1)]),
+              1)]  # each level's choices, and the cells they split
+    target, cost = set(ball_a), 0
+    while stack and cost <= allowance:
+        options, size = stack[-1]
+        h = order[len(stack) - 1]
+        used.discard(pi[h])
+        pi[h], cells = next(options, (None, None))
+        cost += size
+        if pi[h] is None:
+            stack.pop()
+        elif cells is not None and len(stack) < n:
+            used.add(pi[h])
+            stack.append((choices(len(stack), cells), len(cells)))
+        elif cells is not None and {
+                sum(1 << g for k, g in enumerate(pi) if x >> k & 1)
+                for x in ball_b} == target:
+            return pi
+    return None
 
 
 # the matching's verdict on one step: the run of single steps goes on,
@@ -644,7 +742,10 @@ def magnitude_homology(graph, *, lmax, group=None, interior_only=False,
     has that complex (see ``_morse_block``), and a run that would charge
     more than ``DEFAULT_CHAIN_BUDGET`` entries (read at call time) for
     the keys it finds and the chains of the blocks it reduces (see
-    ``_start_blocks``) stops with BudgetExceededError.
+    ``_start_blocks``) stops with BudgetExceededError.  A start whose
+    ball a relabelling carries onto the ball of a start searched before
+    it (``_relabelling``) reads that start's blocks and is charged its
+    search (module docstring).
     """
     _, orbits, _ = chamber_orbits(graph, group)
     betti = {part: defaultdict(int) for part in ("all", "inner", "geodesic")}
@@ -655,11 +756,24 @@ def magnitude_homology(graph, *, lmax, group=None, interior_only=False,
     # memo key -> summary of the first block with that key, raw memo key
     # (or local tope set) -> its memo key (or shape), and shape -> tally
     memo, canon, tallies = {}, {}, {}
+    # ball signature -> (ball, blocks, search charge) of each start searched
+    classes = defaultdict(list)
     for members in orbits:
         rep = members[0]
         weight = len(members)
-        blocks, spent = _start_blocks(graph, rep, lmax, spent, interior_only,
-                                      around, memo, canon, tallies)
+        # the masks x ^ rep of the chambers x within min(lmax, n) of rep
+        ball = _ball([0, *(sep for _, steps in around(rep)
+                           for sep, _ in steps)], graph.n)
+        twin = next((c for c in classes[ball[0]]
+                     if _relabelling(c[0], ball, c[2]) is not None), None)
+        if twin and spent + twin[2] <= DEFAULT_CHAIN_BUDGET:
+            _, blocks, searched = twin
+            spent = _charge(spent, searched)
+        else:  # a twin past the budget is searched, to stop where it would
+            blocks, spent, searched = _start_blocks(
+                graph, rep, lmax, spent, interior_only, around, memo, canon,
+                tallies)
+            classes[ball[0]].append((ball, blocks, searched))
         # one tally per distinct summary, times the blocks sharing it
         for (length, inner, geodesic, memo_key), times in blocks.items():
             parts = ["all"] + ["inner"] * inner + ["geodesic"] * geodesic

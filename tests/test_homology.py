@@ -21,6 +21,7 @@ from conftest import (
     face_sum_by_orbit_runs,
     four_cut_by_search,
     general_position_rows,
+    generic_arrangements,
     geometry,
     homology_of,
     key_orbit_by_closure,
@@ -46,12 +47,14 @@ from magarr.errors import BudgetExceededError, CheckFailedError
 from magarr.linalg import complex_homology
 from magarr.homology import (
     _assert_d2_zero,
+    _ball,
     _faces,
     _key_search,
     _morse_block,
     _near_lists,
     _partner,
     _relabel_bits,
+    _relabelling,
     _start_blocks,
     canonical_key,
     chain_count_table,
@@ -321,9 +324,9 @@ def test_face_check_reduces_each_block_once_over_its_localizations(
         return magnitude_homology(*args, **kwargs)
 
     def start_blocks(*args):
-        blocks, spent = _start_blocks(*args)
+        blocks, spent, searched = _start_blocks(*args)
         runs[-1].update(memo_key for *_, memo_key in blocks)
-        return blocks, spent
+        return blocks, spent, searched
 
     def morse_block(into, key, *rest):
         calls.append(key)
@@ -403,16 +406,18 @@ def test_a_start_charges_its_chains_before_reducing_a_block(
     # each start charges length + 1 + n per key its search finds, one
     # per in-edge it records past a key's first, and
     # len(chain) + 1 + n + REDUCTION_CHARGE per chain of each block it
-    # reduces, built or not, all before its first block is reduced
+    # reduces, built or not, all before its first block is reduced; a
+    # start whose ball is a relabelled ball searched before charges, once
+    # and outside any search, what that search's keys and in-edges cost
     _, graph, _, group = geometry(name)
     n = graph.n
     events = []
 
     def start_blocks(*args):
         events.append(("start", None))
-        blocks, spent = _start_blocks(*args)
+        out = _start_blocks(*args)
         events.append(("end", None))
-        return blocks, spent
+        return out
 
     def key_search(graph, start, lmax, *args):
         into, spent = _key_search(graph, start, lmax, *args)
@@ -433,10 +438,12 @@ def test_a_start_charges_its_chains_before_reducing_a_block(
     monkeypatch.setattr(homology, "_charge", charge)
     monkeypatch.setattr(homology, "_morse_block", morse_block)
     magnitude_homology(graph, lmax=lmax, group=group)
-    starts = 0
+    searched, twins, key_charges, inside = 0, [], set(), False
     for kind, value in events:
         if kind == "start":
-            charged, want, reducing = 0, 0, False
+            charged, want, reducing, inside = 0, 0, False, True
+        elif kind == "charge" and not inside:
+            twins.append(value)
         elif kind == "charge":
             assert not reducing
             charged += value
@@ -447,10 +454,13 @@ def test_a_start_charges_its_chains_before_reducing_a_block(
         elif kind == "keys":  # every key the search found, and the root
             want += sum(length + 1 + n + (ins - 1)
                         for length, ins in value if length)
+            key_charges.add(want)
         else:
             assert charged == want
-            starts += 1
-    assert starts == len(chamber_orbits(graph, group)[1])
+            searched += 1
+            inside = False
+    assert set(twins) <= key_charges
+    assert searched + len(twins) == len(chamber_orbits(graph, group)[1])
 
 
 def test_default_caps_scale_down():
@@ -782,8 +792,8 @@ def test_packed_keys_match_chain_blocks(name, lmax, interior_only):
         want = _chain_blocks(graph, start, lmax, interior_only)
         assert {key for key, support in keys.items()
                 if not interior_only or support == everything} == set(want)
-        blocks, _ = _start_blocks(graph, start, lmax, 0, interior_only,
-                                  around, memo, canon, tallies)
+        blocks, _, _ = _start_blocks(graph, start, lmax, 0, interior_only,
+                                     around, memo, canon, tallies)
         assert Counter(summary[:3] for summary in blocks.elements()) == Counter(
             (length, 0 not in profile, length == graph.dist(start, end))
             for length, end, profile in want)
@@ -1046,3 +1056,179 @@ def test_canonical_key_of_the_whole_cube_is_fast():
     key = canonical_key((1,) * 8, frozenset(range(256)))
     assert time.perf_counter() - began < 1.0
     assert key == ((1,) * 8, tuple(range(256)))
+
+
+# ---------------------------------------------------------------------------
+# starts whose balls match up to relabelling share one search
+
+
+def _traced_run(monkeypatch, graph, lmax, reuse, **kwargs):
+    """(result, final spent, starts searched, twin charges) of one run,
+    a twin charge being (spent before it, entries).  Without ``reuse``
+    the relabelling search always misses, so every start is searched.
+    A run past its budget gives its error as the result and its observed
+    figure as the final spent."""
+    trace = {"spent": 0, "searched": 0, "twins": []}
+    charge, start_blocks = homology._charge, homology._start_blocks
+    inside = []
+
+    def charged(spent, entries):
+        if not inside:
+            trace["twins"].append((spent, entries))
+        trace["spent"] = charge(spent, entries)
+        return trace["spent"]
+
+    def searched(*args):
+        inside.append(True)
+        trace["searched"] += 1
+        try:
+            return start_blocks(*args)
+        finally:
+            inside.pop()
+
+    with monkeypatch.context() as patch:
+        patch.setattr(homology, "_charge", charged)
+        patch.setattr(homology, "_start_blocks", searched)
+        if not reuse:
+            patch.setattr(homology, "_relabelling", lambda *args: None)
+        try:
+            result = magnitude_homology(graph, lmax=lmax, **kwargs)
+        except BudgetExceededError as error:
+            result, trace["spent"] = error, error.observed
+    return result, trace["spent"], trace["searched"], trace["twins"]
+
+
+def _twin_case(source):
+    """(graph, group, lmax, interior_only) of a catalog name at its
+    default cap, a seed-1 generic file at lmax 4, or a random instance,
+    (index, interior_only), at lmax 5 or one past its n."""
+    if isinstance(source, str):
+        _, graph, _, group = geometry(source)
+        return graph, group, default_length_cap(graph), False
+    if isinstance(source, int):
+        rows = generic_arrangements(1)[source]
+        graph = enumerate_chambers(parse_arrangement(rows))
+        return graph, chamber_orbits(graph)[2], 4, False
+    index, interior_only = source
+    arr = RANDOM_MEMO_CASES[index]
+    graph = enumerate_chambers(arr)
+    return (graph, chamber_orbits(graph)[2],
+            arr.n + 1 if interior_only else 5, interior_only)
+
+
+TWIN_CASES = [
+    *CATALOG_NAMES,
+    *range(12),
+    *((i, interior_only) for i in range(len(RANDOM_MEMO_CASES))
+      for interior_only in (False, True)),
+]
+
+
+@pytest.mark.parametrize("source", TWIN_CASES)
+def test_twin_starts_change_no_field_and_no_charge(source, monkeypatch):
+    # a start whose ball is a relabelled earlier ball reads that start's
+    # blocks and charges its search: every field of the result and the
+    # run's final charge are those of a run searching every start
+    graph, group, lmax, interior_only = _twin_case(source)
+    runs = [_traced_run(monkeypatch, graph, lmax, reuse, group=group,
+                        interior_only=interior_only)
+            for reuse in (True, False)]
+    (result, spent, searched, twins), (want, want_spent, every, none) = runs
+    assert result == want and spent == want_spent
+    assert searched + len(twins) == every == len(
+        chamber_orbits(graph, group)[1])
+    assert not none
+    if source == "bracelet":
+        assert len(twins) == 13 and every == 16
+    if isinstance(source, int):  # the generic files
+        assert 2 * len(twins) >= every
+
+
+@pytest.mark.parametrize("source", ["bracelet", 0, "u34"])
+@pytest.mark.parametrize("short", ["half", "one", "none"])
+def test_a_budget_inside_a_twin_charge_stops_as_its_search_would(
+        source, short, monkeypatch):
+    # a budget that the first twin's charge would pass by half of it or by
+    # one entry makes the run search that start, and stop with the figure
+    # a run searching every start observes; a budget it just meets lets
+    # the twin through, and the run still ends as that run does
+    graph, group, lmax, _ = _twin_case(source)
+    spent, entries = _traced_run(monkeypatch, graph, lmax, True,
+                                 group=group)[3][0]
+    budget = spent + entries - {"half": entries // 2, "one": 1, "none": 0}[
+        short]
+    monkeypatch.setattr(homology, "DEFAULT_CHAIN_BUDGET", budget)
+    got = _traced_run(monkeypatch, graph, lmax, True, group=group)
+    want = _traced_run(monkeypatch, graph, lmax, False, group=group)
+    stopped = isinstance(want[0], BudgetExceededError)
+    assert stopped or short == "none"
+    assert got[1] == want[1]
+    if stopped:
+        assert isinstance(got[0], BudgetExceededError)
+        assert str(got[0]) == str(want[0]) and got[0].limit == budget
+    else:
+        assert got[0] == want[0]
+
+
+def _relabelled_ball(members, pi):
+    """Each member with hyperplane h renamed pi[h]."""
+    return [sum(1 << g for h, g in enumerate(pi) if x >> h & 1)
+            for x in members]
+
+
+def test_relabelling_search_finds_each_relabelled_ball():
+    # balls of catalog starts at two radii and random sets of masks, each
+    # against a shuffled copy relabelled by a random pi: the search finds
+    # a relabelling carrying the copy onto the ball, and past its
+    # allowance it gives up
+    rng = random.Random(20261022)
+    balls = []
+    for name in ("bracelet", "k5me", "u45", "nearpencil:5"):
+        _, graph, _, _ = geometry(name)
+        for lmax in (2, 4):
+            around = _near_lists(graph, lmax)
+            for start in rng.sample(range(len(graph)), 4):
+                balls.append((graph.n, [0, *(
+                    sep for _, steps in around(start) for sep, _ in steps)]))
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        balls.append((n, [0, *rng.sample(range(1, 1 << n), rng.randint(
+            0, min(40, (1 << n) - 1)))]))
+    for n, members in balls:
+        pi = list(range(n))
+        rng.shuffle(pi)
+        image = _relabelled_ball(members, pi)
+        rng.shuffle(image)
+        a, b = _ball(members, n), _ball(image, n)
+        assert a[0] == b[0]
+        found = _relabelling(a, b, 10**9)
+        assert found is not None, (n, members, pi)
+        assert set(_relabelled_ball(image, found)) == set(members)
+    _, graph, _, _ = geometry("bracelet")
+    ball = _ball([0, *(sep for _, steps in _near_lists(graph, 4)(0)
+                       for sep, _ in steps)], graph.n)
+    assert _relabelling(ball, ball, 10**9) is not None
+    assert _relabelling(ball, ball, 0) is None
+
+
+# balls on five hyperplanes with one signature, not relabellings of each
+# other: they agree on hyperplanes 0 to 3 and differ in which members
+# hold hyperplane 4, so only the exact test on the last hyperplane tells
+# them apart; and 0, the singletons and the edges of a 6-cycle against
+# those of two triangles, every hyperplane of either on two edges
+NEAR_TWINS = [
+    (5, [0, 1, 3, 11, 12, 21, 26], [0, 1, 5, 10, 11, 19, 28]),
+    (6, [0, *(1 << h for h in range(6)),
+         *(1 << h | 1 << (h + 1) % 6 for h in range(6))],
+     [0, *(1 << h for h in range(6)), 3, 5, 6, 24, 40, 48]),
+]
+
+
+@pytest.mark.parametrize("n, first, second", NEAR_TWINS)
+def test_relabelling_search_misses_balls_of_one_signature(n, first, second):
+    a, b = _ball(first, n), _ball(second, n)
+    assert a[0] == b[0]
+    assert all(set(_relabelled_ball(second, pi)) != set(first)
+               for pi in permutations(range(n)))
+    assert _relabelling(a, b, 10**9) is None
+    assert _relabelling(b, a, 10**9) is None
